@@ -10,9 +10,10 @@ Averages are taken with one of two measures:
 * BLOCH_SPHERE_UNIFORM: dOmega / 4pi over all pure qubit inputs,
 * GREAT_CIRCLE_UNIFORM: uniform angle along one equatorial input family.
 
-Quadrature is adaptive Gauss-Legendre refined to 1e-9; Monte Carlo uses
-the counter-based Philox generator so every stochastic result is
-bit-reproducible from (seed, row-index).
+The analytic method reads both averages off the receiver's Bloch map
+(``protocol.receiver_map``).  Quadrature is adaptive Gauss-Legendre refined
+to 1e-9; Monte Carlo uses the counter-based Philox generator so every
+stochastic result is bit-reproducible from (seed, row-index).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .channels import (
     three_tangle,
 )
 from .errors import ConvergenceError, MatchedFamiliesError, RangeError
-from .protocol import ncf_batch
+from .protocol import ncf_batch, receiver_map
 from .qcore import EXACT_ATOL, pauli
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
@@ -86,7 +87,7 @@ def control_power(f: float) -> float:
 def avg_fidelity_ms_analytic(d: float) -> float:
     """Sphere-averaged NCF of an MS channel: 2/3 + |d|/3."""
     v = float(d)
-    if abs(v) > 1.0 + EXACT_ATOL:
+    if not abs(v) <= 1.0 + EXACT_ATOL:  # NaN fails this too
         raise RangeError(f"|d| = {abs(v)!r} exceeds 1")
     return 2.0 / 3.0 + min(abs(v), 1.0) / 3.0
 
@@ -217,21 +218,31 @@ class PowerReport:
     meets_tangle_bound: bool
 
 
-def _analytic_average(spec: ChannelSpec) -> float:
-    if isinstance(spec, GHZChannel):
-        return avg_fidelity_ms_analytic(0.0)
-    if isinstance(spec, MSChannel):
-        return avg_fidelity_ms_analytic(spec.d)
-    if isinstance(spec, ThetaChannel):
-        return max(spec.a**2, spec.b**2)
-    raise ValueError(f"no closed-form average for {spec!r}; use a numeric method")
+# Bloch axes spanning each family's great circle
+_FAMILY_AXES = {"xz": (0, 2), "xy": (0, 1), "yz": (1, 2)}
+
+
+def _analytic_average(spec: ChannelSpec, family: str | None) -> float:
+    """Average NCF from the receiver's Bloch map.
+
+    With NCF(r) = 1/2 + t.r/2 + r.T.r/2, the sphere average is
+    1/2 + tr(T)/6 and the average over the circle of axes i, j is
+    1/2 + (T_ii + T_jj)/4.
+    """
+    _, transfer = receiver_map(spec)
+    if family is None:
+        return 0.5 + float(np.trace(transfer)) / 6.0
+    i, j = _FAMILY_AXES[family]
+    return 0.5 + float(transfer[i, i] + transfer[j, j]) / 4.0
 
 
 def _spec_average(spec: ChannelSpec, method: str, seed: int, row: int) -> AverageResult:
-    if method == "analytic":
-        return AverageResult(_analytic_average(spec), 0.0)
+    family = None
     if isinstance(spec, ThetaChannel):
         family = {axis: fam for fam, axis in MATCHED_AXIS.items()}[spec.k]
+    if method == "analytic":
+        return AverageResult(_analytic_average(spec, family), 0.0)
+    if family is not None:
         return avg_fidelity_numeric(
             spec, "family", family=family, method=method, seed=seed, row=row
         )

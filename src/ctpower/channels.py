@@ -47,7 +47,7 @@ def check_unit_pair(x, y, names: str) -> tuple[float, float]:
         fx, fy = float(x), float(y)
     except TypeError:
         raise NormalizationError(f"{names} must be real numbers") from None
-    if abs(fx * fx + fy * fy - 1.0) > INPUT_ATOL:
+    if not abs(fx * fx + fy * fy - 1.0) <= INPUT_ATOL:  # NaN and inf fail too
         raise NormalizationError(
             f"{names} must satisfy a unit sum of squares, got {fx*fx + fy*fy!r}"
         )

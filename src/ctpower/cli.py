@@ -74,7 +74,6 @@ class RunConfig:
     output_format: str
     output_path: str | None
     command_line: str
-    n_samples: int = 1
 
 
 @dataclass
@@ -717,7 +716,6 @@ def main(argv: list[str] | None = None) -> int:
             output_format=getattr(args, "format", "pretty"),
             output_path=getattr(args, "output", None),
             command_line="ctpower " + " ".join(shlex.quote(t) for t in full_argv),
-            n_samples=max(1, getattr(args, "n_samples", 1) or 1),
         )
         if args.command == "verify":
             return _cmd_verify(args, config)

@@ -13,6 +13,11 @@ Two protocol variants share the same wiring.  The joint register is always
   the controller qubit is traced out.  The resulting mixed state has the
   same fidelity against the input for every sender outcome; that fidelity
   is the non-conditioned fidelity (NCF).
+
+Without the controller the protocol is one fixed qubit channel, the
+receiver's Bloch map r -> t + T r (``receiver_map``).  ``ncf_batch``
+evaluates that map for arrays of inputs; ``unconditioned_teleport`` walks
+the branches one input at a time and is the oracle the tests pin it to.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ from .qcore import (
     IDENTITY,
     INPUT_ATOL,
     PAULI_X,
+    PAULI_Y,
     PAULI_Y_REAL,
     PAULI_Z,
     Amplitude,
@@ -407,43 +413,87 @@ def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> 
 
 
 # ---------------------------------------------------------------------------
-# vectorized fast path for averaging
+# the receiver's Bloch map, and the vectorized NCF built on it
+
+_PAULI_BASIS = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
+
+# rows per ncf_batch step; bounds the temporaries for any number of inputs
+_BATCH_ROWS = 65536
+
+
+def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
+    """4x4 Pauli transfer matrix R_ij = tr(sigma_i E(sigma_j))/2 of the
+    controller-absent protocol E, summed over the sender's outcomes.
+
+    Each outcome contributes two Kraus operators, one per controller basis
+    state, already corrected by the receiver.  Every outcome has average
+    probability 1/4 over the sphere; divided by that weight, the outcomes'
+    matrices must coincide, or the correction table is wrong.
+    """
+    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
+    for o, outcome in enumerate(BELL_OUTCOMES):
+        bell = bell_state(outcome).amps.conj().reshape(2, 2)  # (input, sender)
+        # kraus[c] maps the input qubit to the receiver, controller left in |c>
+        kraus = np.einsum("ts,csr->crt", bell, chan)
+        kraus = bob_correction(outcome, None, spec) @ kraus
+        per_outcome[o] = 0.5 * np.einsum(
+            "iab,cbd,jde,cae->ij", _PAULI_BASIS, kraus, _PAULI_BASIS, kraus.conj()
+        ).real
+    normed = per_outcome / per_outcome[:, :1, :1]
+    spread = float(np.max(np.abs(normed[:, None] - normed[None, :])))
+    if spread > CORRECTION_MISMATCH_ATOL:
+        raise CorrectionMismatchError(
+            f"corrected receiver maps disagree by {spread:.3e} across sender outcomes"
+        )
+    return per_outcome.sum(axis=0)
+
+
+def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's Bloch map r -> t + T r when the controller abstains.
+
+    The protocol without the controller is one fixed qubit channel, so an
+    input with Bloch vector r reaches the receiver as t + T r and
+    NCF(r) = 1/2 + t.r/2 + r.T.r/2.  Raises CorrectionMismatchError when
+    the sender's outcomes leave the receiver in different maps.
+    """
+    transfer = _transfer_matrix(spec)
+    return transfer[1:, 0], transfer[1:, 1:]
+
 
 def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     """Non-conditioned fidelity for arrays of input amplitudes.
 
-    Performs the same projection/correction/trace steps as
-    unconditioned_teleport, batched with einsum; the test suite pins the
-    two paths together pointwise.  Raw channels take the scalar path.
+    Evaluates the receiver's Bloch map on the inputs' Bloch vectors,
+    divided by the map's output trace, for every channel kind.
+    unconditioned_teleport is the branch-walk oracle the test suite pins
+    this against pointwise.  Raises NormalizationError unless every
+    |k0|^2 + |k1|^2 is 1 within 1e-10.
     """
     k0 = np.asarray(k0, dtype=complex).reshape(-1)
     k1 = np.asarray(k1, dtype=complex).reshape(-1)
     if k0.shape != k1.shape:
         raise DimensionError("k0 and k1 arrays must have matching shapes")
-    if isinstance(spec, RawChannel):
-        return np.array(
-            [unconditioned_teleport(spec, make_qubit(a, b)).ncf
-             for a, b in zip(k0, k1)]
-        )
+    transfer = _transfer_matrix(spec)
     out = np.empty(k0.size, dtype=float)
-    for start in range(0, k0.size, 65536):
-        sl = slice(start, min(start + 65536, k0.size))
-        out[sl] = _ncf_chunk(spec, k0[sl], k1[sl])
-    return out
-
-
-def _ncf_chunk(spec: ChannelSpec, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    chan = realize(spec).amps.reshape(2, 2, 2)
-    phi = np.stack([k0, k1], axis=1)
-    joint = np.einsum("nt,csr->ntcsr", phi, chan)
-    rho = np.zeros((k0.size, 2, 2), dtype=complex)
-    for outcome in BELL_OUTCOMES:
-        bell = bell_state(outcome).amps.conj().reshape(2, 2)
-        amp = np.einsum("ts,ntcsr->ncr", bell, joint)
-        gate = bob_correction(outcome, None, spec)
-        corrected = np.einsum("xr,ncr->ncx", gate, amp)
-        rho += np.einsum("ncx,ncy->nxy", corrected, corrected.conj())
-    # rho is the probability-weighted sum over outcomes; its trace is 1
-    trace = np.einsum("nxx->n", rho).real
-    ncf = np.einsum("nx,nxy,ny->n", phi.conj(), rho, phi).real / trace
-    return np.clip(ncf, 0.0, 1.0)
+    for start in range(0, k0.size, _BATCH_ROWS):
+        a, b = k0[start:start + _BATCH_ROWS], k1[start:start + _BATCH_ROWS]
+        p0 = a.real**2 + a.imag**2
+        p1 = b.real**2 + b.imag**2
+        norm = p0 + p1
+        bad = ~(np.abs(norm - 1.0) <= INPUT_ATOL)  # NaN compares False
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NormalizationError(
+                f"|k0|^2+|k1|^2 = {float(norm[i])!r} at index {start + i}, expected 1"
+            )
+        cross = 2.0 * a.conj() * b
+        # (|k|^2, r): the Pauli coordinates of |phi><phi|
+        bloch = (norm, cross.real, cross.imag, p0 - p1)
+        # elementwise, not a BLAS product: BLAS's first call adds its work
+        # buffer to the peak memory of the whole process
+        image = [sum(r * x for r, x in zip(row, bloch)) for row in transfer]
+        out[start:start + _BATCH_ROWS] = (
+            0.5 * sum(y * x for y, x in zip(image, bloch)) / image[0]
+        )
+    return np.clip(out, 0.0, 1.0, out=out)

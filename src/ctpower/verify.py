@@ -19,6 +19,7 @@ from .analysis import (
     CLASSICAL_POWER,
     FAMILY_NAMES,
     MATCHED_AXIS,
+    _rng,
     avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
@@ -53,11 +54,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _random_channel(rng: np.random.Generator) -> ChannelSpec:

@@ -26,8 +26,9 @@ from ctpower.analysis import (
     power_table,
     sweep,
 )
-from ctpower.channels import GHZChannel, MSChannel, ThetaChannel
+from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel, realize
 from ctpower.errors import MatchedFamiliesError, RangeError
+from ctpower.qcore import apply_gate
 
 
 def sphere_average_oracle(integrand, order=200):
@@ -71,6 +72,11 @@ def test_avg_fidelity_ms_analytic():
     assert avg_fidelity_ms_analytic(-0.5) == pytest.approx(5.0 / 6.0)
     with pytest.raises(RangeError):
         avg_fidelity_ms_analytic(1.5)
+
+
+def test_avg_fidelity_ms_analytic_rejects_nan():
+    with pytest.raises(RangeError):
+        avg_fidelity_ms_analytic(float("nan"))
 
 
 def test_power_bound_check_boundaries():
@@ -224,6 +230,23 @@ def test_sweep_quadrature_agrees_with_analytic():
     numeric = sweep(specs, method="quadrature")
     for a, q in zip(analytic, numeric):
         assert abs(a.f_bar - q.f_bar) < 1e-9
+
+
+def test_analytic_sweep_reads_the_receiver_map():
+    # sphere: 1/2 + tr(T)/6 = 2/3 + |d|/3; matched circle: max(a^2, b^2)
+    for d in (-0.8, -0.3, 0.0, 0.5, 1.0):
+        (rep,) = sweep([MSChannel(c=math.sqrt(1 - d * d), d=d)], method="analytic")
+        assert abs(rep.f_bar - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
+    for a, b in ((0.6, 0.8), (0.8, -0.6), (math.sqrt(0.5), math.sqrt(0.5))):
+        for k in ("x", "y", "z"):
+            (rep,) = sweep([ThetaChannel(a, b, k)], method="analytic")
+            assert abs(rep.f_bar - max(a * a, b * b)) < 1e-12
+    # raw channels now have an analytic average too; quadrature agrees
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    raw = RawChannel(state=apply_gate(u, 0, realize(MSChannel(c=0.6, d=-0.8))))
+    (rep,) = sweep([raw], method="analytic")
+    quad, _ = avg_fidelity_numeric(raw, "sphere", method="quadrature")
+    assert abs(rep.f_bar - quad) < 1e-12
 
 
 def test_ms_average_monotone_in_abs_d():

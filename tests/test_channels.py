@@ -95,6 +95,17 @@ def test_check_unit_pair():
         check_unit_pair(0.6 + 0j, 0.8, "a, b")  # complex parameters rejected
 
 
+def test_check_unit_pair_rejects_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    for x, y in ((nan, nan), (nan, 0.0), (0.6, nan), (inf, 0.0), (inf, -inf)):
+        with pytest.raises(NormalizationError):
+            check_unit_pair(x, y, "a, b")
+    with pytest.raises(NormalizationError):
+        MSChannel(c=nan, d=nan)
+    with pytest.raises(NormalizationError):
+        ThetaChannel(a=nan, b=nan, k="z")
+
+
 def test_channel_spec_validation():
     assert MSChannel(c=0.6, d=-0.8).d == -0.8
     with pytest.raises(NormalizationError):

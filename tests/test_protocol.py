@@ -17,7 +17,12 @@ from ctpower.channels import (
     ms_state,
     realize,
 )
-from ctpower.errors import DimensionError, NormalizationError, RangeError
+from ctpower.errors import (
+    CorrectionMismatchError,
+    DimensionError,
+    NormalizationError,
+    RangeError,
+)
 from ctpower.protocol import (
     _CT_TABLE,
     _GATES,
@@ -31,18 +36,21 @@ from ctpower.protocol import (
     ncf_batch,
     ncf_ms_closed,
     ncf_theta_closed,
+    receiver_map,
     unconditioned_teleport,
 )
 from ctpower.qcore import (
     BELL_OUTCOMES,
     BellOutcome,
     PureState,
+    apply_gate,
     bell_state,
     equal_up_to_global_phase,
     make_qubit,
     project_two_qubit,
     tensor,
 )
+from ctpower.verify import _random_local_unitary
 
 
 def random_qubit(rng):
@@ -330,6 +338,10 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
         ThetaChannel(a=math.sqrt(0.7), b=math.sqrt(0.3), k="y"),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
         RawChannel(state=realize(MSChannel(c=0.8, d=0.6))),
+        # a unitary on the controller qubit leaves the receiver's map alone
+        RawChannel(state=apply_gate(
+            _random_local_unitary(rng), 0, realize(ThetaChannel(0.6, -0.8, "z"))
+        )),
     ]
     qubits = [random_qubit(rng) for _ in range(25)]
     k0 = np.array([q.amps[0] for q in qubits])
@@ -339,8 +351,40 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
         for i, q in enumerate(qubits):
             scalar = unconditioned_teleport(spec, q).ncf
             assert abs(batch[i] - scalar) < 1e-12
+    # a generic raw state has no single correction; both paths say so
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
+    with pytest.raises(CorrectionMismatchError):
+        ncf_batch(generic, k0, k1)
+    with pytest.raises(CorrectionMismatchError):
+        unconditioned_teleport(generic, qubits[0])
 
 
 def test_ncf_batch_shape_check():
     with pytest.raises(DimensionError):
         ncf_batch(GHZChannel(), np.array([1.0]), np.array([0.0, 1.0]))
+
+
+def test_ncf_batch_rejects_unnormalized_and_non_finite_amplitudes():
+    spec = MSChannel(c=0.6, d=0.8)
+    for k0 in (2.0, 1.0 + 1e-9, float("nan"), float("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(NormalizationError):
+            ncf_batch(spec, [1.0, k0], [0.0, 0.0])
+    s = 1 / math.sqrt(2)
+    assert ncf_batch(spec, [1.0 + 1e-11, s], [0.0, 1j * s]) == pytest.approx([1.0, 0.9])
+
+
+def test_receiver_map_shapes():
+    # MS: dephasing that shrinks the equator by |d|; theta: shrink by
+    # a^2 - b^2 off the channel axis, identity along it
+    for d in (0.8, -0.8):
+        t, T = receiver_map(MSChannel(c=0.6, d=d))
+        assert np.max(np.abs(t)) < 1e-14
+        assert np.max(np.abs(T - np.diag([0.8, 0.8, 1.0]))) < 1e-14
+    for k, axis in (("x", 0), ("y", 1), ("z", 2)):
+        for a, b in ((0.6, 0.8), (0.8, -0.6)):
+            t, T = receiver_map(ThetaChannel(a, b, k))
+            want = np.full(3, abs(a * a - b * b))
+            want[axis] = 1.0
+            assert np.max(np.abs(t)) < 1e-14
+            assert np.max(np.abs(T - np.diag(want))) < 1e-14
