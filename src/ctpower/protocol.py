@@ -14,6 +14,10 @@ Two protocol variants share the same wiring.  The joint register is always
   same fidelity against the input for every sender outcome; that fidelity
   is the non-conditioned fidelity (NCF).
 
+Both walks contract the input and channel amplitudes against all four Bell
+projectors at once, and validate only the states they return: each
+branch's receiver state, or the receiver's mixed state.
+
 Without the controller the protocol is one fixed qubit channel, the
 receiver's Bloch map r -> t + T r (``receiver_map``).  ``ncf_batch``
 evaluates that map for arrays of inputs; ``unconditioned_teleport`` walks
@@ -21,6 +25,7 @@ the branches one input at a time and is the oracle the tests pin it to.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +55,15 @@ from .qcore import (
     PAULI_Y,
     PAULI_Y_REAL,
     PAULI_Z,
+    ZERO_PROB,
     Amplitude,
     BellOutcome,
     DensityOperator,
     PureState,
-    apply_gate,
     bell_state,
     fidelity_with_pure,
     make_qubit,
-    partial_trace,
     pauli,
-    project_single_qubit,
-    project_two_qubit,
-    tensor,
-    to_density,
 )
 
 CORRECTION_MISMATCH_ATOL = 1e-10
@@ -165,6 +165,14 @@ _GATES = {
     "Z": PAULI_Z,
     "XZ": PAULI_X @ PAULI_Z,
 }
+
+# the candidate corrections for raw channels, in tie-breaking order
+_CORRECTIONS = np.array(list(_GATES.values()))
+
+# conjugated Bell pairs stacked by outcome, indexed (outcome, input, sender)
+_BELL_BRAS = np.array(
+    [bell_state(o).amps.conj().reshape(2, 2) for o in BELL_OUTCOMES]
+)
 
 # With the controller's help the sender+receiver pair is a known Bell state;
 # the required Pauli product depends only on (that state, sender outcome).
@@ -284,21 +292,27 @@ def _controller_measurement(
         raise ValueError("controller basis is fixed for named channel families")
     if isinstance(spec, (GHZChannel, MSChannel)):
         c, d = (1.0, 0.0) if isinstance(spec, GHZChannel) else (spec.c, spec.d)
+        if c * c <= EXACT_ATOL:
+            # charlie_basis degenerates here, but the controller is (all but)
+            # a product factor: its |0> leaves the Bell pair that x+ (d > 0)
+            # or x- (d < 0) names, and its |1> has probability c^2/2 <= ZERO_PROB
+            zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
+            return ("x+", "x-"), ((zero, one) if d > 0.0 else (one, zero))
         return ("x+", "x-"), charlie_basis(c, d)
     if isinstance(spec, ThetaChannel):
         return ("0", "1"), (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))
     raise TypeError(f"not a channel spec: {spec!r}")
 
 
-def _best_pauli(target: PureState, received: PureState) -> tuple[np.ndarray, PureState]:
-    """Fidelity-maximizing gate from {I, X, Z, XZ}; ties keep that order."""
-    best = None
-    for name in ("I", "X", "Z", "XZ"):
-        candidate = apply_gate(_GATES[name], 0, received)
-        fid = float(abs(np.vdot(target.amps, candidate.amps)) ** 2)
-        if best is None or fid > best[0] + EXACT_ATOL:
-            best = (fid, _GATES[name], candidate)
-    return best[1], best[2]
+def _best_pauli(target: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Fidelity-maximizing correction from {I, X, Z, XZ}; ties keep that order."""
+    candidates = _CORRECTIONS @ received
+    fids = np.abs(candidates @ target.conj()) ** 2
+    best = 0
+    for i in range(1, len(fids)):
+        if fids[i] > fids[best] + EXACT_ATOL:
+            best = i
+    return candidates[best]
 
 
 def controlled_teleport(
@@ -314,32 +328,35 @@ def controlled_teleport(
     probabilities still sum to 1.
     """
     phi = _resolve_input(f)
-    joint = tensor(phi, realize(spec))
+    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     labels, basis = _controller_measurement(spec, controller_basis)
     branches: list[CtBranch] = []
     for label, cvec in zip(labels, basis):
-        p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
-        if after_ctrl is None:
+        pair = np.tensordot(cvec.amps.conj(), chan, axes=1)  # (sender, receiver)
+        p_ctrl = float(np.sum(np.abs(pair) ** 2))
+        if p_ctrl <= ZERO_PROB:
             continue
-        # remaining register: (input, sender, receiver)
-        for outcome in BELL_OUTCOMES:
-            p_bell, after_bell = project_two_qubit(
-                after_ctrl, 0, 1, bell_state(outcome)
-            )
-            if after_bell is None:
+        # received[o]: the receiver's amplitudes after sender outcome o; its
+        # squared norm is that outcome's probability given the controller's
+        received = np.einsum(
+            "ois,i,sr->or", _BELL_BRAS, phi.amps, pair / np.sqrt(p_ctrl)
+        )
+        p_bell = np.sum(np.abs(received) ** 2, axis=1)
+        for outcome, amps, p in zip(BELL_OUTCOMES, received, p_bell):
+            if p <= ZERO_PROB:
                 continue
+            amps = amps / np.sqrt(p)
             if isinstance(spec, RawChannel):
-                _, corrected = _best_pauli(phi, after_bell)
+                corrected = _best_pauli(phi.amps, amps)
             else:
-                gate = bob_correction(outcome, label, spec)
-                corrected = apply_gate(gate, 0, after_bell)
-            fid = float(abs(np.vdot(phi.amps, corrected.amps)) ** 2)
+                corrected = bob_correction(outcome, label, spec) @ amps
+            fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
             branches.append(
                 CtBranch(
                     charlie_outcome=label,
                     bell_outcome=outcome,
-                    probability=p_ctrl * p_bell,
-                    receiver_state=corrected,
+                    probability=p_ctrl * float(p),
+                    receiver_state=PureState(corrected),
                     fidelity=min(fid, 1.0),
                 )
             )
@@ -357,29 +374,23 @@ def unconditioned_teleport(
     wrong); their common value gives ncf = <phi| rho3 |phi>.
     """
     phi = _resolve_input(f)
-    joint = tensor(phi, realize(spec))
-    mats: list[np.ndarray] = []
-    probs: list[float] = []
-    for outcome in BELL_OUTCOMES:
-        p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
-        if post is None:
-            continue
-        # post register: (controller, receiver)
-        gate = bob_correction(outcome, None, spec)
-        corrected = apply_gate(gate, 1, post)
-        rho = partial_trace(to_density(corrected), (0,))
-        mats.append(rho.mat)
-        probs.append(p)
-    spread = max(
-        (float(np.max(np.abs(a - b))) for a in mats for b in mats), default=0.0
-    )
+    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    # post[o, c, r]: (sender outcome, controller, receiver), unnormalized
+    post = np.einsum("ois,i,csr->ocr", _BELL_BRAS, phi.amps, chan)
+    gates = np.array([bob_correction(o, None, spec) for o in BELL_OUTCOMES])
+    post = np.einsum("orq,ocq->ocr", gates, post)
+    probs = np.sum(np.abs(post) ** 2, axis=(1, 2))
+    keep = probs > ZERO_PROB
+    probs = probs[keep]
+    post = post[keep] / np.sqrt(probs)[:, None, None]
+    # rho[o]: the receiver's state after outcome o, controller traced out
+    rho = np.einsum("ocr,ocq->orq", post, post.conj())
+    spread = float(np.max(np.abs(rho[:, None] - rho[None, :])))
     if spread > CORRECTION_MISMATCH_ATOL:
         raise CorrectionMismatchError(
             f"corrected receiver states disagree by {spread:.3e} across sender outcomes"
         )
-    total = sum(probs)
-    avg = sum(p * m for p, m in zip(probs, mats)) / total
-    rho3 = DensityOperator(avg)
+    rho3 = DensityOperator(np.einsum("o,orq->rq", probs, rho) / np.sum(probs))
     return NcfResult(
         rho3=rho3,
         ncf=fidelity_with_pure(rho3, phi),
@@ -421,6 +432,7 @@ _PAULI_BASIS = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
 _BATCH_ROWS = 65536
 
 
+@functools.lru_cache(maxsize=256)
 def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     """4x4 Pauli transfer matrix R_ij = tr(sigma_i E(sigma_j))/2 of the
     controller-absent protocol E, summed over the sender's outcomes.
@@ -429,13 +441,16 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     state, already corrected by the receiver.  Every outcome has average
     probability 1/4 over the sphere; divided by that weight, the outcomes'
     matrices must coincide, or the correction table is wrong.
+
+    Cached per spec, so an average refined over several quadrature orders
+    builds its map once; the returned array is read-only because every
+    caller shares it.
     """
     chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
     for o, outcome in enumerate(BELL_OUTCOMES):
-        bell = bell_state(outcome).amps.conj().reshape(2, 2)  # (input, sender)
         # kraus[c] maps the input qubit to the receiver, controller left in |c>
-        kraus = np.einsum("ts,csr->crt", bell, chan)
+        kraus = np.einsum("ts,csr->crt", _BELL_BRAS[o], chan)
         kraus = bob_correction(outcome, None, spec) @ kraus
         per_outcome[o] = 0.5 * np.einsum(
             "iab,cbd,jde,cae->ij", _PAULI_BASIS, kraus, _PAULI_BASIS, kraus.conj()
@@ -446,7 +461,9 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
         raise CorrectionMismatchError(
             f"corrected receiver maps disagree by {spread:.3e} across sender outcomes"
         )
-    return per_outcome.sum(axis=0)
+    transfer = per_outcome.sum(axis=0)
+    transfer.flags.writeable = False
+    return transfer
 
 
 def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -73,6 +73,22 @@ def test_ct_command_perfect_channel(capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ct_command_degenerate_ms_controller(capsys):
+    # at d = +-1 the controller is a product factor; it is measured in the
+    # computational basis and only its |0> outcome happens
+    for d, label in (("1", "x+"), ("-1", "x-")):
+        code, out = run_cli(
+            capsys, "ct", "--channel", "ms", "--d", d,
+            "--input", "arbitrary", "--theta", "1.0", "--phi", "0.5",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["scalars"]["min_fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["scalars"]["total_probability"] == pytest.approx(1.0, abs=1e-12)
+        assert {row[0] for row in doc["rows"]} == {label}
+
+
 def test_ct_command_ghz_controller_split(capsys):
     code, out = run_cli(capsys, "ct", "--channel", "ghz", "--format", "json")
     doc = json.loads(out)

@@ -1,10 +1,11 @@
-"""Property tests of the receiver's Bloch map over random channels.
+"""Property tests of the protocols over random channels.
 
 Channels are named MS/GHZ/theta states and the same states with a random
 unitary on the controller qubit, which must leave the receiver's map
 unchanged.  For each, the map must be a valid qubit channel on the unit
 sphere, and the NCF it gives must equal the branch walk of
-unconditioned_teleport.
+unconditioned_teleport.  With the controller's help, and the controller
+basis rotated along with the channel, teleportation must be perfect.
 """
 import math
 
@@ -19,8 +20,14 @@ from ctpower.channels import (
     ThetaChannel,
     realize,
 )
-from ctpower.protocol import ncf_batch, receiver_map, unconditioned_teleport
-from ctpower.qcore import apply_gate, make_qubit
+from ctpower.protocol import (
+    _controller_measurement,
+    controlled_teleport,
+    ncf_batch,
+    receiver_map,
+    unconditioned_teleport,
+)
+from ctpower.qcore import PureState, apply_gate, make_qubit
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -43,15 +50,19 @@ def named_channels(draw):
 
 
 @st.composite
+def unitaries(draw):
+    # e^{i g} Rz(x) Ry(y) Rz(z): any single-qubit unitary
+    g, x, y, z = (draw(angles) for _ in range(4))
+    ry = np.array([[math.cos(y / 2), -math.sin(y / 2)], [math.sin(y / 2), math.cos(y / 2)]])
+    return np.exp(1j * g) * _rz(x) @ ry @ _rz(z)
+
+
+@st.composite
 def channels(draw):
     spec = draw(named_channels())
     if not draw(st.booleans()):
         return spec
-    # e^{i g} Rz(x) Ry(y) Rz(z): any single-qubit unitary
-    g, x, y, z = (draw(angles) for _ in range(4))
-    ry = np.array([[math.cos(y / 2), -math.sin(y / 2)], [math.sin(y / 2), math.cos(y / 2)]])
-    unitary = np.exp(1j * g) * _rz(x) @ ry @ _rz(z)
-    return RawChannel(state=apply_gate(unitary, 0, realize(spec)))
+    return RawChannel(state=apply_gate(draw(unitaries()), 0, realize(spec)))
 
 
 bloch_points = st.lists(
@@ -79,3 +90,22 @@ def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, point
     for i in range(len(points)):
         walk = unconditioned_teleport(spec, make_qubit(k0[i], k1[i])).ncf
         assert abs(batch[i] - walk) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=named_channels(),
+    unitary=st.none() | unitaries(),
+    point=st.tuples(st.floats(0.0, math.pi), angles),
+)
+def test_controlled_teleport_is_perfect(spec, unitary, point):
+    phi = make_qubit(math.cos(point[0] / 2), np.exp(1j * point[1]) * math.sin(point[0] / 2))
+    if unitary is None:
+        run = controlled_teleport(spec, phi)
+    else:
+        _, basis = _controller_measurement(spec, None)
+        raw = RawChannel(state=apply_gate(unitary, 0, realize(spec)))
+        rotated = tuple(PureState(unitary @ b.amps) for b in basis)
+        run = controlled_teleport(raw, phi, controller_basis=rotated)
+    assert run.min_fidelity >= 1.0 - 1e-12
+    assert abs(run.total_probability - 1.0) <= 1e-12

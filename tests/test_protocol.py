@@ -3,6 +3,10 @@
 The frozen correction table is re-derived here by brute force: for every
 (shared Bell pair, sender outcome) the unique gate in {I, X, Z, XZ} that
 restores the input must match the table entry.
+
+Both protocols contract all measurement outcomes at once.  The walks below
+run them one branch at a time through the qcore primitives, validating
+every intermediate state, and are the oracle the protocols are pinned to.
 """
 import math
 
@@ -26,6 +30,8 @@ from ctpower.errors import (
 from ctpower.protocol import (
     _CT_TABLE,
     _GATES,
+    _controller_measurement,
+    _resolve_input,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -47,8 +53,11 @@ from ctpower.qcore import (
     bell_state,
     equal_up_to_global_phase,
     make_qubit,
+    partial_trace,
+    project_single_qubit,
     project_two_qubit,
     tensor,
+    to_density,
 )
 from ctpower.verify import _random_local_unitary
 
@@ -70,6 +79,68 @@ def random_theta(rng):
     return ThetaChannel(
         a=math.cos(beta), b=math.sin(beta), k="xyz"[int(rng.integers(3))]
     )
+
+
+# ---------------------------------------------------------------------------
+# the branch-by-branch oracle
+
+def walk_controlled(spec, f, controller_basis=None):
+    """[(controller label, Bell outcome, probability, receiver amps)]."""
+    phi = _resolve_input(f)
+    joint = tensor(phi, realize(spec))
+    labels, basis = _controller_measurement(spec, controller_basis)
+    branches = []
+    for label, cvec in zip(labels, basis):
+        p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
+        if after_ctrl is None:
+            continue
+        # remaining register: (input, sender, receiver)
+        for outcome in BELL_OUTCOMES:
+            p_bell, after_bell = project_two_qubit(
+                after_ctrl, 0, 1, bell_state(outcome)
+            )
+            if after_bell is None:
+                continue
+            if isinstance(spec, RawChannel):
+                best = None
+                for gate in _GATES.values():  # I, X, Z, XZ; ties keep the first
+                    candidate = apply_gate(gate, 0, after_bell)
+                    fid = abs(np.vdot(phi.amps, candidate.amps)) ** 2
+                    if best is None or fid > best[0] + 1e-12:
+                        best = (fid, candidate)
+                corrected = best[1]
+            else:
+                gate = bob_correction(outcome, label, spec)
+                corrected = apply_gate(gate, 0, after_bell)
+            branches.append((label, outcome, p_ctrl * p_bell, corrected.amps))
+    return branches
+
+
+def walk_unconditioned(spec, f):
+    """(rho3 matrix, spread of the per-outcome states); raises on mismatch."""
+    phi = _resolve_input(f)
+    joint = tensor(phi, realize(spec))
+    mats, probs = [], []
+    for outcome in BELL_OUTCOMES:
+        p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
+        if post is None:
+            continue
+        # post register: (controller, receiver)
+        corrected = apply_gate(bob_correction(outcome, None, spec), 1, post)
+        mats.append(partial_trace(to_density(corrected), (0,)).mat)
+        probs.append(p)
+    spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
+    if spread > 1e-10:
+        raise CorrectionMismatchError(f"spread {spread:.3e}")
+    return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
+
+
+def rotated_on_controller(spec, unitary):
+    """A named channel as a raw state with ``unitary`` on the controller, and
+    the named controller basis rotated along with it."""
+    _, basis = _controller_measurement(spec, None)
+    raw = RawChannel(state=apply_gate(unitary, 0, realize(spec)))
+    return raw, tuple(PureState(unitary @ b.amps) for b in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +302,91 @@ def test_raw_channel_controller_basis_rules():
     assert run.min_fidelity < 0.999
 
 
+def test_controlled_teleport_matches_the_branch_walk():
+    rng = np.random.default_rng(79)
+    s = 1 / np.sqrt(2)
+    ghz_raw = RawChannel(state=realize(GHZChannel()))
+    cases = [
+        (GHZChannel(), None),
+        (MSChannel(c=0.6, d=0.8), None),
+        (MSChannel(c=0.6, d=-0.8), None),
+        (MSChannel(c=0.0, d=1.0), None),
+        (MSChannel(c=0.0, d=-1.0), None),
+        (ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"), None),
+        (ThetaChannel(a=math.sqrt(0.7), b=-math.sqrt(0.3), k="x"), None),
+        # controller outcome 1 never happens
+        (ThetaChannel(a=1.0, b=0.0, k="z"), None),
+        rotated_on_controller(MSChannel(c=0.8, d=-0.6), _random_local_unitary(rng)),
+        rotated_on_controller(ThetaChannel(0.6, 0.8, "y"), _random_local_unitary(rng)),
+        (ghz_raw, (make_qubit(s, s), make_qubit(s, -s))),
+        # the receiver ends in |0> or |1>: on the equator all four
+        # candidate corrections tie, and the first (I) must win
+        (ghz_raw, (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))),
+    ]
+    inputs = [XYInput(0.9), make_qubit(1.0, 0.0)] + [random_qubit(rng) for _ in range(4)]
+    for spec, basis in cases:
+        for f in inputs:
+            run = controlled_teleport(spec, f, controller_basis=basis)
+            walk = walk_controlled(spec, f, controller_basis=basis)
+            assert [(b.charlie_outcome, b.bell_outcome) for b in run.branches] == [
+                (label, outcome) for label, outcome, _, _ in walk
+            ]
+            target = _resolve_input(f).amps
+            for branch, (_, _, prob, amps) in zip(run.branches, walk):
+                assert abs(branch.probability - prob) < 1e-12
+                assert np.max(np.abs(branch.receiver_state.amps - amps)) < 1e-12
+                fid = abs(np.vdot(target, amps)) ** 2
+                assert abs(branch.fidelity - min(fid, 1.0)) < 1e-12
+    run = controlled_teleport(ThetaChannel(a=1.0, b=0.0, k="z"), inputs[2])
+    assert {b.charlie_outcome for b in run.branches} == {"0"}
+
+
+def test_unconditioned_teleport_matches_the_branch_walk():
+    rng = np.random.default_rng(83)
+    specs = [
+        GHZChannel(),
+        MSChannel(c=0.6, d=0.8),
+        MSChannel(c=0.8, d=-0.6),
+        MSChannel(c=0.0, d=-1.0),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
+        ThetaChannel(a=math.sqrt(0.8), b=math.sqrt(0.2), k="y"),
+        ThetaChannel(a=1.0, b=0.0, k="x"),
+        rotated_on_controller(MSChannel(c=0.6, d=-0.8), _random_local_unitary(rng))[0],
+        rotated_on_controller(ThetaChannel(0.8, 0.6, "x"), _random_local_unitary(rng))[0],
+    ]
+    inputs = [make_qubit(1.0, 0.0), YZInput(2.5)] + [random_qubit(rng) for _ in range(4)]
+    product = np.zeros(8, dtype=complex)
+    product[0] = 1.0
+    # |000> with the input |0>: the sender never sees psi+ or psi-
+    pairs = [(spec, f) for spec in specs for f in inputs] + [
+        (RawChannel(state=PureState(product)), inputs[0])
+    ]
+    for spec, f in pairs:
+        result = unconditioned_teleport(spec, f)
+        rho, spread = walk_unconditioned(spec, f)
+        assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
+        phi = _resolve_input(f).amps
+        assert abs(result.ncf - np.vdot(phi, rho @ phi).real) < 1e-12
+        assert result.per_outcome_equal == (spread <= 1e-12)
+    # a generic raw state has no single correction; both walks say so
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
+    with pytest.raises(CorrectionMismatchError):
+        walk_unconditioned(generic, inputs[2])
+    with pytest.raises(CorrectionMismatchError):
+        unconditioned_teleport(generic, inputs[2])
+
+
+def test_degenerate_ms_controller_measures_in_the_computational_basis():
+    # at c = 0 (and wherever c^2 <= 1e-12) the controller is a product
+    # factor; its |0> outcome names the Bell pair the channel shares
+    for c, d, label in ((0.0, 1.0, "x+"), (0.0, -1.0, "x-"), (1e-7, -1.0, "x-")):
+        run = controlled_teleport(MSChannel(c=c, d=d), ArbitraryInput(1.2, 0.4))
+        assert {b.charlie_outcome for b in run.branches} == {label}
+        assert run.min_fidelity > 1.0 - 1e-12
+        assert abs(run.total_probability - 1.0) < 1e-12
+
+
 def test_teleport_input_dimension_check():
     with pytest.raises(DimensionError):
         controlled_teleport(GHZChannel(), bell_state(BellOutcome.PHI_PLUS))
@@ -388,3 +544,13 @@ def test_receiver_map_shapes():
             want[axis] = 1.0
             assert np.max(np.abs(t)) < 1e-14
             assert np.max(np.abs(T - np.diag(want))) < 1e-14
+
+
+def test_receiver_map_is_built_once_and_read_only():
+    t, T = receiver_map(MSChannel(c=0.6, d=0.8))
+    # an equal spec reuses the cached map
+    assert receiver_map(MSChannel(c=0.6, d=0.8))[1].base is T.base
+    for view in (t, T, T.base):
+        with pytest.raises(ValueError):
+            view[0] = 2.0
+    assert np.max(np.abs(T - np.diag([0.8, 0.8, 1.0]))) < 1e-14
