@@ -5,10 +5,10 @@ A channel gives the controller real authority only when the fidelity
 achievable WITHOUT the controller stays at or below the classical limit
 2/3, i.e. when C >= 1/3.
 
-Averages are taken with one of two measures:
+Averages run over one of two domains:
 
-* BLOCH_SPHERE_UNIFORM: dOmega / 4pi over all pure qubit inputs,
-* GREAT_CIRCLE_UNIFORM: uniform angle along one equatorial input family.
+* "sphere": dOmega / 4pi over all pure qubit inputs,
+* "family": uniform angle along one equatorial input family's great circle.
 
 The analytic method reads both averages off the receiver's Bloch map
 (``protocol.receiver_map``).  Quadrature is adaptive Gauss-Legendre refined
@@ -18,20 +18,16 @@ stochastic result is bit-reproducible from (seed, row-index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import (
+    MATCHED_AXIS,
     ChannelSpec,
-    GHZChannel,
-    MSChannel,
-    RawChannel,
     TangleReport,
     ThetaChannel,
     check_unit_pair,
-    realize,
     three_tangle,
 )
 from .errors import ConvergenceError, MatchedFamiliesError, RangeError
@@ -46,18 +42,11 @@ _TWO_PI = 2.0 * np.pi
 _QUADRATURE_ORDERS = (8, 16, 32, 64, 128, 256)
 
 
-class Measure(Enum):
-    BLOCH_SPHERE_UNIFORM = "sphere-uniform"
-    GREAT_CIRCLE_UNIFORM = "circle-uniform"
-
-
 class AverageResult(NamedTuple):
     mean: float
     stderr: float
 
 
-# family name -> (channel Pauli axis that matches it)
-MATCHED_AXIS = {"xz": "y", "xy": "z", "yz": "x"}
 FAMILY_NAMES = ("xz", "xy", "yz")
 
 
@@ -159,7 +148,6 @@ def _sphere_samples(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nd
 def avg_fidelity_numeric(
     spec: ChannelSpec,
     domain: str,
-    measure: Measure | None = None,
     method: str = "quadrature",
     family: str | None = None,
     n_samples: int = 10**6,
@@ -169,22 +157,17 @@ def avg_fidelity_numeric(
 ) -> AverageResult:
     """Average the simulated NCF over a domain of input states.
 
-    ``domain`` is "sphere" (all pure inputs, BLOCH_SPHERE_UNIFORM) or
-    "family" (one equatorial family named by ``family``, with
-    GREAT_CIRCLE_UNIFORM).  ``method`` is "quadrature" (deterministic,
-    stderr 0) or "monte_carlo" (mean and standard error from
-    ``n_samples`` Philox draws keyed by (seed, row)).
+    ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
+    or "family" (one equatorial family named by ``family``, uniform in its
+    angle).  ``method`` is "quadrature" (deterministic, stderr 0) or
+    "monte_carlo" (mean and standard error from ``n_samples`` Philox draws
+    keyed by (seed, row)).
     """
-    if domain == "sphere":
-        expected = Measure.BLOCH_SPHERE_UNIFORM
-    elif domain == "family":
-        expected = Measure.GREAT_CIRCLE_UNIFORM
+    if domain == "family":
         if family not in FAMILY_NAMES:
             raise ValueError(f"domain 'family' needs family in {FAMILY_NAMES}")
-    else:
+    elif domain != "sphere":
         raise ValueError(f"unknown domain {domain!r}")
-    if measure is not None and measure is not expected:
-        raise ValueError(f"measure {measure} does not match domain {domain!r}")
 
     if method == "quadrature":
         if domain == "sphere":
@@ -237,9 +220,7 @@ def _analytic_average(spec: ChannelSpec, family: str | None) -> float:
 
 
 def _spec_average(spec: ChannelSpec, method: str, seed: int, row: int) -> AverageResult:
-    family = None
-    if isinstance(spec, ThetaChannel):
-        family = {axis: fam for fam, axis in MATCHED_AXIS.items()}[spec.k]
+    family = spec.matched_family
     if method == "analytic":
         return AverageResult(_analytic_average(spec, family), 0.0)
     if family is not None:
@@ -250,7 +231,7 @@ def _spec_average(spec: ChannelSpec, method: str, seed: int, row: int) -> Averag
 
 
 def power_report(spec: ChannelSpec, f_bar: float) -> PowerReport:
-    tangle: TangleReport = three_tangle(realize(spec))
+    tangle: TangleReport = three_tangle(spec.state)
     c_bar = control_power(f_bar)
     return PowerReport(
         channel=spec,
@@ -283,21 +264,10 @@ def power_table(reports: Iterable[PowerReport]) -> list[dict]:
     """JSON-ready rows: {channel, params, f_bar, c_bar, tau, bounds}."""
     rows = []
     for r in reports:
-        spec = r.channel
-        if isinstance(spec, GHZChannel):
-            name, params = "ghz", {}
-        elif isinstance(spec, MSChannel):
-            name, params = "ms", {"c": spec.c, "d": spec.d}
-        elif isinstance(spec, ThetaChannel):
-            name, params = "theta", {"a": spec.a, "b": spec.b, "k": spec.k}
-        elif isinstance(spec, RawChannel):
-            name, params = "raw", {}
-        else:
-            raise TypeError(f"not a channel spec: {spec!r}")
         rows.append(
             {
-                "channel": name,
-                "params": params,
+                "channel": r.channel.family,
+                "params": r.channel.params(),
                 "f_bar": r.f_bar,
                 "c_bar": r.c_bar,
                 "tau": r.tau,

@@ -20,7 +20,9 @@ known Bell pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +36,9 @@ from .qcore import (
     INPUT_ATOL,
     PSD_ATOL,
     PAULI_Y_REAL,
+    BellOutcome,
     PureState,
+    make_qubit,
     pauli,
 )
 
@@ -57,19 +61,46 @@ def check_unit_pair(x, y, names: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # channel descriptors
 
+# input family -> the theta channel axis matched to it: sigma_k has zero
+# expectation on every member of the family's great circle
+MATCHED_AXIS = {"xz": "y", "xy": "z", "yz": "x"}
+
+# theta channel axis -> the Bell pair b|1>(I x sigma_k)|phi+> leaves
+_ROTATED_BELL = {
+    "x": BellOutcome.PSI_PLUS,
+    "y": BellOutcome.PSI_MINUS,
+    "z": BellOutcome.PHI_MINUS,
+}
+
+ControllerOutcome = tuple[str, PureState, BellOutcome]
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Base class for parametrized channel families; see subclasses."""
+    """A member of a channel family, with the facts the protocol needs.
 
+    Every subclass names its ``family``, builds its 3-qubit ``state`` once
+    per spec object, and lists its ``controller_measurement``: one
+    (label, basis vector, Bell pair left) triple per controller outcome.
+    ``dominant_bell`` is the Bell pair of the most likely outcome, which
+    the receiver corrects toward when the controller abstains.
+    """
 
-@dataclass(frozen=True)
-class GHZChannel(ChannelSpec):
-    """Maximally entangled channel (|000> + |111>)/sqrt(2)."""
+    family: ClassVar[str]
+    dominant_bell: ClassVar[BellOutcome] = BellOutcome.PHI_PLUS  # plain corrections
+    # averages run over this input family's great circle, or the sphere
+    matched_family: ClassVar[str | None] = None
+
+    def params(self) -> dict[str, object]:
+        """The family parameters a report prints, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 @dataclass(frozen=True)
 class MSChannel(ChannelSpec):
     """Maximal-slice channel with real parameters c, d, c^2 + d^2 = 1."""
+
+    family: ClassVar[str] = "ms"
 
     c: float
     d: float
@@ -79,10 +110,42 @@ class MSChannel(ChannelSpec):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
+    @cached_property
+    def state(self) -> PureState:
+        return ms_state(self.c, self.d)
+
+    @cached_property
+    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
+        if self.c**2 <= EXACT_ATOL:
+            # charlie_basis degenerates here, but the controller is (all but)
+            # a product factor: its |0> leaves the Bell pair that x+ (d > 0)
+            # or x- (d < 0) names, and its |1> has probability c^2/2 <= ZERO_PROB
+            zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
+            plus, minus = (zero, one) if self.d > 0.0 else (one, zero)
+        else:
+            plus, minus = charlie_basis(self.c, self.d)
+        return (("x+", plus, BellOutcome.PHI_PLUS), ("x-", minus, BellOutcome.PHI_MINUS))
+
+    @property
+    def dominant_bell(self) -> BellOutcome:
+        return self.controller_measurement[self.d < 0.0][2]  # P(x-) > P(x+) iff d < 0
+
+
+@dataclass(frozen=True)
+class GHZChannel(MSChannel):
+    """Maximally entangled channel (|000> + |111>)/sqrt(2): MS at c=1, d=0."""
+
+    family: ClassVar[str] = "ghz"
+
+    c: float = field(default=1.0, init=False, repr=False)
+    d: float = field(default=0.0, init=False, repr=False)
+
 
 @dataclass(frozen=True)
 class ThetaChannel(ChannelSpec):
     """Bell-superposition channel a|0>|phi+> + b|1>(I x sigma_k)|phi+>."""
+
+    family: ClassVar[str] = "theta"
 
     a: float
     b: float
@@ -95,18 +158,53 @@ class ThetaChannel(ChannelSpec):
         if self.k not in ("x", "y", "z"):
             raise ValueError(f"Pauli axis must be x, y, or z, got {self.k!r}")
 
+    @cached_property
+    def state(self) -> PureState:
+        return theta_channel(self.a, self.b, self.k)
+
+    @cached_property
+    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
+        return (
+            ("0", make_qubit(1.0, 0.0), BellOutcome.PHI_PLUS),
+            ("1", make_qubit(0.0, 1.0), _ROTATED_BELL[self.k]),
+        )
+
+    @property
+    def dominant_bell(self) -> BellOutcome:
+        return self.controller_measurement[self.b**2 > self.a**2][2]  # P(1) = b^2
+
+    @property
+    def matched_family(self) -> str:
+        return next(fam for fam, axis in MATCHED_AXIS.items() if axis == self.k)
+
 
 @dataclass(frozen=True)
 class RawChannel(ChannelSpec):
-    """Arbitrary caller-supplied 3-qubit channel state."""
+    """Arbitrary caller-supplied 3-qubit channel state.
 
-    state: PureState
+    Two raw channels are equal, and hash alike, when their amplitudes are.
+    """
+
+    family: ClassVar[str] = "raw"
+
+    state: PureState = field(compare=False)  # a PureState compares by identity
+    amps: tuple[complex, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state.num_qubits != 3:
             raise DimensionError(
                 f"raw channel needs a 3-qubit state, got {self.state.num_qubits}"
             )
+        object.__setattr__(self, "amps", tuple(self.state.amps.tolist()))
+
+    def params(self) -> dict[str, object]:
+        return {}
+
+    @property
+    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
+        raise ValueError(
+            "raw channels need an explicit controller basis; none is inferred"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -168,35 +266,21 @@ def theta_channel(a: float, b: float, k: str, hermitian_y: bool = False) -> Pure
     return PureState(amps)
 
 
-_NAMED_AXES = {"tetrahedral_xz": "y", "ms_xy": "z", "psi_yz": "x"}
+NAMED_CHANNELS = ("tetrahedral_xz", "ms_xy", "psi_yz")
 
 
 def named_channel(name: str, a: float, b: float) -> ThetaChannel:
     """The matched channel for a named equatorial input family.
 
-    tetrahedral_xz uses the y rotation, ms_xy the z rotation, psi_yz the x
-    rotation; each makes the corresponding family's Pauli expectation vanish.
+    Each name ends in its family (tetrahedral_xz in xz, ms_xy in xy,
+    psi_yz in yz), and the channel rotates about the axis MATCHED_AXIS
+    gives that family, so the family's Pauli expectation vanishes.
     """
-    try:
-        axis = _NAMED_AXES[name]
-    except KeyError:
+    if name not in NAMED_CHANNELS:
         raise ValueError(
-            f"unknown channel name {name!r}; expected one of {sorted(_NAMED_AXES)}"
-        ) from None
-    return ThetaChannel(a, b, axis)
-
-
-def realize(spec: ChannelSpec) -> PureState:
-    """The 3-qubit state a ChannelSpec describes."""
-    if isinstance(spec, GHZChannel):
-        return ms_state(1.0, 0.0)
-    if isinstance(spec, MSChannel):
-        return ms_state(spec.c, spec.d)
-    if isinstance(spec, ThetaChannel):
-        return theta_channel(spec.a, spec.b, spec.k)
-    if isinstance(spec, RawChannel):
-        return spec.state
-    raise TypeError(f"not a channel spec: {spec!r}")
+            f"unknown channel name {name!r}; expected one of {sorted(NAMED_CHANNELS)}"
+        )
+    return ThetaChannel(a, b, MATCHED_AXIS[name.rpartition("_")[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +325,24 @@ def three_tangle(state: PureState) -> TangleReport:
 
 def channel_to_config(spec: ChannelSpec) -> str:
     """Serialize a spec to ``key = value`` lines; inverse of channel_from_config."""
-    lines = []
-    if isinstance(spec, GHZChannel):
-        lines.append("family = ghz")
-    elif isinstance(spec, MSChannel):
-        lines += ["family = ms", f"c = {spec.c!r}", f"d = {spec.d!r}"]
-    elif isinstance(spec, ThetaChannel):
-        lines += ["family = theta", f"a = {spec.a!r}", f"b = {spec.b!r}", f"k = {spec.k}"]
-    elif isinstance(spec, RawChannel):
-        amps = " ".join(repr(complex(x)) for x in spec.state.amps)
-        lines += ["family = raw", f"amps = {amps}"]
-    else:
-        raise TypeError(f"not a channel spec: {spec!r}")
+    values = dict(spec.params())
+    if spec.family == "raw":
+        values["amps"] = " ".join(repr(complex(x)) for x in spec.state.amps)
+    # str() of a float is its round-tripping repr
+    lines = [f"family = {spec.family}"] + [f"{k} = {v}" for k, v in values.items()]
     return "\n".join(lines) + "\n"
 
 
+_FAMILIES = {cls.family: cls for cls in (GHZChannel, MSChannel, ThetaChannel, RawChannel)}
+
+
 def channel_from_config(text: str) -> ChannelSpec:
-    """Parse the ``key = value`` channel format written by channel_to_config."""
-    fields: dict[str, str] = {}
+    """Parse the ``key = value`` channel format written by channel_to_config.
+
+    Keys the family does not use are ignored; a missing one raises
+    ValueError naming it.
+    """
+    values: dict[str, str] = {}
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -266,17 +350,19 @@ def channel_from_config(text: str) -> ChannelSpec:
         if "=" not in line:
             raise ValueError(f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        fields[key.strip().lower()] = value.strip()
-    family = fields.get("family")
-    if family == "ghz":
-        return GHZChannel()
-    if family == "ms":
-        return MSChannel(c=float(fields["c"]), d=float(fields["d"]))
-    if family == "theta":
-        return ThetaChannel(a=float(fields["a"]), b=float(fields["b"]), k=fields["k"])
+        values[key.strip().lower()] = value.strip()
+    family = values.get("family")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown channel family {family!r}")
+    cls = _FAMILIES[family]
+    keys = ["amps"] if family == "raw" else [f.name for f in fields(cls) if f.init]
+    for key in keys:
+        if key not in values:
+            raise ValueError(f"{family} channel config has no {key!r} line")
     if family == "raw":
-        amps = [complex(tok) for tok in fields["amps"].split()]
+        amps = [complex(tok) for tok in values["amps"].split()]
         if len(amps) != 8:
             raise ValueError(f"raw channel needs 8 amplitudes, got {len(amps)}")
         return RawChannel(state=PureState(np.array(amps, dtype=complex)))
-    raise ValueError(f"unknown channel family {family!r}")
+    # check_unit_pair reads the MS and theta floats from their text
+    return cls(**{key: values[key] for key in keys})

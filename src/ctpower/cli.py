@@ -31,6 +31,7 @@ from .analysis import (
     sweep,
 )
 from .channels import (
+    NAMED_CHANNELS,
     ChannelSpec,
     GHZChannel,
     MSChannel,
@@ -38,7 +39,6 @@ from .channels import (
     ThetaChannel,
     channel_from_config,
     named_channel,
-    realize,
     three_tangle,
 )
 from .errors import ConvergenceError, CorrectionMismatchError
@@ -59,7 +59,7 @@ from .verify import check_channel_ct, format_report, run_all
 SEED_ENV_VAR = "CTPOWER_SEED"
 _CT_FIDELITY_GATE = 1.0 - 1e-9
 
-_CHANNEL_CHOICES = ("ghz", "ms", "theta", "raw", "tetrahedral_xz", "ms_xy", "psi_yz")
+_CHANNEL_CHOICES = ("ghz", "ms", "theta", "raw") + NAMED_CHANNELS
 _INPUT_CHOICES = ("arbitrary",) + FAMILY_NAMES
 
 
@@ -256,6 +256,8 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0:
         raise UsageError("grid step must be positive")
     if stop < start:
@@ -295,10 +297,8 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
         except OSError as exc:
             raise UsageError(f"cannot read channel config: {exc}") from None
         spec = channel_from_config(text)
-        expected = {
-            "ghz": GHZChannel, "ms": MSChannel, "theta": ThetaChannel, "raw": RawChannel,
-        }.get(name)
-        if expected is not None and not isinstance(spec, expected):
+        # a named theta channel (ms_xy, ...) accepts any theta config
+        if name not in NAMED_CHANNELS and spec.family != name:
             raise UsageError(
                 f"config file holds a {type(spec).__name__}, but --channel says {name!r}"
             )
@@ -382,13 +382,7 @@ def _input_from_args(args: argparse.Namespace) -> InputFamily:
 
 
 def _describe_spec(spec: ChannelSpec) -> list[tuple[str, object]]:
-    if isinstance(spec, GHZChannel):
-        return [("channel", "ghz")]
-    if isinstance(spec, MSChannel):
-        return [("channel", "ms"), ("c", spec.c), ("d", spec.d)]
-    if isinstance(spec, ThetaChannel):
-        return [("channel", "theta"), ("a", spec.a), ("b", spec.b), ("k", spec.k)]
-    return [("channel", "raw")]
+    return [("channel", spec.family), *spec.params().items()]
 
 
 def _describe_input(family: InputFamily) -> list[tuple[str, object]]:
@@ -407,15 +401,14 @@ def _describe_input(family: InputFamily) -> list[tuple[str, object]]:
 def _cmd_channel(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     args.channel = args.family
     spec = _spec_from_args(args)
-    state = realize(spec)
-    tangle = three_tangle(state)
+    tangle = three_tangle(spec.state)
     report = Report(title="channel state")
     report.scalars = _describe_spec(spec) + [
         ("tau", tangle.tau),
         ("meets_tangle_bound", tangle.meets_bound),
     ]
     report.columns = ["basis", "re", "im"]
-    for idx, amp in enumerate(state.amps):
+    for idx, amp in enumerate(spec.state.amps):
         report.rows.append([format(idx, "03b"), amp.real, amp.imag])
     return report, 0
 
@@ -452,11 +445,10 @@ def _cmd_ncf(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         ("ncf", result.ncf),
         ("per_outcome_equal", result.per_outcome_equal),
     ]
-    if isinstance(spec, (GHZChannel, MSChannel)):
+    if isinstance(spec, MSChannel):  # GHZ included, at d = 0
         state = input_state(family)
-        d = 0.0 if isinstance(spec, GHZChannel) else spec.d
         report.scalars.append(
-            ("ncf_closed", ncf_ms_closed(state.amps[0], state.amps[1], d))
+            ("ncf_closed", ncf_ms_closed(state.amps[0], state.amps[1], spec.d))
         )
     elif isinstance(spec, ThetaChannel):
         hi, lo = sorted((spec.a, spec.b), key=abs, reverse=True)
@@ -507,10 +499,10 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     if args.a2_grid is not None and args.d_grid is not None:
         raise UsageError("give either --a2-grid or --d-grid, not both")
     if args.a2_grid is not None:
-        if args.channel not in (None, "theta") and args.channel not in _CHANNEL_CHOICES[4:]:
+        if args.channel not in (None, "theta") and args.channel not in NAMED_CHANNELS:
             raise UsageError("--a2-grid applies to theta-family channels")
         axis = args.k
-        if args.channel in _CHANNEL_CHOICES[4:]:
+        if args.channel in NAMED_CHANNELS:
             if axis is not None:
                 raise UsageError(f"--k is fixed by the named channel {args.channel!r}")
             axis = named_channel(args.channel, 1.0, 0.0).k

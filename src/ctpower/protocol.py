@@ -32,13 +32,8 @@ import numpy as np
 
 from .channels import (
     ChannelSpec,
-    GHZChannel,
-    MSChannel,
     RawChannel,
-    ThetaChannel,
-    charlie_basis,
     check_unit_pair,
-    realize,
 )
 from .errors import (
     CorrectionMismatchError,
@@ -53,7 +48,6 @@ from .qcore import (
     INPUT_ATOL,
     PAULI_X,
     PAULI_Y,
-    PAULI_Y_REAL,
     PAULI_Z,
     ZERO_PROB,
     Amplitude,
@@ -197,28 +191,6 @@ _CT_TABLE: dict[tuple[BellOutcome, BellOutcome], str] = {
     (BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS): "I",
 }
 
-# Channel rotations as used by realize(); the y axis uses the real matrix.
-_ROTATIONS = {"x": PAULI_X, "y": PAULI_Y_REAL, "z": PAULI_Z}
-
-
-def _shared_bell(spec: ChannelSpec, charlie: str) -> BellOutcome:
-    """Bell state held by sender+receiver after the controller's outcome."""
-    if isinstance(spec, (GHZChannel, MSChannel)):
-        table = {"x+": BellOutcome.PHI_PLUS, "x-": BellOutcome.PHI_MINUS}
-    elif isinstance(spec, ThetaChannel):
-        rotated = {
-            "x": BellOutcome.PSI_PLUS,
-            "y": BellOutcome.PSI_MINUS,
-            "z": BellOutcome.PHI_MINUS,
-        }[spec.k]
-        table = {"0": BellOutcome.PHI_PLUS, "1": rotated}
-    else:
-        raise TypeError(f"no canonical controller outcomes for {spec!r}")
-    try:
-        return table[charlie]
-    except KeyError:
-        raise ValueError(f"unknown controller outcome {charlie!r}") from None
-
 
 def bob_correction(
     bell: BellOutcome, charlie: str | None, spec: ChannelSpec
@@ -226,20 +198,17 @@ def bob_correction(
     """Receiver's correction gate for a sender outcome.
 
     With a controller outcome, returns the Pauli product that restores the
-    input exactly.  Without one (charlie=None), returns the standard
-    teleportation correction aligned with the dominant channel branch: for
-    MS channels composed with an extra Z when d < 0, for theta channels
-    composed with the channel rotation when b^2 > a^2.  Raw channels get
-    the plain standard corrections.
+    input exactly from the Bell pair that outcome leaves.  Without one
+    (charlie=None), returns the correction for the channel's dominant Bell
+    pair, ``spec.dominant_bell``; raw channels get the plain standard
+    corrections.
     """
-    if charlie is not None:
-        return _GATES[_CT_TABLE[(_shared_bell(spec, charlie), bell)]]
-    gate = _GATES[_CT_TABLE[(BellOutcome.PHI_PLUS, bell)]]
-    if isinstance(spec, MSChannel) and spec.d < 0.0:
-        gate = PAULI_Z @ gate
-    elif isinstance(spec, ThetaChannel) and spec.b**2 > spec.a**2:
-        gate = gate @ _ROTATIONS[spec.k]
-    return gate
+    if charlie is None:
+        return _GATES[_CT_TABLE[(spec.dominant_bell, bell)]]
+    for label, _, shared in spec.controller_measurement:
+        if label == charlie:
+            return _GATES[_CT_TABLE[(shared, bell)]]
+    raise ValueError(f"unknown controller outcome {charlie!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +245,19 @@ class NcfResult:
 
 def _controller_measurement(
     spec: ChannelSpec, controller_basis: tuple[PureState, PureState] | None
-) -> tuple[tuple[str, str], tuple[PureState, PureState]]:
-    if isinstance(spec, RawChannel):
-        if controller_basis is None:
-            raise ValueError(
-                "raw channels need an explicit controller basis; none is inferred"
-            )
-        b0, b1 = controller_basis
-        if b0.num_qubits != 1 or b1.num_qubits != 1:
-            raise DimensionError("controller basis must be single-qubit states")
-        if abs(np.vdot(b0.amps, b1.amps)) > INPUT_ATOL:
-            raise ValueError("controller basis vectors are not orthogonal")
-        return ("0", "1"), (b0, b1)
-    if controller_basis is not None:
+) -> tuple[tuple[str, PureState, BellOutcome | None], ...]:
+    """The controller's (label, basis vector, Bell pair left) triples; a raw
+    channel takes the caller's basis, which leaves no known pair (None)."""
+    if controller_basis is None:
+        return spec.controller_measurement  # raw channels raise here
+    if not isinstance(spec, RawChannel):
         raise ValueError("controller basis is fixed for named channel families")
-    if isinstance(spec, (GHZChannel, MSChannel)):
-        c, d = (1.0, 0.0) if isinstance(spec, GHZChannel) else (spec.c, spec.d)
-        if c * c <= EXACT_ATOL:
-            # charlie_basis degenerates here, but the controller is (all but)
-            # a product factor: its |0> leaves the Bell pair that x+ (d > 0)
-            # or x- (d < 0) names, and its |1> has probability c^2/2 <= ZERO_PROB
-            zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
-            return ("x+", "x-"), ((zero, one) if d > 0.0 else (one, zero))
-        return ("x+", "x-"), charlie_basis(c, d)
-    if isinstance(spec, ThetaChannel):
-        return ("0", "1"), (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))
-    raise TypeError(f"not a channel spec: {spec!r}")
+    b0, b1 = controller_basis
+    if b0.num_qubits != 1 or b1.num_qubits != 1:
+        raise DimensionError("controller basis must be single-qubit states")
+    if abs(np.vdot(b0.amps, b1.amps)) > INPUT_ATOL:
+        raise ValueError("controller basis vectors are not orthogonal")
+    return (("0", b0, None), ("1", b1, None))
 
 
 def _best_pauli(target: np.ndarray, received: np.ndarray) -> np.ndarray:
@@ -328,10 +284,9 @@ def controlled_teleport(
     probabilities still sum to 1.
     """
     phi = _resolve_input(f)
-    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
-    labels, basis = _controller_measurement(spec, controller_basis)
+    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     branches: list[CtBranch] = []
-    for label, cvec in zip(labels, basis):
+    for label, cvec, shared in _controller_measurement(spec, controller_basis):
         pair = np.tensordot(cvec.amps.conj(), chan, axes=1)  # (sender, receiver)
         p_ctrl = float(np.sum(np.abs(pair) ** 2))
         if p_ctrl <= ZERO_PROB:
@@ -346,10 +301,10 @@ def controlled_teleport(
             if p <= ZERO_PROB:
                 continue
             amps = amps / np.sqrt(p)
-            if isinstance(spec, RawChannel):
+            if shared is None:
                 corrected = _best_pauli(phi.amps, amps)
             else:
-                corrected = bob_correction(outcome, label, spec) @ amps
+                corrected = _GATES[_CT_TABLE[(shared, outcome)]] @ amps
             fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
             branches.append(
                 CtBranch(
@@ -374,7 +329,7 @@ def unconditioned_teleport(
     wrong); their common value gives ncf = <phi| rho3 |phi>.
     """
     phi = _resolve_input(f)
-    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     # post[o, c, r]: (sender outcome, controller, receiver), unnormalized
     post = np.einsum("ois,i,csr->ocr", _BELL_BRAS, phi.amps, chan)
     gates = np.array([bob_correction(o, None, spec) for o in BELL_OUTCOMES])
@@ -446,7 +401,7 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     builds its map once; the returned array is read-only because every
     caller shares it.
     """
-    chan = realize(spec).amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
     for o, outcome in enumerate(BELL_OUTCOMES):
         # kraus[c] maps the input qubit to the receiver, controller left in |c>

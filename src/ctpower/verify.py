@@ -33,7 +33,6 @@ from .channels import (
     RawChannel,
     ThetaChannel,
     ms_state,
-    realize,
     three_tangle,
 )
 from .protocol import (
@@ -237,8 +236,8 @@ def check_three_tangle(seed: int) -> CheckResult:
         for a2 in np.linspace(0.0, 1.0, 21):
             spec = ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=axis)
             expected = 4.0 * a2 * (1.0 - a2)
-            worst = max(worst, abs(three_tangle(realize(spec)).tau - expected))
-    worst = max(worst, abs(three_tangle(realize(GHZChannel())).tau - 1.0))
+            worst = max(worst, abs(three_tangle(spec.state).tau - expected))
+    worst = max(worst, abs(three_tangle(GHZChannel().state).tau - 1.0))
     worst = max(worst, three_tangle(ms_state(0.0, 1.0)).tau)  # qubit x Bell pair
     rng = _rng(seed, 8)
     qubit = make_qubit(*(lambda v: v / np.linalg.norm(v))(

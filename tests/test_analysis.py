@@ -14,7 +14,6 @@ from ctpower.analysis import (
     CLASSICAL_POWER,
     FAMILY_NAMES,
     MATCHED_AXIS,
-    Measure,
     avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
@@ -26,7 +25,7 @@ from ctpower.analysis import (
     power_table,
     sweep,
 )
-from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel, realize
+from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
 from ctpower.errors import MatchedFamiliesError, RangeError
 from ctpower.qcore import apply_gate
 
@@ -139,16 +138,7 @@ def test_domain_and_measure_validation():
     with pytest.raises(ValueError):
         avg_fidelity_numeric(spec, "family")  # family name missing
     with pytest.raises(ValueError):
-        avg_fidelity_numeric(
-            spec, "sphere", measure=Measure.GREAT_CIRCLE_UNIFORM
-        )
-    with pytest.raises(ValueError):
         avg_fidelity_numeric(spec, "sphere", method="guessing")
-    # matching measures are accepted
-    mean, _ = avg_fidelity_numeric(
-        spec, "sphere", measure=Measure.BLOCH_SPHERE_UNIFORM
-    )
-    assert abs(mean - 2.0 / 3.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def test_analytic_sweep_reads_the_receiver_map():
             assert abs(rep.f_bar - max(a * a, b * b)) < 1e-12
     # raw channels now have an analytic average too; quadrature agrees
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
-    raw = RawChannel(state=apply_gate(u, 0, realize(MSChannel(c=0.6, d=-0.8))))
+    raw = RawChannel(state=apply_gate(u, 0, MSChannel(c=0.6, d=-0.8).state))
     (rep,) = sweep([raw], method="analytic")
     quad, _ = avg_fidelity_numeric(raw, "sphere", method="quadrature")
     assert abs(rep.f_bar - quad) < 1e-12

@@ -21,7 +21,6 @@ from ctpower.channels import (
     check_unit_pair,
     ms_state,
     named_channel,
-    realize,
     theta_channel,
     three_tangle,
 )
@@ -124,7 +123,7 @@ def test_ms_state_amplitudes():
     want = np.zeros(8)
     want[0b000], want[0b111], want[0b011] = 1.0, 0.6, 0.8
     assert np.max(np.abs(s.amps - want / np.sqrt(2.0))) < 1e-15
-    assert realize(GHZChannel()).amps[0b111] == pytest.approx(1 / np.sqrt(2))
+    assert GHZChannel().state.amps[0b111] == pytest.approx(1 / np.sqrt(2))
 
 
 def test_charlie_basis_closed_form_and_orthogonality():
@@ -211,31 +210,32 @@ def test_theta_channels_are_locally_unitarily_equivalent():
     s_gate = np.diag([1.0, 1j])
 
     # (I x H x H) theta_x = theta_z
-    got = realize(ThetaChannel(a, b, "x"))
+    got = ThetaChannel(a, b, "x").state
     for q in (1, 2):
         got = apply_gate(hadamard, q, got)
-    assert equal_up_to_global_phase(got, realize(ThetaChannel(a, b, "z")))
+    assert equal_up_to_global_phase(got, ThetaChannel(a, b, "z").state)
 
     # (diag(1,i) x S x S*) theta_y = theta_x
-    got = realize(ThetaChannel(a, b, "y"))
+    got = ThetaChannel(a, b, "y").state
     got = apply_gate(s_gate, 0, got)
     got = apply_gate(s_gate, 1, got)
     got = apply_gate(s_gate.conj(), 2, got)
-    assert equal_up_to_global_phase(got, realize(ThetaChannel(a, b, "x")))
+    assert equal_up_to_global_phase(got, ThetaChannel(a, b, "x").state)
 
 
-def test_realize_dispatch():
-    raw = RawChannel(state=random_state(np.random.default_rng(5)))
-    assert realize(raw) is raw.state
-    with pytest.raises(TypeError):
-        realize("ghz")
+def test_channel_state_is_built_once():
+    for spec in (GHZChannel(), MSChannel(c=0.6, d=0.8), ThetaChannel(0.6, 0.8, "y")):
+        assert spec.state is spec.state
+        assert spec.controller_measurement is spec.controller_measurement
+    state = random_state(np.random.default_rng(5))
+    assert RawChannel(state=state).state is state
 
 
 # ---------------------------------------------------------------------------
 # 3-tangle
 
 def test_tangle_known_family_values():
-    assert three_tangle(realize(GHZChannel())).tau == pytest.approx(1.0, abs=1e-12)
+    assert three_tangle(GHZChannel().state).tau == pytest.approx(1.0, abs=1e-12)
     for c in np.linspace(0.0, 1.0, 11):
         tau = three_tangle(ms_state(c, math.sqrt(1 - c * c))).tau
         assert abs(tau - c * c) < 1e-12
@@ -297,10 +297,9 @@ def test_config_round_trip_all_families():
     for spec in specs:
         back = channel_from_config(channel_to_config(spec))
         assert type(back) is type(spec)
-        if isinstance(spec, RawChannel):
-            assert np.array_equal(back.state.amps, spec.state.amps)
-        else:
-            assert back == spec  # float repr round-trips exactly
+        # float repr round-trips exactly; raw channels compare by amplitudes
+        assert back == spec
+        assert hash(back) == hash(spec)
 
 
 def test_config_parsing_errors_and_comments():
@@ -312,3 +311,13 @@ def test_config_parsing_errors_and_comments():
         channel_from_config("no equals sign here\n")
     with pytest.raises(ValueError):
         channel_from_config("family = raw\namps = 1 0 0\n")
+    # a missing key is named; keys the family does not use are ignored
+    for text, key in (
+        ("family = ms\nc = 0.6\n", "'d'"),
+        ("family = theta\na = 0.6\nb = 0.8\n", "'k'"),
+        ("family = raw\n", "'amps'"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            channel_from_config(text)
+    spec = channel_from_config("family = ms\nc = 0.6\nd = 0.8\nk = x\n")
+    assert spec == MSChannel(c=0.6, d=0.8)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctpower.channels import GHZChannel, RawChannel, channel_to_config
+from ctpower.channels import GHZChannel, RawChannel, ThetaChannel, channel_to_config
 from ctpower.cli import UsageError, main, parse_grid
 from ctpower.qcore import PureState
 
@@ -39,7 +39,10 @@ def test_parse_grid_inclusive_endpoints():
 
 
 def test_parse_grid_errors():
-    for bad in ("0:1", "0:1:0", "1:0:0.1", "a:b:c"):
+    for bad in (
+        "0:1", "0:1:0", "1:0:0.1", "a:b:c",
+        "0:inf:1", "0:1:inf", "nan:1:0.1", "-inf:0:1", "0:1:nan",
+    ):
         with pytest.raises(UsageError):
             parse_grid(bad)
 
@@ -161,6 +164,50 @@ def test_mismatch_command_csv(capsys):
     assert len(data) == 10  # header + 9 pairings
 
 
+# (channel flags, "channel" scalar, parameter scalars, power-sweep params cell)
+FAMILY_HEADERS = [
+    (("--channel", "ghz"), "ghz", (), ""),
+    (
+        ("--channel", "ms", "--c", "0.6", "--d", "-0.8"), "ms", ("c", "d"),
+        "c=0.59999999999999998 d=-0.80000000000000004",
+    ),
+    (
+        ("--channel", "theta", "--a2", "0.36", "--k", "y"), "theta", ("a", "b", "k"),
+        "a=0.59999999999999998 b=0.80000000000000004 k=y",
+    ),
+    (
+        ("--channel", "ms_xy", "--a2", "0.5"), "theta", ("a", "b", "k"),
+        "a=0.70710678118654757 b=0.70710678118654757 k=z",
+    ),
+]
+
+
+def test_report_header_per_family(capsys, tmp_path):
+    raw = tmp_path / "raw.cfg"
+    raw.write_text(channel_to_config(RawChannel(state=ThetaChannel(0.6, 0.8, "x").state)))
+    cases = FAMILY_HEADERS + [(("--channel", "raw", "--config", str(raw)), "raw", (), "")]
+    inputs = ["input", "theta", "phi"]
+    for flags, family, params, cell in cases:
+        head = ["channel", *params]
+        closed = [] if family == "raw" else ["ncf_closed"]
+        expected = {
+            ("channel", flags[1], *flags[2:]): head + ["tau", "meets_tangle_bound"],
+            ("ct", *flags): head + inputs + ["total_probability", "min_fidelity"],
+            ("ncf", *flags): head + inputs + ["ncf", "per_outcome_equal"] + closed,
+        }
+        for argv, names in expected.items():
+            code, out = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert list(doc["scalars"]) == names
+            assert doc["scalars"]["channel"] == family
+        code, out = run_cli(capsys, "power-sweep", *flags, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["scalars"]) == ["method", "points"]
+        assert doc["rows"][0][:2] == [family, cell]
+
+
 # ---------------------------------------------------------------------------
 # determinism and metadata
 
@@ -223,7 +270,7 @@ def test_args_from_file(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # exit codes
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["ct", "--channel", "ms", "--c", "2", "--d", "0"]) == 2
     assert main(["ct", "--channel", "ms"]) == 2  # parameters missing
     assert main(["ct", "--channel", "theta", "--a2", "0.5"]) == 2  # no axis
@@ -232,6 +279,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["mismatch"]) == 2
     assert main(["ncf", "--channel", "ms", "--d", "0.5", "--input", "xy",
                  "--theta", "1.0"]) == 2  # theta not an xy parameter
+    no_d = tmp_path / "no_d.cfg"
+    no_d.write_text("family = ms\nc = 0.6\n")
+    assert main(["ct", "--channel", "ms", "--config", str(no_d)]) == 2  # key missing
     with pytest.raises(SystemExit):
         main(["ct", "--channel", "hexagonal"])  # argparse rejects the choice
     capsys.readouterr()

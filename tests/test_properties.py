@@ -18,7 +18,6 @@ from ctpower.channels import (
     MSChannel,
     RawChannel,
     ThetaChannel,
-    realize,
 )
 from ctpower.protocol import (
     _controller_measurement,
@@ -62,7 +61,7 @@ def channels(draw):
     spec = draw(named_channels())
     if not draw(st.booleans()):
         return spec
-    return RawChannel(state=apply_gate(draw(unitaries()), 0, realize(spec)))
+    return RawChannel(state=apply_gate(draw(unitaries()), 0, spec.state))
 
 
 bloch_points = st.lists(
@@ -103,8 +102,8 @@ def test_controlled_teleport_is_perfect(spec, unitary, point):
     if unitary is None:
         run = controlled_teleport(spec, phi)
     else:
-        _, basis = _controller_measurement(spec, None)
-        raw = RawChannel(state=apply_gate(unitary, 0, realize(spec)))
+        basis = [cvec for _, cvec, _ in _controller_measurement(spec, None)]
+        raw = RawChannel(state=apply_gate(unitary, 0, spec.state))
         rotated = tuple(PureState(unitary @ b.amps) for b in basis)
         run = controlled_teleport(raw, phi, controller_basis=rotated)
     assert run.min_fidelity >= 1.0 - 1e-12

@@ -18,8 +18,9 @@ from ctpower.channels import (
     MSChannel,
     RawChannel,
     ThetaChannel,
+    channel_from_config,
+    channel_to_config,
     ms_state,
-    realize,
 )
 from ctpower.errors import (
     CorrectionMismatchError,
@@ -87,10 +88,9 @@ def random_theta(rng):
 def walk_controlled(spec, f, controller_basis=None):
     """[(controller label, Bell outcome, probability, receiver amps)]."""
     phi = _resolve_input(f)
-    joint = tensor(phi, realize(spec))
-    labels, basis = _controller_measurement(spec, controller_basis)
+    joint = tensor(phi, spec.state)
     branches = []
-    for label, cvec in zip(labels, basis):
+    for label, cvec, _ in _controller_measurement(spec, controller_basis):
         p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
         if after_ctrl is None:
             continue
@@ -119,7 +119,7 @@ def walk_controlled(spec, f, controller_basis=None):
 def walk_unconditioned(spec, f):
     """(rho3 matrix, spread of the per-outcome states); raises on mismatch."""
     phi = _resolve_input(f)
-    joint = tensor(phi, realize(spec))
+    joint = tensor(phi, spec.state)
     mats, probs = [], []
     for outcome in BELL_OUTCOMES:
         p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
@@ -138,8 +138,8 @@ def walk_unconditioned(spec, f):
 def rotated_on_controller(spec, unitary):
     """A named channel as a raw state with ``unitary`` on the controller, and
     the named controller basis rotated along with it."""
-    _, basis = _controller_measurement(spec, None)
-    raw = RawChannel(state=apply_gate(unitary, 0, realize(spec)))
+    basis = [cvec for _, cvec, _ in _controller_measurement(spec, None)]
+    raw = RawChannel(state=apply_gate(unitary, 0, spec.state))
     return raw, tuple(PureState(unitary @ b.amps) for b in basis)
 
 
@@ -276,7 +276,7 @@ def test_controlled_teleport_accepts_bare_states_with_phase():
 
 
 def test_raw_channel_controller_basis_rules():
-    ghz_raw = RawChannel(state=realize(GHZChannel()))
+    ghz_raw = RawChannel(state=GHZChannel().state)
     family = ArbitraryInput(1.0, 0.5)
     with pytest.raises(ValueError):
         controlled_teleport(ghz_raw, family)  # basis required
@@ -305,7 +305,7 @@ def test_raw_channel_controller_basis_rules():
 def test_controlled_teleport_matches_the_branch_walk():
     rng = np.random.default_rng(79)
     s = 1 / np.sqrt(2)
-    ghz_raw = RawChannel(state=realize(GHZChannel()))
+    ghz_raw = RawChannel(state=GHZChannel().state)
     cases = [
         (GHZChannel(), None),
         (MSChannel(c=0.6, d=0.8), None),
@@ -477,7 +477,7 @@ def test_ncf_ghz_equals_ms_at_d_zero():
 def test_ncf_raw_channel_uses_best_single_correction():
     # raw GHZ amplitudes behave like the GHZ spec without the controller
     family = ArbitraryInput(theta=0.9, phi=4.0)
-    raw = RawChannel(state=realize(GHZChannel()))
+    raw = RawChannel(state=GHZChannel().state)
     ghz = unconditioned_teleport(GHZChannel(), family).ncf
     assert abs(unconditioned_teleport(raw, family).ncf - ghz) < 1e-12
 
@@ -493,10 +493,10 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
         MSChannel(c=0.6, d=-0.8),
         ThetaChannel(a=math.sqrt(0.7), b=math.sqrt(0.3), k="y"),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
-        RawChannel(state=realize(MSChannel(c=0.8, d=0.6))),
+        RawChannel(state=MSChannel(c=0.8, d=0.6).state),
         # a unitary on the controller qubit leaves the receiver's map alone
         RawChannel(state=apply_gate(
-            _random_local_unitary(rng), 0, realize(ThetaChannel(0.6, -0.8, "z"))
+            _random_local_unitary(rng), 0, ThetaChannel(0.6, -0.8, "z").state
         )),
     ]
     qubits = [random_qubit(rng) for _ in range(25)]
@@ -554,3 +554,8 @@ def test_receiver_map_is_built_once_and_read_only():
         with pytest.raises(ValueError):
             view[0] = 2.0
     assert np.max(np.abs(T - np.diag([0.8, 0.8, 1.0]))) < 1e-14
+    # raw channels parsed from the same text are equal, so they share it too
+    text = channel_to_config(RawChannel(state=MSChannel(c=0.8, d=-0.6).state))
+    first, second = channel_from_config(text), channel_from_config(text)
+    assert first == second and hash(first) == hash(second)
+    assert receiver_map(second)[1].base is receiver_map(first)[1].base
