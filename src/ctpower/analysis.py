@@ -10,10 +10,11 @@ Averages run over one of two domains:
 * "sphere": dOmega / 4pi over all pure qubit inputs,
 * "family": uniform angle along one equatorial input family's great circle.
 
-The analytic method reads both averages off the receiver's Bloch map
-(``protocol.receiver_map``).  Quadrature is adaptive Gauss-Legendre refined
-to 1e-9; Monte Carlo uses the counter-based Philox generator so every
-stochastic result is bit-reproducible from (seed, row-index).
+The analytic method and ``mismatch_report`` read both averages off the
+receiver's Bloch map (``protocol.receiver_map``).  Quadrature is adaptive
+Gauss-Legendre refined to 1e-9; Monte Carlo uses the counter-based Philox
+generator so every stochastic result is bit-reproducible from (seed,
+row-index).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .channels import (
     three_tangle,
 )
 from .errors import ConvergenceError, MatchedFamiliesError, RangeError
-from .protocol import ncf_batch, receiver_map
+from .protocol import INPUT_FAMILIES, ArbitraryInput, ncf_batch, receiver_map
 from .qcore import EXACT_ATOL, pauli
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
@@ -47,19 +48,8 @@ class AverageResult(NamedTuple):
     stderr: float
 
 
-FAMILY_NAMES = ("xz", "xy", "yz")
-
-
-def _family_amplitudes(family: str, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized input_state for one equatorial family."""
-    if family == "xz":
-        return np.cos(angles / 2.0) + 0j, np.sin(angles / 2.0) + 0j
-    if family == "xy":
-        s = 1.0 / np.sqrt(2.0)
-        return np.full(angles.shape, s, dtype=complex), s * np.exp(1j * angles)
-    if family == "yz":
-        return np.cos(angles / 2.0) + 0j, 1j * np.sin(angles / 2.0)
-    raise ValueError(f"unknown input family {family!r}; expected one of {FAMILY_NAMES}")
+# the great-circle input families
+FAMILY_NAMES = tuple(name for name in INPUT_FAMILIES if name != ArbitraryInput.name)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +107,7 @@ def _sphere_quadrature(spec: ChannelSpec, tol: float) -> float:
         phi = np.pi * (xp + 1.0)
         wp = wp * np.pi
         th, ph = np.meshgrid(theta, phi, indexing="ij")
-        k0 = np.cos(th / 2.0).ravel().astype(complex)
-        k1 = (np.exp(1j * ph) * np.sin(th / 2.0)).ravel()
-        vals = ncf_batch(spec, k0, k1).reshape(order, order)
+        vals = ncf_batch(spec, *ArbitraryInput.amplitudes(th, ph)).reshape(order, order)
         weights = np.outer(wt * np.sin(theta), wp)
         return float(np.sum(weights * vals) / (4.0 * np.pi))
 
@@ -130,8 +118,7 @@ def _circle_quadrature(spec: ChannelSpec, family: str, tol: float) -> float:
     def evaluate(order: int) -> float:
         x, w = np.polynomial.legendre.leggauss(order)
         angles = np.pi * (x + 1.0)
-        k0, k1 = _family_amplitudes(family, angles)
-        vals = ncf_batch(spec, k0, k1)
+        vals = ncf_batch(spec, *INPUT_FAMILIES[family].amplitudes(angles))
         return float(np.sum(w * np.pi * vals) / _TWO_PI)
 
     return _refine(evaluate, tol)
@@ -181,7 +168,7 @@ def avg_fidelity_numeric(
             k0, k1 = _sphere_samples(rng, n_samples)
         else:
             angles = _TWO_PI * rng.random(n_samples)
-            k0, k1 = _family_amplitudes(family, angles)
+            k0, k1 = INPUT_FAMILIES[family].amplitudes(angles)
         vals = ncf_batch(spec, k0, k1)
         stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
         return AverageResult(float(vals.mean()), stderr)
@@ -201,10 +188,6 @@ class PowerReport:
     meets_tangle_bound: bool
 
 
-# Bloch axes spanning each family's great circle
-_FAMILY_AXES = {"xz": (0, 2), "xy": (0, 1), "yz": (1, 2)}
-
-
 def _analytic_average(spec: ChannelSpec, family: str | None) -> float:
     """Average NCF from the receiver's Bloch map.
 
@@ -215,7 +198,8 @@ def _analytic_average(spec: ChannelSpec, family: str | None) -> float:
     _, transfer = receiver_map(spec)
     if family is None:
         return 0.5 + float(np.trace(transfer)) / 6.0
-    i, j = _FAMILY_AXES[family]
+    # the circle spans the two Bloch axes other than its matched axis
+    i, j = (n for n, axis in enumerate("xyz") if axis != MATCHED_AXIS[family])
     return 0.5 + float(transfer[i, i] + transfer[j, j]) / 4.0
 
 
@@ -314,9 +298,7 @@ def mismatch_ncf_closed(
     if i == j:
         raise MatchedFamiliesError(f"channel and input family are both {i!r}")
     a, b = check_unit_pair(a, b, "a, b")
-    angles = np.array([float(angle)])
-    k0, k1 = _family_amplitudes(j, angles)
-    phi = np.array([k0[0], k1[0]], dtype=complex)
+    phi = np.array(INPUT_FAMILIES[j].amplitudes(float(angle)), dtype=complex)
     expectation = complex(np.vdot(phi, pauli(MATCHED_AXIS[i]) @ phi))
     return a * a + b * b * abs(expectation) ** 2
 
@@ -344,11 +326,11 @@ def mismatch_report(a: float, b: float, tol: float = 1e-9) -> MismatchReport:
     """Averaged NCF and control power for all 9 (channel, input) pairings.
 
     Each channel is the theta channel matched to ``channel_family``; inputs
-    run over ``input_family`` with the uniform circle measure, integrated by
-    quadrature of the simulated NCF.  Matched rows (i = j) are the baseline.
-    The report also states whether the largest mismatched control power
-    agrees with the claimed classical-limit value 1/3; the flag records the
-    quadrature outcome, whatever it is.
+    run over ``input_family`` with the uniform circle measure, averaged on
+    the simulated receiver map (``receiver_map``).  Matched rows (i = j) are
+    the baseline.  The report also states whether the largest mismatched
+    control power agrees with the claimed classical-limit value 1/3 within
+    ``tol``; the flag records the computed outcome, whatever it is.
     """
     a, b = check_unit_pair(a, b, "a, b")
     rows = []
@@ -356,7 +338,7 @@ def mismatch_report(a: float, b: float, tol: float = 1e-9) -> MismatchReport:
     for i in FAMILY_NAMES:
         spec = ThetaChannel(a, b, MATCHED_AXIS[i])
         for j in FAMILY_NAMES:
-            avg = _circle_quadrature(spec, j, tol)
+            avg = _analytic_average(spec, j)
             power = control_power(avg)
             rows.append(
                 MismatchRow(

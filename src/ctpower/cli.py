@@ -17,7 +17,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,11 +43,8 @@ from .channels import (
 )
 from .errors import ConvergenceError, CorrectionMismatchError
 from .protocol import (
-    ArbitraryInput,
+    INPUT_FAMILIES,
     InputFamily,
-    XYInput,
-    XZInput,
-    YZInput,
     controlled_teleport,
     input_state,
     ncf_ms_closed,
@@ -58,9 +55,9 @@ from .verify import check_channel_ct, format_report, run_all
 
 SEED_ENV_VAR = "CTPOWER_SEED"
 _CT_FIDELITY_GATE = 1.0 - 1e-9
+_MAX_GRID_POINTS = 10**6
 
 _CHANNEL_CHOICES = ("ghz", "ms", "theta", "raw") + NAMED_CHANNELS
-_INPUT_CHOICES = ("arbitrary",) + FAMILY_NAMES
 
 
 class UsageError(Exception):
@@ -243,7 +240,8 @@ def _splice_args_from(argv: list[str]) -> list[str]:
 
 
 def parse_grid(text: str) -> list[float]:
-    """``start:stop:step`` inclusive of both endpoints within half a step.
+    """``start:stop:step`` inclusive of both endpoints within half a step,
+    at most ``_MAX_GRID_POINTS`` points.
 
     A grid starting with a negative number must be passed as
     ``--d-grid=-1:1:0.1`` (or quoted with a leading space): bare ``-1:...``
@@ -262,7 +260,10 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError("grid step must be positive")
     if stop < start:
         raise UsageError("grid stop must not be below start")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    span = (stop - start) / step + 0.5
+    if not span < _MAX_GRID_POINTS:  # inf too; counted before any list is built
+        raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     values = [start + i * step for i in range(count)]
     return [v for v in values if v <= stop + step / 2.0]
 
@@ -362,23 +363,12 @@ def _reject_params(args: argparse.Namespace, names: tuple[str, ...], family: str
 
 
 def _input_from_args(args: argparse.Namespace) -> InputFamily:
-    kind = args.input
-    theta, phi = args.theta, args.phi
-    if kind == "arbitrary":
-        return ArbitraryInput(theta=theta or 0.0, phi=phi or 0.0)
-    if kind == "xz":
-        if phi is not None:
-            raise UsageError("--phi does not apply to the xz family")
-        return XZInput(theta=theta or 0.0)
-    if kind == "yz":
-        if phi is not None:
-            raise UsageError("--phi does not apply to the yz family")
-        return YZInput(theta=theta or 0.0)
-    if kind == "xy":
-        if theta is not None:
-            raise UsageError("--theta does not apply to the xy family")
-        return XYInput(phi=phi or 0.0)
-    raise UsageError(f"unknown input family {kind!r}")
+    cls = INPUT_FAMILIES[args.input]
+    angles = [f.name for f in fields(cls)]
+    for flag in ("theta", "phi"):
+        if flag not in angles and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to the {cls.name} family")
+    return cls(*(getattr(args, name) or 0.0 for name in angles))
 
 
 def _describe_spec(spec: ChannelSpec) -> list[tuple[str, object]]:
@@ -386,13 +376,7 @@ def _describe_spec(spec: ChannelSpec) -> list[tuple[str, object]]:
 
 
 def _describe_input(family: InputFamily) -> list[tuple[str, object]]:
-    if isinstance(family, ArbitraryInput):
-        return [("input", "arbitrary"), ("theta", family.theta), ("phi", family.phi)]
-    if isinstance(family, XZInput):
-        return [("input", "xz"), ("theta", family.theta)]
-    if isinstance(family, YZInput):
-        return [("input", "yz"), ("theta", family.theta)]
-    return [("input", "xy"), ("phi", family.phi)]
+    return [("input", family.name), *family.params().items()]
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +555,13 @@ def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     started = time.monotonic()
     if args.channel is not None:
-        spec = _spec_from_args(args)
-        result = check_channel_ct(spec)
-        text = (
-            f"ctpower verification report\nversion: {__version__}\n"
-            f"seed: {config.seed}\nmode: channel\n\n"
-            f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}\n"
-        )
-        passed = result.passed
+        results, mode = [check_channel_ct(_spec_from_args(args))], "channel"
     else:
         results = run_all(config.seed, quick=args.quick)
-        text = format_report(results, seed=config.seed, quick=args.quick)
-        passed = all(r.passed for r in results)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        mode = "quick" if args.quick else "full"
+    _emit(format_report(results, seed=config.seed, mode=mode), config)
     print(f"elapsed: {time.monotonic() - started:.2f} s", file=sys.stderr)
-    return 0 if passed else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +599,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser, positional: bool) -> Non
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--input", choices=_INPUT_CHOICES, default="arbitrary",
+        "--input", choices=tuple(INPUT_FAMILIES), default="arbitrary",
         help="input state family (default arbitrary)",
     )
     parser.add_argument("--theta", type=float, default=None, help="polar/family angle")

@@ -26,7 +26,8 @@ the branches one input at a time and is the oracle the tests pin it to.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,7 +71,19 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class InputFamily:
-    """Base class for parametrized single-qubit input families."""
+    """Base class for parametrized single-qubit input families.
+
+    Every subclass names its family and writes its state once, as
+    ``amplitudes``: a numpy formula from its angle fields, in field order,
+    to the amplitudes (k0, k1).  It takes one member's angles or arrays of
+    them alike.
+    """
+
+    name: ClassVar[str]
+
+    def params(self) -> dict[str, float]:
+        """The angles a report prints, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _angle(value, name: str, upper: float, closed: bool) -> float:
@@ -87,6 +100,8 @@ def _angle(value, name: str, upper: float, closed: bool) -> float:
 class ArbitraryInput(InputFamily):
     """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, Bloch angles."""
 
+    name: ClassVar[str] = "arbitrary"
+
     theta: float
     phi: float
 
@@ -94,52 +109,71 @@ class ArbitraryInput(InputFamily):
         object.__setattr__(self, "theta", _angle(self.theta, "theta", np.pi, True))
         object.__setattr__(self, "phi", _angle(self.phi, "phi", _TWO_PI, False))
 
+    @staticmethod
+    def amplitudes(theta, phi):
+        return np.cos(theta / 2.0) + 0j, np.exp(1j * phi) * np.sin(theta / 2.0)
+
 
 @dataclass(frozen=True)
 class XZInput(InputFamily):
     """cos(theta/2)|0> + sin(theta/2)|1>: the x-z great circle."""
 
+    name: ClassVar[str] = "xz"
+
     theta: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _angle(self.theta, "theta", _TWO_PI, False))
+
+    @staticmethod
+    def amplitudes(theta):
+        return np.cos(theta / 2.0) + 0j, np.sin(theta / 2.0) + 0j
 
 
 @dataclass(frozen=True)
 class XYInput(InputFamily):
     """(|0> + e^{i phi}|1>)/sqrt(2): the equator."""
 
+    name: ClassVar[str] = "xy"
+
     phi: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", _angle(self.phi, "phi", _TWO_PI, False))
+
+    @staticmethod
+    def amplitudes(phi):
+        s = 1.0 / np.sqrt(2.0)
+        return np.full(np.shape(phi), s, dtype=complex), s * np.exp(1j * phi)
 
 
 @dataclass(frozen=True)
 class YZInput(InputFamily):
     """cos(theta/2)|0> + i sin(theta/2)|1>: the y-z great circle."""
 
+    name: ClassVar[str] = "yz"
+
     theta: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _angle(self.theta, "theta", _TWO_PI, False))
 
+    @staticmethod
+    def amplitudes(theta):
+        return np.cos(theta / 2.0) + 0j, 1j * np.sin(theta / 2.0)
+
+
+# every input family by name; all but "arbitrary" are great circles
+INPUT_FAMILIES: dict[str, type[InputFamily]] = {
+    cls.name: cls for cls in (ArbitraryInput, XZInput, XYInput, YZInput)
+}
+
 
 def input_state(family: InputFamily) -> PureState:
     """The single-qubit state a family member describes."""
-    if isinstance(family, ArbitraryInput):
-        half = 0.5 * family.theta
-        return make_qubit(np.cos(half), np.exp(1j * family.phi) * np.sin(half))
-    if isinstance(family, XZInput):
-        half = 0.5 * family.theta
-        return make_qubit(np.cos(half), np.sin(half))
-    if isinstance(family, XYInput):
-        s = 1.0 / np.sqrt(2.0)
-        return make_qubit(s, s * np.exp(1j * family.phi))
-    if isinstance(family, YZInput):
-        half = 0.5 * family.theta
-        return make_qubit(np.cos(half), 1j * np.sin(half))
-    raise TypeError(f"not an input family: {family!r}")
+    if not isinstance(family, InputFamily):
+        raise TypeError(f"not an input family: {family!r}")
+    return make_qubit(*family.amplitudes(*family.params().values()))
 
 
 def _resolve_input(f: InputFamily | PureState) -> PureState:

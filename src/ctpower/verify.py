@@ -36,10 +36,10 @@ from .channels import (
     three_tangle,
 )
 from .protocol import (
+    INPUT_FAMILIES,
     ArbitraryInput,
     XYInput,
     XZInput,
-    YZInput,
     controlled_teleport,
     input_state,
     ncf_ms_closed,
@@ -162,9 +162,6 @@ def check_ghz_classical_limit() -> CheckResult:
     )
 
 
-_FAMILY_INPUT = {"xz": XZInput, "xy": XYInput, "yz": YZInput}
-
-
 def check_matched_flatness() -> CheckResult:
     """Matched-channel NCF is max(a^2, b^2), flat across the family."""
     worst_dev = 0.0
@@ -175,7 +172,7 @@ def check_matched_flatness() -> CheckResult:
             spec = ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=MATCHED_AXIS[fam])
             expected = max(a2, 1.0 - a2)
             vals = np.array([
-                unconditioned_teleport(spec, _FAMILY_INPUT[fam](float(t))).ncf
+                unconditioned_teleport(spec, INPUT_FAMILIES[fam](float(t))).ncf
                 for t in angles
             ])
             worst_dev = max(worst_dev, float(np.max(np.abs(vals - expected))))
@@ -211,7 +208,7 @@ def check_max_control_power() -> CheckResult:
     s = math.sqrt(0.5)
     for fam in FAMILY_NAMES:
         spec = ThetaChannel(a=s, b=s, k=MATCHED_AXIS[fam])
-        ncf = unconditioned_teleport(spec, _FAMILY_INPUT[fam](0.37)).ncf
+        ncf = unconditioned_teleport(spec, INPUT_FAMILIES[fam](0.37)).ncf
         worst = max(worst, abs(control_power(ncf) - 0.5))
     return CheckResult(
         "max-control-power",
@@ -323,17 +320,21 @@ def run_all(seed: int, quick: bool = False) -> list[CheckResult]:
     return [fn() for fn in checks]
 
 
-def format_report(results: list[CheckResult], seed: int, quick: bool) -> str:
+def format_report(results: list[CheckResult], seed: int, mode: str) -> str:
+    """The verification report: a header, one line per check, and, for the
+    suite's "quick" and "full" modes, the count of checks passed; the
+    single-check "channel" mode has no count."""
     lines = [
         "ctpower verification report",
         f"version: {__version__}",
         f"seed: {seed}",
-        f"mode: {'quick' if quick else 'full'}",
+        f"mode: {mode}",
         "",
     ]
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    passed = sum(r.passed for r in results)
-    lines.append("")
-    lines.append(f"{passed}/{len(results)} checks passed")
+    if mode != "channel":
+        passed = sum(r.passed for r in results)
+        lines.append("")
+        lines.append(f"{passed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"

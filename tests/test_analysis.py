@@ -309,6 +309,15 @@ def test_mismatch_report_structure_and_claim_flag():
     assert report.claim_agrees is False
     table = mismatch_table(report)
     assert len(table) == 9 and table[0]["channel_family"] == "xz"
+    # the rows come off the receiver map; quadrature is the cross-check
+    for a2 in (0.5, 0.3):
+        a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+        for row in mismatch_report(a, b).rows:
+            spec = ThetaChannel(a, b, MATCHED_AXIS[row.channel_family])
+            quad = avg_fidelity_numeric(
+                spec, "family", family=row.input_family, method="quadrature"
+            ).mean
+            assert abs(row.avg_ncf - quad) <= 1e-9
 
 
 def test_mismatch_dominance_on_a_dominant_grid():

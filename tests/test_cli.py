@@ -42,6 +42,7 @@ def test_parse_grid_errors():
     for bad in (
         "0:1", "0:1:0", "1:0:0.1", "a:b:c",
         "0:inf:1", "0:1:inf", "nan:1:0.1", "-inf:0:1", "0:1:nan",
+        "0:1e300:1e-300", "0:1:1e-9",  # counted before any list is built
     ):
         with pytest.raises(UsageError):
             parse_grid(bad)
@@ -208,6 +209,33 @@ def test_report_header_per_family(capsys, tmp_path):
         assert doc["rows"][0][:2] == [family, cell]
 
 
+# (input flags, the input scalars ct and ncf report, in order)
+INPUT_HEADERS = [
+    (
+        ("--input", "arbitrary", "--theta", "1.1", "--phi", "0.6"),
+        [("input", "arbitrary"), ("theta", 1.1), ("phi", 0.6)],
+    ),
+    (("--input", "arbitrary"), [("input", "arbitrary"), ("theta", 0.0), ("phi", 0.0)]),
+    (("--input", "xz", "--theta", "2.0"), [("input", "xz"), ("theta", 2.0)]),
+    (("--input", "xy", "--phi", "0.7"), [("input", "xy"), ("phi", 0.7)]),
+    (("--input", "yz", "--theta", "4.0"), [("input", "yz"), ("theta", 4.0)]),
+]
+
+
+def test_report_input_scalars_per_family(capsys):
+    for flags, want in INPUT_HEADERS:
+        for command, after in (("ct", "total_probability"), ("ncf", "ncf")):
+            code, out = run_cli(
+                capsys, command, "--channel", "ms", "--d", "0.6", *flags,
+                "--format", "json",
+            )
+            assert code == 0
+            scalars = list(json.loads(out)["scalars"].items())
+            start = [name for name, _ in scalars].index("input")
+            assert scalars[start:start + len(want)] == want
+            assert scalars[start + len(want)][0] == after
+
+
 # ---------------------------------------------------------------------------
 # determinism and metadata
 
@@ -277,8 +305,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["ct", "--channel", "ghz", "--c", "0.5"]) == 2  # stray param
     assert main(["avg", "--channel", "ghz", "--domain", "family"]) == 2
     assert main(["mismatch"]) == 2
-    assert main(["ncf", "--channel", "ms", "--d", "0.5", "--input", "xy",
-                 "--theta", "1.0"]) == 2  # theta not an xy parameter
+    for family, flag in (("xy", "--theta"), ("xz", "--phi"), ("yz", "--phi")):
+        assert main(["ncf", "--channel", "ms", "--d", "0.5", "--input", family,
+                     flag, "1.0"]) == 2
+        assert f"{flag} does not apply to the {family} family" in capsys.readouterr().err
+    assert main(["power-sweep", "--d-grid=0:1:1e-9"]) == 2  # 10^9 points
     no_d = tmp_path / "no_d.cfg"
     no_d.write_text("family = ms\nc = 0.6\n")
     assert main(["ct", "--channel", "ms", "--config", str(no_d)]) == 2  # key missing

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ctpower.channels import (
+    MATCHED_AXIS,
     GHZChannel,
     MSChannel,
     RawChannel,
@@ -29,6 +30,7 @@ from ctpower.errors import (
     RangeError,
 )
 from ctpower.protocol import (
+    INPUT_FAMILIES,
     _CT_TABLE,
     _GATES,
     _controller_measurement,
@@ -55,6 +57,7 @@ from ctpower.qcore import (
     equal_up_to_global_phase,
     make_qubit,
     partial_trace,
+    pauli,
     project_single_qubit,
     project_two_qubit,
     tensor,
@@ -162,6 +165,19 @@ def test_input_state_forms():
     assert np.allclose(
         input_state(YZInput(theta=np.pi)).amps, [math.cos(np.pi / 2), 1j]
     )
+
+
+def test_family_formula_serves_members_and_arrays():
+    # one formula per family: on an array of angles it gives exactly the
+    # members' states, and the family's matched theta axis has zero Pauli
+    # expectation on every member
+    angles = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 64)
+    for name, axis in MATCHED_AXIS.items():
+        cls = INPUT_FAMILIES[name]
+        members = np.array([input_state(cls(float(t))).amps for t in angles])
+        assert np.array_equal(np.stack(cls.amplitudes(angles), axis=1), members)
+        expectation = np.einsum("ni,ij,nj->n", members.conj(), pauli(axis), members)
+        assert np.max(np.abs(expectation)) <= 1e-12
 
 
 def test_input_family_ranges():

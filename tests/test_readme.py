@@ -1,6 +1,11 @@
-"""Every ``python`` code block in README.md runs as written."""
+"""Every ``python`` code block and every ``ctpower`` command line of the
+``sh`` blocks in README.md runs as written."""
 import re
+import shlex
 from pathlib import Path
+
+from ctpower.channels import RawChannel, ThetaChannel, channel_to_config
+from ctpower.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +16,24 @@ def test_readme_python_blocks_run(capsys):
     assert blocks
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_readme_cli_lines_exit_0(capsys, tmp_path):
+    # my_state.cfg: a raw theta channel, whose computational controller
+    # basis leaves Bell pairs, so verify --channel raw passes on it
+    config = tmp_path / "my_state.cfg"
+    config.write_text(
+        channel_to_config(RawChannel(state=ThetaChannel(0.6, 0.8, "x").state))
+    )
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("ctpower ")
+    ]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        argv = [str(config) if arg == "my_state.cfg" else arg for arg in argv]
+        assert main(argv) == 0, line
+        capsys.readouterr()
