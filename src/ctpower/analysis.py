@@ -11,10 +11,11 @@ Averages run over one of two domains:
 * "family": uniform angle along one equatorial input family's great circle.
 
 The analytic method and ``mismatch_report`` read both averages off the
-receiver's Bloch map (``protocol.receiver_map``).  Quadrature is adaptive
-Gauss-Legendre refined to 1e-9; Monte Carlo uses the counter-based Philox
-generator so every stochastic result is bit-reproducible from (seed,
-row-index).
+receiver's Bloch map (``protocol.receiver_map``).  Quadrature averages the
+branch walk (``protocol.unconditioned_teleport``) over exact design points,
+so it checks the map rather than re-reading it; Monte Carlo uses the
+counter-based Philox generator so every stochastic result is
+bit-reproducible from (seed, row-index).
 """
 from __future__ import annotations
 
@@ -31,16 +32,20 @@ from .channels import (
     check_unit_pair,
     three_tangle,
 )
-from .errors import ConvergenceError, MatchedFamiliesError, RangeError
-from .protocol import INPUT_FAMILIES, ArbitraryInput, ncf_batch, receiver_map
+from .errors import MatchedFamiliesError, RangeError
+from .protocol import (
+    INPUT_FAMILIES,
+    ArbitraryInput,
+    ncf_batch,
+    receiver_map,
+    unconditioned_teleport,
+)
 from .qcore import EXACT_ATOL, pauli
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
 CLASSICAL_POWER = 1.0 / 3.0
 
 _TWO_PI = 2.0 * np.pi
-
-_QUADRATURE_ORDERS = (8, 16, 32, 64, 128, 256)
 
 
 class AverageResult(NamedTuple):
@@ -80,48 +85,21 @@ def power_bound_check(a: float) -> bool:
 # ---------------------------------------------------------------------------
 # numeric averaging
 
+# Exact designs for the NCF, a quadratic in the input's Bloch vector: the
+# regular tetrahedron is a spherical 2-design, and three equally spaced
+# members of a great circle average any degree-2 trigonometric polynomial.
+_THIRDS = (0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0)
+_TETRAHEDRON = (ArbitraryInput(0.0, 0.0),) + tuple(
+    ArbitraryInput(np.arccos(-1.0 / 3.0), phi) for phi in _THIRDS
+)
+_CIRCLE_DESIGNS = {
+    name: tuple(INPUT_FAMILIES[name](a) for a in _THIRDS) for name in FAMILY_NAMES
+}
+
+
 def _rng(seed: int, row: int) -> np.random.Generator:
     key = np.array([np.uint64(seed), np.uint64(row)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _refine(evaluate, tol: float) -> float:
-    """Run ``evaluate(order)`` over doubling orders until two agree."""
-    previous = None
-    for order in _QUADRATURE_ORDERS:
-        value = evaluate(order)
-        if previous is not None and abs(value - previous) < tol:
-            return value
-        previous = value
-    raise ConvergenceError(
-        f"quadrature did not stabilize to {tol:g} by order {_QUADRATURE_ORDERS[-1]}"
-    )
-
-
-def _sphere_quadrature(spec: ChannelSpec, tol: float) -> float:
-    def evaluate(order: int) -> float:
-        xt, wt = np.polynomial.legendre.leggauss(order)
-        theta = 0.5 * np.pi * (xt + 1.0)
-        wt = wt * (0.5 * np.pi)
-        xp, wp = np.polynomial.legendre.leggauss(order)
-        phi = np.pi * (xp + 1.0)
-        wp = wp * np.pi
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        vals = ncf_batch(spec, *ArbitraryInput.amplitudes(th, ph)).reshape(order, order)
-        weights = np.outer(wt * np.sin(theta), wp)
-        return float(np.sum(weights * vals) / (4.0 * np.pi))
-
-    return _refine(evaluate, tol)
-
-
-def _circle_quadrature(spec: ChannelSpec, family: str, tol: float) -> float:
-    def evaluate(order: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(order)
-        angles = np.pi * (x + 1.0)
-        vals = ncf_batch(spec, *INPUT_FAMILIES[family].amplitudes(angles))
-        return float(np.sum(w * np.pi * vals) / _TWO_PI)
-
-    return _refine(evaluate, tol)
 
 
 def _sphere_samples(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +118,16 @@ def avg_fidelity_numeric(
     n_samples: int = 10**6,
     seed: int = 0,
     row: int = 0,
-    tol: float = 1e-9,
 ) -> AverageResult:
     """Average the simulated NCF over a domain of input states.
 
     ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
     or "family" (one equatorial family named by ``family``, uniform in its
-    angle).  ``method`` is "quadrature" (deterministic, stderr 0) or
-    "monte_carlo" (mean and standard error from ``n_samples`` Philox draws
-    keyed by (seed, row)).
+    angle).  ``method`` is "quadrature" (the exact mean of the branch walk
+    over a design: the tetrahedron, or three equally spaced family members;
+    stderr 0) or "monte_carlo" (mean and standard error from ``n_samples``
+    Philox draws keyed by (seed, row)).  Both raise CorrectionMismatchError
+    for a channel whose receiver map does.
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
@@ -157,9 +136,12 @@ def avg_fidelity_numeric(
         raise ValueError(f"unknown domain {domain!r}")
 
     if method == "quadrature":
-        if domain == "sphere":
-            return AverageResult(_sphere_quadrature(spec, tol), 0.0)
-        return AverageResult(_circle_quadrature(spec, family, tol), 0.0)
+        # the walk alone passes channels whose map is refused (it gives 1/2
+        # where the sender's outcome weights depend on the input)
+        receiver_map(spec)
+        design = _TETRAHEDRON if domain == "sphere" else _CIRCLE_DESIGNS[family]
+        mean = sum(unconditioned_teleport(spec, f).ncf for f in design) / len(design)
+        return AverageResult(mean, 0.0)
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")
@@ -303,6 +285,10 @@ def mismatch_ncf_closed(
     return a * a + b * b * abs(expectation) ** 2
 
 
+# the tolerance within which mismatch_report's claim flag agrees
+_CLAIM_ATOL = 1e-9
+
+
 @dataclass(frozen=True)
 class MismatchRow:
     channel_family: str
@@ -322,7 +308,7 @@ class MismatchReport:
     claim_agrees: bool           # computed, never assumed
 
 
-def mismatch_report(a: float, b: float, tol: float = 1e-9) -> MismatchReport:
+def mismatch_report(a: float, b: float) -> MismatchReport:
     """Averaged NCF and control power for all 9 (channel, input) pairings.
 
     Each channel is the theta channel matched to ``channel_family``; inputs
@@ -330,7 +316,7 @@ def mismatch_report(a: float, b: float, tol: float = 1e-9) -> MismatchReport:
     the simulated receiver map (``receiver_map``).  Matched rows (i = j) are
     the baseline.  The report also states whether the largest mismatched
     control power agrees with the claimed classical-limit value 1/3 within
-    ``tol``; the flag records the computed outcome, whatever it is.
+    1e-9; the flag records the computed outcome, whatever it is.
     """
     a, b = check_unit_pair(a, b, "a, b")
     rows = []
@@ -357,7 +343,7 @@ def mismatch_report(a: float, b: float, tol: float = 1e-9) -> MismatchReport:
         rows=tuple(rows),
         max_mismatched_power=worst,
         claim_power=CLASSICAL_POWER,
-        claim_agrees=abs(worst - CLASSICAL_POWER) <= tol,
+        claim_agrees=abs(worst - CLASSICAL_POWER) <= _CLAIM_ATOL,
     )
 
 

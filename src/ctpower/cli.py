@@ -41,7 +41,7 @@ from .channels import (
     named_channel,
     three_tangle,
 )
-from .errors import ConvergenceError, CorrectionMismatchError
+from .errors import CorrectionMismatchError
 from .protocol import (
     INPUT_FAMILIES,
     InputFamily,
@@ -686,7 +686,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = args.handler(args, config)
         _emit(_RENDERERS[config.output_format](report, config), config)
         return code
-    except (CorrectionMismatchError, ConvergenceError) as exc:
+    except CorrectionMismatchError as exc:
         print(f"ctpower: check failed: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

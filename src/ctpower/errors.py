@@ -32,6 +32,3 @@ class CorrectionMismatchError(ValueError):
 class MatchedFamiliesError(ValueError):
     """A mismatch computation was asked to pair a channel with its own family."""
 
-
-class ConvergenceError(ValueError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

@@ -431,9 +431,9 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     probability 1/4 over the sphere; divided by that weight, the outcomes'
     matrices must coincide, or the correction table is wrong.
 
-    Cached per spec, so an average refined over several quadrature orders
-    builds its map once; the returned array is read-only because every
-    caller shares it.
+    Cached per spec, so a channel's map is built once however many
+    averages read it (a mismatch report reads three circles per channel);
+    the returned array is read-only because every caller shares it.
     """
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))

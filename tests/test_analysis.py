@@ -1,8 +1,8 @@
 """Averages, bounds, sweeps, and the mismatch experiment.
 
 Oracles here integrate the closed-form NCF expressions directly with
-high-order fixed quadrature, independently of the adaptive machinery
-under test.  Regression constants derived that way are frozen inline.
+high-order fixed quadrature, independently of the design points under
+test.  Regression constants derived that way are frozen inline.
 """
 import math
 
@@ -26,8 +26,9 @@ from ctpower.analysis import (
     sweep,
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
-from ctpower.errors import MatchedFamiliesError, RangeError
-from ctpower.qcore import apply_gate
+from ctpower.errors import CorrectionMismatchError, MatchedFamiliesError, RangeError
+from ctpower.protocol import ArbitraryInput, unconditioned_teleport
+from ctpower.qcore import PureState, apply_gate
 
 
 def sphere_average_oracle(integrand, order=200):
@@ -129,6 +130,25 @@ def test_matched_family_average_is_the_dominant_weight():
         spec = ThetaChannel(a=math.sqrt(0.5), b=math.sqrt(0.5), k=MATCHED_AXIS[fam])
         mean, _ = avg_fidelity_numeric(spec, "family", family=fam)
         assert abs(mean - 0.5) < 1e-9
+
+
+def test_quadrature_walks_the_branches_not_the_map(monkeypatch):
+    # quadrature averages unconditioned_teleport, so it checks ncf_batch's
+    # map rather than re-reading it
+    def refuse(*args):
+        raise AssertionError("quadrature evaluated ncf_batch")
+
+    monkeypatch.setattr("ctpower.analysis.ncf_batch", refuse)
+    for d in (-0.8, 0.0, 0.37, 1.0):
+        spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
+        mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
+        assert abs(mean - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
+    for a2 in (0.3, 0.5, 0.9):
+        a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+        for fam in FAMILY_NAMES:
+            spec = ThetaChannel(a=a, b=b, k=MATCHED_AXIS[fam])
+            mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="quadrature")
+            assert abs(mean - max(a * a, b * b)) < 1e-12
 
 
 def test_domain_and_measure_validation():
@@ -237,6 +257,18 @@ def test_analytic_sweep_reads_the_receiver_map():
     (rep,) = sweep([raw], method="analytic")
     quad, _ = avg_fidelity_numeric(raw, "sphere", method="quadrature")
     assert abs(rep.f_bar - quad) < 1e-12
+    # controller and receiver share a Bell pair, the sender is |0>: the walk
+    # gives 1/2 for every input, but the sender's outcome weights depend on
+    # the input, so the map is refused, and every method refuses with it
+    amps = np.zeros(8, dtype=complex)
+    amps[[0b000, 0b101]] = 1.0 / math.sqrt(2.0)
+    degenerate = RawChannel(state=PureState(amps))
+    assert abs(unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5)).ncf - 0.5) < 1e-12
+    for method in ("quadrature", "monte_carlo"):
+        with pytest.raises(CorrectionMismatchError):
+            avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)
+    with pytest.raises(CorrectionMismatchError):
+        sweep([degenerate], method="analytic")
 
 
 def test_ms_average_monotone_in_abs_d():

@@ -338,6 +338,15 @@ def test_verify_failure_injection(capsys, tmp_path):
     code = main(["verify", "--channel", "ghz", "--config", str(ghz)])
     capsys.readouterr()
     assert code == 0
+    # a raw channel whose receiver map is refused fails the average cleanly
+    amps = np.zeros(8, dtype=complex)
+    amps[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
+    degenerate = tmp_path / "degenerate.cfg"
+    degenerate.write_text(channel_to_config(RawChannel(state=PureState(amps))))
+    code = main(["avg", "--channel", "raw", "--config", str(degenerate)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ctpower: check failed: ") and "Traceback" not in err
 
 
 def test_console_entry_point_subprocess(tmp_path):

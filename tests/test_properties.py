@@ -4,7 +4,8 @@ Channels are named MS/GHZ/theta states and the same states with a random
 unitary on the controller qubit, which must leave the receiver's map
 unchanged.  For each, the map must be a valid qubit channel on the unit
 sphere, and the NCF it gives must equal the branch walk of
-unconditioned_teleport.  With the controller's help, and the controller
+unconditioned_teleport, pointwise and averaged over the sphere and the
+three circles.  With the controller's help, and the controller
 basis rotated along with the channel, teleportation must be perfect.
 """
 import math
@@ -13,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctpower.analysis import FAMILY_NAMES, _analytic_average, avg_fidelity_numeric
 from ctpower.channels import (
     GHZChannel,
     MSChannel,
@@ -89,6 +91,11 @@ def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, point
     for i in range(len(points)):
         walk = unconditioned_teleport(spec, make_qubit(k0[i], k1[i])).ncf
         assert abs(batch[i] - walk) < 1e-12
+    # quadrature averages the walk over exact designs; the map must agree
+    for family in (None,) + FAMILY_NAMES:
+        domain = "sphere" if family is None else "family"
+        quad = avg_fidelity_numeric(spec, domain, method="quadrature", family=family).mean
+        assert abs(quad - _analytic_average(spec, family)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
