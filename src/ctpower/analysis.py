@@ -32,7 +32,7 @@ from .channels import (
     check_unit_pair,
     three_tangle,
 )
-from .errors import MatchedFamiliesError, RangeError
+from .errors import RangeError
 from .protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
@@ -40,7 +40,7 @@ from .protocol import (
     receiver_map,
     unconditioned_teleport,
 )
-from .qcore import EXACT_ATOL, pauli
+from .qcore import EXACT_ATOL
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
 CLASSICAL_POWER = 1.0 / 3.0
@@ -248,42 +248,6 @@ def power_table(reports: Iterable[PowerReport]) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # mismatched channel/input families
-
-_CANONICAL_FAMILY = {
-    "xz": "xz", "x-z": "xz",
-    "xy": "xy", "x-y": "xy",
-    "yz": "yz", "y-z": "yz",
-}
-
-
-def _canon_family(name: str) -> str:
-    try:
-        return _CANONICAL_FAMILY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {name!r}; expected one of {FAMILY_NAMES}"
-        ) from None
-
-
-def mismatch_ncf_closed(
-    a: float, b: float, channel_family: str, input_family: str, angle: float
-) -> float:
-    """a^2 + b^2 |<phi_j| sigma_k |phi_j>|^2 for channel i teleporting family j.
-
-    sigma_k is the axis matched to ``channel_family`` (x for yz, y for xz,
-    z for xy); the input is the ``input_family`` member at ``angle``.
-    Raises MatchedFamiliesError when i = j, where this reduces to the
-    matched closed form.
-    """
-    i = _canon_family(channel_family)
-    j = _canon_family(input_family)
-    if i == j:
-        raise MatchedFamiliesError(f"channel and input family are both {i!r}")
-    a, b = check_unit_pair(a, b, "a, b")
-    phi = np.array(INPUT_FAMILIES[j].amplitudes(float(angle)), dtype=complex)
-    expectation = complex(np.vdot(phi, pauli(MATCHED_AXIS[i]) @ phi))
-    return a * a + b * b * abs(expectation) ** 2
-
 
 # the tolerance within which mismatch_report's claim flag agrees
 _CLAIM_ATOL = 1e-9

@@ -16,7 +16,8 @@ The controller's slice of an MS state decomposes over Bell pairs as
 
 which is where ``charlie_basis`` comes from: measuring the controller qubit
 in that (normalized, orthogonal) basis collapses sender+receiver onto a
-known Bell pair.
+known Bell pair.  A raw channel's controller measures in the computational
+basis, which names no pair.
 """
 from __future__ import annotations
 
@@ -72,7 +73,8 @@ _ROTATED_BELL = {
     "z": BellOutcome.PHI_MINUS,
 }
 
-ControllerOutcome = tuple[str, PureState, BellOutcome]
+# (label, basis vector, Bell pair left); None when no pair is known
+ControllerOutcome = tuple[str, PureState, BellOutcome | None]
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ class ChannelSpec:
 
     Every subclass names its ``family``, builds its 3-qubit ``state`` once
     per spec object, and lists its ``controller_measurement``: one
-    (label, basis vector, Bell pair left) triple per controller outcome.
+    (label, basis vector, Bell pair left) triple per controller outcome,
+    the pair being None where the receiver must pick its best correction.
     ``dominant_bell`` is the Bell pair of the most likely outcome, which
     the receiver corrects toward when the controller abstains.
     """
@@ -200,11 +203,10 @@ class RawChannel(ChannelSpec):
     def params(self) -> dict[str, object]:
         return {}
 
-    @property
+    @cached_property
     def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        raise ValueError(
-            "raw channels need an explicit controller basis; none is inferred"
-        )
+        # the computational basis; each branch's best Pauli corrects it
+        return (("0", make_qubit(1.0, 0.0), None), ("1", make_qubit(0.0, 1.0), None))
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +248,15 @@ def charlie_basis(c: float, d: float) -> tuple[PureState, PureState]:
     return out[0], out[1]
 
 
-def theta_channel(a: float, b: float, k: str, hermitian_y: bool = False) -> PureState:
+def theta_channel(a: float, b: float, k: str) -> PureState:
     """a|0>|phi+> + b|1>(I x sigma_k)|phi+> with a^2 + b^2 = 1.
 
-    For k='y' the rotation uses the real matrix PAULI_Y_REAL by default, so
-    the b-branch comes out as exactly b|1>|psi->; ``hermitian_y=True``
-    switches to the Hermitian Pauli y, which only multiplies that branch by
-    a global phase i and changes no probability, fidelity, or tangle.
+    For k='y' the rotation uses the real matrix PAULI_Y_REAL, so the
+    b-branch comes out as exactly b|1>|psi->; the Hermitian Pauli y would
+    only multiply that branch by a phase i.
     """
     a, b = check_unit_pair(a, b, "a, b")
-    if k == "y" and not hermitian_y:
-        sigma = PAULI_Y_REAL
-    else:
-        sigma = pauli(k)
+    sigma = PAULI_Y_REAL if k == "y" else pauli(k)
     s = 1.0 / np.sqrt(2.0)
     phi_plus = np.array([s, 0.0, 0.0, s], dtype=complex)
     rotated = (np.kron(np.eye(2), sigma) @ phi_plus)

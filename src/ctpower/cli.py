@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import (
     FAMILY_NAMES,
     avg_fidelity_numeric,
+    control_power,
     mismatch_report,
     mismatch_table,
     power_table,
@@ -35,7 +36,6 @@ from .channels import (
     ChannelSpec,
     GHZChannel,
     MSChannel,
-    RawChannel,
     ThetaChannel,
     channel_from_config,
     named_channel,
@@ -108,15 +108,13 @@ def _fmt_value(v: object, sig: int) -> str:
 
 
 def _json_scalar(v: object, sig: int) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v), sig)
     if v is None:
         return "null"
-    return json.dumps(_fmt_value(v, sig) if isinstance(v, complex) else str(v))
+    text = _fmt_value(v, sig)
+    # booleans and real numbers are JSON literals already; the rest are strings
+    if isinstance(v, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return text
+    return json.dumps(text)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +309,9 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
         return GHZChannel()
     if name == "ms":
         _reject_params(args, ("a", "b", "a2", "k"), "ms")
-        c, d = args.c, args.d
-        if c is None and d is None:
+        if args.c is None and args.d is None:
             raise UsageError("ms channels need --c and/or --d")
-        if c is None:
-            if abs(d) > 1.0:
-                raise UsageError(f"|d| must not exceed 1, got {d}")
-            c = math.sqrt(1.0 - d * d)
-        elif d is None:
-            if abs(c) > 1.0:
-                raise UsageError(f"|c| must not exceed 1, got {c}")
-            d = math.sqrt(1.0 - c * c)
+        c, d = _complete_unit_pair(args, "c", "d")
         return MSChannel(c=c, d=d)
     # theta family, by axis or by matched-family name
     _reject_params(args, ("c", "d"), name)
@@ -344,16 +334,20 @@ def _theta_amplitudes(args: argparse.Namespace) -> tuple[float, float]:
         return math.sqrt(args.a2), math.sqrt(1.0 - args.a2)
     if args.a is None and args.b is None:
         raise UsageError("theta-family channels need --a2 or --a/--b")
-    a, b = args.a, args.b
-    if a is None:
-        if abs(b) > 1.0:
-            raise UsageError(f"|b| must not exceed 1, got {b}")
-        a = math.sqrt(1.0 - b * b)
-    elif b is None:
-        if abs(a) > 1.0:
-            raise UsageError(f"|a| must not exceed 1, got {a}")
-        b = math.sqrt(1.0 - a * a)
-    return a, b
+    return _complete_unit_pair(args, "a", "b")
+
+
+def _complete_unit_pair(args: argparse.Namespace, x: str, y: str) -> tuple[float, float]:
+    """The flags ``x`` and ``y`` of a pair with x^2 + y^2 = 1, at least one
+    given; a missing one is derived, non-negative, from the other."""
+    values = {x: getattr(args, x), y: getattr(args, y)}
+    for missing, given in ((x, y), (y, x)):
+        if values[missing] is None:
+            v = values[given]
+            if abs(v) > 1.0:
+                raise UsageError(f"|{given}| must not exceed 1, got {v}")
+            values[missing] = math.sqrt(1.0 - v * v)
+    return values[x], values[y]
 
 
 def _reject_params(args: argparse.Namespace, names: tuple[str, ...], family: str) -> None:
@@ -400,12 +394,7 @@ def _cmd_channel(args: argparse.Namespace, config: RunConfig) -> tuple[Report, i
 def _cmd_ct(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     spec = _spec_from_args(args)
     family = _input_from_args(args)
-    basis = None
-    if isinstance(spec, RawChannel):
-        from .qcore import make_qubit
-
-        basis = (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))
-    run = controlled_teleport(spec, family, controller_basis=basis)
+    run = controlled_teleport(spec, family)
     report = Report(title="controlled teleportation branches")
     report.scalars = _describe_spec(spec) + _describe_input(family) + [
         ("total_probability", run.total_probability),
@@ -471,7 +460,7 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         ("method", args.method),
         ("mean", mean),
         ("stderr", stderr),
-        ("control_power", 1.0 - mean),
+        ("control_power", control_power(mean)),
     ]
     if args.method == "monte_carlo":
         report.scalars.append(("n_samples", args.n_samples))

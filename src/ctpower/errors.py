@@ -25,10 +25,5 @@ class CorrectionMismatchError(ValueError):
     """Post-correction receiver states disagree across sender outcomes.
 
     Raised when the disagreement exceeds 1e-10, which separates a wrong
-    correction table from accumulated floating-point noise.
+    correction rule from accumulated floating-point noise.
     """
-
-
-class MatchedFamiliesError(ValueError):
-    """A mismatch computation was asked to pair a channel with its own family."""
-

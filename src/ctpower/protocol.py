@@ -3,10 +3,12 @@
 Two protocol variants share the same wiring.  The joint register is always
 (input, controller, sender, receiver) = qubits (0, 1, 2, 3):
 
-* ``controlled_teleport``: the controller measures first (collapsing the
-  sender+receiver pair onto a known Bell state), then the sender projects
-  (input, sender) onto the Bell basis and the receiver applies a Pauli
-  correction.  Every branch ends with the input state exactly.
+* ``controlled_teleport``: the controller measures in the basis its
+  channel names (collapsing the sender+receiver pair onto a known Bell
+  state), then the sender projects (input, sender) onto the Bell basis and
+  the receiver applies a Pauli correction.  Every branch of a named channel
+  ends with the input state exactly; a raw channel's controller measures in
+  the computational basis, and its receiver takes the best Pauli per branch.
 
 * ``unconditioned_teleport``: the controller abstains.  The sender still
   measures, the receiver corrects toward the dominant channel branch, and
@@ -31,11 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import (
-    ChannelSpec,
-    RawChannel,
-    check_unit_pair,
-)
+from .channels import ChannelSpec, check_unit_pair
 from .errors import (
     CorrectionMismatchError,
     DimensionError,
@@ -187,62 +185,24 @@ def _resolve_input(f: InputFamily | PureState) -> PureState:
 # ---------------------------------------------------------------------------
 # receiver corrections
 
-_GATES = {
-    "I": IDENTITY,
-    "X": PAULI_X,
-    "Z": PAULI_Z,
-    "XZ": PAULI_X @ PAULI_Z,
-}
+# Pauli corrections indexed like BELL_OUTCOMES: bit 0 of a pair's index is
+# a Z and bit 1 an X on the receiver's half of phi+.  A branch needs the
+# Pauli whose bits are the XOR of the shared pair's and the sender outcome's.
+_CORRECTIONS = np.array([IDENTITY, PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z])
 
-# the candidate corrections for raw channels, in tie-breaking order
-_CORRECTIONS = np.array(list(_GATES.values()))
+# the best-Pauli candidates, in tie-breaking order I, X, Z, XZ
+_BEST_PAULI_ORDER = _CORRECTIONS[[0, 2, 1, 3]]
 
 # conjugated Bell pairs stacked by outcome, indexed (outcome, input, sender)
 _BELL_BRAS = np.array(
     [bell_state(o).amps.conj().reshape(2, 2) for o in BELL_OUTCOMES]
 )
 
-# With the controller's help the sender+receiver pair is a known Bell state;
-# the required Pauli product depends only on (that state, sender outcome).
-# Derived by brute force over {I, X, Z, XZ} (see the regression test) and
-# frozen here.
-_CT_TABLE: dict[tuple[BellOutcome, BellOutcome], str] = {
-    (BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS): "I",
-    (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS): "Z",
-    (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS): "X",
-    (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS): "XZ",
-    (BellOutcome.PHI_MINUS, BellOutcome.PHI_PLUS): "Z",
-    (BellOutcome.PHI_MINUS, BellOutcome.PHI_MINUS): "I",
-    (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS): "XZ",
-    (BellOutcome.PHI_MINUS, BellOutcome.PSI_MINUS): "X",
-    (BellOutcome.PSI_PLUS, BellOutcome.PHI_PLUS): "X",
-    (BellOutcome.PSI_PLUS, BellOutcome.PHI_MINUS): "XZ",
-    (BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS): "I",
-    (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS): "Z",
-    (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS): "XZ",
-    (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS): "X",
-    (BellOutcome.PSI_MINUS, BellOutcome.PSI_PLUS): "Z",
-    (BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS): "I",
-}
 
-
-def bob_correction(
-    bell: BellOutcome, charlie: str | None, spec: ChannelSpec
-) -> np.ndarray:
-    """Receiver's correction gate for a sender outcome.
-
-    With a controller outcome, returns the Pauli product that restores the
-    input exactly from the Bell pair that outcome leaves.  Without one
-    (charlie=None), returns the correction for the channel's dominant Bell
-    pair, ``spec.dominant_bell``; raw channels get the plain standard
-    corrections.
-    """
-    if charlie is None:
-        return _GATES[_CT_TABLE[(spec.dominant_bell, bell)]]
-    for label, _, shared in spec.controller_measurement:
-        if label == charlie:
-            return _GATES[_CT_TABLE[(shared, bell)]]
-    raise ValueError(f"unknown controller outcome {charlie!r}")
+def _correction(shared: BellOutcome, outcome: BellOutcome) -> np.ndarray:
+    """The Pauli that restores the input when the sender and receiver share
+    the Bell pair ``shared`` and the sender measures ``outcome``."""
+    return _CORRECTIONS[BELL_OUTCOMES.index(shared) ^ BELL_OUTCOMES.index(outcome)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +237,9 @@ class NcfResult:
     per_outcome_equal: bool
 
 
-def _controller_measurement(
-    spec: ChannelSpec, controller_basis: tuple[PureState, PureState] | None
-) -> tuple[tuple[str, PureState, BellOutcome | None], ...]:
-    """The controller's (label, basis vector, Bell pair left) triples; a raw
-    channel takes the caller's basis, which leaves no known pair (None)."""
-    if controller_basis is None:
-        return spec.controller_measurement  # raw channels raise here
-    if not isinstance(spec, RawChannel):
-        raise ValueError("controller basis is fixed for named channel families")
-    b0, b1 = controller_basis
-    if b0.num_qubits != 1 or b1.num_qubits != 1:
-        raise DimensionError("controller basis must be single-qubit states")
-    if abs(np.vdot(b0.amps, b1.amps)) > INPUT_ATOL:
-        raise ValueError("controller basis vectors are not orthogonal")
-    return (("0", b0, None), ("1", b1, None))
-
-
 def _best_pauli(target: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Fidelity-maximizing correction from {I, X, Z, XZ}; ties keep that order."""
-    candidates = _CORRECTIONS @ received
+    candidates = _BEST_PAULI_ORDER @ received
     fids = np.abs(candidates @ target.conj()) ** 2
     best = 0
     for i in range(1, len(fids)):
@@ -305,22 +248,19 @@ def _best_pauli(target: np.ndarray, received: np.ndarray) -> np.ndarray:
     return candidates[best]
 
 
-def controlled_teleport(
-    spec: ChannelSpec,
-    f: InputFamily | PureState,
-    controller_basis: tuple[PureState, PureState] | None = None,
-) -> CtRunResult:
+def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunResult:
     """Run the full protocol, enumerating every measurement branch.
 
-    Yields one branch per (controller outcome x sender Bell outcome) with
-    its joint probability, corrected receiver state, and fidelity against
-    the input.  Branches with zero probability are omitted; the recorded
-    probabilities still sum to 1.
+    The controller measures as ``spec.controller_measurement`` says.  Yields
+    one branch per (controller outcome x sender Bell outcome) with its joint
+    probability, corrected receiver state, and fidelity against the input.
+    Branches with zero probability are omitted; the recorded probabilities
+    still sum to 1.
     """
     phi = _resolve_input(f)
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     branches: list[CtBranch] = []
-    for label, cvec, shared in _controller_measurement(spec, controller_basis):
+    for label, cvec, shared in spec.controller_measurement:
         pair = np.tensordot(cvec.amps.conj(), chan, axes=1)  # (sender, receiver)
         p_ctrl = float(np.sum(np.abs(pair) ** 2))
         if p_ctrl <= ZERO_PROB:
@@ -338,7 +278,7 @@ def controlled_teleport(
             if shared is None:
                 corrected = _best_pauli(phi.amps, amps)
             else:
-                corrected = _GATES[_CT_TABLE[(shared, outcome)]] @ amps
+                corrected = _correction(shared, outcome) @ amps
             fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
             branches.append(
                 CtBranch(
@@ -359,14 +299,15 @@ def unconditioned_teleport(
 
     For each sender Bell outcome the controller qubit is traced out after
     the receiver's dominant-branch correction.  The four reduced states
-    must coincide (CorrectionMismatchError beyond 1e-10 says the table is
-    wrong); their common value gives ncf = <phi| rho3 |phi>.
+    must coincide (CorrectionMismatchError beyond 1e-10 says no single
+    correction fits the channel); their common value gives
+    ncf = <phi| rho3 |phi>.
     """
     phi = _resolve_input(f)
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     # post[o, c, r]: (sender outcome, controller, receiver), unnormalized
     post = np.einsum("ois,i,csr->ocr", _BELL_BRAS, phi.amps, chan)
-    gates = np.array([bob_correction(o, None, spec) for o in BELL_OUTCOMES])
+    gates = np.array([_correction(spec.dominant_bell, o) for o in BELL_OUTCOMES])
     post = np.einsum("orq,ocq->ocr", gates, post)
     probs = np.sum(np.abs(post) ** 2, axis=(1, 2))
     keep = probs > ZERO_PROB
@@ -429,7 +370,7 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     Each outcome contributes two Kraus operators, one per controller basis
     state, already corrected by the receiver.  Every outcome has average
     probability 1/4 over the sphere; divided by that weight, the outcomes'
-    matrices must coincide, or the correction table is wrong.
+    matrices must coincide, or no single correction fits the channel.
 
     Cached per spec, so a channel's map is built once however many
     averages read it (a mismatch report reads three circles per channel);
@@ -440,7 +381,7 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     for o, outcome in enumerate(BELL_OUTCOMES):
         # kraus[c] maps the input qubit to the receiver, controller left in |c>
         kraus = np.einsum("ts,csr->crt", _BELL_BRAS[o], chan)
-        kraus = bob_correction(outcome, None, spec) @ kraus
+        kraus = _correction(spec.dominant_bell, outcome) @ kraus
         per_outcome[o] = 0.5 * np.einsum(
             "iab,cbd,jde,cae->ij", _PAULI_BASIS, kraus, _PAULI_BASIS, kraus.conj()
         ).real

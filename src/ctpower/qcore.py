@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for registers of 1 to 4 qubits.
+"""Validated states, Pauli gates and Bell pairs for registers of 1 to 4 qubits.
 
 Qubit ordering is big-endian: qubit 0 is the leftmost tensor factor, so
 bit i of a basis index belongs to qubit i.  |q0 q1 .. q_{n-1}> lives at
@@ -7,12 +7,15 @@ index q0*2^(n-1) + q1*2^(n-2) + .. + q_{n-1}.
 Amplitudes are plain Python/numpy complex numbers (``Amplitude`` below).
 States and density operators are thin frozen wrappers around read-only
 numpy arrays; every constructor validates the invariants it advertises.
+The package itself builds registers of at most 3 qubits; the 4-qubit bound
+serves the tests' branch-by-branch oracle (``tests/oracles.py``), which
+holds the projections, partial trace and gate application only the tests
+use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +26,7 @@ Amplitude = complex
 EXACT_ATOL = 1e-12   # tolerance for identities that hold in exact arithmetic
 INPUT_ATOL = 1e-10   # tolerance when validating user-supplied values
 PSD_ATOL = 1e-10     # eigenvalue floor for density operators
-ZERO_PROB = 1e-12    # projection probability at or below this is "never happens"
+ZERO_PROB = 1e-12    # branch probability at or below this is "never happens"
 
 MAX_QUBITS = 4
 
@@ -152,119 +155,11 @@ def bell_state(outcome: BellOutcome) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# state construction and composition
+# single qubits and fidelity
 
 def make_qubit(k0: Amplitude, k1: Amplitude) -> PureState:
     """Single qubit k0|0> + k1|1>; |k0|^2+|k1|^2 must be 1 within 1e-10."""
     return PureState(np.array([k0, k1], dtype=complex))
-
-
-def tensor(left: PureState, right: PureState) -> PureState:
-    """Tensor product; ``left`` supplies the leading (leftmost) qubits."""
-    if left.num_qubits + right.num_qubits > MAX_QUBITS:
-        raise DimensionError(
-            f"product register of {left.num_qubits + right.num_qubits} qubits "
-            f"exceeds the {MAX_QUBITS}-qubit limit"
-        )
-    return PureState(np.kron(left.amps, right.amps))
-
-
-def apply_gate(gate: np.ndarray, target: int, state: PureState) -> PureState:
-    """Apply a 2x2 gate to qubit ``target``."""
-    g = np.asarray(gate, dtype=complex)
-    if g.shape != (2, 2):
-        raise DimensionError(f"single-qubit gate must be 2x2, got {g.shape}")
-    n = state.num_qubits
-    if not 0 <= target < n:
-        raise IndexError(f"target qubit {target} out of range for {n} qubits")
-    t = state.amps.reshape((2,) * n)
-    t = np.tensordot(g, t, axes=([1], [target]))
-    t = np.moveaxis(t, 0, target)
-    return PureState(t.reshape(-1))
-
-
-def to_density(state: PureState) -> DensityOperator:
-    """Rank-one density operator |state><state|."""
-    return DensityOperator(np.outer(state.amps, state.amps.conj()))
-
-
-# ---------------------------------------------------------------------------
-# measurement projections
-
-def project_single_qubit(
-    state: PureState, target: int, onto: PureState
-) -> tuple[float, PureState | None]:
-    """Project qubit ``target`` onto the 1-qubit state ``onto``.
-
-    Returns (probability, normalized post-measurement state).  The post
-    state drops the measured qubit, preserving the order of the rest; it
-    is None when the probability vanishes or no qubits remain.
-    """
-    if onto.num_qubits != 1:
-        raise DimensionError("projection target must be a single-qubit state")
-    n = state.num_qubits
-    if not 0 <= target < n:
-        raise IndexError(f"qubit {target} out of range for {n} qubits")
-    t = state.amps.reshape((2,) * n)
-    amp = np.tensordot(onto.amps.conj(), t, axes=([0], [target]))
-    return _finish_projection(amp)
-
-
-def project_two_qubit(
-    state: PureState, first: int, second: int, onto: PureState
-) -> tuple[float, PureState | None]:
-    """Project qubits (first, second) onto the 2-qubit state ``onto``.
-
-    ``onto`` qubit 0 matches ``first`` and qubit 1 matches ``second``.
-    Returns (probability, post state on the remaining qubits in their
-    original order), post being None on zero probability or an empty
-    remainder.
-    """
-    if onto.num_qubits != 2:
-        raise DimensionError("projection target must be a two-qubit state")
-    n = state.num_qubits
-    if first == second:
-        raise IndexError("projection qubits must be distinct")
-    for q in (first, second):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n} qubits")
-    t = state.amps.reshape((2,) * n)
-    o = onto.amps.conj().reshape(2, 2)
-    amp = np.tensordot(o, t, axes=([0, 1], [first, second]))
-    return _finish_projection(amp)
-
-
-def _finish_projection(amp: np.ndarray) -> tuple[float, PureState | None]:
-    prob = float(np.sum(np.abs(amp) ** 2))
-    if prob <= ZERO_PROB:
-        return 0.0, None
-    if amp.ndim == 0:
-        return prob, None
-    return prob, PureState(amp.reshape(-1) / np.sqrt(prob))
-
-
-# ---------------------------------------------------------------------------
-# reduced states and comparisons
-
-def partial_trace(rho: DensityOperator, discard: Iterable[int]) -> DensityOperator:
-    """Trace out the qubits in ``discard``, keeping the rest in order."""
-    n = rho.num_qubits
-    gone = sorted(set(discard))
-    if not gone:
-        raise IndexError("must discard at least one qubit")
-    if any(q < 0 or q >= n for q in gone):
-        raise IndexError(f"discard indices {gone} out of range for {n} qubits")
-    if len(gone) >= n:
-        raise IndexError("cannot discard every qubit")
-    keep = [q for q in range(n) if q not in set(gone)]
-    t = rho.mat.reshape((2,) * (2 * n))
-    # row axis q and column axis n+q share a label for traced qubits
-    row = list(range(n))
-    col = [q if q in set(gone) else n + q for q in range(n)]
-    out = keep + [n + q for q in keep]
-    reduced = np.einsum(t, row + col, out)
-    dim = 2 ** len(keep)
-    return DensityOperator(reduced.reshape(dim, dim))
 
 
 def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
@@ -278,9 +173,3 @@ def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
     return min(max(val.real, 0.0), 1.0)
 
-
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL) -> bool:
-    """True when a = e^{i alpha} b for some real alpha, within ``tol``."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionError("states live on different numbers of qubits")
-    return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - tol)

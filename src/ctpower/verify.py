@@ -30,7 +30,6 @@ from .channels import (
     ChannelSpec,
     GHZChannel,
     MSChannel,
-    RawChannel,
     ThetaChannel,
     ms_state,
     three_tangle,
@@ -45,7 +44,7 @@ from .protocol import (
     ncf_ms_closed,
     unconditioned_teleport,
 )
-from .qcore import PureState, apply_gate, make_qubit, tensor
+from .qcore import PureState
 
 
 @dataclass(frozen=True)
@@ -237,19 +236,18 @@ def check_three_tangle(seed: int) -> CheckResult:
     worst = max(worst, abs(three_tangle(GHZChannel().state).tau - 1.0))
     worst = max(worst, three_tangle(ms_state(0.0, 1.0)).tau)  # qubit x Bell pair
     rng = _rng(seed, 8)
-    qubit = make_qubit(*(lambda v: v / np.linalg.norm(v))(
-        rng.normal(size=2) + 1j * rng.normal(size=2)
-    ))
-    bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
-    worst = max(worst, three_tangle(tensor(qubit, bell)).tau)
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+    product = PureState(np.kron(qubit / np.linalg.norm(qubit), bell))
+    worst = max(worst, three_tangle(product).tau)
     base = ms_state(0.6, 0.8)
     tau0 = three_tangle(base).tau
     worst_lu = 0.0
     for _ in range(50):
-        rotated = base
-        for q in range(3):
-            rotated = apply_gate(_random_local_unitary(rng), q, rotated)
-        worst_lu = max(worst_lu, abs(three_tangle(rotated).tau - tau0))
+        # one unitary per qubit, drawn in qubit order
+        u = [_random_local_unitary(rng) for _ in range(3)]
+        rotated = np.einsum("ai,bj,ck,ijk->abc", *u, base.amps.reshape(2, 2, 2))
+        worst_lu = max(worst_lu, abs(three_tangle(PureState(rotated)).tau - tau0))
     ok = worst <= 1e-9 and worst_lu <= 1e-9
     return CheckResult(
         "three-tangle",
@@ -285,15 +283,11 @@ def check_mismatch(seed: int) -> CheckResult:
 def check_channel_ct(spec: ChannelSpec) -> CheckResult:
     """Focused check: can this channel teleport perfectly with the controller?
 
-    Raw channels get the computational controller basis.  This is the
-    failure-injection path: a corrupted raw channel fails here.
+    This is the failure-injection path: a corrupted raw channel fails here.
     """
-    basis = None
-    if isinstance(spec, RawChannel):
-        basis = (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))
     worst = 0.0
     for family in (ArbitraryInput(1.1, 0.6), XYInput(0.7), XZInput(2.0)):
-        run = controlled_teleport(spec, family, controller_basis=basis)
+        run = controlled_teleport(spec, family)
         worst = max(worst, 1.0 - run.min_fidelity)
     return CheckResult(
         "channel-ct",

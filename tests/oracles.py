@@ -1,0 +1,187 @@
+"""Reference primitives the tests pin the package to.
+
+The package contracts whole measurements at once; these functions take
+one step at a time on validated registers of up to four qubits, the way
+the protocol is written on paper, so the tests can walk every branch
+independently of the engine.  ``mismatch_ncf_closed`` is the closed form
+the mismatch averages are checked against.
+"""
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from ctpower.analysis import FAMILY_NAMES
+from ctpower.channels import MATCHED_AXIS, check_unit_pair
+from ctpower.errors import DimensionError
+from ctpower.protocol import INPUT_FAMILIES
+from ctpower.qcore import (
+    EXACT_ATOL,
+    MAX_QUBITS,
+    ZERO_PROB,
+    DensityOperator,
+    PureState,
+    pauli,
+)
+
+
+class MatchedFamiliesError(ValueError):
+    """A mismatch computation was asked to pair a channel with its own family."""
+
+
+# ---------------------------------------------------------------------------
+# composition and gates
+
+def tensor(left: PureState, right: PureState) -> PureState:
+    """Tensor product; ``left`` supplies the leading (leftmost) qubits."""
+    if left.num_qubits + right.num_qubits > MAX_QUBITS:
+        raise DimensionError(
+            f"product register of {left.num_qubits + right.num_qubits} qubits "
+            f"exceeds the {MAX_QUBITS}-qubit limit"
+        )
+    return PureState(np.kron(left.amps, right.amps))
+
+
+def apply_gate(gate: np.ndarray, target: int, state: PureState) -> PureState:
+    """Apply a 2x2 gate to qubit ``target``."""
+    g = np.asarray(gate, dtype=complex)
+    if g.shape != (2, 2):
+        raise DimensionError(f"single-qubit gate must be 2x2, got {g.shape}")
+    n = state.num_qubits
+    if not 0 <= target < n:
+        raise IndexError(f"target qubit {target} out of range for {n} qubits")
+    t = state.amps.reshape((2,) * n)
+    t = np.tensordot(g, t, axes=([1], [target]))
+    t = np.moveaxis(t, 0, target)
+    return PureState(t.reshape(-1))
+
+
+def to_density(state: PureState) -> DensityOperator:
+    """Rank-one density operator |state><state|."""
+    return DensityOperator(np.outer(state.amps, state.amps.conj()))
+
+
+# ---------------------------------------------------------------------------
+# measurement projections
+
+def project_single_qubit(
+    state: PureState, target: int, onto: PureState
+) -> tuple[float, PureState | None]:
+    """Project qubit ``target`` onto the 1-qubit state ``onto``.
+
+    Returns (probability, normalized post-measurement state).  The post
+    state drops the measured qubit, preserving the order of the rest; it
+    is None when the probability vanishes or no qubits remain.
+    """
+    if onto.num_qubits != 1:
+        raise DimensionError("projection target must be a single-qubit state")
+    n = state.num_qubits
+    if not 0 <= target < n:
+        raise IndexError(f"qubit {target} out of range for {n} qubits")
+    t = state.amps.reshape((2,) * n)
+    amp = np.tensordot(onto.amps.conj(), t, axes=([0], [target]))
+    return _finish_projection(amp)
+
+
+def project_two_qubit(
+    state: PureState, first: int, second: int, onto: PureState
+) -> tuple[float, PureState | None]:
+    """Project qubits (first, second) onto the 2-qubit state ``onto``.
+
+    ``onto`` qubit 0 matches ``first`` and qubit 1 matches ``second``.
+    Returns (probability, post state on the remaining qubits in their
+    original order), post being None on zero probability or an empty
+    remainder.
+    """
+    if onto.num_qubits != 2:
+        raise DimensionError("projection target must be a two-qubit state")
+    n = state.num_qubits
+    if first == second:
+        raise IndexError("projection qubits must be distinct")
+    for q in (first, second):
+        if not 0 <= q < n:
+            raise IndexError(f"qubit {q} out of range for {n} qubits")
+    t = state.amps.reshape((2,) * n)
+    o = onto.amps.conj().reshape(2, 2)
+    amp = np.tensordot(o, t, axes=([0, 1], [first, second]))
+    return _finish_projection(amp)
+
+
+def _finish_projection(amp: np.ndarray) -> tuple[float, PureState | None]:
+    prob = float(np.sum(np.abs(amp) ** 2))
+    if prob <= ZERO_PROB:
+        return 0.0, None
+    if amp.ndim == 0:
+        return prob, None
+    return prob, PureState(amp.reshape(-1) / np.sqrt(prob))
+
+
+# ---------------------------------------------------------------------------
+# reduced states and comparisons
+
+def partial_trace(rho: DensityOperator, discard: Iterable[int]) -> DensityOperator:
+    """Trace out the qubits in ``discard``, keeping the rest in order."""
+    n = rho.num_qubits
+    gone = sorted(set(discard))
+    if not gone:
+        raise IndexError("must discard at least one qubit")
+    if any(q < 0 or q >= n for q in gone):
+        raise IndexError(f"discard indices {gone} out of range for {n} qubits")
+    if len(gone) >= n:
+        raise IndexError("cannot discard every qubit")
+    keep = [q for q in range(n) if q not in set(gone)]
+    t = rho.mat.reshape((2,) * (2 * n))
+    # row axis q and column axis n+q share a label for traced qubits
+    row = list(range(n))
+    col = [q if q in set(gone) else n + q for q in range(n)]
+    out = keep + [n + q for q in keep]
+    reduced = np.einsum(t, row + col, out)
+    dim = 2 ** len(keep)
+    return DensityOperator(reduced.reshape(dim, dim))
+
+
+def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL) -> bool:
+    """True when a = e^{i alpha} b for some real alpha, within ``tol``."""
+    if a.num_qubits != b.num_qubits:
+        raise DimensionError("states live on different numbers of qubits")
+    return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - tol)
+
+
+# ---------------------------------------------------------------------------
+# mismatched channel/input families
+
+_CANONICAL_FAMILY = {
+    "xz": "xz", "x-z": "xz",
+    "xy": "xy", "x-y": "xy",
+    "yz": "yz", "y-z": "yz",
+}
+
+
+def _canon_family(name: str) -> str:
+    try:
+        return _CANONICAL_FAMILY[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown family {name!r}; expected one of {FAMILY_NAMES}"
+        ) from None
+
+
+def mismatch_ncf_closed(
+    a: float, b: float, channel_family: str, input_family: str, angle: float
+) -> float:
+    """a^2 + b^2 |<phi_j| sigma_k |phi_j>|^2 for channel i teleporting family j.
+
+    sigma_k is the axis matched to ``channel_family`` (x for yz, y for xz,
+    z for xy); the input is the ``input_family`` member at ``angle``.
+    Raises MatchedFamiliesError when i = j, where this reduces to the
+    matched closed form.
+    """
+    i = _canon_family(channel_family)
+    j = _canon_family(input_family)
+    if i == j:
+        raise MatchedFamiliesError(f"channel and input family are both {i!r}")
+    a, b = check_unit_pair(a, b, "a, b")
+    phi = np.array(INPUT_FAMILIES[j].amplitudes(float(angle)), dtype=complex)
+    expectation = complex(np.vdot(phi, pauli(MATCHED_AXIS[i]) @ phi))
+    return a * a + b * b * abs(expectation) ** 2

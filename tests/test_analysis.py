@@ -17,7 +17,6 @@ from ctpower.analysis import (
     avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
-    mismatch_ncf_closed,
     mismatch_report,
     mismatch_table,
     power_bound_check,
@@ -26,9 +25,10 @@ from ctpower.analysis import (
     sweep,
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
-from ctpower.errors import CorrectionMismatchError, MatchedFamiliesError, RangeError
+from ctpower.errors import CorrectionMismatchError, RangeError
 from ctpower.protocol import ArbitraryInput, unconditioned_teleport
-from ctpower.qcore import PureState, apply_gate
+from ctpower.qcore import PureState
+from oracles import MatchedFamiliesError, apply_gate, mismatch_ncf_closed
 
 
 def sphere_average_oracle(integrand, order=200):

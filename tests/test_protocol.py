@@ -1,12 +1,13 @@
-"""Teleportation protocol runs, the correction table, and closed forms.
+"""Teleportation protocol runs, the correction rule, and closed forms.
 
-The frozen correction table is re-derived here by brute force: for every
-(shared Bell pair, sender outcome) the unique gate in {I, X, Z, XZ} that
-restores the input must match the table entry.
+The correction rule (an XOR of Pauli bits) is re-derived here by brute
+force: for every (shared Bell pair, sender outcome) the unique gate in
+{I, X, Z, XZ} that restores the input must be the one the rule gives.
 
 Both protocols contract all measurement outcomes at once.  The walks below
-run them one branch at a time through the qcore primitives, validating
-every intermediate state, and are the oracle the protocols are pinned to.
+run them one branch at a time through the primitives of ``oracles.py``,
+validating every intermediate state, and are the oracle the protocols are
+pinned to.
 """
 import math
 
@@ -31,15 +32,12 @@ from ctpower.errors import (
 )
 from ctpower.protocol import (
     INPUT_FAMILIES,
-    _CT_TABLE,
-    _GATES,
-    _controller_measurement,
+    _correction,
     _resolve_input,
     ArbitraryInput,
     XYInput,
     XZInput,
     YZInput,
-    bob_correction,
     controlled_teleport,
     input_state,
     ncf_batch,
@@ -50,20 +48,30 @@ from ctpower.protocol import (
 )
 from ctpower.qcore import (
     BELL_OUTCOMES,
+    IDENTITY,
+    PAULI_X,
+    PAULI_Z,
     BellOutcome,
     PureState,
-    apply_gate,
     bell_state,
-    equal_up_to_global_phase,
     make_qubit,
-    partial_trace,
     pauli,
+)
+from ctpower.verify import _random_local_unitary
+from oracles import (
+    apply_gate,
+    equal_up_to_global_phase,
+    partial_trace,
     project_single_qubit,
     project_two_qubit,
     tensor,
     to_density,
 )
-from ctpower.verify import _random_local_unitary
+
+# the receiver's candidate corrections, in the raw channels' tie order
+PAULIS = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "XZ": PAULI_X @ PAULI_Z}
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def random_qubit(rng):
@@ -88,12 +96,12 @@ def random_theta(rng):
 # ---------------------------------------------------------------------------
 # the branch-by-branch oracle
 
-def walk_controlled(spec, f, controller_basis=None):
+def walk_controlled(spec, f):
     """[(controller label, Bell outcome, probability, receiver amps)]."""
     phi = _resolve_input(f)
     joint = tensor(phi, spec.state)
     branches = []
-    for label, cvec, _ in _controller_measurement(spec, controller_basis):
+    for label, cvec, shared in spec.controller_measurement:
         p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
         if after_ctrl is None:
             continue
@@ -104,17 +112,16 @@ def walk_controlled(spec, f, controller_basis=None):
             )
             if after_bell is None:
                 continue
-            if isinstance(spec, RawChannel):
+            if shared is None:
                 best = None
-                for gate in _GATES.values():  # I, X, Z, XZ; ties keep the first
+                for gate in PAULIS.values():  # ties keep the first
                     candidate = apply_gate(gate, 0, after_bell)
                     fid = abs(np.vdot(phi.amps, candidate.amps)) ** 2
                     if best is None or fid > best[0] + 1e-12:
                         best = (fid, candidate)
                 corrected = best[1]
             else:
-                gate = bob_correction(outcome, label, spec)
-                corrected = apply_gate(gate, 0, after_bell)
+                corrected = apply_gate(_correction(shared, outcome), 0, after_bell)
             branches.append((label, outcome, p_ctrl * p_bell, corrected.amps))
     return branches
 
@@ -129,7 +136,7 @@ def walk_unconditioned(spec, f):
         if post is None:
             continue
         # post register: (controller, receiver)
-        corrected = apply_gate(bob_correction(outcome, None, spec), 1, post)
+        corrected = apply_gate(_correction(spec.dominant_bell, outcome), 1, post)
         mats.append(partial_trace(to_density(corrected), (0,)).mat)
         probs.append(p)
     spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
@@ -138,12 +145,13 @@ def walk_unconditioned(spec, f):
     return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
 
 
-def rotated_on_controller(spec, unitary):
-    """A named channel as a raw state with ``unitary`` on the controller, and
-    the named controller basis rotated along with it."""
-    basis = [cvec for _, cvec, _ in _controller_measurement(spec, None)]
-    raw = RawChannel(state=apply_gate(unitary, 0, spec.state))
-    return raw, tuple(PureState(unitary @ b.amps) for b in basis)
+def rotated_on_controller(spec, rng):
+    """A named channel as a raw state whose computational controller basis is
+    the named one: D B^dagger on the controller, with B holding the named
+    basis vectors as columns and D a random diagonal phase."""
+    basis = np.column_stack([cvec.amps for _, cvec, _ in spec.controller_measurement])
+    phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
+    return RawChannel(state=apply_gate(phases @ basis.conj().T, 0, spec.state))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def test_input_family_ranges():
 
 
 # ---------------------------------------------------------------------------
-# correction table
+# correction rule
 
 def test_correction_table_rederived_by_brute_force():
     rng = np.random.default_rng(61)
@@ -209,26 +217,13 @@ def test_correction_table_rederived_by_brute_force():
                 assert prob > 1e-12 and post is not None
                 exact = [
                     name
-                    for name, gate in _GATES.items()
+                    for name, gate in PAULIS.items()
                     if abs(np.vdot(phi.amps, gate @ post.amps)) > 1.0 - 1e-10
                 ]
                 assert len(exact) == 1  # unique perfect correction
                 winners.add(exact[0])
-            assert winners == {_CT_TABLE[(shared, sender)]}
-
-
-def test_bob_correction_with_controller_matches_table():
-    spec = MSChannel(c=0.6, d=0.8)
-    got = bob_correction(BellOutcome.PHI_MINUS, "x+", spec)
-    assert np.array_equal(got, _GATES["Z"])
-    got = bob_correction(BellOutcome.PHI_MINUS, "x-", spec)
-    assert np.array_equal(got, _GATES["I"])
-    # GHZ reference branch
-    assert np.array_equal(
-        bob_correction(BellOutcome.PHI_PLUS, "x+", GHZChannel()), _GATES["I"]
-    )
-    with pytest.raises(ValueError):
-        bob_correction(BellOutcome.PHI_PLUS, "sideways", spec)
+            assert len(winners) == 1
+            assert np.array_equal(_correction(shared, sender), PAULIS[winners.pop()])
 
 
 # ---------------------------------------------------------------------------
@@ -291,59 +286,51 @@ def test_controlled_teleport_accepts_bare_states_with_phase():
         assert abs(x.fidelity - y.fidelity) < 1e-12
 
 
-def test_raw_channel_controller_basis_rules():
-    ghz_raw = RawChannel(state=GHZChannel().state)
+def test_raw_channel_measures_the_controller_in_the_computational_basis():
     family = ArbitraryInput(1.0, 0.5)
-    with pytest.raises(ValueError):
-        controlled_teleport(ghz_raw, family)  # basis required
-    with pytest.raises(ValueError):
-        controlled_teleport(
-            ghz_raw, family,
-            controller_basis=(make_qubit(1.0, 0.0), make_qubit(1.0, 0.0)),
-        )  # not orthogonal
-    with pytest.raises(ValueError):
-        controlled_teleport(
-            GHZChannel(), family,
-            controller_basis=(make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)),
-        )  # named families fix their own basis
-    s = 1 / np.sqrt(2)
-    hadamard_basis = (make_qubit(s, s), make_qubit(s, -s))
-    run = controlled_teleport(ghz_raw, family, controller_basis=hadamard_basis)
+    # a Hadamard on GHZ's controller turns its |0>, |1> outcomes into the
+    # x+, x- outcomes that leave Bell pairs
+    ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
+    run = controlled_teleport(ghz_h, family)
+    assert {b.charlie_outcome for b in run.branches} == {"0", "1"}
     assert run.min_fidelity > 1.0 - 1e-12
-    # the computational basis strands the receiver in a product state
-    run = controlled_teleport(
-        ghz_raw, family,
-        controller_basis=(make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)),
-    )
+    assert abs(run.total_probability - 1.0) < 1e-12
+    # on GHZ itself they strand the receiver in a product state
+    run = controlled_teleport(RawChannel(state=GHZChannel().state), family)
     assert run.min_fidelity < 0.999
 
 
 def test_controlled_teleport_matches_the_branch_walk():
     rng = np.random.default_rng(79)
-    s = 1 / np.sqrt(2)
-    ghz_raw = RawChannel(state=GHZChannel().state)
     cases = [
-        (GHZChannel(), None),
-        (MSChannel(c=0.6, d=0.8), None),
-        (MSChannel(c=0.6, d=-0.8), None),
-        (MSChannel(c=0.0, d=1.0), None),
-        (MSChannel(c=0.0, d=-1.0), None),
-        (ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"), None),
-        (ThetaChannel(a=math.sqrt(0.7), b=-math.sqrt(0.3), k="x"), None),
+        GHZChannel(),
+        MSChannel(c=0.6, d=0.8),
+        MSChannel(c=0.6, d=-0.8),
+        MSChannel(c=0.0, d=1.0),
+        MSChannel(c=0.0, d=-1.0),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
+        ThetaChannel(a=math.sqrt(0.7), b=-math.sqrt(0.3), k="x"),
         # controller outcome 1 never happens
-        (ThetaChannel(a=1.0, b=0.0, k="z"), None),
-        rotated_on_controller(MSChannel(c=0.8, d=-0.6), _random_local_unitary(rng)),
-        rotated_on_controller(ThetaChannel(0.6, 0.8, "y"), _random_local_unitary(rng)),
-        (ghz_raw, (make_qubit(s, s), make_qubit(s, -s))),
+        ThetaChannel(a=1.0, b=0.0, k="z"),
+        rotated_on_controller(MSChannel(c=0.8, d=-0.6), rng),
+        rotated_on_controller(ThetaChannel(0.6, 0.8, "y"), rng),
+        RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state)),
+        # imperfect branches: each takes its best Pauli
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, 0.8).state)),
         # the receiver ends in |0> or |1>: on the equator all four
         # candidate corrections tie, and the first (I) must win
-        (ghz_raw, (make_qubit(1.0, 0.0), make_qubit(0.0, 1.0))),
+        RawChannel(state=GHZChannel().state),
+        # the receiver ends in (|0> + i|1>)/sqrt2: on inputs with sin(phi) < 0
+        # X and Z tie above I and XZ, and X must win
+        RawChannel(state=PureState(np.kron([1, 0, 0, 0], [1, 1j]) / np.sqrt(2))),
     ]
-    inputs = [XYInput(0.9), make_qubit(1.0, 0.0)] + [random_qubit(rng) for _ in range(4)]
-    for spec, basis in cases:
+    inputs = [XYInput(0.9), make_qubit(1.0, 0.0), ArbitraryInput(1.0, 4.0)] + [
+        random_qubit(rng) for _ in range(4)
+    ]
+    for spec in cases:
         for f in inputs:
-            run = controlled_teleport(spec, f, controller_basis=basis)
-            walk = walk_controlled(spec, f, controller_basis=basis)
+            run = controlled_teleport(spec, f)
+            walk = walk_controlled(spec, f)
             assert [(b.charlie_outcome, b.bell_outcome) for b in run.branches] == [
                 (label, outcome) for label, outcome, _, _ in walk
             ]
@@ -367,8 +354,8 @@ def test_unconditioned_teleport_matches_the_branch_walk():
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
         ThetaChannel(a=math.sqrt(0.8), b=math.sqrt(0.2), k="y"),
         ThetaChannel(a=1.0, b=0.0, k="x"),
-        rotated_on_controller(MSChannel(c=0.6, d=-0.8), _random_local_unitary(rng))[0],
-        rotated_on_controller(ThetaChannel(0.8, 0.6, "x"), _random_local_unitary(rng))[0],
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, -0.8).state)),
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, ThetaChannel(0.8, 0.6, "x").state)),
     ]
     inputs = [make_qubit(1.0, 0.0), YZInput(2.5)] + [random_qubit(rng) for _ in range(4)]
     product = np.zeros(8, dtype=complex)

@@ -1,4 +1,9 @@
-"""Register linear algebra, checked against independent full-matrix oracles."""
+"""Register linear algebra, checked against independent full-matrix oracles.
+
+The package's state containers, gates and Bell pairs live in ``ctpower.qcore``;
+the step-by-step primitives the other tests' oracles use (gate application,
+projections, partial trace) live in ``tests/oracles.py`` and are checked here
+too, since every oracle needs its own check."""
 import numpy as np
 import pytest
 
@@ -13,13 +18,15 @@ from ctpower.qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
-    apply_gate,
     bell_state,
-    equal_up_to_global_phase,
     fidelity_with_pure,
     make_qubit,
-    partial_trace,
     pauli,
+)
+from oracles import (
+    apply_gate,
+    equal_up_to_global_phase,
+    partial_trace,
     project_single_qubit,
     project_two_qubit,
     tensor,
