@@ -12,13 +12,14 @@ Averages run over one of two domains:
 
 The analytic method and ``mismatch_report`` read both averages off the
 receiver's Bloch map (``protocol.receiver_map``).  Quadrature averages the
-branch walk (``protocol.unconditioned_teleport``) over exact design points,
+branch walk over exact design points, all of a design in one batched walk,
 so it checks the map rather than re-reading it; Monte Carlo uses the
 counter-based Philox generator so every stochastic result is
 bit-reproducible from (seed, row-index).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,9 +37,9 @@ from .errors import RangeError
 from .protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
+    _walk,
     ncf_batch,
     receiver_map,
-    unconditioned_teleport,
 )
 from .qcore import EXACT_ATOL
 
@@ -88,13 +89,23 @@ def power_bound_check(a: float) -> bool:
 # Exact designs for the NCF, a quadratic in the input's Bloch vector: the
 # regular tetrahedron is a spherical 2-design, and three equally spaced
 # members of a great circle average any degree-2 trigonometric polynomial.
-_THIRDS = (0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0)
-_TETRAHEDRON = (ArbitraryInput(0.0, 0.0),) + tuple(
-    ArbitraryInput(np.arccos(-1.0 / 3.0), phi) for phi in _THIRDS
-)
-_CIRCLE_DESIGNS = {
-    name: tuple(INPUT_FAMILIES[name](a) for a in _THIRDS) for name in FAMILY_NAMES
-}
+_THIRDS = np.array([0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0])
+
+
+@functools.cache
+def _design(family: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude arrays (k0, k1) of the tetrahedron (``family`` None: the
+    north pole and three points at polar angle arccos(-1/3)), or of three
+    equally spaced members of a family's circle.  Built on first use, and
+    read-only because every caller shares them."""
+    if family is None:
+        k0, k1 = ArbitraryInput.amplitudes(
+            np.array([0.0, *3 * [np.arccos(-1.0 / 3.0)]]), np.array([0.0, *_THIRDS])
+        )
+    else:
+        k0, k1 = INPUT_FAMILIES[family].amplitudes(_THIRDS)
+    k0.flags.writeable = k1.flags.writeable = False
+    return k0, k1
 
 
 def _rng(seed: int, row: int) -> np.random.Generator:
@@ -139,9 +150,8 @@ def avg_fidelity_numeric(
         # the walk alone passes channels whose map is refused (it gives 1/2
         # where the sender's outcome weights depend on the input)
         receiver_map(spec)
-        design = _TETRAHEDRON if domain == "sphere" else _CIRCLE_DESIGNS[family]
-        mean = sum(unconditioned_teleport(spec, f).ncf for f in design) / len(design)
-        return AverageResult(mean, 0.0)
+        design = _design(family if domain == "family" else None)
+        return AverageResult(float(np.mean(_walk(spec, *design).ncf)), 0.0)
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")

@@ -684,6 +684,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"ctpower: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"ctpower: not enough memory for {shlex.join(raw_argv)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,18 +18,21 @@ Two protocol variants share the same wiring.  The joint register is always
 
 Both walks contract the input and channel amplitudes against all four Bell
 projectors at once, and validate only the states they return: each
-branch's receiver state, or the receiver's mixed state.
+branch's receiver state, or the receiver's mixed state.  The
+controller-absent walk also takes arrays of inputs on a leading axis
+(``_walk``); ``unconditioned_teleport`` is its one-input view.
 
 Without the controller the protocol is one fixed qubit channel, the
 receiver's Bloch map r -> t + T r (``receiver_map``).  ``ncf_batch``
-evaluates that map for arrays of inputs; ``unconditioned_teleport`` walks
-the branches one input at a time and is the oracle the tests pin it to.
+evaluates that map for arrays of inputs; the branch walk is the oracle the
+tests pin it to, and the design averages and the verify checks run it over
+arrays of inputs.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -53,8 +56,9 @@ from .qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
+    _check_densities,
+    _fidelities,
     bell_state,
-    fidelity_with_pure,
     make_qubit,
     pauli,
 )
@@ -292,6 +296,48 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
     return CtRunResult(branches=tuple(branches))
 
 
+class _Walk(NamedTuple):
+    ncf: np.ndarray     # (n,) fidelity of each input's receiver state
+    rho: np.ndarray     # (n, 2, 2) the receiver's states, controller traced out
+    spread: np.ndarray  # (n,) largest gap between one input's outcome states
+
+
+def _walk(spec: ChannelSpec, k0, k1) -> _Walk:
+    """The controller-absent branch walk for arrays of input amplitudes.
+
+    Each input drops its own zero-probability sender outcomes; the states
+    its kept outcomes leave must coincide (CorrectionMismatchError beyond
+    1e-10), and each input's receiver state and fidelity are validated.
+    """
+    k0, k1 = _input_arrays(k0, k1)
+    _input_weights(k0, k1)
+    phi = np.stack([k0, k1], axis=1)  # (input index, input qubit)
+    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    # post[n, o, c, r]: (input, sender outcome, controller, receiver), unnormalized
+    post = np.einsum("ois,ni,csr->nocr", _BELL_BRAS, phi, chan)
+    gates = np.array([_correction(spec.dominant_bell, o) for o in BELL_OUTCOMES])
+    post = np.einsum("orq,nocq->nocr", gates, post)
+    probs = np.sum(np.abs(post) ** 2, axis=(2, 3))
+    keep = probs > ZERO_PROB
+    probs = np.where(keep, probs, 0.0)
+    post = post / np.sqrt(np.where(keep, probs, 1.0))[:, :, None, None]
+    # rho[n, o]: the receiver's state after outcome o, controller traced out;
+    # zero where the outcome was dropped
+    rho = np.einsum("nocr,nocq->norq", post, post.conj()) * keep[:, :, None, None]
+    gaps = np.max(np.abs(rho[:, :, None] - rho[:, None, :]), axis=(3, 4))
+    spread = np.max(gaps * (keep[:, :, None] & keep[:, None, :]), axis=(1, 2))
+    worst = np.max(spread, initial=0.0)
+    if worst > CORRECTION_MISMATCH_ATOL:
+        raise CorrectionMismatchError(
+            f"corrected receiver states disagree by {worst:.3e} across sender outcomes"
+        )
+    rho3 = np.einsum("no,norq->nrq", probs, rho) / np.sum(probs, axis=1)[:, None, None]
+    _check_densities(rho3)
+    # <phi| rho3 |phi> as matrix products, which round as np.vdot does
+    overlap = (phi.conj()[:, None, :] @ (rho3 @ phi[:, :, None]))[:, 0, 0]
+    return _Walk(ncf=_fidelities(overlap), rho=rho3, spread=spread)
+
+
 def unconditioned_teleport(
     spec: ChannelSpec, f: InputFamily | PureState
 ) -> NcfResult:
@@ -301,30 +347,14 @@ def unconditioned_teleport(
     the receiver's dominant-branch correction.  The four reduced states
     must coincide (CorrectionMismatchError beyond 1e-10 says no single
     correction fits the channel); their common value gives
-    ncf = <phi| rho3 |phi>.
+    ncf = <phi| rho3 |phi>.  This is the one-input view of the walk.
     """
-    phi = _resolve_input(f)
-    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
-    # post[o, c, r]: (sender outcome, controller, receiver), unnormalized
-    post = np.einsum("ois,i,csr->ocr", _BELL_BRAS, phi.amps, chan)
-    gates = np.array([_correction(spec.dominant_bell, o) for o in BELL_OUTCOMES])
-    post = np.einsum("orq,ocq->ocr", gates, post)
-    probs = np.sum(np.abs(post) ** 2, axis=(1, 2))
-    keep = probs > ZERO_PROB
-    probs = probs[keep]
-    post = post[keep] / np.sqrt(probs)[:, None, None]
-    # rho[o]: the receiver's state after outcome o, controller traced out
-    rho = np.einsum("ocr,ocq->orq", post, post.conj())
-    spread = float(np.max(np.abs(rho[:, None] - rho[None, :])))
-    if spread > CORRECTION_MISMATCH_ATOL:
-        raise CorrectionMismatchError(
-            f"corrected receiver states disagree by {spread:.3e} across sender outcomes"
-        )
-    rho3 = DensityOperator(np.einsum("o,orq->rq", probs, rho) / np.sum(probs))
+    amps = _resolve_input(f).amps
+    walk = _walk(spec, amps[:1], amps[1:])
     return NcfResult(
-        rho3=rho3,
-        ncf=fidelity_with_pure(rho3, phi),
-        per_outcome_equal=spread <= EXACT_ATOL,
+        rho3=DensityOperator(walk.rho[0]),
+        ncf=float(walk.ncf[0]),
+        per_outcome_equal=bool(walk.spread[0] <= EXACT_ATOL),
     )
 
 
@@ -408,32 +438,46 @@ def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     return transfer[1:, 0], transfer[1:, 1:]
 
 
-def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
-    """Non-conditioned fidelity for arrays of input amplitudes.
-
-    Evaluates the receiver's Bloch map on the inputs' Bloch vectors,
-    divided by the map's output trace, for every channel kind.
-    unconditioned_teleport is the branch-walk oracle the test suite pins
-    this against pointwise.  Raises NormalizationError unless every
-    |k0|^2 + |k1|^2 is 1 within 1e-10.
-    """
+def _input_arrays(k0, k1) -> tuple[np.ndarray, np.ndarray]:
+    """Input amplitudes as flat complex arrays; raises DimensionError unless
+    their shapes match."""
     k0 = np.asarray(k0, dtype=complex).reshape(-1)
     k1 = np.asarray(k1, dtype=complex).reshape(-1)
     if k0.shape != k1.shape:
         raise DimensionError("k0 and k1 arrays must have matching shapes")
+    return k0, k1
+
+
+def _input_weights(k0: np.ndarray, k1: np.ndarray, start: int = 0):
+    """(|k0|^2, |k1|^2, their sum) for flat amplitude arrays.  Raises
+    NormalizationError naming the first index, counted from ``start``,
+    whose sum is not 1 within 1e-10; NaN and inf fail too."""
+    p0 = k0.real**2 + k0.imag**2
+    p1 = k1.real**2 + k1.imag**2
+    norm = p0 + p1
+    bad = ~(np.abs(norm - 1.0) <= INPUT_ATOL)  # NaN compares False
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NormalizationError(
+            f"|k0|^2+|k1|^2 = {float(norm[i])!r} at index {start + i}, expected 1"
+        )
+    return p0, p1, norm
+
+
+def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
+    """Non-conditioned fidelity for arrays of input amplitudes.
+
+    Evaluates the receiver's Bloch map on the inputs' Bloch vectors,
+    divided by the map's output trace, for every channel kind.  The branch
+    walk is the oracle the test suite pins this against pointwise.  Raises
+    NormalizationError unless every |k0|^2 + |k1|^2 is 1 within 1e-10.
+    """
+    k0, k1 = _input_arrays(k0, k1)
     transfer = _transfer_matrix(spec)
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
         a, b = k0[start:start + _BATCH_ROWS], k1[start:start + _BATCH_ROWS]
-        p0 = a.real**2 + a.imag**2
-        p1 = b.real**2 + b.imag**2
-        norm = p0 + p1
-        bad = ~(np.abs(norm - 1.0) <= INPUT_ATOL)  # NaN compares False
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NormalizationError(
-                f"|k0|^2+|k1|^2 = {float(norm[i])!r} at index {start + i}, expected 1"
-            )
+        p0, p1, norm = _input_weights(a, b, start)
         cross = 2.0 * a.conj() * b
         # (|k|^2, r): the Pauli coordinates of |phi><phi|
         bloch = (norm, cross.real, cross.imag, p0 - p1)

@@ -39,10 +39,9 @@ from .protocol import (
     ArbitraryInput,
     XYInput,
     XZInput,
+    _walk,
     controlled_teleport,
-    input_state,
     ncf_ms_closed,
-    unconditioned_teleport,
 )
 from .qcore import PureState
 
@@ -101,15 +100,13 @@ def check_ms_closed_form() -> CheckResult:
     thetas = np.linspace(0.0, np.pi, 10)
     phis = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
     ds = np.linspace(-1.0, 1.0, 10)
+    k0, k1 = ArbitraryInput.amplitudes(thetas, phis)
     worst = 0.0
-    for theta, phi in zip(thetas, phis):
-        family = ArbitraryInput(theta=float(theta), phi=float(phi))
-        state = input_state(family)
-        for d in ds:
-            spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-            sim = unconditioned_teleport(spec, family).ncf
-            closed = ncf_ms_closed(state.amps[0], state.amps[1], float(d))
-            worst = max(worst, abs(sim - closed))
+    for d in ds:
+        spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
+        sim = _walk(spec, k0, k1).ncf
+        closed = [ncf_ms_closed(a, b, float(d)) for a, b in zip(k0, k1)]
+        worst = max(worst, float(np.max(np.abs(sim - closed))))
     return CheckResult(
         "ms-closed-form",
         worst <= 1e-12,
@@ -170,10 +167,7 @@ def check_matched_flatness() -> CheckResult:
         for a2 in (0.3, 0.5, 0.8):
             spec = ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=MATCHED_AXIS[fam])
             expected = max(a2, 1.0 - a2)
-            vals = np.array([
-                unconditioned_teleport(spec, INPUT_FAMILIES[fam](float(t))).ncf
-                for t in angles
-            ])
+            vals = _walk(spec, *INPUT_FAMILIES[fam].amplitudes(angles)).ncf
             worst_dev = max(worst_dev, float(np.max(np.abs(vals - expected))))
             worst_std = max(worst_std, float(vals.std()))
     ok = worst_dev <= 1e-12 and worst_std <= 1e-12
@@ -207,7 +201,7 @@ def check_max_control_power() -> CheckResult:
     s = math.sqrt(0.5)
     for fam in FAMILY_NAMES:
         spec = ThetaChannel(a=s, b=s, k=MATCHED_AXIS[fam])
-        ncf = unconditioned_teleport(spec, INPUT_FAMILIES[fam](0.37)).ncf
+        ncf = _walk(spec, *INPUT_FAMILIES[fam].amplitudes(0.37)).ncf[0]
         worst = max(worst, abs(control_power(ncf) - 0.5))
     return CheckResult(
         "max-control-power",

@@ -133,8 +133,8 @@ def test_matched_family_average_is_the_dominant_weight():
 
 
 def test_quadrature_walks_the_branches_not_the_map(monkeypatch):
-    # quadrature averages unconditioned_teleport, so it checks ncf_batch's
-    # map rather than re-reading it
+    # quadrature averages the branch walk, so it checks ncf_batch's map
+    # rather than re-reading it
     def refuse(*args):
         raise AssertionError("quadrature evaluated ncf_batch")
 

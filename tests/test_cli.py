@@ -318,6 +318,22 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # a huge --n-samples ends here; raising stands in for the allocation
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("ctpower.cli.avg_fidelity_numeric", exhausted)
+    argv = ["avg", "--channel", "ghz", "--method", "monte_carlo", "--n-samples", str(10**12)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ctpower: not enough memory for avg --channel ghz --method monte_carlo "
+        "--n-samples 1000000000000\n"
+    )
+
+
 def test_verify_quick_passes_and_is_deterministic(capsys, tmp_path):
     first, second = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["verify", "--quick", "--output", str(first)]) == 0

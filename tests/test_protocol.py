@@ -34,6 +34,7 @@ from ctpower.protocol import (
     INPUT_FAMILIES,
     _correction,
     _resolve_input,
+    _walk,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -371,13 +372,33 @@ def test_unconditioned_teleport_matches_the_branch_walk():
         phi = _resolve_input(f).amps
         assert abs(result.ncf - np.vdot(phi, rho @ phi).real) < 1e-12
         assert result.per_outcome_equal == (spread <= 1e-12)
-    # a generic raw state has no single correction; both walks say so
+    # one walk over all of a spec's inputs gives each input's oracle value.
+    # The inputs of one batch may keep different outcomes: on |000>, |0>
+    # keeps only phi+- and |1> only psi+-; on (|000> + |101>)/sqrt(2), where
+    # every kept outcome leaves I/2, a superposition keeps all four
+    amps = np.array([_resolve_input(f).amps for f in inputs])
+    one = np.array([0.0, 1.0])
+    split = np.zeros(8, dtype=complex)
+    split[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
+    batches = [(spec, amps) for spec in specs] + [
+        (RawChannel(state=PureState(product)), np.array([amps[0], one, amps[0]])),
+        (RawChannel(state=PureState(split)), np.array([amps[0], amps[2], one, amps[3]])),
+    ]
+    for spec, batch in batches:
+        walk = _walk(spec, batch[:, 0], batch[:, 1])
+        for phi, ncf, rho3 in zip(batch, walk.ncf, walk.rho):
+            rho, _ = walk_unconditioned(spec, PureState(phi))
+            assert abs(ncf - np.vdot(phi, rho @ phi).real) < 1e-12
+            assert np.max(np.abs(rho3 - rho)) < 1e-12
+    # a generic raw state has no single correction; every walk says so
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
     with pytest.raises(CorrectionMismatchError):
         walk_unconditioned(generic, inputs[2])
     with pytest.raises(CorrectionMismatchError):
         unconditioned_teleport(generic, inputs[2])
+    with pytest.raises(CorrectionMismatchError):
+        _walk(generic, amps[:, 0], amps[:, 1])
 
 
 def test_degenerate_ms_controller_measures_in_the_computational_basis():
@@ -520,15 +541,18 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
 
 
 def test_ncf_batch_shape_check():
-    with pytest.raises(DimensionError):
-        ncf_batch(GHZChannel(), np.array([1.0]), np.array([0.0, 1.0]))
+    for batch in (ncf_batch, _walk):
+        with pytest.raises(DimensionError):
+            batch(GHZChannel(), np.array([1.0]), np.array([0.0, 1.0]))
 
 
 def test_ncf_batch_rejects_unnormalized_and_non_finite_amplitudes():
+    # the map and the walk share one input check
     spec = MSChannel(c=0.6, d=0.8)
     for k0 in (2.0, 1.0 + 1e-9, float("nan"), float("inf"), complex(0.0, float("nan"))):
-        with pytest.raises(NormalizationError):
-            ncf_batch(spec, [1.0, k0], [0.0, 0.0])
+        for batch in (ncf_batch, _walk):
+            with pytest.raises(NormalizationError, match="at index 1,"):
+                batch(spec, [1.0, k0], [0.0, 0.0])
     s = 1 / math.sqrt(2)
     assert ncf_batch(spec, [1.0 + 1e-11, s], [0.0, 1j * s]) == pytest.approx([1.0, 0.9])
 

@@ -18,6 +18,8 @@ from ctpower.qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
+    _check_densities,
+    _fidelities,
     bell_state,
     fidelity_with_pure,
     make_qubit,
@@ -103,13 +105,20 @@ def test_pure_state_is_read_only():
 def test_density_operator_validation():
     good = DensityOperator(np.eye(2) / 2)
     assert good.num_qubits == 1
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(NormalizationError):
-        DensityOperator(np.eye(2))  # trace 2
-    bad = np.array([[1.5, 0.0], [0.0, -0.5]])
-    with pytest.raises(ValueError):
-        DensityOperator(bad)  # negative eigenvalue
+    cases = [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), ValueError),  # not Hermitian
+        (np.eye(2), NormalizationError),  # trace 2
+        (np.array([[1.5, 0.0], [0.0, -0.5]]), ValueError),  # negative eigenvalue
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), NormalizationError),
+    ]
+    for bad, error in cases:
+        with pytest.raises(error):
+            DensityOperator(bad)
+        # the branch walk checks its stack of states with the same helper;
+        # a bad member anywhere in the stack fails it
+        _check_densities(np.stack([good.mat, good.mat]))
+        with pytest.raises(error):
+            _check_densities(np.stack([good.mat, bad]))
     with pytest.raises(DimensionError):
         DensityOperator(np.eye(3) / 3)
 
@@ -282,6 +291,11 @@ def test_fidelity_with_pure():
     assert abs(fidelity_with_pure(to_density(psi), phi) - want) < 1e-12
     with pytest.raises(DimensionError):
         fidelity_with_pure(to_density(phi), make_qubit(1.0, 0.0))
+    # the stack form clamps rounding and names the first bad overlap
+    assert np.array_equal(_fidelities(np.array([1.0 + 1e-13, -1e-13, 0.5])), [1.0, 0.0, 0.5])
+    for bad in (1.0 + 1e-9, -1e-9, 0.5 + 1e-9j, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            _fidelities(np.array([0.5, bad]))
 
 
 def test_equal_up_to_global_phase():
