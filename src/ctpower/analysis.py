@@ -13,9 +13,11 @@ Averages run over one of two domains:
 The analytic method and ``mismatch_report`` read both averages off the
 receiver's Bloch map (``protocol.receiver_map``).  Quadrature averages the
 branch walk over exact design points, all of a design in one batched walk,
-so it checks the map rather than re-reading it; Monte Carlo uses the
-counter-based Philox generator so every stochastic result is
-bit-reproducible from (seed, row-index).
+so it checks the map rather than re-reading it.  Monte Carlo evaluates
+the map on random Bloch vectors from the counter-based Philox generator,
+so every stochastic result is bit-reproducible from (seed, row-index); it
+streams the draws in fixed-size chunks and merges the chunks' moments, so
+its memory does not grow with the number of samples.
 """
 from __future__ import annotations
 
@@ -35,10 +37,14 @@ from .channels import (
 )
 from .errors import RangeError
 from .protocol import (
+    _BATCH_ROWS,
     INPUT_FAMILIES,
     ArbitraryInput,
+    _bloch_ncf,
+    _check_unit,
+    _pauli_coords,
+    _transfer_matrix,
     _walk,
-    ncf_batch,
     receiver_map,
 )
 from .qcore import EXACT_ATOL
@@ -108,17 +114,64 @@ def _design(family: str | None) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _rng(seed: int, row: int) -> np.random.Generator:
+def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by (seed, row), positioned at double
+    ``skip`` of its stream; each counter step yields four doubles."""
     key = np.array([np.uint64(seed), np.uint64(row)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(skip // 4)
+    rng = np.random.Generator(bitgen)
+    rng.random(skip % 4)
+    return rng
 
 
-def _sphere_samples(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    cos_theta = 1.0 - 2.0 * rng.random(n)
-    phi = _TWO_PI * rng.random(n)
-    k0 = np.sqrt((1.0 + cos_theta) / 2.0).astype(complex)
-    k1 = np.exp(1j * phi) * np.sqrt((1.0 - cos_theta) / 2.0)
-    return k0, k1
+def _uniform_chunks(rng: np.random.Generator, n: int):
+    """(start, draws): the next n uniform doubles of ``rng``, in chunks."""
+    for start in range(0, n, _BATCH_ROWS):
+        yield start, rng.random(min(_BATCH_ROWS, n - start))
+
+
+def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: int):
+    """The NCF at n random inputs, chunk by chunk.
+
+    Stream positions [0, n) of the (seed, row) generator give each input's
+    cos(theta) on the sphere, or its angle on a family's circle; positions
+    [n, 2n) give the sphere's phi.  Each chunk goes straight to Bloch
+    coordinates, validated like ``ncf_batch``'s inputs.
+    """
+    transfer = _transfer_matrix(spec)
+    draws = _uniform_chunks(_rng(seed, row), n)
+    if family is not None:
+        amplitudes = INPUT_FAMILIES[family].amplitudes
+        for start, u in draws:
+            k0, k1 = amplitudes(_TWO_PI * u)
+            yield _bloch_ncf(transfer, *_pauli_coords(k0, k1, start))
+        return
+    for (start, u), (_, v) in zip(draws, _uniform_chunks(_rng(seed, row, skip=n), n)):
+        cos_theta = 1.0 - 2.0 * u
+        sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
+        phi = _TWO_PI * v
+        x, y = sin_theta * np.cos(phi), sin_theta * np.sin(phi)
+        _check_unit(x * x + y * y + cos_theta * cos_theta, start, "|r|^2")
+        yield _bloch_ncf(transfer, 1.0, x, y, cos_theta)
+
+
+def _moments(chunks: Iterable[np.ndarray]) -> AverageResult:
+    """Mean and standard error of the values of all chunks, merging each
+    chunk's (count, mean, sum of squared deviations) by Chan, Golub and
+    LeVeque's update; one chunk gives numpy's mean and std(ddof=1)."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for vals in chunks:
+        size = vals.size
+        chunk_mean = float(vals.mean())
+        dev = vals - chunk_mean
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * (size / total)
+        m2 += float(np.sum(dev * dev)) + delta * delta * (count * size / total)
+        count = total
+    stderr = float(np.sqrt(m2 / (count - 1)) / np.sqrt(count)) if count > 1 else 0.0
+    return AverageResult(mean, stderr)
 
 
 def avg_fidelity_numeric(
@@ -136,34 +189,30 @@ def avg_fidelity_numeric(
     or "family" (one equatorial family named by ``family``, uniform in its
     angle).  ``method`` is "quadrature" (the exact mean of the branch walk
     over a design: the tetrahedron, or three equally spaced family members;
-    stderr 0) or "monte_carlo" (mean and standard error from ``n_samples``
-    Philox draws keyed by (seed, row)).  Both raise CorrectionMismatchError
-    for a channel whose receiver map does.
+    stderr 0) or "monte_carlo" (mean and standard error of the NCF at
+    ``n_samples`` random inputs from the Philox stream keyed by (seed, row),
+    evaluated on the receiver's Bloch map chunk by chunk in bounded memory;
+    see ``_ncf_draws``).  Both raise CorrectionMismatchError for a channel
+    whose receiver map does.
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
             raise ValueError(f"domain 'family' needs family in {FAMILY_NAMES}")
-    elif domain != "sphere":
+    elif domain == "sphere":
+        family = None
+    else:
         raise ValueError(f"unknown domain {domain!r}")
 
     if method == "quadrature":
         # the walk alone passes channels whose map is refused (it gives 1/2
         # where the sender's outcome weights depend on the input)
         receiver_map(spec)
-        design = _design(family if domain == "family" else None)
+        design = _design(family)
         return AverageResult(float(np.mean(_walk(spec, *design).ncf)), 0.0)
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")
-        rng = _rng(seed, row)
-        if domain == "sphere":
-            k0, k1 = _sphere_samples(rng, n_samples)
-        else:
-            angles = _TWO_PI * rng.random(n_samples)
-            k0, k1 = INPUT_FAMILIES[family].amplitudes(angles)
-        vals = ncf_batch(spec, k0, k1)
-        stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-        return AverageResult(float(vals.mean()), stderr)
+        return _moments(_ncf_draws(spec, family, n_samples, seed, row))
     raise ValueError(f"unknown method {method!r}")
 
 

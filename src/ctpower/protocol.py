@@ -24,9 +24,10 @@ controller-absent walk also takes arrays of inputs on a leading axis
 
 Without the controller the protocol is one fixed qubit channel, the
 receiver's Bloch map r -> t + T r (``receiver_map``).  ``ncf_batch``
-evaluates that map for arrays of inputs; the branch walk is the oracle the
-tests pin it to, and the design averages and the verify checks run it over
-arrays of inputs.
+evaluates that map for arrays of inputs, and Monte Carlo for chunks of
+random Bloch vectors; the branch walk is the oracle the tests pin it to,
+and the design averages and the verify checks run it over arrays of
+inputs.
 """
 from __future__ import annotations
 
@@ -308,9 +309,10 @@ def _walk(spec: ChannelSpec, k0, k1) -> _Walk:
     Each input drops its own zero-probability sender outcomes; the states
     its kept outcomes leave must coincide (CorrectionMismatchError beyond
     1e-10), and each input's receiver state and fidelity are validated.
+    Inputs within 1e-10 of unit norm are measured as if normalized.
     """
     k0, k1 = _input_arrays(k0, k1)
-    _input_weights(k0, k1)
+    norm = _pauli_coords(k0, k1)[0]
     phi = np.stack([k0, k1], axis=1)  # (input index, input qubit)
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     # post[n, o, c, r]: (input, sender outcome, controller, receiver), unnormalized
@@ -333,9 +335,11 @@ def _walk(spec: ChannelSpec, k0, k1) -> _Walk:
         )
     rho3 = np.einsum("no,norq->nrq", probs, rho) / np.sum(probs, axis=1)[:, None, None]
     _check_densities(rho3)
-    # <phi| rho3 |phi> as matrix products, which round as np.vdot does
+    # <phi| rho3 |phi> as matrix products, which round as np.vdot does,
+    # divided by |phi|^2: the fidelity of the normalized input, which stays
+    # in [0, 1] for inputs up to 1e-10 off unit norm
     overlap = (phi.conj()[:, None, :] @ (rho3 @ phi[:, :, None]))[:, 0, 0]
-    return _Walk(ncf=_fidelities(overlap), rho=rho3, spread=spread)
+    return _Walk(ncf=_fidelities(overlap / norm), rho=rho3, spread=spread)
 
 
 def unconditioned_teleport(
@@ -388,8 +392,9 @@ def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> 
 
 _PAULI_BASIS = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
 
-# rows per ncf_batch step; bounds the temporaries for any number of inputs
-_BATCH_ROWS = 65536
+# rows per step of ncf_batch and per chunk of the Monte Carlo stream; bounds
+# the temporaries for any number of inputs
+_BATCH_ROWS = 8192
 
 
 @functools.lru_cache(maxsize=256)
@@ -448,43 +453,54 @@ def _input_arrays(k0, k1) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _input_weights(k0: np.ndarray, k1: np.ndarray, start: int = 0):
-    """(|k0|^2, |k1|^2, their sum) for flat amplitude arrays.  Raises
-    NormalizationError naming the first index, counted from ``start``,
-    whose sum is not 1 within 1e-10; NaN and inf fail too."""
-    p0 = k0.real**2 + k0.imag**2
-    p1 = k1.real**2 + k1.imag**2
-    norm = p0 + p1
+def _check_unit(norm: np.ndarray, start: int, what: str) -> None:
+    """Raise NormalizationError naming the first index, counted from
+    ``start``, where ``norm`` is not 1 within 1e-10; NaN and inf fail too."""
     bad = ~(np.abs(norm - 1.0) <= INPUT_ATOL)  # NaN compares False
     if bad.any():
         i = int(np.argmax(bad))
         raise NormalizationError(
-            f"|k0|^2+|k1|^2 = {float(norm[i])!r} at index {start + i}, expected 1"
+            f"{what} = {float(norm[i])!r} at index {start + i}, expected 1"
         )
-    return p0, p1, norm
+
+
+def _pauli_coords(k0: np.ndarray, k1: np.ndarray, start: int = 0):
+    """(|k|^2, x, y, z): the Pauli coordinates of |phi><phi| for flat
+    amplitude arrays, whose |k0|^2 + |k1|^2 ``_check_unit`` validates."""
+    p0 = k0.real**2 + k0.imag**2
+    p1 = k1.real**2 + k1.imag**2
+    norm = p0 + p1
+    _check_unit(norm, start, "|k0|^2+|k1|^2")
+    cross = 2.0 * k0.conj() * k1
+    return norm, cross.real, cross.imag, p0 - p1
+
+
+def _bloch_ncf(transfer: np.ndarray, norm, x, y, z) -> np.ndarray:
+    """NCF of inputs with Pauli coordinates (|k|^2, r) = (norm, x, y, z),
+    clipped to [0, 1]: <phi| E(phi) |phi> for the receiver's Bloch map E,
+    divided by the output trace and by |phi|^2, so that inputs within the
+    input tolerance are measured as if normalized.  For a unit-trace map
+    and |r| = |k|^2 = 1 this is 1/2 + t.r/2 + r.T.r/2."""
+    bloch = (norm, x, y, z)
+    # elementwise, not a BLAS product: BLAS's first call adds its work
+    # buffer to the peak memory of the whole process
+    image = [sum(r * v for r, v in zip(row, bloch)) for row in transfer]
+    ncf = 0.5 * sum(w * v for w, v in zip(image, bloch)) / (image[0] * norm)
+    return np.clip(ncf, 0.0, 1.0, out=ncf)
 
 
 def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     """Non-conditioned fidelity for arrays of input amplitudes.
 
-    Evaluates the receiver's Bloch map on the inputs' Bloch vectors,
-    divided by the map's output trace, for every channel kind.  The branch
-    walk is the oracle the test suite pins this against pointwise.  Raises
-    NormalizationError unless every |k0|^2 + |k1|^2 is 1 within 1e-10.
+    Evaluates the receiver's Bloch map on the inputs' Bloch vectors
+    (``_bloch_ncf``, which Monte Carlo shares) for every channel kind.  The
+    branch walk is the oracle the test suite pins this against pointwise.
+    Raises NormalizationError unless every |k0|^2 + |k1|^2 is 1 within 1e-10.
     """
     k0, k1 = _input_arrays(k0, k1)
     transfer = _transfer_matrix(spec)
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
-        a, b = k0[start:start + _BATCH_ROWS], k1[start:start + _BATCH_ROWS]
-        p0, p1, norm = _input_weights(a, b, start)
-        cross = 2.0 * a.conj() * b
-        # (|k|^2, r): the Pauli coordinates of |phi><phi|
-        bloch = (norm, cross.real, cross.imag, p0 - p1)
-        # elementwise, not a BLAS product: BLAS's first call adds its work
-        # buffer to the peak memory of the whole process
-        image = [sum(r * x for r, x in zip(row, bloch)) for row in transfer]
-        out[start:start + _BATCH_ROWS] = (
-            0.5 * sum(y * x for y, x in zip(image, bloch)) / image[0]
-        )
-    return np.clip(out, 0.0, 1.0, out=out)
+        rows = slice(start, start + _BATCH_ROWS)
+        out[rows] = _bloch_ncf(transfer, *_pauli_coords(k0[rows], k1[rows], start))
+    return out

@@ -4,7 +4,8 @@ The package contracts whole measurements at once; these functions take
 one step at a time on validated registers of up to four qubits, the way
 the protocol is written on paper, so the tests can walk every branch
 independently of the engine.  ``mismatch_ncf_closed`` is the closed form
-the mismatch averages are checked against.
+the mismatch averages are checked against, and ``monte_carlo_one_shot``
+draws a whole Monte Carlo average at once, as the streamed one must.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from typing import Iterable
 import numpy as np
 
 from ctpower.analysis import FAMILY_NAMES
-from ctpower.channels import MATCHED_AXIS, check_unit_pair
+from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
 from ctpower.errors import DimensionError
-from ctpower.protocol import INPUT_FAMILIES
+from ctpower.protocol import INPUT_FAMILIES, ncf_batch
 from ctpower.qcore import (
     EXACT_ATOL,
     MAX_QUBITS,
@@ -185,3 +186,32 @@ def mismatch_ncf_closed(
     phi = np.array(INPUT_FAMILIES[j].amplitudes(float(angle)), dtype=complex)
     expectation = complex(np.vdot(phi, pauli(MATCHED_AXIS[i]) @ phi))
     return a * a + b * b * abs(expectation) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo drawn all at once
+
+def philox_draws(seed: int, row: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second n uniform doubles of the (seed, row) stream."""
+    key = np.array([seed, row], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    first = rng.random(n)
+    return first, rng.random(n)
+
+
+def monte_carlo_one_shot(
+    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
+) -> tuple[float, float]:
+    """Mean and standard error of the NCF at n inputs drawn in one go: the
+    amplitudes of uniform cos(theta) and phi on the sphere (``family`` None),
+    or of uniform angles on a family's circle, then one ``ncf_batch``."""
+    first, second = philox_draws(seed, row, n)
+    if family is None:
+        cos_theta = 1.0 - 2.0 * first
+        k0 = np.sqrt((1.0 + cos_theta) / 2.0).astype(complex)
+        k1 = np.exp(1j * (2.0 * np.pi * second)) * np.sqrt((1.0 - cos_theta) / 2.0)
+    else:
+        k0, k1 = INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * first)
+    vals = ncf_batch(spec, k0, k1)
+    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(vals.mean()), stderr

@@ -5,10 +5,12 @@ high-order fixed quadrature, independently of the design points under
 test.  Regression constants derived that way are frozen inline.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ctpower import analysis
 from ctpower.analysis import (
     CLASSICAL_FIDELITY,
     CLASSICAL_POWER,
@@ -25,10 +27,16 @@ from ctpower.analysis import (
     sweep,
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
-from ctpower.errors import CorrectionMismatchError, RangeError
+from ctpower.errors import CorrectionMismatchError, NormalizationError, RangeError
 from ctpower.protocol import ArbitraryInput, unconditioned_teleport
 from ctpower.qcore import PureState
-from oracles import MatchedFamiliesError, apply_gate, mismatch_ncf_closed
+from oracles import (
+    MatchedFamiliesError,
+    apply_gate,
+    mismatch_ncf_closed,
+    monte_carlo_one_shot,
+    philox_draws,
+)
 
 
 def sphere_average_oracle(integrand, order=200):
@@ -133,12 +141,13 @@ def test_matched_family_average_is_the_dominant_weight():
 
 
 def test_quadrature_walks_the_branches_not_the_map(monkeypatch):
-    # quadrature averages the branch walk, so it checks ncf_batch's map
-    # rather than re-reading it
+    # quadrature averages the branch walk, so it checks the Bloch map that
+    # ncf_batch and Monte Carlo evaluate rather than re-reading it
     def refuse(*args):
-        raise AssertionError("quadrature evaluated ncf_batch")
+        raise AssertionError("quadrature evaluated the Bloch map")
 
-    monkeypatch.setattr("ctpower.analysis.ncf_batch", refuse)
+    for module in ("protocol", "analysis"):
+        monkeypatch.setattr(f"ctpower.{module}._bloch_ncf", refuse)
     for d in (-0.8, 0.0, 0.37, 1.0):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
         mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
@@ -198,6 +207,86 @@ def test_monte_carlo_on_circle_domain():
         n_samples=200_000, seed=3,
     )
     assert abs(mean - 0.7) < max(4.0 * stderr, 1e-12)
+
+
+# Monte Carlo streams its draws in chunks of _BATCH_ROWS; a small chunk puts
+# every case below across chunk boundaries
+SMALL_CHUNK = 7
+
+
+def mc_average(spec, family, n, seed=5, row=1):
+    domain = "sphere" if family is None else "family"
+    return avg_fidelity_numeric(
+        spec, domain, family=family, method="monte_carlo",
+        n_samples=n, seed=seed, row=row,
+    )
+
+
+def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    unitary = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    specs = [
+        MSChannel(c=0.6, d=-0.8),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
+        RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
+    ]
+    for n in (1, 3, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
+        first, second = philox_draws(5, 1, n)
+        for skip, want in ((0, first), (n, second)):
+            streamed = [u for _, u in analysis._uniform_chunks(analysis._rng(5, 1, skip), n)]
+            assert max(len(chunk) for chunk in streamed) <= SMALL_CHUNK
+            assert np.array_equal(np.concatenate(streamed), want)
+        for spec in specs:
+            for family in (None, *FAMILY_NAMES):
+                mean, stderr = mc_average(spec, family, n)
+                want_mean, want_stderr = monte_carlo_one_shot(spec, family, n, 5, 1)
+                assert abs(mean - want_mean) <= 1e-15
+                assert abs(stderr - want_stderr) <= 1e-15
+
+
+def test_monte_carlo_memory_does_not_grow_with_n_samples():
+    spec = MSChannel(c=0.6, d=-0.8)
+    for family in (None, "xz"):
+        mc_average(spec, family, 10)  # builds the cached receiver map
+        peaks = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                mc_average(spec, family, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**18
+
+
+def test_monte_carlo_moment_merge_edge_cases(monkeypatch):
+    spec = MSChannel(c=0.6, d=-0.8)
+    assert mc_average(spec, None, 1).stderr == 0.0
+    # two one-value chunks merge to numpy's sample standard deviation
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", 1)
+    values = np.concatenate(list(analysis._ncf_draws(spec, None, 2, 5, 1)))
+    mean, stderr = mc_average(spec, None, 2)
+    assert mean == pytest.approx(values.mean(), abs=1e-15)
+    assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(2.0), abs=1e-15)
+    # a flat matched circle, with the last chunk ending exactly at n
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    matched = ThetaChannel(a=math.sqrt(0.7), b=math.sqrt(0.3), k="y")
+    mean, stderr = mc_average(matched, "xz", 3 * SMALL_CHUNK)
+    assert abs(mean - 0.7) < 1e-12
+    assert math.isfinite(stderr) and stderr <= 1e-15
+
+
+def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
+    def nan_draws(rng, n):
+        yield 0, np.full(n, np.nan)
+
+    monkeypatch.setattr(analysis, "_uniform_chunks", nan_draws)
+    spec = MSChannel(c=0.6, d=0.8)
+    with pytest.raises(NormalizationError, match=r"\|r\|\^2 = nan at index 0"):
+        mc_average(spec, None, 5)
+    with pytest.raises(NormalizationError, match=r"\|k0\|\^2\+\|k1\|\^2 = nan"):
+        mc_average(spec, "xy", 5)
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,18 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
         unconditioned_teleport(generic, qubits[0])
 
 
+def test_walk_measures_nearly_normalized_inputs_as_normalized():
+    # inputs within the 1e-10 norm tolerance give the fidelity of the
+    # normalized input on both paths, never a value outside [0, 1]
+    spec = MSChannel(c=0.6, d=0.8)
+    qubit = make_qubit(1 + 1e-11, 0)
+    batch = ncf_batch(spec, qubit.amps[:1], qubit.amps[1:])
+    assert abs(unconditioned_teleport(spec, qubit).ncf - batch[0]) <= 1e-12
+    s = (1 - 4e-11) / math.sqrt(2)
+    k0, k1 = [1 + 1e-11, s, 1 - 1e-11], [0.0, 1j * s, 0.0]
+    assert np.max(np.abs(_walk(spec, k0, k1).ncf - ncf_batch(spec, k0, k1))) <= 1e-12
+
+
 def test_ncf_batch_shape_check():
     for batch in (ncf_batch, _walk):
         with pytest.raises(DimensionError):
