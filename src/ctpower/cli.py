@@ -56,6 +56,8 @@ from .verify import check_channel_ct, format_report, run_all
 SEED_ENV_VAR = "CTPOWER_SEED"
 _CT_FIDELITY_GATE = 1.0 - 1e-9
 _MAX_GRID_POINTS = 10**6
+# Monte Carlo memory is bounded, so only this cap stops a run lasting hours
+_MAX_SAMPLES = 10**9
 
 _CHANNEL_CHOICES = ("ghz", "ms", "theta", "raw") + NAMED_CHANNELS
 
@@ -442,6 +444,8 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         raise UsageError("--domain family needs --family {xz,xy,yz}")
     if args.domain == "sphere" and args.family is not None:
         raise UsageError("--family only applies to --domain family")
+    if args.n_samples > _MAX_SAMPLES:
+        raise UsageError(f"--n-samples {args.n_samples} exceeds the cap of {_MAX_SAMPLES}")
     mean, stderr = avg_fidelity_numeric(
         spec,
         args.domain,

@@ -28,10 +28,22 @@ evaluates that map for arrays of inputs, and Monte Carlo for chunks of
 random Bloch vectors; the branch walk is the oracle the tests pin it to,
 and the design averages and the verify checks run it over arrays of
 inputs.
+
+Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
+chan, one per controller state c and sender outcome o, which ``_kraus``
+stacks over channels; the map above takes the computational controller
+states and the dominant correction.  With the controller present each
+branch is one K, and controlled teleportation is perfect for every input
+exactly when each K of non-zero weight is lambda I: the branch then returns
+the input with probability |lambda|^2, whatever the input.
+``_ct_certificate`` measures max |K - lambda I| / sqrt(p), lambda = tr K / 2
+and p = |K|_F^2 / 2 the branch probability averaged over inputs.  A raw
+channel's controller outcomes name no Bell pair, so it has no certificate.
 """
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
@@ -210,6 +222,20 @@ def _correction(shared: BellOutcome, outcome: BellOutcome) -> np.ndarray:
     return _CORRECTIONS[BELL_OUTCOMES.index(shared) ^ BELL_OUTCOMES.index(outcome)]
 
 
+def _kraus(chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Corrected Kraus operators K = G <bell_o| <c| chan, shape (n, C, 4, 2, 2).
+
+    ``chans`` (n, 2, 2, 2) holds channel amplitudes (controller, sender,
+    receiver), ``cvecs`` (n, C, 2) the controller bras, and ``shared``
+    (n, C) the index into BELL_OUTCOMES of the pair each controller outcome
+    leaves, which picks the receiver's Pauli G for each sender outcome o.
+    K[n, c, o] maps the input qubit to the receiver's qubit.
+    """
+    kraus = np.einsum("nck,nksr,ois->ncori", cvecs, chans, _BELL_BRAS)
+    gates = _CORRECTIONS[shared[:, :, None] ^ np.arange(len(BELL_OUTCOMES))]
+    return gates @ kraus
+
+
 # ---------------------------------------------------------------------------
 # protocol runs
 
@@ -295,6 +321,40 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
                 )
             )
     return CtRunResult(branches=tuple(branches))
+
+
+class _Certificate(NamedTuple):
+    scale: np.ndarray        # (n, C, 4) lambda = tr K / 2 of each branch
+    probability: np.ndarray  # (n, C, 4) |K|_F^2 / 2, averaged over inputs
+    defect: np.ndarray       # (n,) max |K - lambda I| / sqrt(p), kept branches
+
+
+def _ct_certificate(specs: Sequence[ChannelSpec]) -> _Certificate:
+    """Certify the controlled protocol of each channel for every input.
+
+    Each branch (controller outcome c, sender outcome o) is one corrected
+    Kraus operator K; it returns every input exactly when K = lambda I, and
+    its probability is then |lambda|^2 for every input.  A branch is kept
+    when its input-averaged probability p exceeds ZERO_PROB.  Raises
+    ValueError for a channel whose controller outcomes name no Bell pair (a
+    raw channel's), since its receiver picks a Pauli per input.
+    """
+    outcomes = [s.controller_measurement for s in specs]
+    if any(pair is None for row in outcomes for _, _, pair in row):
+        raise ValueError("a raw channel's controller outcomes name no Bell pair")
+    kraus = _kraus(
+        np.array([s.state.amps.reshape(2, 2, 2) for s in specs]),
+        np.array([[cvec.amps.conj() for _, cvec, _ in row] for row in outcomes]),
+        np.array([[BELL_OUTCOMES.index(pair) for _, _, pair in row] for row in outcomes]),
+    )
+    scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
+    probability = np.sum(kraus.real**2 + kraus.imag**2, axis=(-2, -1)) / 2.0
+    kept = probability > ZERO_PROB
+    kraus[..., 0, 0] -= scale  # K - lambda I in place, without a second stack
+    kraus[..., 1, 1] -= scale
+    residual = np.max(np.abs(kraus), axis=(-2, -1))
+    relative = residual / np.sqrt(np.where(kept, probability, 1.0)) * kept
+    return _Certificate(scale, probability, np.max(relative, axis=(1, 2)))
 
 
 class _Walk(NamedTuple):
@@ -411,14 +471,17 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
     averages read it (a mismatch report reads three circles per channel);
     the returned array is read-only because every caller shares it.
     """
-    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    chan = spec.state.amps.reshape(1, 2, 2, 2)
+    dominant = np.full((1, 2), BELL_OUTCOMES.index(spec.dominant_bell))
+    # kraus[c, o]: outcome o's operator with the controller left in |c>
+    kraus = _kraus(chan, np.eye(2, dtype=complex)[None], dominant)[0]
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
-    for o, outcome in enumerate(BELL_OUTCOMES):
-        # kraus[c] maps the input qubit to the receiver, controller left in |c>
-        kraus = np.einsum("ts,csr->crt", _BELL_BRAS[o], chan)
-        kraus = _correction(spec.dominant_bell, outcome) @ kraus
+    for o in range(len(BELL_OUTCOMES)):
+        # one contraction per outcome, over a contiguous copy: summing the
+        # outcomes inside one contraction rounds differently from this sum
+        k = kraus[:, o].copy()
         per_outcome[o] = 0.5 * np.einsum(
-            "iab,cbd,jde,cae->ij", _PAULI_BASIS, kraus, _PAULI_BASIS, kraus.conj()
+            "iab,cbd,jde,cae->ij", _PAULI_BASIS, k, _PAULI_BASIS, k.conj()
         ).real
     normed = per_outcome / per_outcome[:, :1, :1]
     spread = float(np.max(np.abs(normed[:, None] - normed[None, :])))

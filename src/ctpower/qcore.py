@@ -185,10 +185,12 @@ def make_qubit(k0: Amplitude, k1: Amplitude) -> PureState:
 
 
 def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
-    """<phi| rho |phi>, clamped to [0, 1]."""
+    """<phi| rho |phi> / |phi|^2, clamped to [0, 1]: the fidelity of the
+    normalized state, also for a ``phi`` up to 1e-10 off unit norm."""
     if rho.num_qubits != phi.num_qubits:
         raise DimensionError(
             f"operator on {rho.num_qubits} qubits vs state on {phi.num_qubits}"
         )
-    return float(_fidelities(np.vdot(phi.amps, rho.mat @ phi.amps)))
+    overlap = np.vdot(phi.amps, rho.mat @ phi.amps)
+    return float(_fidelities(overlap / np.vdot(phi.amps, phi.amps).real))
 

@@ -39,6 +39,7 @@ from .protocol import (
     ArbitraryInput,
     XYInput,
     XZInput,
+    _ct_certificate,
     _walk,
     controlled_teleport,
     ncf_ms_closed,
@@ -68,30 +69,26 @@ def _random_channel(rng: np.random.Generator) -> ChannelSpec:
     return ThetaChannel(a=math.cos(beta), b=math.sin(beta), k=axis)
 
 
-def _random_input(rng: np.random.Generator) -> ArbitraryInput:
-    return ArbitraryInput(
-        theta=rng.uniform(0.0, np.pi), phi=rng.uniform(0.0, 2.0 * np.pi)
-    )
-
-
 # --------------------------------------------------------------------------
 # the individual checks
 
 def check_perfect_ct(seed: int) -> CheckResult:
-    """All branches of the controlled protocol reach fidelity 1 (tol 1e-12)."""
+    """Every branch of the controlled protocol returns every input (tol 1e-12).
+
+    Each of 200 random channels is certified for all inputs at once: every
+    kept branch's corrected Kraus operator K must equal lambda I, measured
+    as max |K - lambda I| / sqrt(p), and the input-averaged branch
+    probabilities p must sum to 1.
+    """
     rng = _rng(seed, 1)
-    worst_fid_dev = 0.0
-    worst_prob_dev = 0.0
-    for _ in range(200):
-        run = controlled_teleport(_random_channel(rng), _random_input(rng))
-        worst_fid_dev = max(worst_fid_dev, 1.0 - run.min_fidelity)
-        worst_prob_dev = max(worst_prob_dev, abs(run.total_probability - 1.0))
-    ok = worst_fid_dev <= 1e-12 and worst_prob_dev <= 1e-12
+    cert = _ct_certificate([_random_channel(rng) for _ in range(200)])
+    worst = float(np.max(cert.defect))
+    worst_prob = float(np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)))
     return CheckResult(
         "perfect-ct",
-        ok,
-        f"200 random channel/input pairs; max fidelity defect {worst_fid_dev:.3e}, "
-        f"max probability-sum defect {worst_prob_dev:.3e} (tol 1e-12)",
+        worst <= 1e-12 and worst_prob <= 1e-12,
+        f"200 random channels, every input; max |K - lambda I|/sqrt(p) = {worst:.3e}, "
+        f"max probability-sum defect {worst_prob:.3e} (tol 1e-12)",
     )
 
 

@@ -3,7 +3,9 @@
 The package contracts whole measurements at once; these functions take
 one step at a time on validated registers of up to four qubits, the way
 the protocol is written on paper, so the tests can walk every branch
-independently of the engine.  ``mismatch_ncf_closed`` is the closed form
+independently of the engine.  ``transfer_matrix_per_outcome`` builds the
+receiver's Pauli transfer matrix one sender outcome at a time, as the
+engine must reproduce bit for bit.  ``mismatch_ncf_closed`` is the closed form
 the mismatch averages are checked against, and ``monte_carlo_one_shot``
 draws a whole Monte Carlo average at once, as the streamed one must.
 """
@@ -16,13 +18,19 @@ import numpy as np
 from ctpower.analysis import FAMILY_NAMES
 from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
 from ctpower.errors import DimensionError
-from ctpower.protocol import INPUT_FAMILIES, ncf_batch
+from ctpower.protocol import INPUT_FAMILIES, _correction, ncf_batch
 from ctpower.qcore import (
+    BELL_OUTCOMES,
     EXACT_ATOL,
+    IDENTITY,
     MAX_QUBITS,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     ZERO_PROB,
     DensityOperator,
     PureState,
+    bell_state,
     pauli,
 )
 
@@ -147,6 +155,28 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL
     if a.num_qubits != b.num_qubits:
         raise DimensionError("states live on different numbers of qubits")
     return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - tol)
+
+
+# ---------------------------------------------------------------------------
+# the controller-absent map, one sender outcome at a time
+
+def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
+    """R_ij = tr(sigma_i E(sigma_j))/2 of the controller-absent protocol E:
+    for each sender outcome, the two Kraus operators (one per computational
+    controller state) with the dominant correction, contracted on their own,
+    then summed over the outcomes."""
+    paulis = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
+    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
+    for o, outcome in enumerate(BELL_OUTCOMES):
+        bra = bell_state(outcome).amps.conj().reshape(2, 2)  # (input, sender)
+        # kraus[c] maps the input qubit to the receiver, controller left in |c>
+        kraus = np.einsum("ts,csr->crt", bra, chan)
+        kraus = _correction(spec.dominant_bell, outcome) @ kraus
+        per_outcome[o] = 0.5 * np.einsum(
+            "iab,cbd,jde,cae->ij", paulis, kraus, paulis, kraus.conj()
+        ).real
+    return per_outcome.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

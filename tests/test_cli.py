@@ -139,6 +139,16 @@ def test_avg_command_ghz_classical_value(capsys):
     assert doc["scalars"]["stderr"] == 0.0
 
 
+def test_avg_command_caps_monte_carlo_samples(capsys):
+    # rejected before any sample is drawn, like a grid beyond its cap
+    code = main([
+        "avg", "--channel", "ghz", "--method", "monte_carlo",
+        "--n-samples", str(10**9 + 1),
+    ])
+    assert code == 2
+    assert "1000000000" in capsys.readouterr().err
+
+
 def test_power_sweep_peaks_at_even_split(capsys):
     code, out = run_cli(
         capsys, "power-sweep", "--channel", "theta", "--k", "z",
@@ -319,18 +329,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
-    # a huge --n-samples ends here; raising stands in for the allocation
+    # raising stands in for an allocation that fails; the largest
+    # --n-samples the cap lets through reaches the average
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr("ctpower.cli.avg_fidelity_numeric", exhausted)
-    argv = ["avg", "--channel", "ghz", "--method", "monte_carlo", "--n-samples", str(10**12)]
+    argv = ["avg", "--channel", "ghz", "--method", "monte_carlo", "--n-samples", str(10**9)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "ctpower: not enough memory for avg --channel ghz --method monte_carlo "
-        "--n-samples 1000000000000\n"
+        "--n-samples 1000000000\n"
     )
 
 

@@ -3,6 +3,8 @@
 The correction rule (an XOR of Pauli bits) is re-derived here by brute
 force: for every (shared Bell pair, sender outcome) the unique gate in
 {I, X, Z, XZ} that restores the input must be the one the rule gives.
+The certificate of perfect controlled teleportation, read off the
+corrected Kraus operators, is pinned to the controlled walk on inputs.
 
 Both protocols contract all measurement outcomes at once.  The walks below
 run them one branch at a time through the primitives of ``oracles.py``,
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from ctpower import verify
 from ctpower.channels import (
     MATCHED_AXIS,
     GHZChannel,
@@ -33,7 +36,9 @@ from ctpower.errors import (
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _correction,
+    _ct_certificate,
     _resolve_input,
+    _transfer_matrix,
     _walk,
     ArbitraryInput,
     XYInput,
@@ -52,6 +57,7 @@ from ctpower.qcore import (
     IDENTITY,
     PAULI_X,
     PAULI_Z,
+    ZERO_PROB,
     BellOutcome,
     PureState,
     bell_state,
@@ -67,6 +73,7 @@ from oracles import (
     project_two_qubit,
     tensor,
     to_density,
+    transfer_matrix_per_outcome,
 )
 
 # the receiver's candidate corrections, in the raw channels' tie order
@@ -144,6 +151,19 @@ def walk_unconditioned(spec, f):
     if spread > 1e-10:
         raise CorrectionMismatchError(f"spread {spread:.3e}")
     return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
+
+
+def swapped_pairs(spec):
+    """``spec`` with its two controller outcomes naming each other's Bell pair."""
+    base = type(spec)
+
+    class Swapped(base):
+        @property
+        def controller_measurement(self):
+            (l0, v0, p0), (l1, v1, p1) = base.controller_measurement.func(self)
+            return (l0, v0, p1), (l1, v1, p0)
+
+    return Swapped(**spec.params())
 
 
 def rotated_on_controller(spec, rng):
@@ -401,6 +421,67 @@ def test_unconditioned_teleport_matches_the_branch_walk():
         _walk(generic, amps[:, 0], amps[:, 1])
 
 
+def test_ct_certificate_matches_the_controlled_walk():
+    # the certificate covers every input; on sampled inputs each branch of
+    # the walk must be one the certificate keeps, return the input, and
+    # happen with probability |lambda|^2
+    rng = np.random.default_rng(89)
+    specs = [
+        GHZChannel(),
+        MSChannel(c=0.6, d=-0.8),
+        MSChannel(c=0.0, d=1.0),
+        # c^2 <= 1e-12: the degenerate controller basis
+        MSChannel(c=1e-7, d=-1.0),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
+        ThetaChannel(a=1.0, b=0.0, k="z"),
+    ] + [random_ms(rng) for _ in range(12)] + [random_theta(rng) for _ in range(12)]
+    cert = _ct_certificate(specs)
+    assert np.max(cert.defect) <= 1e-13
+    assert np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)) <= 1e-12
+    inputs = [random_qubit(rng) for _ in range(4)]
+    for spec, scale, prob in zip(specs, cert.scale, cert.probability):
+        labels = [label for label, _, _ in spec.controller_measurement]
+        kept = {
+            (labels[c], BELL_OUTCOMES[o]) for c, o in zip(*np.nonzero(prob > ZERO_PROB))
+        }
+        for f in inputs:
+            run = controlled_teleport(spec, f)
+            assert {(b.charlie_outcome, b.bell_outcome) for b in run.branches} == kept
+            for b in run.branches:
+                c = labels.index(b.charlie_outcome)
+                lam = scale[c, BELL_OUTCOMES.index(b.bell_outcome)]
+                assert abs(b.fidelity - 1.0) <= 1e-12
+                assert abs(b.probability - abs(lam) ** 2) <= 1e-12
+
+
+def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
+    # every correction is then a Pauli off: K = lambda Z on MS (phi+ and
+    # phi- swapped), K = lambda X on an x-axis theta channel (phi+ and psi+)
+    faulty = [
+        swapped_pairs(MSChannel(c=0.6, d=0.8)),
+        swapped_pairs(ThetaChannel(a=0.6, b=0.8, k="x")),
+    ]
+    assert np.min(_ct_certificate(faulty).defect) >= 0.1
+    for spec in faulty:
+        assert controlled_teleport(spec, ArbitraryInput(1.0, 0.5)).min_fidelity < 0.9
+    # one such channel among the check's 200 fails it
+    draws = iter(range(200))
+    real = verify._random_channel
+    monkeypatch.setattr(
+        verify, "_random_channel",
+        lambda rng: faulty[0] if next(draws) == 137 else real(rng),
+    )
+    result = verify.check_perfect_ct(0)
+    assert not result.passed
+    assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
+
+
+def test_ct_certificate_refuses_raw_channels():
+    # a raw channel's controller outcomes name no Bell pair to correct for
+    with pytest.raises(ValueError, match="no Bell pair"):
+        _ct_certificate([GHZChannel(), RawChannel(state=GHZChannel().state)])
+
+
 def test_degenerate_ms_controller_measures_in_the_computational_basis():
     # at c = 0 (and wherever c^2 <= 1e-12) the controller is a product
     # factor; its |0> outcome names the Bell pair the channel shares
@@ -583,6 +664,20 @@ def test_receiver_map_shapes():
             want[axis] = 1.0
             assert np.max(np.abs(t)) < 1e-14
             assert np.max(np.abs(T - np.diag(want))) < 1e-14
+
+
+def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
+    rng = np.random.default_rng(97)
+    specs = [GHZChannel(), MSChannel(c=0.0, d=-1.0), ThetaChannel(1.0, 0.0, "x")]
+    for _ in range(40):
+        ms, theta = random_ms(rng, c_floor=0.0), random_theta(rng)
+        specs += [
+            ms, theta, rotated_on_controller(ms, rng),
+            RawChannel(state=apply_gate(_random_local_unitary(rng), 0, theta.state)),
+        ]
+    for spec in specs:
+        oracle = transfer_matrix_per_outcome(spec)
+        assert _transfer_matrix(spec).tobytes() == oracle.tobytes()
 
 
 def test_receiver_map_is_built_once_and_read_only():

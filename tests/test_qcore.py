@@ -291,6 +291,9 @@ def test_fidelity_with_pure():
     assert abs(fidelity_with_pure(to_density(psi), phi) - want) < 1e-12
     with pytest.raises(DimensionError):
         fidelity_with_pure(to_density(phi), make_qubit(1.0, 0.0))
+    # a state within the 1e-10 norm tolerance is measured as if normalized
+    ket0 = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+    assert fidelity_with_pure(ket0, make_qubit(1 + 1e-11, 0)) == pytest.approx(1.0, abs=1e-15)
     # the stack form clamps rounding and names the first bad overlap
     assert np.array_equal(_fidelities(np.array([1.0 + 1e-13, -1e-13, 0.5])), [1.0, 0.0, 0.5])
     for bad in (1.0 + 1e-9, -1e-9, 0.5 + 1e-9j, np.nan):
