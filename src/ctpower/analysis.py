@@ -14,10 +14,10 @@ The analytic method and ``mismatch_report`` read both averages off the
 receiver's Bloch map (``protocol.receiver_map``).  Quadrature averages the
 branch walk over exact design points, all of a design in one batched walk,
 so it checks the map rather than re-reading it.  Monte Carlo evaluates
-the map on random Bloch vectors from the counter-based Philox generator,
-so every stochastic result is bit-reproducible from (seed, row-index); it
-streams the draws in fixed-size chunks and merges the chunks' moments, so
-its memory does not grow with the number of samples.
+the map's quadratic form at Bloch vectors drawn straight from the
+counter-based Philox generator, so every stochastic result is
+bit-reproducible from (seed, row-index); it streams the draws in fixed-size
+chunks and merges the chunks' moments, so its memory stays bounded.
 """
 from __future__ import annotations
 
@@ -42,8 +42,7 @@ from .protocol import (
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
-    _pauli_coords,
-    _transfer_matrix,
+    _ncf_form,
     _walk,
     receiver_map,
 )
@@ -51,6 +50,8 @@ from .qcore import EXACT_ATOL
 
 CLASSICAL_FIDELITY = 2.0 / 3.0
 CLASSICAL_POWER = 1.0 / 3.0
+
+MC_SAMPLES = 10**6  # per Monte Carlo average, and per point of a sweep
 
 _TWO_PI = 2.0 * np.pi
 
@@ -131,29 +132,47 @@ def _uniform_chunks(rng: np.random.Generator, n: int):
         yield start, rng.random(min(_BATCH_ROWS, n - start))
 
 
+# the Bloch axes (0 = x, 1 = y, 2 = z) of cos a and sin a on each circle
+_CIRCLE_AXES = {"xz": (2, 0), "xy": (0, 1), "yz": (2, 1)}
+
+
+def _circle_coords(family: str, angle: np.ndarray) -> list:
+    """[x, y, z] of a circle's members at ``angle``, None on the axis that
+    is zero on the whole circle; the sine overwrites ``angle``."""
+    r = [None, None, None]
+    cos_axis, sin_axis = _CIRCLE_AXES[family]
+    r[cos_axis] = np.cos(angle)
+    r[sin_axis] = np.sin(angle, out=angle)
+    return r
+
+
 def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: int):
     """The NCF at n random inputs, chunk by chunk.
 
     Stream positions [0, n) of the (seed, row) generator give each input's
     cos(theta) on the sphere, or its angle on a family's circle; positions
     [n, 2n) give the sphere's phi.  Each chunk goes straight to Bloch
-    coordinates, validated like ``ncf_batch``'s inputs.
+    vectors, whose |r|^2 is checked, and the map's quadratic form is
+    evaluated there.
     """
-    transfer = _transfer_matrix(spec)
+    form = _ncf_form(spec)
     draws = _uniform_chunks(_rng(seed, row), n)
     if family is not None:
-        amplitudes = INPUT_FAMILIES[family].amplitudes
         for start, u in draws:
-            k0, k1 = amplitudes(_TWO_PI * u)
-            yield _bloch_ncf(transfer, *_pauli_coords(k0, k1, start))
+            r = _circle_coords(family, np.multiply(u, _TWO_PI, out=u))
+            a, b = (v for v in r if v is not None)
+            _check_unit(a * a + b * b, start, "|r|^2")
+            yield _bloch_ncf(form, *r)
         return
     for (start, u), (_, v) in zip(draws, _uniform_chunks(_rng(seed, row, skip=n), n)):
         cos_theta = 1.0 - 2.0 * u
         sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-        phi = _TWO_PI * v
-        x, y = sin_theta * np.cos(phi), sin_theta * np.sin(phi)
+        phi = np.multiply(v, _TWO_PI, out=v)
+        x = sin_theta * np.cos(phi)
+        y = np.sin(phi, out=phi)
+        y *= sin_theta
         _check_unit(x * x + y * y + cos_theta * cos_theta, start, "|r|^2")
-        yield _bloch_ncf(transfer, 1.0, x, y, cos_theta)
+        yield _bloch_ncf(form, x, y, cos_theta)
 
 
 def _moments(chunks: Iterable[np.ndarray]) -> AverageResult:
@@ -179,7 +198,7 @@ def avg_fidelity_numeric(
     domain: str,
     method: str = "quadrature",
     family: str | None = None,
-    n_samples: int = 10**6,
+    n_samples: int = MC_SAMPLES,
     seed: int = 0,
     row: int = 0,
 ) -> AverageResult:

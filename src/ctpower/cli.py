@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     FAMILY_NAMES,
+    MC_SAMPLES,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
@@ -498,6 +499,9 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
             specs.append(MSChannel(math.sqrt(1.0 - d * d), d))
     else:
         specs.append(_spec_from_args(args))
+    if args.method == "monte_carlo" and len(specs) * MC_SAMPLES > _MAX_SAMPLES:
+        raise UsageError(f"{len(specs)} grid points of {MC_SAMPLES} Monte Carlo "
+                         f"samples each exceed the cap of {_MAX_SAMPLES} samples")
     reports = sweep(specs, method=args.method, seed=config.seed)
     table = power_table(reports)
     out = Report(title="control power sweep")
@@ -631,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("quadrature", "monte_carlo"), default="quadrature"
     )
-    p.add_argument("--n-samples", type=int, default=10**6, dest="n_samples")
+    p.add_argument("--n-samples", type=int, default=MC_SAMPLES, dest="n_samples")
     _add_common(p)
     p.set_defaults(handler=_cmd_avg)
 

@@ -23,11 +23,12 @@ controller-absent walk also takes arrays of inputs on a leading axis
 (``_walk``); ``unconditioned_teleport`` is its one-input view.
 
 Without the controller the protocol is one fixed qubit channel, the
-receiver's Bloch map r -> t + T r (``receiver_map``).  ``ncf_batch``
-evaluates that map for arrays of inputs, and Monte Carlo for chunks of
-random Bloch vectors; the branch walk is the oracle the tests pin it to,
-and the design averages and the verify checks run it over arrays of
-inputs.
+receiver's Bloch map r -> t + T r (``receiver_map``), and the NCF is one
+real quadratic form in the input's Bloch vector (``_ncf_form``).
+``ncf_batch`` evaluates it for arrays of inputs and Monte Carlo for its
+random Bloch vectors, both with ``_bloch_ncf``; the branch walk is the
+oracle the tests pin it to, and the design averages and the verify checks
+run it over arrays of inputs.
 
 Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
 chan, one per controller state c and sender outcome o, which ``_kraus``
@@ -538,32 +539,52 @@ def _pauli_coords(k0: np.ndarray, k1: np.ndarray, start: int = 0):
     return norm, cross.real, cross.imag, p0 - p1
 
 
-def _bloch_ncf(transfer: np.ndarray, norm, x, y, z) -> np.ndarray:
-    """NCF of inputs with Pauli coordinates (|k|^2, r) = (norm, x, y, z),
-    clipped to [0, 1]: <phi| E(phi) |phi> for the receiver's Bloch map E,
-    divided by the output trace and by |phi|^2, so that inputs within the
-    input tolerance are measured as if normalized.  For a unit-trace map
-    and |r| = |k|^2 = 1 this is 1/2 + t.r/2 + r.T.r/2."""
-    bloch = (norm, x, y, z)
-    # elementwise, not a BLAS product: BLAS's first call adds its work
-    # buffer to the peak memory of the whole process
-    image = [sum(r * v for r, v in zip(row, bloch)) for row in transfer]
-    ncf = 0.5 * sum(w * v for w, v in zip(image, bloch)) / (image[0] * norm)
-    return np.clip(ncf, 0.0, 1.0, out=ncf)
+def _ncf_form(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(t, S) with NCF(r) = (1 + t.r + r.S.r)/2 at a unit Bloch vector r: t
+    and S (symmetrized) are R_i0 and R_ij (i, j >= 1) of the transfer matrix
+    over R_00.  The map preserves the trace (R_0j = 0 for j >= 1), so R_00
+    is every input's output trace, divided out once here."""
+    transfer = _transfer_matrix(spec)
+    quad = transfer[1:, 1:] / transfer[0, 0]
+    return transfer[1:, 0] / transfer[0, 0], (quad + quad.T) / 2.0
+
+
+def _bloch_ncf(form: tuple[np.ndarray, np.ndarray], x, y, z) -> np.ndarray:
+    """(1 + t.r + r.S.r)/2 at Bloch vectors r = (x, y, z), clipped to
+    [0, 1], for the form (t, S) of ``_ncf_form``: axis by axis, in place,
+    r_i (t_i + S_ii r_i + 2 S_ij r_j summed over j > i).  An axis given as
+    None is zero at every input, as on a great circle, and is skipped.
+    Elementwise, not a BLAS product: BLAS's first call adds its work buffer
+    to the peak memory of the whole process."""
+    t, s = form
+    axes = [(i, r) for i, r in enumerate((x, y, z)) if r is not None]
+    total = 1.0
+    for n, (i, r) in enumerate(axes):
+        term = r * s[i, i]
+        term += t[i]
+        for j, other in axes[n + 1:]:
+            term += (2.0 * s[i, j]) * other
+        term *= r
+        term += total
+        total = term
+    total *= 0.5
+    return np.clip(total, 0.0, 1.0, out=total)
 
 
 def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     """Non-conditioned fidelity for arrays of input amplitudes.
 
-    Evaluates the receiver's Bloch map on the inputs' Bloch vectors
-    (``_bloch_ncf``, which Monte Carlo shares) for every channel kind.  The
+    Evaluates the quadratic form of the receiver's Bloch map
+    (``_bloch_ncf``, which Monte Carlo shares) at each input's Bloch vector
+    over |k|^2, so near-unit inputs are measured as if normalized.  The
     branch walk is the oracle the test suite pins this against pointwise.
     Raises NormalizationError unless every |k0|^2 + |k1|^2 is 1 within 1e-10.
     """
     k0, k1 = _input_arrays(k0, k1)
-    transfer = _transfer_matrix(spec)
+    form = _ncf_form(spec)
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
-        out[rows] = _bloch_ncf(transfer, *_pauli_coords(k0[rows], k1[rows], start))
+        norm, x, y, z = _pauli_coords(k0[rows], k1[rows], start)
+        out[rows] = _bloch_ncf(form, x / norm, y / norm, z / norm)
     return out

@@ -6,8 +6,9 @@ the protocol is written on paper, so the tests can walk every branch
 independently of the engine.  ``transfer_matrix_per_outcome`` builds the
 receiver's Pauli transfer matrix one sender outcome at a time, as the
 engine must reproduce bit for bit.  ``mismatch_ncf_closed`` is the closed form
-the mismatch averages are checked against, and ``monte_carlo_one_shot``
-draws a whole Monte Carlo average at once, as the streamed one must.
+the mismatch averages are checked against, ``monte_carlo_one_shot``
+draws a whole Monte Carlo average at once, as the streamed one must, and
+``ncf_variance`` is the exact variance its standard error estimates.
 """
 from __future__ import annotations
 
@@ -245,3 +246,44 @@ def monte_carlo_one_shot(
     vals = ncf_batch(spec, k0, k1)
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(vals.mean()), stderr
+
+
+# ---------------------------------------------------------------------------
+# the exact spread of the NCF over a domain
+
+def isotropic_moments(axes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """E[r_i r_j] and E[r_i r_j r_k r_l] for r uniform on the unit sphere
+    of the span of the Bloch ``axes``: P/m and
+    (P_ij P_kl + P_ik P_jl + P_il P_jk)/(m (m + 2)), with P the projector
+    onto the span and m its dimension.  On the Bloch sphere these are
+    delta_ij/3 and (delta delta + delta delta + delta delta)/15; on a great
+    circle, with c and s the cosine and sine of the angle, E[c^2] = 1/2,
+    E[c^4] = 3/8 and E[c^2 s^2] = 1/8.  Odd moments vanish on both."""
+    proj = np.zeros((3, 3))
+    proj[axes, axes] = 1.0
+    m = len(axes)
+    pairs = ("ij,kl->ijkl", "ik,jl->ijkl", "il,jk->ijkl")
+    fourth = sum(np.einsum(pair, proj, proj) for pair in pairs)
+    return proj / m, fourth / (m * (m + 2))
+
+
+def ncf_variance(spec: ChannelSpec, family: str | None) -> float:
+    """The variance of the NCF over the sphere (``family`` None) or over a
+    family's circle, exactly, from the moments of the input's Bloch vector.
+
+    NCF = (1 + g)/2 with g = t.r + r.S.r, t and S (symmetrized) read off
+    ``transfer_matrix_per_outcome`` and divided by R00.  The odd moments
+    vanish, so Var g = t.E[rr].t + S:E[rrrr]:S - (S:E[rr])^2.
+    """
+    transfer = transfer_matrix_per_outcome(spec)
+    t = transfer[1:, 0] / transfer[0, 0]
+    quad = transfer[1:, 1:] / transfer[0, 0]
+    quad = (quad + quad.T) / 2.0
+    if family is None:
+        axes = [0, 1, 2]
+    else:
+        axes = [i for i, axis in enumerate("xyz") if axis != MATCHED_AXIS[family]]
+    second, fourth = isotropic_moments(axes)
+    mean_quad = float(np.einsum("ij,ij->", quad, second))
+    var_g = t @ second @ t + np.einsum("ij,ijkl,kl->", quad, fourth, quad) - mean_quad**2
+    return float(var_g) / 4.0

@@ -28,13 +28,21 @@ from ctpower.analysis import (
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
 from ctpower.errors import CorrectionMismatchError, NormalizationError, RangeError
-from ctpower.protocol import ArbitraryInput, unconditioned_teleport
+from ctpower.protocol import (
+    INPUT_FAMILIES,
+    ArbitraryInput,
+    _pauli_coords,
+    _walk,
+    unconditioned_teleport,
+)
 from ctpower.qcore import PureState
+from ctpower.verify import _random_local_unitary
 from oracles import (
     MatchedFamiliesError,
     apply_gate,
     mismatch_ncf_closed,
     monte_carlo_one_shot,
+    ncf_variance,
     philox_draws,
 )
 
@@ -244,6 +252,68 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
                 assert abs(stderr - want_stderr) <= 1e-15
 
 
+def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
+    # Monte Carlo puts (cos a, sin a) on a circle's two Bloch axes without
+    # building amplitudes; the Pauli coordinates of the members are the oracle
+    angles = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
+    for family in FAMILY_NAMES:
+        _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(angles))
+        got = analysis._circle_coords(family, angles.copy())
+        for axis in range(3):
+            coord = np.zeros_like(angles) if got[axis] is None else got[axis]
+            assert np.max(np.abs(coord - want[axis])) <= 1e-15, (family, axis)
+
+
+def walk_central_moments(spec, family):
+    """Variance and fourth central moment of the branch walk's NCF
+    over the sphere or a family's circle, from a product rule exact for
+    polynomials of degree 8 in the Bloch vector, such as NCF^4: five
+    Gauss-Legendre nodes in cos(theta) and 16 equally spaced angles."""
+    angles = np.arange(16) * (2.0 * np.pi / 16)
+    if family is None:
+        z, wz = np.polynomial.legendre.leggauss(5)
+        z, phi = np.repeat(z, 16), np.tile(angles, 5)
+        weights = np.repeat(wz / 2.0, 16) / 16
+        k0 = np.sqrt((1.0 + z) / 2.0) + 0j
+        k1 = np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)
+    else:
+        weights = np.full(16, 1.0 / 16)
+        k0, k1 = INPUT_FAMILIES[family].amplitudes(angles)
+    vals = _walk(spec, k0, k1).ncf
+    dev = vals - weights @ vals
+    return float(weights @ dev**2), float(weights @ dev**4)
+
+
+def test_monte_carlo_stderr_matches_the_predicted_spread():
+    # Monte Carlo's stderr estimates sigma/sqrt(n), with sigma^2 the exact
+    # variance of the quadratic NCF.  Its own spread follows from the sample
+    # variance's, sqrt((mu4 - sigma^4)/n) with mu4 the fourth central moment,
+    # so by the delta method the stderr's standard deviation is
+    # sqrt((mu4 - sigma^4)/n) / (2 sigma sqrt(n)); the bound is 4 of those.
+    rng = np.random.default_rng(113)
+    ms = MSChannel(c=0.6, d=-0.8)
+    theta = ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z")
+    specs = [
+        ms,
+        theta,
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, ms.state)),
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, theta.state)),
+    ]
+    n = 50_000
+    for row, spec in enumerate(specs):
+        for family in (None, *FAMILY_NAMES):
+            variance = ncf_variance(spec, family)
+            walked, mu4 = walk_central_moments(spec, family)
+            assert abs(variance - walked) <= 1e-14
+            _, stderr = mc_average(spec, family, n, seed=29, row=row)
+            if variance <= 1e-20:  # a flat circle
+                assert stderr <= 1e-15
+                continue
+            sigma = math.sqrt(variance)
+            spread = math.sqrt((mu4 - variance**2) / n) / (2.0 * sigma * math.sqrt(n))
+            assert abs(stderr - sigma / math.sqrt(n)) <= 4.0 * spread, (spec, family)
+
+
 def test_monte_carlo_memory_does_not_grow_with_n_samples():
     spec = MSChannel(c=0.6, d=-0.8)
     for family in (None, "xz"):
@@ -283,10 +353,10 @@ def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
 
     monkeypatch.setattr(analysis, "_uniform_chunks", nan_draws)
     spec = MSChannel(c=0.6, d=0.8)
-    with pytest.raises(NormalizationError, match=r"\|r\|\^2 = nan at index 0"):
-        mc_average(spec, None, 5)
-    with pytest.raises(NormalizationError, match=r"\|k0\|\^2\+\|k1\|\^2 = nan"):
-        mc_average(spec, "xy", 5)
+    # the sphere and every circle check the |r|^2 of the Bloch vectors they draw
+    for family in (None, *FAMILY_NAMES):
+        with pytest.raises(NormalizationError, match=r"\|r\|\^2 = nan at index 0"):
+            mc_average(spec, family, 5)
 
 
 # ---------------------------------------------------------------------------

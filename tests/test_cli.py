@@ -149,6 +149,22 @@ def test_avg_command_caps_monte_carlo_samples(capsys):
     assert "1000000000" in capsys.readouterr().err
 
 
+def test_power_sweep_caps_monte_carlo_samples(capsys, monkeypatch):
+    # 1,001 grid points of 10^6 samples each ask for just over 10^9 samples;
+    # refused before any point is averaged
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("ctpower.cli.sweep", refuse)
+    code = main([
+        "power-sweep", "--channel", "theta", "--k", "z",
+        "--a2-grid", "0:1:0.001", "--method", "monte_carlo",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1001 grid points" in err and "1000000000" in err
+
+
 def test_power_sweep_peaks_at_even_split(capsys):
     code, out = run_cli(
         capsys, "power-sweep", "--channel", "theta", "--k", "z",

@@ -666,18 +666,33 @@ def test_receiver_map_shapes():
             assert np.max(np.abs(T - np.diag(want))) < 1e-14
 
 
-def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
-    rng = np.random.default_rng(97)
+def mapped_channels(rng, count):
+    """Edge-case named channels, then ``count`` rounds of a random MS and
+    theta channel and each of them as a raw channel with its controller
+    rotated: all of them have a receiver map."""
     specs = [GHZChannel(), MSChannel(c=0.0, d=-1.0), ThetaChannel(1.0, 0.0, "x")]
-    for _ in range(40):
+    for _ in range(count):
         ms, theta = random_ms(rng, c_floor=0.0), random_theta(rng)
         specs += [
             ms, theta, rotated_on_controller(ms, rng),
             RawChannel(state=apply_gate(_random_local_unitary(rng), 0, theta.state)),
         ]
-    for spec in specs:
+    return specs
+
+
+def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
+    for spec in mapped_channels(np.random.default_rng(97), 40):
         oracle = transfer_matrix_per_outcome(spec)
         assert _transfer_matrix(spec).tobytes() == oracle.tobytes()
+
+
+def test_transfer_matrix_preserves_the_trace():
+    # the first row is (R00, 0, 0, 0): the output trace is R00 for every
+    # input, which the quadratic form of the NCF divides out once
+    for spec in mapped_channels(np.random.default_rng(101), 20):
+        first_row = _transfer_matrix(spec)[0]
+        assert abs(first_row[0] - 1.0) <= 1e-15
+        assert np.max(np.abs(first_row[1:])) <= 1e-15
 
 
 def test_receiver_map_is_built_once_and_read_only():
