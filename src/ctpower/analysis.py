@@ -10,14 +10,15 @@ Averages run over one of two domains:
 * "sphere": dOmega / 4pi over all pure qubit inputs,
 * "family": uniform angle along one equatorial input family's great circle.
 
-The analytic method and ``mismatch_report`` read both averages off the
-receiver's Bloch map (``protocol.receiver_map``).  Quadrature averages the
-branch walk over exact design points, all of a design in one batched walk,
-so it checks the map rather than re-reading it.  Monte Carlo evaluates
+Every method reads the receiver's Bloch map (``protocol.receiver_map``),
+the one controller-absent engine.  The analytic method and
+``mismatch_report`` read both averages off its matrix.  Quadrature is the
+map's NCF (``ncf_batch``) at exact design points.  Monte Carlo evaluates
 the map's quadratic form at Bloch vectors drawn straight from the
 counter-based Philox generator, so every stochastic result is
 bit-reproducible from (seed, row-index); it streams the draws in fixed-size
-chunks and merges the chunks' moments, so its memory stays bounded.
+chunks and merges the chunks' moments, so its memory stays bounded.  The
+tests pin all of them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .protocol import (
     _bloch_ncf,
     _check_unit,
     _ncf_form,
-    _walk,
+    ncf_batch,
     receiver_map,
 )
 from .qcore import EXACT_ATOL
@@ -206,7 +207,7 @@ def avg_fidelity_numeric(
 
     ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
     or "family" (one equatorial family named by ``family``, uniform in its
-    angle).  ``method`` is "quadrature" (the exact mean of the branch walk
+    angle).  ``method`` is "quadrature" (the exact mean of ``ncf_batch``
     over a design: the tetrahedron, or three equally spaced family members;
     stderr 0) or "monte_carlo" (mean and standard error of the NCF at
     ``n_samples`` random inputs from the Philox stream keyed by (seed, row),
@@ -223,11 +224,7 @@ def avg_fidelity_numeric(
         raise ValueError(f"unknown domain {domain!r}")
 
     if method == "quadrature":
-        # the walk alone passes channels whose map is refused (it gives 1/2
-        # where the sender's outcome weights depend on the input)
-        receiver_map(spec)
-        design = _design(family)
-        return AverageResult(float(np.mean(_walk(spec, *design).ncf)), 0.0)
+        return AverageResult(float(np.mean(ncf_batch(spec, *_design(family)))), 0.0)
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")

@@ -337,8 +337,8 @@ _FAMILIES = {cls.family: cls for cls in (GHZChannel, MSChannel, ThetaChannel, Ra
 def channel_from_config(text: str) -> ChannelSpec:
     """Parse the ``key = value`` channel format written by channel_to_config.
 
-    Keys the family does not use are ignored; a missing one raises
-    ValueError naming it.
+    Keys the family does not use are ignored; a missing or repeated one
+    raises ValueError naming it.
     """
     values: dict[str, str] = {}
     for raw_line in text.splitlines():
@@ -348,7 +348,10 @@ def channel_from_config(text: str) -> ChannelSpec:
         if "=" not in line:
             raise ValueError(f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise ValueError(f"channel config repeats the {key!r} key")
+        values[key] = value.strip()
     family = values.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")

@@ -16,19 +16,19 @@ Two protocol variants share the same wiring.  The joint register is always
   same fidelity against the input for every sender outcome; that fidelity
   is the non-conditioned fidelity (NCF).
 
-Both walks contract the input and channel amplitudes against all four Bell
-projectors at once, and validate only the states they return: each
-branch's receiver state, or the receiver's mixed state.  The
-controller-absent walk also takes arrays of inputs on a leading axis
-(``_walk``); ``unconditioned_teleport`` is its one-input view.
+The controlled run contracts the input and channel amplitudes against all
+four Bell projectors at once, and validates only each branch's receiver
+state.
 
 Without the controller the protocol is one fixed qubit channel, the
 receiver's Bloch map r -> t + T r (``receiver_map``), and the NCF is one
-real quadratic form in the input's Bloch vector (``_ncf_form``).
-``ncf_batch`` evaluates it for arrays of inputs and Monte Carlo for its
-random Bloch vectors, both with ``_bloch_ncf``; the branch walk is the
-oracle the tests pin it to, and the design averages and the verify checks
-run it over arrays of inputs.
+real quadratic form in the input's Bloch vector (``_ncf_form``).  The map
+is the one controller-absent engine: ``unconditioned_teleport`` reads the
+receiver's state off it, and ``ncf_batch`` evaluates the form for arrays
+of inputs and Monte Carlo for its random Bloch vectors, both with
+``_bloch_ncf``.  A channel whose sender outcomes leave different maps is
+refused by all of them alike.  The tests pin the map to a step-by-step
+walk of the branches, their independent oracle.
 
 Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
 chan, one per controller state c and sender outcome o, which ``_kraus``
@@ -70,8 +70,6 @@ from .qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
-    _check_densities,
-    _fidelities,
     bell_state,
     make_qubit,
     pauli,
@@ -358,71 +356,6 @@ def _ct_certificate(specs: Sequence[ChannelSpec]) -> _Certificate:
     return _Certificate(scale, probability, np.max(relative, axis=(1, 2)))
 
 
-class _Walk(NamedTuple):
-    ncf: np.ndarray     # (n,) fidelity of each input's receiver state
-    rho: np.ndarray     # (n, 2, 2) the receiver's states, controller traced out
-    spread: np.ndarray  # (n,) largest gap between one input's outcome states
-
-
-def _walk(spec: ChannelSpec, k0, k1) -> _Walk:
-    """The controller-absent branch walk for arrays of input amplitudes.
-
-    Each input drops its own zero-probability sender outcomes; the states
-    its kept outcomes leave must coincide (CorrectionMismatchError beyond
-    1e-10), and each input's receiver state and fidelity are validated.
-    Inputs within 1e-10 of unit norm are measured as if normalized.
-    """
-    k0, k1 = _input_arrays(k0, k1)
-    norm = _pauli_coords(k0, k1)[0]
-    phi = np.stack([k0, k1], axis=1)  # (input index, input qubit)
-    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
-    # post[n, o, c, r]: (input, sender outcome, controller, receiver), unnormalized
-    post = np.einsum("ois,ni,csr->nocr", _BELL_BRAS, phi, chan)
-    gates = np.array([_correction(spec.dominant_bell, o) for o in BELL_OUTCOMES])
-    post = np.einsum("orq,nocq->nocr", gates, post)
-    probs = np.sum(np.abs(post) ** 2, axis=(2, 3))
-    keep = probs > ZERO_PROB
-    probs = np.where(keep, probs, 0.0)
-    post = post / np.sqrt(np.where(keep, probs, 1.0))[:, :, None, None]
-    # rho[n, o]: the receiver's state after outcome o, controller traced out;
-    # zero where the outcome was dropped
-    rho = np.einsum("nocr,nocq->norq", post, post.conj()) * keep[:, :, None, None]
-    gaps = np.max(np.abs(rho[:, :, None] - rho[:, None, :]), axis=(3, 4))
-    spread = np.max(gaps * (keep[:, :, None] & keep[:, None, :]), axis=(1, 2))
-    worst = np.max(spread, initial=0.0)
-    if worst > CORRECTION_MISMATCH_ATOL:
-        raise CorrectionMismatchError(
-            f"corrected receiver states disagree by {worst:.3e} across sender outcomes"
-        )
-    rho3 = np.einsum("no,norq->nrq", probs, rho) / np.sum(probs, axis=1)[:, None, None]
-    _check_densities(rho3)
-    # <phi| rho3 |phi> as matrix products, which round as np.vdot does,
-    # divided by |phi|^2: the fidelity of the normalized input, which stays
-    # in [0, 1] for inputs up to 1e-10 off unit norm
-    overlap = (phi.conj()[:, None, :] @ (rho3 @ phi[:, :, None]))[:, 0, 0]
-    return _Walk(ncf=_fidelities(overlap / norm), rho=rho3, spread=spread)
-
-
-def unconditioned_teleport(
-    spec: ChannelSpec, f: InputFamily | PureState
-) -> NcfResult:
-    """Teleport without the controller; returns the receiver's mixed state.
-
-    For each sender Bell outcome the controller qubit is traced out after
-    the receiver's dominant-branch correction.  The four reduced states
-    must coincide (CorrectionMismatchError beyond 1e-10 says no single
-    correction fits the channel); their common value gives
-    ncf = <phi| rho3 |phi>.  This is the one-input view of the walk.
-    """
-    amps = _resolve_input(f).amps
-    walk = _walk(spec, amps[:1], amps[1:])
-    return NcfResult(
-        rho3=DensityOperator(walk.rho[0]),
-        ncf=float(walk.ncf[0]),
-        per_outcome_equal=bool(walk.spread[0] <= EXACT_ATOL),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -449,7 +382,7 @@ def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> 
 
 
 # ---------------------------------------------------------------------------
-# the receiver's Bloch map, and the vectorized NCF built on it
+# the receiver's Bloch map, and the NCF and receiver state read off it
 
 _PAULI_BASIS = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -459,14 +392,18 @@ _BATCH_ROWS = 8192
 
 
 @functools.lru_cache(maxsize=256)
-def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
+def _transfer_matrix(spec: ChannelSpec) -> tuple[np.ndarray, float]:
     """4x4 Pauli transfer matrix R_ij = tr(sigma_i E(sigma_j))/2 of the
-    controller-absent protocol E, summed over the sender's outcomes.
+    controller-absent protocol E, summed over the sender's outcomes, and
+    the largest gap between the outcomes' matrices.
 
     Each outcome contributes two Kraus operators, one per controller basis
     state, already corrected by the receiver.  Every outcome has average
     probability 1/4 over the sphere; divided by that weight, the outcomes'
-    matrices must coincide, or no single correction fits the channel.
+    matrices must coincide (CorrectionMismatchError beyond 1e-10), or no
+    single correction fits the channel.  When they coincide, the sum
+    preserves the trace, so each outcome's R_0j (j >= 1) is zero: every
+    outcome then has probability 1/4 for every input.
 
     Cached per spec, so a channel's map is built once however many
     averages read it (a mismatch report reads three circles per channel);
@@ -492,7 +429,7 @@ def _transfer_matrix(spec: ChannelSpec) -> np.ndarray:
         )
     transfer = per_outcome.sum(axis=0)
     transfer.flags.writeable = False
-    return transfer
+    return transfer, spread
 
 
 def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -503,18 +440,8 @@ def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     NCF(r) = 1/2 + t.r/2 + r.T.r/2.  Raises CorrectionMismatchError when
     the sender's outcomes leave the receiver in different maps.
     """
-    transfer = _transfer_matrix(spec)
+    transfer, _ = _transfer_matrix(spec)
     return transfer[1:, 0], transfer[1:, 1:]
-
-
-def _input_arrays(k0, k1) -> tuple[np.ndarray, np.ndarray]:
-    """Input amplitudes as flat complex arrays; raises DimensionError unless
-    their shapes match."""
-    k0 = np.asarray(k0, dtype=complex).reshape(-1)
-    k1 = np.asarray(k1, dtype=complex).reshape(-1)
-    if k0.shape != k1.shape:
-        raise DimensionError("k0 and k1 arrays must have matching shapes")
-    return k0, k1
 
 
 def _check_unit(norm: np.ndarray, start: int, what: str) -> None:
@@ -544,7 +471,7 @@ def _ncf_form(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     and S (symmetrized) are R_i0 and R_ij (i, j >= 1) of the transfer matrix
     over R_00.  The map preserves the trace (R_0j = 0 for j >= 1), so R_00
     is every input's output trace, divided out once here."""
-    transfer = _transfer_matrix(spec)
+    transfer, _ = _transfer_matrix(spec)
     quad = transfer[1:, 1:] / transfer[0, 0]
     return transfer[1:, 0] / transfer[0, 0], (quad + quad.T) / 2.0
 
@@ -577,10 +504,15 @@ def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     Evaluates the quadratic form of the receiver's Bloch map
     (``_bloch_ncf``, which Monte Carlo shares) at each input's Bloch vector
     over |k|^2, so near-unit inputs are measured as if normalized.  The
-    branch walk is the oracle the test suite pins this against pointwise.
-    Raises NormalizationError unless every |k0|^2 + |k1|^2 is 1 within 1e-10.
+    tests pin it pointwise to a step-by-step walk of the branches.  Raises
+    DimensionError unless k0 and k1 have one shape, NormalizationError
+    unless every |k0|^2 + |k1|^2 is 1 within 1e-10, and
+    CorrectionMismatchError for a channel whose map is refused.
     """
-    k0, k1 = _input_arrays(k0, k1)
+    k0 = np.asarray(k0, dtype=complex).reshape(-1)
+    k1 = np.asarray(k1, dtype=complex).reshape(-1)
+    if k0.shape != k1.shape:
+        raise DimensionError("k0 and k1 arrays must have matching shapes")
     form = _ncf_form(spec)
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
@@ -588,3 +520,27 @@ def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
         norm, x, y, z = _pauli_coords(k0[rows], k1[rows], start)
         out[rows] = _bloch_ncf(form, x / norm, y / norm, z / norm)
     return out
+
+
+def unconditioned_teleport(
+    spec: ChannelSpec, f: InputFamily | PureState
+) -> NcfResult:
+    """Teleport without the controller; returns the receiver's mixed state.
+
+    The receiver's map r -> t + T r takes the input's Bloch vector r to
+    rho3 = (I + (t + T r).sigma)/2, and ncf = <phi| rho3 |phi> comes from
+    the quadratic form ``ncf_batch`` evaluates.  ``per_outcome_equal`` says
+    whether the four sender outcomes leave maps within 1e-12 of each other;
+    beyond 1e-10 no single correction fits the channel, and
+    CorrectionMismatchError is raised.
+    """
+    amps = _resolve_input(f).amps
+    transfer, spread = _transfer_matrix(spec)
+    norm, x, y, z = _pauli_coords(amps[:1], amps[1:])
+    bloch = transfer[1:, 0] + transfer[1:, 1:] @ np.concatenate([x, y, z]) / norm
+    rho3 = (IDENTITY + np.tensordot(bloch, _PAULI_BASIS[1:], axes=1)) / 2.0
+    return NcfResult(
+        rho3=DensityOperator(rho3),
+        ncf=float(ncf_batch(spec, amps[:1], amps[1:])[0]),
+        per_outcome_equal=spread <= EXACT_ATOL,
+    )

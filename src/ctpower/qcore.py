@@ -63,35 +63,6 @@ class PureState:
         return self.amps.size.bit_length() - 1
 
 
-def _check_densities(m: np.ndarray) -> None:
-    """Raise unless every matrix of the stack ``m`` (shape (..., d, d)) is
-    finite, Hermitian, of unit trace and positive semidefinite."""
-    if not np.all(np.isfinite(m)):
-        raise NormalizationError("density matrix has a non-finite entry")
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0) > EXACT_ATOL:
-        raise ValueError("density matrix is not Hermitian")
-    trace = np.asarray(np.trace(m, axis1=-2, axis2=-1))
-    bad = (np.abs(trace.real - 1.0) > INPUT_ATOL) | (np.abs(trace.imag) > EXACT_ATOL)
-    if np.any(bad):
-        raise NormalizationError(f"trace = {complex(trace[bad][0])!r}, expected 1")
-    if np.min(np.linalg.eigvalsh(m), initial=0.0) < -PSD_ATOL:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
-def _fidelities(values) -> np.ndarray:
-    """The overlaps <phi| rho |phi> as real numbers clamped to [0, 1]; raises
-    when one is complex or outside [0, 1] beyond 1e-12."""
-    values = np.asarray(values)
-    bad = (np.abs(values.imag) > EXACT_ATOL) | ~(
-        (-EXACT_ATOL <= values.real) & (values.real <= 1.0 + EXACT_ATOL)
-    )
-    if np.any(bad):
-        raise ValueError(
-            f"fidelity {complex(values[bad][0])!r} outside [0, 1] beyond tolerance"
-        )
-    return np.clip(values.real, 0.0, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator on 1..4 qubits."""
@@ -103,7 +74,15 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
         _as_register_length(m.shape[0])
-        _check_densities(m)
+        if not np.all(np.isfinite(m)):
+            raise NormalizationError("density matrix has a non-finite entry")
+        if np.max(np.abs(m - m.conj().T)) > EXACT_ATOL:
+            raise ValueError("density matrix is not Hermitian")
+        trace = complex(np.trace(m))
+        if abs(trace.real - 1.0) > INPUT_ATOL or abs(trace.imag) > EXACT_ATOL:
+            raise NormalizationError(f"trace = {trace!r}, expected 1")
+        if np.min(np.linalg.eigvalsh(m)) < -PSD_ATOL:
+            raise ValueError("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -191,6 +170,9 @@ def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
         raise DimensionError(
             f"operator on {rho.num_qubits} qubits vs state on {phi.num_qubits}"
         )
-    overlap = np.vdot(phi.amps, rho.mat @ phi.amps)
-    return float(_fidelities(overlap / np.vdot(phi.amps, phi.amps).real))
+    overlap = complex(np.vdot(phi.amps, rho.mat @ phi.amps))
+    val = overlap / np.vdot(phi.amps, phi.amps).real
+    if abs(val.imag) > EXACT_ATOL or not -EXACT_ATOL <= val.real <= 1.0 + EXACT_ATOL:
+        raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
+    return min(max(val.real, 0.0), 1.0)
 

@@ -40,8 +40,8 @@ from .protocol import (
     XYInput,
     XZInput,
     _ct_certificate,
-    _walk,
     controlled_teleport,
+    ncf_batch,
     ncf_ms_closed,
 )
 from .qcore import PureState
@@ -101,7 +101,7 @@ def check_ms_closed_form() -> CheckResult:
     worst = 0.0
     for d in ds:
         spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-        sim = _walk(spec, k0, k1).ncf
+        sim = ncf_batch(spec, k0, k1)
         closed = [ncf_ms_closed(a, b, float(d)) for a, b in zip(k0, k1)]
         worst = max(worst, float(np.max(np.abs(sim - closed))))
     return CheckResult(
@@ -164,7 +164,7 @@ def check_matched_flatness() -> CheckResult:
         for a2 in (0.3, 0.5, 0.8):
             spec = ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=MATCHED_AXIS[fam])
             expected = max(a2, 1.0 - a2)
-            vals = _walk(spec, *INPUT_FAMILIES[fam].amplitudes(angles)).ncf
+            vals = ncf_batch(spec, *INPUT_FAMILIES[fam].amplitudes(angles))
             worst_dev = max(worst_dev, float(np.max(np.abs(vals - expected))))
             worst_std = max(worst_std, float(vals.std()))
     ok = worst_dev <= 1e-12 and worst_std <= 1e-12
@@ -198,7 +198,7 @@ def check_max_control_power() -> CheckResult:
     s = math.sqrt(0.5)
     for fam in FAMILY_NAMES:
         spec = ThetaChannel(a=s, b=s, k=MATCHED_AXIS[fam])
-        ncf = _walk(spec, *INPUT_FAMILIES[fam].amplitudes(0.37)).ncf[0]
+        ncf = ncf_batch(spec, *INPUT_FAMILIES[fam].amplitudes(0.37))[0]
         worst = max(worst, abs(control_power(ncf) - 0.5))
     return CheckResult(
         "max-control-power",

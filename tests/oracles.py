@@ -3,9 +3,12 @@
 The package contracts whole measurements at once; these functions take
 one step at a time on validated registers of up to four qubits, the way
 the protocol is written on paper, so the tests can walk every branch
-independently of the engine.  ``transfer_matrix_per_outcome`` builds the
-receiver's Pauli transfer matrix one sender outcome at a time, as the
-engine must reproduce bit for bit.  ``mismatch_ncf_closed`` is the closed form
+independently of the engine.  ``walk_unconditioned`` walks the
+controller-absent protocol that way, one sender outcome at a time, and is
+the reference every controller-absent number is pinned to.
+``transfer_matrix_per_outcome`` builds the receiver's Pauli transfer
+matrix one sender outcome at a time, as the engine must reproduce bit for
+bit.  ``mismatch_ncf_closed`` is the closed form
 the mismatch averages are checked against, ``monte_carlo_one_shot``
 draws a whole Monte Carlo average at once, as the streamed one must, and
 ``ncf_variance`` is the exact variance its standard error estimates.
@@ -18,8 +21,8 @@ import numpy as np
 
 from ctpower.analysis import FAMILY_NAMES
 from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
-from ctpower.errors import DimensionError
-from ctpower.protocol import INPUT_FAMILIES, _correction, ncf_batch
+from ctpower.errors import CorrectionMismatchError, DimensionError
+from ctpower.protocol import INPUT_FAMILIES, _correction, _resolve_input, ncf_batch
 from ctpower.qcore import (
     BELL_OUTCOMES,
     EXACT_ATOL,
@@ -159,7 +162,45 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL
 
 
 # ---------------------------------------------------------------------------
-# the controller-absent map, one sender outcome at a time
+# the controller-absent protocol, one sender outcome at a time
+
+def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
+    """(rho3 matrix, spread of the per-outcome states) for one input.
+
+    Each sender outcome is projected, corrected toward the dominant branch
+    and stripped of the controller on its own; the outcomes this input
+    never sees are dropped, and the kept ones are weighed by their
+    probabilities.  Raises CorrectionMismatchError when the kept outcomes'
+    states differ by more than 1e-10.
+    """
+    phi = _resolve_input(f)
+    joint = tensor(phi, spec.state)
+    mats, probs = [], []
+    for outcome in BELL_OUTCOMES:
+        p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
+        if post is None:
+            continue
+        # post register: (controller, receiver)
+        corrected = apply_gate(_correction(spec.dominant_bell, outcome), 1, post)
+        mats.append(partial_trace(to_density(corrected), (0,)).mat)
+        probs.append(p)
+    spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
+    if spread > 1e-10:
+        raise CorrectionMismatchError(f"spread {spread:.3e}")
+    return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
+
+
+def walk_ncf(spec: ChannelSpec, k0, k1) -> np.ndarray:
+    """<phi| rho3 |phi> / |phi|^2 of ``walk_unconditioned`` at each input
+    of the amplitude arrays: the fidelity of the normalized input."""
+    out = []
+    for amps in zip(np.ravel(k0), np.ravel(k1)):
+        phi = PureState(np.array(amps, dtype=complex))
+        rho, _ = walk_unconditioned(spec, phi)
+        out.append(np.vdot(phi.amps, rho @ phi.amps).real / np.vdot(phi.amps, phi.amps).real)
+    return np.array(out)
+
+
 
 def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
     """R_ij = tr(sigma_i E(sigma_j))/2 of the controller-absent protocol E:

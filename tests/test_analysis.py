@@ -32,7 +32,7 @@ from ctpower.protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
     _pauli_coords,
-    _walk,
+    ncf_batch,
     unconditioned_teleport,
 )
 from ctpower.qcore import PureState
@@ -44,6 +44,8 @@ from oracles import (
     monte_carlo_one_shot,
     ncf_variance,
     philox_draws,
+    walk_ncf,
+    walk_unconditioned,
 )
 
 
@@ -148,23 +150,23 @@ def test_matched_family_average_is_the_dominant_weight():
         assert abs(mean - 0.5) < 1e-9
 
 
-def test_quadrature_walks_the_branches_not_the_map(monkeypatch):
-    # quadrature averages the branch walk, so it checks the Bloch map that
-    # ncf_batch and Monte Carlo evaluate rather than re-reading it
-    def refuse(*args):
-        raise AssertionError("quadrature evaluated the Bloch map")
-
-    for module in ("protocol", "analysis"):
-        monkeypatch.setattr(f"ctpower.{module}._bloch_ncf", refuse)
+def test_quadrature_is_the_map_at_the_design_points():
+    # quadrature is the mean of the map's NCF (ncf_batch) over a design, bit
+    # for bit; the step-by-step walk at the same points and the closed forms
+    # agree within 1e-12
     for d in (-0.8, 0.0, 0.37, 1.0):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
         mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
+        assert mean == float(np.mean(ncf_batch(spec, *analysis._design(None))))
+        assert abs(mean - np.mean(walk_ncf(spec, *analysis._design(None)))) < 1e-12
         assert abs(mean - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
     for a2 in (0.3, 0.5, 0.9):
         a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
         for fam in FAMILY_NAMES:
             spec = ThetaChannel(a=a, b=b, k=MATCHED_AXIS[fam])
             mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="quadrature")
+            assert mean == float(np.mean(ncf_batch(spec, *analysis._design(fam))))
+            assert abs(mean - np.mean(walk_ncf(spec, *analysis._design(fam)))) < 1e-12
             assert abs(mean - max(a * a, b * b)) < 1e-12
 
 
@@ -265,7 +267,7 @@ def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
 
 
 def walk_central_moments(spec, family):
-    """Variance and fourth central moment of the branch walk's NCF
+    """Variance and fourth central moment of the step-by-step walk's NCF
     over the sphere or a family's circle, from a product rule exact for
     polynomials of degree 8 in the Bloch vector, such as NCF^4: five
     Gauss-Legendre nodes in cos(theta) and 16 equally spaced angles."""
@@ -279,7 +281,7 @@ def walk_central_moments(spec, family):
     else:
         weights = np.full(16, 1.0 / 16)
         k0, k1 = INPUT_FAMILIES[family].amplitudes(angles)
-    vals = _walk(spec, k0, k1).ncf
+    vals = walk_ncf(spec, k0, k1)
     dev = vals - weights @ vals
     return float(weights @ dev**2), float(weights @ dev**4)
 
@@ -422,7 +424,10 @@ def test_analytic_sweep_reads_the_receiver_map():
     amps = np.zeros(8, dtype=complex)
     amps[[0b000, 0b101]] = 1.0 / math.sqrt(2.0)
     degenerate = RawChannel(state=PureState(amps))
-    assert abs(unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5)).ncf - 0.5) < 1e-12
+    rho, _ = walk_unconditioned(degenerate, ArbitraryInput(1.0, 0.5))
+    assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
+    with pytest.raises(CorrectionMismatchError):
+        unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5))
     for method in ("quadrature", "monte_carlo"):
         with pytest.raises(CorrectionMismatchError):
             avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)

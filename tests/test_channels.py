@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctpower.channels import (
     TANGLE_BOUND,
@@ -255,15 +257,21 @@ def test_tangle_matches_concurrence_oracle_on_random_states():
         assert abs(got - want) < 1e-8
 
 
-def test_tangle_local_unitary_invariance():
-    rng = np.random.default_rng(53)
-    base = ms_state(0.6, 0.8)
-    tau0 = three_tangle(base).tau
-    for _ in range(50):
-        state = base
-        for q in range(3):
-            state = apply_gate(haar_unitary(rng), q, state)
-        assert abs(three_tangle(state).tau - tau0) < 1e-9
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tangle_local_unitary_invariance(parts, seed):
+    # any normalized 3-qubit state, then one Haar unitary on each qubit
+    v = np.array(parts[:8]) + 1j * np.array(parts[8:])
+    assume(np.linalg.norm(v) >= 1e-3)
+    base = PureState(v / np.linalg.norm(v))
+    rng = np.random.default_rng(seed)
+    state = base
+    for q in range(3):
+        state = apply_gate(haar_unitary(rng), q, state)
+    assert abs(three_tangle(state).tau - three_tangle(base).tau) < 1e-9
 
 
 def test_tangle_bound_threshold():
@@ -310,6 +318,14 @@ def test_config_parsing_errors_and_comments():
         ("family = raw\n", "'amps'"),
     ):
         with pytest.raises(ValueError, match=key):
+            channel_from_config(text)
+    # a repeated key is named too, rather than the last value kept
+    amps = "amps = 1 0 0 0 0 0 0 0\n"
+    for text, key in (
+        ("family = ghz\nFamily = ms\nc = 0.6\nd = 0.8\n", "'family'"),
+        ("family = raw\n" + amps + amps.replace("1 0", "0 1"), "'amps'"),
+    ):
+        with pytest.raises(ValueError, match=f"repeats the {key} key"):
             channel_from_config(text)
     spec = channel_from_config("family = ms\nc = 0.6\nd = 0.8\nk = x\n")
     assert spec == MSChannel(c=0.6, d=0.8)

@@ -339,6 +339,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     no_d = tmp_path / "no_d.cfg"
     no_d.write_text("family = ms\nc = 0.6\n")
     assert main(["ct", "--channel", "ms", "--config", str(no_d)]) == 2  # key missing
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("family = ms\nc = 0.6\nd = 0.8\nd = -0.8\n")
+    assert main(["ct", "--channel", "ms", "--config", str(twice)]) == 2  # key repeated
+    assert "repeats the 'd' key" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["ct", "--channel", "hexagonal"])  # argparse rejects the choice
     capsys.readouterr()
@@ -390,6 +394,24 @@ def test_verify_failure_injection(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("ctpower: check failed: ") and "Traceback" not in err
+
+
+def test_ncf_refuses_the_channels_avg_refuses(capsys, tmp_path):
+    # |000> and (|000> + |101>)/sqrt(2): the sender's outcomes leave different
+    # receiver maps, so no controller-absent number exists for any input
+    split = np.zeros(8, dtype=complex)
+    split[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
+    for amps in (np.eye(8)[0], split):
+        path = tmp_path / "refused.cfg"
+        path.write_text(channel_to_config(RawChannel(state=PureState(amps))))
+        errors = []
+        for command in ("ncf", "avg"):
+            code = main([command, "--channel", "raw", "--config", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("ctpower: check failed: corrected receiver maps disagree")
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -3,13 +3,19 @@
 Channels are named MS/GHZ/theta states and the same states with a random
 unitary on the controller qubit, which must leave the receiver's map
 unchanged.  For each, the map must be a valid qubit channel on the unit
-sphere, and the NCF it gives must equal the branch walk of
-unconditioned_teleport, pointwise and averaged over the sphere and the
+sphere, and the NCF it gives must equal the step-by-step branch walk of
+``oracles.py`` pointwise, and the analytic averages over the sphere and the
 three circles.  With the controller's help teleportation must be
 perfect, also for a raw copy rotated so that its computational controller
-basis is the named one.
+basis is the named one.  The command line must end in an exit code, never
+a traceback, whatever flags and values it is given.
 """
+import argparse
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,15 +27,16 @@ from ctpower.channels import (
     MSChannel,
     RawChannel,
     ThetaChannel,
+    channel_to_config,
 )
+from ctpower.cli import build_parser, main
 from ctpower.protocol import (
-    _walk,
     controlled_teleport,
     ncf_batch,
     receiver_map,
 )
-from ctpower.qcore import make_qubit
-from oracles import apply_gate
+from ctpower.qcore import PureState, make_qubit
+from oracles import apply_gate, walk_ncf
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -89,8 +96,9 @@ def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, point
     k1 = np.exp(1j * phi) * np.sin(theta / 2.0)
     batch = ncf_batch(spec, k0, k1)
     assert np.max(np.abs(batch - from_map)) < 1e-12
-    assert np.max(np.abs(batch - _walk(spec, k0, k1).ncf)) < 1e-12
-    # quadrature averages the walk over exact designs; the map must agree
+    assert np.max(np.abs(batch - walk_ncf(spec, k0, k1))) < 1e-12
+    # quadrature reads the map at exact designs (pinned to the walk's mean
+    # over them in test_protocol.py); the analytic average must agree
     for family in (None,) + FAMILY_NAMES:
         domain = "sphere" if family is None else "family"
         quad = avg_fidelity_numeric(spec, domain, method="quadrature", family=family).mean
@@ -115,3 +123,76 @@ def test_controlled_teleport_is_perfect(spec, phases, point):
         run = controlled_teleport(RawChannel(state=apply_gate(rotation, 0, spec.state)), phi)
     assert run.min_fidelity >= 1.0 - 1e-12
     assert abs(run.total_probability - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the command line never ends in a traceback
+
+(_SUBCOMMANDS,) = (
+    a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+
+# raw channel configs the command line reads: one with a receiver map, and
+# |000>, whose sender outcomes leave different maps
+_CONFIGS = {
+    "valid.cfg": RawChannel(state=apply_gate(np.array([[0.6, 0.8j], [0.8j, 0.6]]), 0,
+                                             MSChannel(c=0.6, d=-0.8).state)),
+    "refused.cfg": RawChannel(state=PureState(np.eye(8)[0])),
+}
+
+_VALUES = st.sampled_from(
+    ("nan", "inf", "-0.0", "1e309", "-1", "0", "2", "", "x", "0:1:0", "1:0:0.1")
+    + tuple(_CONFIGS)
+)
+
+
+def _value(command, action):
+    if action.choices is None:
+        return _VALUES
+    choices = list(action.choices)
+    if command == "power-sweep" and action.dest == "method":
+        choices.remove("monte_carlo")  # 10^6 samples per grid point
+    return st.sampled_from(choices)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and flags from the parser's own choices, with values
+    from a fixed pool.  ``avg`` always ends with an ``--n-samples`` of at
+    most 1000, and ``verify`` always runs ``--quick``: both would otherwise
+    draw 10^6 Monte Carlo samples."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    parser = _SUBCOMMANDS[command]
+    argv = [command]
+    argv += [draw(_value(command, a)) for a in parser._actions if not a.option_strings]
+    flags = [a for a in parser._actions if a.option_strings]
+    for action in draw(st.lists(st.sampled_from(flags), max_size=6)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(draw(_value(command, action)))
+    if command == "avg":
+        argv += ["--n-samples", draw(st.integers(1, 1000).map(str) | _VALUES)]
+    if command == "verify":
+        argv.append("--quick")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_cli_never_ends_in_a_traceback(argv):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # --output and --args-from touch only this directory
+        try:
+            for name, spec in _CONFIGS.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(channel_to_config(spec))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse exits on a usage error, and on -h
+                    code = exc.code
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())

@@ -6,10 +6,12 @@ force: for every (shared Bell pair, sender outcome) the unique gate in
 The certificate of perfect controlled teleportation, read off the
 corrected Kraus operators, is pinned to the controlled walk on inputs.
 
-Both protocols contract all measurement outcomes at once.  The walks below
-run them one branch at a time through the primitives of ``oracles.py``,
-validating every intermediate state, and are the oracle the protocols are
-pinned to.
+The controlled protocol contracts all measurement outcomes at once, and
+without the controller every number comes from the receiver's map.  The
+walks run both protocols one branch at a time through the primitives of
+``oracles.py``, validating every intermediate state, and are the oracle
+the protocols are pinned to: ``walk_controlled`` below, and
+``walk_unconditioned`` in ``oracles.py``.
 """
 import math
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from ctpower import verify
+from ctpower.analysis import FAMILY_NAMES, _design, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
     GHZChannel,
@@ -39,7 +42,6 @@ from ctpower.protocol import (
     _ct_certificate,
     _resolve_input,
     _transfer_matrix,
-    _walk,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -68,12 +70,12 @@ from ctpower.verify import _random_local_unitary
 from oracles import (
     apply_gate,
     equal_up_to_global_phase,
-    partial_trace,
     project_single_qubit,
     project_two_qubit,
     tensor,
-    to_density,
     transfer_matrix_per_outcome,
+    walk_ncf,
+    walk_unconditioned,
 )
 
 # the receiver's candidate corrections, in the raw channels' tie order
@@ -132,25 +134,6 @@ def walk_controlled(spec, f):
                 corrected = apply_gate(_correction(shared, outcome), 0, after_bell)
             branches.append((label, outcome, p_ctrl * p_bell, corrected.amps))
     return branches
-
-
-def walk_unconditioned(spec, f):
-    """(rho3 matrix, spread of the per-outcome states); raises on mismatch."""
-    phi = _resolve_input(f)
-    joint = tensor(phi, spec.state)
-    mats, probs = [], []
-    for outcome in BELL_OUTCOMES:
-        p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
-        if post is None:
-            continue
-        # post register: (controller, receiver)
-        corrected = apply_gate(_correction(spec.dominant_bell, outcome), 1, post)
-        mats.append(partial_trace(to_density(corrected), (0,)).mat)
-        probs.append(p)
-    spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
-    if spread > 1e-10:
-        raise CorrectionMismatchError(f"spread {spread:.3e}")
-    return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
 
 
 def swapped_pairs(spec):
@@ -366,59 +349,65 @@ def test_controlled_teleport_matches_the_branch_walk():
 
 
 def test_unconditioned_teleport_matches_the_branch_walk():
+    # named channels and raw ones with a unitary on the controller: the map's
+    # receiver state, its NCF and the design averages all match the walk
     rng = np.random.default_rng(83)
     specs = [
-        GHZChannel(),
         MSChannel(c=0.6, d=0.8),
         MSChannel(c=0.8, d=-0.6),
-        MSChannel(c=0.0, d=-1.0),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
         ThetaChannel(a=math.sqrt(0.8), b=math.sqrt(0.2), k="y"),
-        ThetaChannel(a=1.0, b=0.0, k="x"),
         RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, -0.8).state)),
         RawChannel(state=apply_gate(_random_local_unitary(rng), 0, ThetaChannel(0.8, 0.6, "x").state)),
-    ]
+    ] + mapped_channels(rng, 2)
     inputs = [make_qubit(1.0, 0.0), YZInput(2.5)] + [random_qubit(rng) for _ in range(4)]
+    for spec in specs:
+        for f in inputs:
+            result = unconditioned_teleport(spec, f)
+            rho, spread = walk_unconditioned(spec, f)
+            assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
+            phi = _resolve_input(f).amps
+            assert abs(result.ncf - np.vdot(phi, rho @ phi).real) < 1e-12
+            # the map's outcomes agree, and so do the walk's states
+            assert result.per_outcome_equal and spread <= 1e-12
+        for family in (None,) + FAMILY_NAMES:
+            domain = "sphere" if family is None else "family"
+            quad = avg_fidelity_numeric(spec, domain, family=family).mean
+            assert abs(quad - np.mean(walk_ncf(spec, *_design(family)))) < 1e-12
+
+
+def test_channels_whose_outcomes_leave_different_maps_are_refused():
+    # the sender's outcome weights depend on the input on both channels.  On
+    # |000>, |0> keeps only phi+- and |1> only psi+-; on (|000> + |101>)/sqrt(2)
+    # every kept outcome leaves I/2.  The walk accepts each of these inputs on
+    # its own; the map refuses the channel, and so does every
+    # controller-absent number built on it
     product = np.zeros(8, dtype=complex)
-    product[0] = 1.0
-    # |000> with the input |0>: the sender never sees psi+ or psi-
-    pairs = [(spec, f) for spec in specs for f in inputs] + [
-        (RawChannel(state=PureState(product)), inputs[0])
-    ]
-    for spec, f in pairs:
-        result = unconditioned_teleport(spec, f)
-        rho, spread = walk_unconditioned(spec, f)
-        assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
-        phi = _resolve_input(f).amps
-        assert abs(result.ncf - np.vdot(phi, rho @ phi).real) < 1e-12
-        assert result.per_outcome_equal == (spread <= 1e-12)
-    # one walk over all of a spec's inputs gives each input's oracle value.
-    # The inputs of one batch may keep different outcomes: on |000>, |0>
-    # keeps only phi+- and |1> only psi+-; on (|000> + |101>)/sqrt(2), where
-    # every kept outcome leaves I/2, a superposition keeps all four
-    amps = np.array([_resolve_input(f).amps for f in inputs])
-    one = np.array([0.0, 1.0])
+    product[0b000] = 1.0
     split = np.zeros(8, dtype=complex)
     split[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
-    batches = [(spec, amps) for spec in specs] + [
-        (RawChannel(state=PureState(product)), np.array([amps[0], one, amps[0]])),
-        (RawChannel(state=PureState(split)), np.array([amps[0], amps[2], one, amps[3]])),
-    ]
-    for spec, batch in batches:
-        walk = _walk(spec, batch[:, 0], batch[:, 1])
-        for phi, ncf, rho3 in zip(batch, walk.ncf, walk.rho):
-            rho, _ = walk_unconditioned(spec, PureState(phi))
-            assert abs(ncf - np.vdot(phi, rho @ phi).real) < 1e-12
-            assert np.max(np.abs(rho3 - rho)) < 1e-12
-    # a generic raw state has no single correction; every walk says so
+    zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
+    tilted = input_state(ArbitraryInput(1.0, 0.5))
+    for amps, inputs in ((product, [zero, one]), (split, [zero, tilted, one])):
+        spec = RawChannel(state=PureState(amps))
+        for f in inputs:
+            walk_unconditioned(spec, f)
+            with pytest.raises(CorrectionMismatchError, match="corrected receiver maps disagree"):
+                unconditioned_teleport(spec, f)
+        with pytest.raises(CorrectionMismatchError, match="corrected receiver maps disagree"):
+            ncf_batch(spec, [1.0], [0.0])
+    rho, _ = walk_unconditioned(RawChannel(state=PureState(split)), tilted)
+    assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
+    # a generic raw state has no single correction; the walk says so too
+    rng = np.random.default_rng(87)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
     with pytest.raises(CorrectionMismatchError):
-        walk_unconditioned(generic, inputs[2])
+        walk_unconditioned(generic, tilted)
     with pytest.raises(CorrectionMismatchError):
-        unconditioned_teleport(generic, inputs[2])
+        unconditioned_teleport(generic, tilted)
     with pytest.raises(CorrectionMismatchError):
-        _walk(generic, amps[:, 0], amps[:, 1])
+        ncf_batch(generic, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_ct_certificate_matches_the_controlled_walk():
@@ -588,9 +577,9 @@ def test_ncf_raw_channel_uses_best_single_correction():
 
 
 # ---------------------------------------------------------------------------
-# batch path stays pinned to the scalar path
+# the map's NCF stays pinned to the walk
 
-def test_ncf_batch_matches_unconditioned_teleport_pointwise():
+def test_ncf_batch_matches_the_branch_walk_pointwise():
     rng = np.random.default_rng(73)
     specs = [
         GHZChannel(),
@@ -608,44 +597,30 @@ def test_ncf_batch_matches_unconditioned_teleport_pointwise():
     k0 = np.array([q.amps[0] for q in qubits])
     k1 = np.array([q.amps[1] for q in qubits])
     for spec in specs:
-        batch = ncf_batch(spec, k0, k1)
-        for i, q in enumerate(qubits):
-            scalar = unconditioned_teleport(spec, q).ncf
-            assert abs(batch[i] - scalar) < 1e-12
-    # a generic raw state has no single correction; both paths say so
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
-    with pytest.raises(CorrectionMismatchError):
-        ncf_batch(generic, k0, k1)
-    with pytest.raises(CorrectionMismatchError):
-        unconditioned_teleport(generic, qubits[0])
+        assert np.max(np.abs(ncf_batch(spec, k0, k1) - walk_ncf(spec, k0, k1))) < 1e-12
 
 
 def test_walk_measures_nearly_normalized_inputs_as_normalized():
     # inputs within the 1e-10 norm tolerance give the fidelity of the
-    # normalized input on both paths, never a value outside [0, 1]
+    # normalized input, as the walk does, never a value outside [0, 1]
     spec = MSChannel(c=0.6, d=0.8)
     qubit = make_qubit(1 + 1e-11, 0)
-    batch = ncf_batch(spec, qubit.amps[:1], qubit.amps[1:])
-    assert abs(unconditioned_teleport(spec, qubit).ncf - batch[0]) <= 1e-12
+    assert abs(unconditioned_teleport(spec, qubit).ncf - walk_ncf(spec, 1 + 1e-11, 0)[0]) <= 1e-12
     s = (1 - 4e-11) / math.sqrt(2)
     k0, k1 = [1 + 1e-11, s, 1 - 1e-11], [0.0, 1j * s, 0.0]
-    assert np.max(np.abs(_walk(spec, k0, k1).ncf - ncf_batch(spec, k0, k1))) <= 1e-12
+    assert np.max(np.abs(walk_ncf(spec, k0, k1) - ncf_batch(spec, k0, k1))) <= 1e-12
 
 
 def test_ncf_batch_shape_check():
-    for batch in (ncf_batch, _walk):
-        with pytest.raises(DimensionError):
-            batch(GHZChannel(), np.array([1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(DimensionError):
+        ncf_batch(GHZChannel(), np.array([1.0]), np.array([0.0, 1.0]))
 
 
 def test_ncf_batch_rejects_unnormalized_and_non_finite_amplitudes():
-    # the map and the walk share one input check
     spec = MSChannel(c=0.6, d=0.8)
     for k0 in (2.0, 1.0 + 1e-9, float("nan"), float("inf"), complex(0.0, float("nan"))):
-        for batch in (ncf_batch, _walk):
-            with pytest.raises(NormalizationError, match="at index 1,"):
-                batch(spec, [1.0, k0], [0.0, 0.0])
+        with pytest.raises(NormalizationError, match="at index 1,"):
+            ncf_batch(spec, [1.0, k0], [0.0, 0.0])
     s = 1 / math.sqrt(2)
     assert ncf_batch(spec, [1.0 + 1e-11, s], [0.0, 1j * s]) == pytest.approx([1.0, 0.9])
 
@@ -683,14 +658,14 @@ def mapped_channels(rng, count):
 def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
     for spec in mapped_channels(np.random.default_rng(97), 40):
         oracle = transfer_matrix_per_outcome(spec)
-        assert _transfer_matrix(spec).tobytes() == oracle.tobytes()
+        assert _transfer_matrix(spec)[0].tobytes() == oracle.tobytes()
 
 
 def test_transfer_matrix_preserves_the_trace():
     # the first row is (R00, 0, 0, 0): the output trace is R00 for every
     # input, which the quadratic form of the NCF divides out once
     for spec in mapped_channels(np.random.default_rng(101), 20):
-        first_row = _transfer_matrix(spec)[0]
+        first_row = _transfer_matrix(spec)[0][0]
         assert abs(first_row[0] - 1.0) <= 1e-15
         assert np.max(np.abs(first_row[1:])) <= 1e-15
 

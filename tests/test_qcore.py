@@ -18,8 +18,6 @@ from ctpower.qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
-    _check_densities,
-    _fidelities,
     bell_state,
     fidelity_with_pure,
     make_qubit,
@@ -114,11 +112,6 @@ def test_density_operator_validation():
     for bad, error in cases:
         with pytest.raises(error):
             DensityOperator(bad)
-        # the branch walk checks its stack of states with the same helper;
-        # a bad member anywhere in the stack fails it
-        _check_densities(np.stack([good.mat, good.mat]))
-        with pytest.raises(error):
-            _check_densities(np.stack([good.mat, bad]))
     with pytest.raises(DimensionError):
         DensityOperator(np.eye(3) / 3)
 
@@ -294,11 +287,16 @@ def test_fidelity_with_pure():
     # a state within the 1e-10 norm tolerance is measured as if normalized
     ket0 = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
     assert fidelity_with_pure(ket0, make_qubit(1 + 1e-11, 0)) == pytest.approx(1.0, abs=1e-15)
-    # the stack form clamps rounding and names the first bad overlap
-    assert np.array_equal(_fidelities(np.array([1.0 + 1e-13, -1e-13, 0.5])), [1.0, 0.0, 0.5])
-    for bad in (1.0 + 1e-9, -1e-9, 0.5 + 1e-9j, np.nan):
+    # rounding within 1e-12 of [0, 1] is clamped; beyond it the overlap is
+    # refused.  Both operators pass the 1e-10 eigenvalue floor
+    ket0, ket1 = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
+    rounded = DensityOperator(np.diag([1.0 + 1e-13, -1e-13]).astype(complex))
+    assert fidelity_with_pure(rounded, ket0) == 1.0
+    assert fidelity_with_pure(rounded, ket1) == 0.0
+    beyond = DensityOperator(np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
+    for phi in (ket0, ket1):
         with pytest.raises(ValueError, match="outside"):
-            _fidelities(np.array([0.5, bad]))
+            fidelity_with_pure(beyond, phi)
 
 
 def test_equal_up_to_global_phase():
