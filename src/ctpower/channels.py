@@ -16,8 +16,10 @@ The controller's slice of an MS state decomposes over Bell pairs as
 
 which is where ``charlie_basis`` comes from: measuring the controller qubit
 in that (normalized, orthogonal) basis collapses sender+receiver onto a
-known Bell pair.  A raw channel's controller measures in the computational
-basis, which names no pair.
+known Bell pair.  The controller of a theta or raw channel measures in the
+computational basis, and each outcome names the Bell pair of largest weight
+in the pair it leaves: on a theta channel the pair the outcome leaves
+exactly.  The receiver corrects toward that pair, whatever the input.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from .errors import (
     NormalizationError,
 )
 from .qcore import (
+    BELL_BRAS,
+    BELL_OUTCOMES,
     EXACT_ATOL,
     INPUT_ATOL,
     PSD_ATOL,
@@ -66,15 +70,8 @@ def check_unit_pair(x, y, names: str) -> tuple[float, float]:
 # expectation on every member of the family's great circle
 MATCHED_AXIS = {"xz": "y", "xy": "z", "yz": "x"}
 
-# theta channel axis -> the Bell pair b|1>(I x sigma_k)|phi+> leaves
-_ROTATED_BELL = {
-    "x": BellOutcome.PSI_PLUS,
-    "y": BellOutcome.PSI_MINUS,
-    "z": BellOutcome.PHI_MINUS,
-}
-
-# (label, basis vector, Bell pair left); None when no pair is known
-ControllerOutcome = tuple[str, PureState, BellOutcome | None]
+# (label, basis vector, Bell pair the receiver corrects toward)
+ControllerOutcome = tuple[str, PureState, BellOutcome]
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ class ChannelSpec:
     """A member of a channel family, with the facts the protocol needs.
 
     Every subclass names its ``family``, builds its 3-qubit ``state`` once
-    per spec object, and lists its ``controller_measurement``: one
-    (label, basis vector, Bell pair left) triple per controller outcome,
-    the pair being None where the receiver must pick its best correction.
+    per spec object, and has a ``controller_measurement``: one
+    (label, basis vector, Bell pair left) triple per controller outcome;
+    that pair and the sender's outcome alone fix the receiver's Pauli.
     ``dominant_bell`` is the Bell pair of the most likely outcome, which
     the receiver corrects toward when the controller abstains.
     """
@@ -97,6 +94,19 @@ class ChannelSpec:
     def params(self) -> dict[str, object]:
         """The family parameters a report prints, in order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    @cached_property
+    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
+        """The controller measured in the computational basis: outcome c
+        names the Bell pair p of largest weight |<bell_p| <c| chan|^2, ties
+        within 1e-12 going to the earlier pair in BELL_OUTCOMES.  Theta and
+        raw channels measure so; MS channels override it."""
+        weights = np.abs(self.state.amps.reshape(2, 4) @ BELL_BRAS.T) ** 2
+        best = np.argmax(weights >= weights.max(axis=1, keepdims=True) - EXACT_ATOL, axis=1)
+        return tuple(
+            (label, make_qubit(*np.eye(2)[c]), BELL_OUTCOMES[best[c]])
+            for c, label in enumerate("01")
+        )
 
 
 @dataclass(frozen=True)
@@ -165,16 +175,10 @@ class ThetaChannel(ChannelSpec):
     def state(self) -> PureState:
         return theta_channel(self.a, self.b, self.k)
 
-    @cached_property
-    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        return (
-            ("0", make_qubit(1.0, 0.0), BellOutcome.PHI_PLUS),
-            ("1", make_qubit(0.0, 1.0), _ROTATED_BELL[self.k]),
-        )
-
     @property
     def dominant_bell(self) -> BellOutcome:
-        return self.controller_measurement[self.b**2 > self.a**2][2]  # P(1) = b^2
+        # |0> leaves phi+, |1> the pair (I x sigma_k)|phi+>, with P(1) = b^2
+        return self.controller_measurement[self.b**2 > self.a**2][2]
 
     @property
     def matched_family(self) -> str:
@@ -202,11 +206,6 @@ class RawChannel(ChannelSpec):
 
     def params(self) -> dict[str, object]:
         return {}
-
-    @cached_property
-    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        # the computational basis; each branch's best Pauli corrects it
-        return (("0", make_qubit(1.0, 0.0), None), ("1", make_qubit(0.0, 1.0), None))
 
 
 # ---------------------------------------------------------------------------

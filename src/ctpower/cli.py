@@ -308,16 +308,16 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
     if name == "raw":
         raise UsageError("raw channels need --config with an amplitude list")
     if name == "ghz":
-        _reject_params(args, ("c", "d", "a", "b", "a2", "k"), "ghz")
+        _reject_params(args, ("c", "d", "a", "b", "a2", "k"), "the 'ghz' channel")
         return GHZChannel()
     if name == "ms":
-        _reject_params(args, ("a", "b", "a2", "k"), "ms")
+        _reject_params(args, ("a", "b", "a2", "k"), "the 'ms' channel")
         if args.c is None and args.d is None:
             raise UsageError("ms channels need --c and/or --d")
         c, d = _complete_unit_pair(args, "c", "d")
         return MSChannel(c=c, d=d)
     # theta family, by axis or by matched-family name
-    _reject_params(args, ("c", "d"), name)
+    _reject_params(args, ("c", "d"), f"the {name!r} channel")
     a, b = _theta_amplitudes(args)
     if name == "theta":
         if args.k is None:
@@ -353,10 +353,10 @@ def _complete_unit_pair(args: argparse.Namespace, x: str, y: str) -> tuple[float
     return values[x], values[y]
 
 
-def _reject_params(args: argparse.Namespace, names: tuple[str, ...], family: str) -> None:
+def _reject_params(args: argparse.Namespace, names: tuple[str, ...], where: str) -> None:
     for n in names:
         if getattr(args, n, None) is not None:
-            raise UsageError(f"--{n} does not apply to the {family!r} channel")
+            raise UsageError(f"--{n} does not apply to {where}")
 
 
 def _input_from_args(args: argparse.Namespace) -> InputFamily:
@@ -445,8 +445,8 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         raise UsageError("--domain family needs --family {xz,xy,yz}")
     if args.domain == "sphere" and args.family is not None:
         raise UsageError("--family only applies to --domain family")
-    if args.n_samples > _MAX_SAMPLES:
-        raise UsageError(f"--n-samples {args.n_samples} exceeds the cap of {_MAX_SAMPLES}")
+    if not 1 <= args.n_samples <= _MAX_SAMPLES:
+        raise UsageError(f"--n-samples must lie in [1, {_MAX_SAMPLES}], got {args.n_samples}")
     mean, stderr = avg_fidelity_numeric(
         spec,
         args.domain,
@@ -476,6 +476,9 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     specs: list[ChannelSpec] = []
     if args.a2_grid is not None and args.d_grid is not None:
         raise UsageError("give either --a2-grid or --d-grid, not both")
+    if args.a2_grid is not None or args.d_grid is not None:
+        # the grid sets every channel parameter
+        _reject_params(args, ("c", "d", "a", "b", "a2", "config"), "a grid sweep")
     if args.a2_grid is not None:
         if args.channel not in (None, "theta") and args.channel not in NAMED_CHANNELS:
             raise UsageError("--a2-grid applies to theta-family channels")
@@ -493,6 +496,7 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     elif args.d_grid is not None:
         if args.channel not in (None, "ms"):
             raise UsageError("--d-grid applies to ms channels")
+        _reject_params(args, ("k",), "an ms grid sweep")
         for d in parse_grid(args.d_grid):
             if not -1.0 <= d <= 1.0:
                 raise UsageError(f"d grid value {d!r} outside [-1, 1]")

@@ -4,21 +4,18 @@ Two protocol variants share the same wiring.  The joint register is always
 (input, controller, sender, receiver) = qubits (0, 1, 2, 3):
 
 * ``controlled_teleport``: the controller measures in the basis its
-  channel names (collapsing the sender+receiver pair onto a known Bell
-  state), then the sender projects (input, sender) onto the Bell basis and
-  the receiver applies a Pauli correction.  Every branch of a named channel
-  ends with the input state exactly; a raw channel's controller measures in
-  the computational basis, and its receiver takes the best Pauli per branch.
+  channel names, each outcome naming the Bell pair it leaves the
+  sender+receiver pair in, then the sender projects (input, sender) onto
+  the Bell basis and the receiver applies the Pauli that the two outcomes
+  fix, never looking at the input.  Every branch of a named channel ends
+  with the input state exactly; a raw channel's controller measures in the
+  computational basis, and each outcome names its pair of largest weight.
 
 * ``unconditioned_teleport``: the controller abstains.  The sender still
   measures, the receiver corrects toward the dominant channel branch, and
   the controller qubit is traced out.  The resulting mixed state has the
   same fidelity against the input for every sender outcome; that fidelity
   is the non-conditioned fidelity (NCF).
-
-The controlled run contracts the input and channel amplitudes against all
-four Bell projectors at once, and validates only each branch's receiver
-state.
 
 Without the controller the protocol is one fixed qubit channel, the
 receiver's Bloch map r -> t + T r (``receiver_map``), and the NCF is one
@@ -34,12 +31,13 @@ Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
 chan, one per controller state c and sender outcome o, which ``_kraus``
 stacks over channels; the map above takes the computational controller
 states and the dominant correction.  With the controller present each
-branch is one K, and controlled teleportation is perfect for every input
-exactly when each K of non-zero weight is lambda I: the branch then returns
-the input with probability |lambda|^2, whatever the input.
+branch is one K, stacked by ``_controlled_kraus`` from the controller
+outcomes each channel lists: ``controlled_teleport`` hands the receiver
+K phi with probability |K phi|^2.  Controlled teleportation is perfect for
+every input exactly when each K of non-zero weight is lambda I: the branch
+then returns the input with probability |lambda|^2, whatever the input.
 ``_ct_certificate`` measures max |K - lambda I| / sqrt(p), lambda = tr K / 2
-and p = |K|_F^2 / 2 the branch probability averaged over inputs.  A raw
-channel's controller outcomes name no Bell pair, so it has no certificate.
+and p = |K|_F^2 / 2 the branch probability averaged over inputs.
 """
 from __future__ import annotations
 
@@ -58,6 +56,7 @@ from .errors import (
     RangeError,
 )
 from .qcore import (
+    BELL_BRAS,
     BELL_OUTCOMES,
     EXACT_ATOL,
     IDENTITY,
@@ -70,7 +69,6 @@ from .qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
-    bell_state,
     make_qubit,
     pauli,
 )
@@ -206,19 +204,8 @@ def _resolve_input(f: InputFamily | PureState) -> PureState:
 # Pauli whose bits are the XOR of the shared pair's and the sender outcome's.
 _CORRECTIONS = np.array([IDENTITY, PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z])
 
-# the best-Pauli candidates, in tie-breaking order I, X, Z, XZ
-_BEST_PAULI_ORDER = _CORRECTIONS[[0, 2, 1, 3]]
-
-# conjugated Bell pairs stacked by outcome, indexed (outcome, input, sender)
-_BELL_BRAS = np.array(
-    [bell_state(o).amps.conj().reshape(2, 2) for o in BELL_OUTCOMES]
-)
-
-
-def _correction(shared: BellOutcome, outcome: BellOutcome) -> np.ndarray:
-    """The Pauli that restores the input when the sender and receiver share
-    the Bell pair ``shared`` and the sender measures ``outcome``."""
-    return _CORRECTIONS[BELL_OUTCOMES.index(shared) ^ BELL_OUTCOMES.index(outcome)]
+# the Bell bras indexed (outcome, input, sender)
+_BELL_BRAS = BELL_BRAS.reshape(-1, 2, 2)
 
 
 def _kraus(chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -233,6 +220,18 @@ def _kraus(chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray) -> np.ndarr
     kraus = np.einsum("nck,nksr,ois->ncori", cvecs, chans, _BELL_BRAS)
     gates = _CORRECTIONS[shared[:, :, None] ^ np.arange(len(BELL_OUTCOMES))]
     return gates @ kraus
+
+
+def _controlled_kraus(specs: Sequence[ChannelSpec]) -> np.ndarray:
+    """``_kraus`` of the controlled protocol of each channel, shape
+    (n, C, 4, 2, 2): one row per controller outcome its
+    ``controller_measurement`` lists, corrected for the pair it names."""
+    outcomes = [s.controller_measurement for s in specs]
+    return _kraus(
+        np.array([s.state.amps.reshape(2, 2, 2) for s in specs]),
+        np.array([[cvec.amps.conj() for _, cvec, _ in row] for row in outcomes]),
+        np.array([[BELL_OUTCOMES.index(pair) for _, _, pair in row] for row in outcomes]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,58 +266,34 @@ class NcfResult:
     per_outcome_equal: bool
 
 
-def _best_pauli(target: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Fidelity-maximizing correction from {I, X, Z, XZ}; ties keep that order."""
-    candidates = _BEST_PAULI_ORDER @ received
-    fids = np.abs(candidates @ target.conj()) ** 2
-    best = 0
-    for i in range(1, len(fids)):
-        if fids[i] > fids[best] + EXACT_ATOL:
-            best = i
-    return candidates[best]
-
-
 def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunResult:
     """Run the full protocol, enumerating every measurement branch.
 
-    The controller measures as ``spec.controller_measurement`` says.  Yields
-    one branch per (controller outcome x sender Bell outcome) with its joint
-    probability, corrected receiver state, and fidelity against the input.
-    Branches with zero probability are omitted; the recorded probabilities
-    still sum to 1.
+    The controller measures as ``spec.controller_measurement`` says, and
+    the receiver corrects toward the pair its outcome names.  Yields one
+    branch per (controller outcome x sender Bell outcome): the corrected
+    Kraus operator K of that branch hands the receiver K phi with
+    probability |K phi|^2, and the fidelity is taken against the input.
+    Branches with probability at most ZERO_PROB are omitted; the recorded
+    probabilities still sum to 1.
     """
     phi = _resolve_input(f)
-    chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
+    received = _controlled_kraus([spec])[0] @ phi.amps  # (controller, sender, 2)
+    probability = np.sum(received.real**2 + received.imag**2, axis=-1)
+    labels = [label for label, _, _ in spec.controller_measurement]
     branches: list[CtBranch] = []
-    for label, cvec, shared in spec.controller_measurement:
-        pair = np.tensordot(cvec.amps.conj(), chan, axes=1)  # (sender, receiver)
-        p_ctrl = float(np.sum(np.abs(pair) ** 2))
-        if p_ctrl <= ZERO_PROB:
-            continue
-        # received[o]: the receiver's amplitudes after sender outcome o; its
-        # squared norm is that outcome's probability given the controller's
-        received = np.einsum(
-            "ois,i,sr->or", _BELL_BRAS, phi.amps, pair / np.sqrt(p_ctrl)
-        )
-        p_bell = np.sum(np.abs(received) ** 2, axis=1)
-        for outcome, amps, p in zip(BELL_OUTCOMES, received, p_bell):
-            if p <= ZERO_PROB:
-                continue
-            amps = amps / np.sqrt(p)
-            if shared is None:
-                corrected = _best_pauli(phi.amps, amps)
-            else:
-                corrected = _correction(shared, outcome) @ amps
-            fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
-            branches.append(
-                CtBranch(
-                    charlie_outcome=label,
-                    bell_outcome=outcome,
-                    probability=p_ctrl * float(p),
-                    receiver_state=PureState(corrected),
-                    fidelity=min(fid, 1.0),
-                )
+    for c, o in zip(*np.nonzero(probability > ZERO_PROB)):  # controller-major
+        corrected = received[c, o] / np.sqrt(probability[c, o])
+        fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
+        branches.append(
+            CtBranch(
+                charlie_outcome=labels[c],
+                bell_outcome=BELL_OUTCOMES[o],
+                probability=float(probability[c, o]),
+                receiver_state=PureState(corrected),
+                fidelity=min(fid, 1.0),
             )
+        )
     return CtRunResult(branches=tuple(branches))
 
 
@@ -334,18 +309,9 @@ def _ct_certificate(specs: Sequence[ChannelSpec]) -> _Certificate:
     Each branch (controller outcome c, sender outcome o) is one corrected
     Kraus operator K; it returns every input exactly when K = lambda I, and
     its probability is then |lambda|^2 for every input.  A branch is kept
-    when its input-averaged probability p exceeds ZERO_PROB.  Raises
-    ValueError for a channel whose controller outcomes name no Bell pair (a
-    raw channel's), since its receiver picks a Pauli per input.
+    when its input-averaged probability p exceeds ZERO_PROB.
     """
-    outcomes = [s.controller_measurement for s in specs]
-    if any(pair is None for row in outcomes for _, _, pair in row):
-        raise ValueError("a raw channel's controller outcomes name no Bell pair")
-    kraus = _kraus(
-        np.array([s.state.amps.reshape(2, 2, 2) for s in specs]),
-        np.array([[cvec.amps.conj() for _, cvec, _ in row] for row in outcomes]),
-        np.array([[BELL_OUTCOMES.index(pair) for _, _, pair in row] for row in outcomes]),
-    )
+    kraus = _controlled_kraus(specs)
     scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
     probability = np.sum(kraus.real**2 + kraus.imag**2, axis=(-2, -1)) / 2.0
     kept = probability > ZERO_PROB

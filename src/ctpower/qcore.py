@@ -150,6 +150,10 @@ _BELL_AMPS = {
 }
 
 
+# the conjugated Bell pairs as rows, in BELL_OUTCOMES order
+BELL_BRAS = _const([_BELL_AMPS[o].conj() for o in BELL_OUTCOMES])
+
+
 def bell_state(outcome: BellOutcome) -> PureState:
     """The Bell pair |phi+->, |psi+-> as a 2-qubit state."""
     return PureState(_BELL_AMPS[outcome])

@@ -37,10 +37,7 @@ from .channels import (
 from .protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
-    XYInput,
-    XZInput,
     _ct_certificate,
-    controlled_teleport,
     ncf_batch,
     ncf_ms_closed,
 )
@@ -274,16 +271,16 @@ def check_mismatch(seed: int) -> CheckResult:
 def check_channel_ct(spec: ChannelSpec) -> CheckResult:
     """Focused check: can this channel teleport perfectly with the controller?
 
-    This is the failure-injection path: a corrupted raw channel fails here.
+    The channel is certified for every input, as ``perfect-ct`` certifies
+    its random channels; a defect d bounds each branch's infidelity by
+    about 4 d^2.  This is the failure-injection path: a corrupted raw
+    channel fails here.
     """
-    worst = 0.0
-    for family in (ArbitraryInput(1.1, 0.6), XYInput(0.7), XZInput(2.0)):
-        run = controlled_teleport(spec, family)
-        worst = max(worst, 1.0 - run.min_fidelity)
+    defect = float(_ct_certificate([spec]).defect[0])
     return CheckResult(
         "channel-ct",
-        worst <= 1e-9,
-        f"3 probe inputs; max branch fidelity defect {worst:.3e} (tol 1e-9)",
+        defect <= 1e-9,
+        f"every input; max |K - lambda I|/sqrt(p) = {defect:.3e} (tol 1e-9)",
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from ctpower.analysis import FAMILY_NAMES
 from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
 from ctpower.errors import CorrectionMismatchError, DimensionError
-from ctpower.protocol import INPUT_FAMILIES, _correction, _resolve_input, ncf_batch
+from ctpower.protocol import INPUT_FAMILIES, _CORRECTIONS, _resolve_input, ncf_batch
 from ctpower.qcore import (
     BELL_OUTCOMES,
     EXACT_ATOL,
@@ -164,6 +164,13 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL
 # ---------------------------------------------------------------------------
 # the controller-absent protocol, one sender outcome at a time
 
+def correction(shared, outcome) -> np.ndarray:
+    """The Pauli that restores the input when the sender and receiver share
+    the Bell pair ``shared`` and the sender measures ``outcome``: the XOR
+    of their indices into BELL_OUTCOMES picks it from the package's table."""
+    return _CORRECTIONS[BELL_OUTCOMES.index(shared) ^ BELL_OUTCOMES.index(outcome)]
+
+
 def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
     """(rho3 matrix, spread of the per-outcome states) for one input.
 
@@ -181,7 +188,7 @@ def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
         if post is None:
             continue
         # post register: (controller, receiver)
-        corrected = apply_gate(_correction(spec.dominant_bell, outcome), 1, post)
+        corrected = apply_gate(correction(spec.dominant_bell, outcome), 1, post)
         mats.append(partial_trace(to_density(corrected), (0,)).mat)
         probs.append(p)
     spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
@@ -214,7 +221,7 @@ def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
         bra = bell_state(outcome).amps.conj().reshape(2, 2)  # (input, sender)
         # kraus[c] maps the input qubit to the receiver, controller left in |c>
         kraus = np.einsum("ts,csr->crt", bra, chan)
-        kraus = _correction(spec.dominant_bell, outcome) @ kraus
+        kraus = correction(spec.dominant_bell, outcome) @ kraus
         per_outcome[o] = 0.5 * np.einsum(
             "iab,cbd,jde,cae->ij", paulis, kraus, paulis, kraus.conj()
         ).real

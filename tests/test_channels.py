@@ -225,6 +225,36 @@ def test_channel_state_is_built_once():
     assert raw.controller_measurement is raw.controller_measurement
 
 
+def test_computational_controller_names_the_pair_of_largest_weight():
+    # a theta channel's |0> leaves phi+ and its |1> the pair
+    # (I x sigma_k)|phi+>; its raw copy names the same pairs
+    rotated = {
+        "x": BellOutcome.PSI_PLUS, "y": BellOutcome.PSI_MINUS, "z": BellOutcome.PHI_MINUS,
+    }
+    for axis, pair in rotated.items():
+        for a, b in ((0.6, 0.8), (0.8, -0.6), (0.0, 1.0)):
+            spec = ThetaChannel(a, b, axis)
+            for channel in (spec, RawChannel(state=spec.state)):
+                labels, _, pairs = zip(*channel.controller_measurement)
+                assert labels == ("0", "1")
+                assert pairs == (BellOutcome.PHI_PLUS, pair)
+        assert ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k=axis).dominant_bell == pair
+    # raw GHZ leaves |00> (phi+ and phi- tie) and |11> (phi+ and -phi- tie);
+    # a tie within 1e-12 goes to the earlier pair
+    pairs = [o[2] for o in RawChannel(state=GHZChannel().state).controller_measurement]
+    assert pairs == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
+    # sqrt(0.5 + 1e-13)|psi-> + sqrt(0.5 - 1e-13)|psi+> on the controller's
+    # |0>: the weights differ by 2e-13, so psi+ wins the tie; on |1>, which
+    # never happens, all four weights are 0 and phi+ wins
+    near_tie = np.concatenate([
+        math.sqrt(0.5 + 1e-13) * bell_state(BellOutcome.PSI_MINUS).amps
+        + math.sqrt(0.5 - 1e-13) * bell_state(BellOutcome.PSI_PLUS).amps,
+        np.zeros(4),
+    ])
+    pairs = [o[2] for o in RawChannel(state=PureState(near_tie)).controller_measurement]
+    assert pairs == [BellOutcome.PSI_PLUS, BellOutcome.PHI_PLUS]
+
+
 # ---------------------------------------------------------------------------
 # 3-tangle
 

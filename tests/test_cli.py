@@ -140,13 +140,20 @@ def test_avg_command_ghz_classical_value(capsys):
 
 
 def test_avg_command_caps_monte_carlo_samples(capsys):
-    # rejected before any sample is drawn, like a grid beyond its cap
-    code = main([
-        "avg", "--channel", "ghz", "--method", "monte_carlo",
-        "--n-samples", str(10**9 + 1),
-    ])
-    assert code == 2
-    assert "1000000000" in capsys.readouterr().err
+    # rejected before any sample is drawn, like a grid beyond its cap, and
+    # for every method: quadrature ignores the count but still checks it
+    for method in ("monte_carlo", "quadrature"):
+        for n in (0, -5, 10**9 + 1):
+            code = main([
+                "avg", "--channel", "ghz", "--method", method, "--n-samples", str(n),
+            ])
+            assert code == 2
+            assert f"must lie in [1, 1000000000], got {n}" in capsys.readouterr().err
+    # both ends pass; Monte Carlo's 10^9 reaches test_out_of_memory_exits_2
+    for method, n in (("monte_carlo", 1), ("quadrature", 1), ("quadrature", 10**9)):
+        argv = ["avg", "--channel", "ghz", "--method", method, "--n-samples", str(n)]
+        assert main(argv) == 0
+        capsys.readouterr()
 
 
 def test_power_sweep_caps_monte_carlo_samples(capsys, monkeypatch):
@@ -336,6 +343,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                      flag, "1.0"]) == 2
         assert f"{flag} does not apply to the {family} family" in capsys.readouterr().err
     assert main(["power-sweep", "--d-grid=0:1:1e-9"]) == 2  # 10^9 points
+    # a grid sets every channel parameter, so channel flags are refused
+    for argv in (
+        ["--d-grid=0:1:0.5", "--d", "0.3"],
+        ["--d-grid=0:1:0.5", "--channel", "ms", "--c", "0.2"],
+        ["--d-grid=0:1:0.5", "--k", "x"],
+        ["--a2-grid=0:1:0.5", "--k", "x", "--config", str(tmp_path / "nonexistent")],
+        ["--a2-grid=0:1:0.5", "--k", "x", "--a2", "0.5"],
+        ["--a2-grid=0:1:0.5", "--channel", "ms_xy", "--a", "0.6"],
+        ["--a2-grid=0:1:0.5", "--k", "x", "--b", "0.6"],
+    ):
+        assert main(["power-sweep", *argv]) == 2, argv
+        assert "does not apply to a" in capsys.readouterr().err
     no_d = tmp_path / "no_d.cfg"
     no_d.write_text("family = ms\nc = 0.6\n")
     assert main(["ct", "--channel", "ms", "--config", str(no_d)]) == 2  # key missing

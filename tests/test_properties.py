@@ -8,7 +8,8 @@ sphere, and the NCF it gives must equal the step-by-step branch walk of
 three circles.  With the controller's help teleportation must be
 perfect, also for a raw copy rotated so that its computational controller
 basis is the named one.  The command line must end in an exit code, never
-a traceback, whatever flags and values it is given.
+a traceback, whatever flags and values it is given, and the same fuzzing
+must reach the exit code of a failed check.
 """
 import argparse
 import contextlib
@@ -18,7 +19,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from ctpower.analysis import FAMILY_NAMES, _analytic_average, avg_fidelity_numeric
@@ -132,12 +133,14 @@ def test_controlled_teleport_is_perfect(spec, phases, point):
     a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
 )
 
-# raw channel configs the command line reads: one with a receiver map, and
-# |000>, whose sender outcomes leave different maps
+# raw channel configs the command line reads: one with a receiver map;
+# |000>, whose sender outcomes leave different maps; and the W state,
+# which the controller cannot make perfect
 _CONFIGS = {
     "valid.cfg": RawChannel(state=apply_gate(np.array([[0.6, 0.8j], [0.8j, 0.6]]), 0,
                                              MSChannel(c=0.6, d=-0.8).state)),
     "refused.cfg": RawChannel(state=PureState(np.eye(8)[0])),
+    "w.cfg": RawChannel(state=PureState(np.eye(8)[[1, 2, 4]].sum(axis=0) / np.sqrt(3.0))),
 }
 
 _VALUES = st.sampled_from(
@@ -158,9 +161,11 @@ def _value(command, action):
 @st.composite
 def cli_argv(draw):
     """A subcommand and flags from the parser's own choices, with values
-    from a fixed pool.  ``avg`` always ends with an ``--n-samples`` of at
-    most 1000, and ``verify`` always runs ``--quick``: both would otherwise
-    draw 10^6 Monte Carlo samples."""
+    from a fixed pool, and on commands that take a channel, at times
+    ``--channel raw --config`` with one of the configs as one unit.
+    ``avg`` always ends with an ``--n-samples`` of at most 1000, and
+    ``verify`` always runs ``--quick``: both would otherwise draw 10^6
+    Monte Carlo samples."""
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     parser = _SUBCOMMANDS[command]
     argv = [command]
@@ -170,6 +175,8 @@ def cli_argv(draw):
         argv.append(draw(st.sampled_from(action.option_strings)))
         if action.nargs != 0:
             argv.append(draw(_value(command, action)))
+    if "--channel" in parser._option_string_actions and draw(st.booleans()):
+        argv += ["--channel", "raw", "--config", draw(st.sampled_from(sorted(_CONFIGS)))]
     if command == "avg":
         argv += ["--n-samples", draw(st.integers(1, 1000).map(str) | _VALUES)]
     if command == "verify":
@@ -177,9 +184,9 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(argv=cli_argv())
-def test_cli_never_ends_in_a_traceback(argv):
+def _run(argv):
+    """(exit code, stderr) of ``main(argv)`` in a fresh directory holding
+    the configs."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # --output and --args-from touch only this directory
@@ -195,4 +202,21 @@ def test_cli_never_ends_in_a_traceback(argv):
                     code = exc.code
         finally:
             os.chdir(home)
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_cli_never_ends_in_a_traceback(argv):
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+
+
+def test_cli_fuzz_reaches_exit_1():
+    # the fuzzing above reaches a failed check, not only usage errors
+    argv = find(
+        cli_argv(), lambda argv: _run(argv)[0] == 1,
+        settings=settings(max_examples=150, deadline=None, derandomize=True, database=None),
+    )
+    code, err = _run(argv)
+    assert code == 1, (argv, err)

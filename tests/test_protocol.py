@@ -3,10 +3,13 @@
 The correction rule (an XOR of Pauli bits) is re-derived here by brute
 force: for every (shared Bell pair, sender outcome) the unique gate in
 {I, X, Z, XZ} that restores the input must be the one the rule gives.
-The certificate of perfect controlled teleportation, read off the
-corrected Kraus operators, is pinned to the controlled walk on inputs.
+The Bell pair a raw channel's controller outcome names is checked the
+same way: its correction must do as well, averaged over inputs, as the
+best of the four.  The certificate of perfect controlled teleportation,
+read off the corrected Kraus operators, is pinned to the controlled walk
+on inputs.
 
-The controlled protocol contracts all measurement outcomes at once, and
+The controlled protocol is the stack of corrected Kraus operators, and
 without the controller every number comes from the receiver's map.  The
 walks run both protocols one branch at a time through the primitives of
 ``oracles.py``, validating every intermediate state, and are the oracle
@@ -38,7 +41,7 @@ from ctpower.errors import (
 )
 from ctpower.protocol import (
     INPUT_FAMILIES,
-    _correction,
+    _CORRECTIONS,
     _ct_certificate,
     _resolve_input,
     _transfer_matrix,
@@ -69,6 +72,7 @@ from ctpower.qcore import (
 from ctpower.verify import _random_local_unitary
 from oracles import (
     apply_gate,
+    correction,
     equal_up_to_global_phase,
     project_single_qubit,
     project_two_qubit,
@@ -78,7 +82,7 @@ from oracles import (
     walk_unconditioned,
 )
 
-# the receiver's candidate corrections, in the raw channels' tie order
+# the receiver's candidate corrections
 PAULIS = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "XZ": PAULI_X @ PAULI_Z}
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -122,16 +126,7 @@ def walk_controlled(spec, f):
             )
             if after_bell is None:
                 continue
-            if shared is None:
-                best = None
-                for gate in PAULIS.values():  # ties keep the first
-                    candidate = apply_gate(gate, 0, after_bell)
-                    fid = abs(np.vdot(phi.amps, candidate.amps)) ** 2
-                    if best is None or fid > best[0] + 1e-12:
-                        best = (fid, candidate)
-                corrected = best[1]
-            else:
-                corrected = apply_gate(_correction(shared, outcome), 0, after_bell)
+            corrected = apply_gate(correction(shared, outcome), 0, after_bell)
             branches.append((label, outcome, p_ctrl * p_bell, corrected.amps))
     return branches
 
@@ -212,8 +207,8 @@ def test_input_family_ranges():
 def test_correction_table_rederived_by_brute_force():
     rng = np.random.default_rng(61)
     probes = [random_qubit(rng) for _ in range(3)]
-    for shared in BELL_OUTCOMES:
-        for sender in BELL_OUTCOMES:
+    for i, shared in enumerate(BELL_OUTCOMES):
+        for j, sender in enumerate(BELL_OUTCOMES):
             winners = set()
             for phi in probes:
                 joint = tensor(phi, bell_state(shared))
@@ -227,7 +222,7 @@ def test_correction_table_rederived_by_brute_force():
                 assert len(exact) == 1  # unique perfect correction
                 winners.add(exact[0])
             assert len(winners) == 1
-            assert np.array_equal(_correction(shared, sender), PAULIS[winners.pop()])
+            assert np.array_equal(_CORRECTIONS[i ^ j], PAULIS[winners.pop()])
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +314,11 @@ def test_controlled_teleport_matches_the_branch_walk():
         rotated_on_controller(MSChannel(c=0.8, d=-0.6), rng),
         rotated_on_controller(ThetaChannel(0.6, 0.8, "y"), rng),
         RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state)),
-        # imperfect branches: each takes its best Pauli
+        # imperfect branches: each outcome's pair of largest weight
         RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, 0.8).state)),
-        # the receiver ends in |0> or |1>: on the equator all four
-        # candidate corrections tie, and the first (I) must win
+        # each controller outcome leaves a product state over which phi+
+        # and phi-, or all four pairs, tie: the first (phi+) must win
         RawChannel(state=GHZChannel().state),
-        # the receiver ends in (|0> + i|1>)/sqrt2: on inputs with sin(phi) < 0
-        # X and Z tie above I and XZ, and X must win
         RawChannel(state=PureState(np.kron([1, 0, 0, 0], [1, 1j]) / np.sqrt(2))),
     ]
     inputs = [XYInput(0.9), make_qubit(1.0, 0.0), ArbitraryInput(1.0, 4.0)] + [
@@ -465,10 +458,94 @@ def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
     assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
 
 
-def test_ct_certificate_refuses_raw_channels():
-    # a raw channel's controller outcomes name no Bell pair to correct for
-    with pytest.raises(ValueError, match="no Bell pair"):
-        _ct_certificate([GHZChannel(), RawChannel(state=GHZChannel().state)])
+def raw_pair_cases(rng):
+    """Raw channels whose controller outcomes must name a Bell pair: raw GHZ
+    and |0> x (|0> + i|1>)/sqrt(2) (every pair ties on each outcome), the W
+    state, 20 generic states, and MS and theta channels with a unitary on
+    the controller, named-basis and random."""
+    w = np.zeros(8, dtype=complex)
+    w[[0b001, 0b010, 0b100]] = 1.0 / np.sqrt(3.0)
+    cases = [
+        RawChannel(state=GHZChannel().state),
+        RawChannel(state=PureState(np.kron([1, 0, 0, 0], [1, 1j]) / np.sqrt(2))),
+        RawChannel(state=PureState(w)),
+    ]
+    for _ in range(20):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        cases.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
+    for spec in (random_ms(rng), random_theta(rng)):
+        cases += [
+            rotated_on_controller(spec, rng),
+            RawChannel(state=apply_gate(_random_local_unitary(rng), 0, spec.state)),
+        ]
+    return cases
+
+
+def tetrahedron_walks(spec):
+    """walk_controlled at the four tetrahedron inputs, as (input amps,
+    {(controller label, Bell outcome): (probability, receiver amps)})."""
+    out = []
+    for k0, k1 in zip(*_design(None)):
+        phi = make_qubit(k0, k1)
+        walk = walk_controlled(spec, phi)
+        out.append((phi.amps, {(label, o): (p, amps) for label, o, p, amps in walk}))
+    return out
+
+
+def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
+    # on each branch the named pair's correction must reach the largest
+    # probability-weighted fidelity over {I, X, Z, XZ}, averaged over the
+    # tetrahedron: exact, since the weighted fidelity is a quadratic in the
+    # input's Bloch vector
+    rng = np.random.default_rng(103)
+    design = list(zip(*_design(None)))
+    for spec in raw_pair_cases(rng):
+        joints = [tensor(make_qubit(k0, k1), spec.state) for k0, k1 in design]
+        for _, cvec, pair in spec.controller_measurement:
+            for outcome in BELL_OUTCOMES:
+                scores = dict.fromkeys(PAULIS, 0.0)
+                for (k0, k1), joint in zip(design, joints):
+                    p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
+                    if after_ctrl is None:
+                        continue
+                    p_bell, post = project_two_qubit(after_ctrl, 0, 1, bell_state(outcome))
+                    if post is None:
+                        continue
+                    for name, gate in PAULIS.items():
+                        fid = abs(np.vdot([k0, k1], gate @ post.amps)) ** 2
+                        scores[name] += p_ctrl * p_bell * fid / len(design)
+                named = next(
+                    name for name, gate in PAULIS.items()
+                    if np.array_equal(gate, correction(pair, outcome))
+                )
+                assert scores[named] >= max(scores.values()) - 1e-12
+
+
+def test_ct_certificate_certifies_raw_channels():
+    # a raw channel is certified like a named one: the Hadamard-rotated GHZ
+    # and the controller-rotated named channels return every input, and the
+    # others do not.  On every raw channel the certificate's branch
+    # probabilities are the walk's averaged over the tetrahedron, and so is
+    # the weighted fidelity |<phi|K|phi>|^2, whose average is
+    # (|tr K|^2 + |K|_F^2)/6 = (4 |lambda|^2 + 2 p)/6
+    rng = np.random.default_rng(107)
+    ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
+    cases = raw_pair_cases(rng)
+    cert = _ct_certificate([ghz_h] + cases)
+    assert cert.defect[0] <= 1e-13
+    assert np.max(cert.defect[[-4, -2]]) <= 1e-13  # rotated onto the named basis
+    assert np.min(cert.defect[1:4]) >= 0.1  # raw GHZ, |0>(|0>+i|1>), W
+    for spec, scale, prob in zip([ghz_h] + cases, cert.scale, cert.probability):
+        labels = [label for label, _, _ in spec.controller_measurement]
+        mean_prob = np.zeros_like(prob)
+        mean_weighted = np.zeros_like(prob)
+        for phi, branches in tetrahedron_walks(spec):
+            for (label, outcome), (p, amps) in branches.items():
+                index = labels.index(label), BELL_OUTCOMES.index(outcome)
+                mean_prob[index] += p / 4.0
+                mean_weighted[index] += p * abs(np.vdot(phi, amps)) ** 2 / 4.0
+        assert np.max(np.abs(mean_prob - prob)) <= 1e-12
+        assert np.max(np.abs(mean_weighted - (4.0 * abs(scale) ** 2 + 2.0 * prob) / 6.0)) <= 1e-12
 
 
 def test_degenerate_ms_controller_measures_in_the_computational_basis():
