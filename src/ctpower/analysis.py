@@ -11,18 +11,17 @@ Averages run over one of two domains:
 * "family": uniform angle along one equatorial input family's great circle.
 
 Every method reads the receiver's Bloch map (``protocol.receiver_map``),
-the one controller-absent engine.  The analytic method and
-``mismatch_report`` read both averages off its matrix.  Quadrature is the
-map's NCF (``ncf_batch``) at exact design points.  Monte Carlo evaluates
-the map's quadratic form at Bloch vectors drawn straight from the
+the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
+Quadrature and the analytic method are one exact average of it
+(``_exact_average``), which ``mismatch_report`` reads too.  Monte Carlo
+evaluates the map's NCF at Bloch vectors drawn straight from the
 counter-based Philox generator, so every stochastic result is
 bit-reproducible from (seed, row-index); it streams the draws in fixed-size
 chunks and merges the chunks' moments, so its memory stays bounded.  The
-tests pin all of them to a step-by-step walk of the branches.
+tests pin both to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,8 +42,6 @@ from .protocol import (
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
-    _ncf_form,
-    ncf_batch,
     receiver_map,
 )
 from .qcore import EXACT_ATOL
@@ -92,29 +89,7 @@ def power_bound_check(a: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numeric averaging
-
-# Exact designs for the NCF, a quadratic in the input's Bloch vector: the
-# regular tetrahedron is a spherical 2-design, and three equally spaced
-# members of a great circle average any degree-2 trigonometric polynomial.
-_THIRDS = np.array([0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0])
-
-
-@functools.cache
-def _design(family: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude arrays (k0, k1) of the tetrahedron (``family`` None: the
-    north pole and three points at polar angle arccos(-1/3)), or of three
-    equally spaced members of a family's circle.  Built on first use, and
-    read-only because every caller shares them."""
-    if family is None:
-        k0, k1 = ArbitraryInput.amplitudes(
-            np.array([0.0, *3 * [np.arccos(-1.0 / 3.0)]]), np.array([0.0, *_THIRDS])
-        )
-    else:
-        k0, k1 = INPUT_FAMILIES[family].amplitudes(_THIRDS)
-    k0.flags.writeable = k1.flags.writeable = False
-    return k0, k1
-
+# averaging
 
 def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
     """The Philox generator keyed by (seed, row), positioned at double
@@ -147,23 +122,32 @@ def _circle_coords(family: str, angle: np.ndarray) -> list:
     return r
 
 
+def _exact_average(spec: ChannelSpec, family: str | None) -> float:
+    """The exact average NCF over the sphere (``family`` None) or a family's
+    circle: each r_i^2 averages to 1/3 on the sphere, 1/2 on a circle axis."""
+    lam = receiver_map(spec)
+    if family is None:
+        return 0.5 + float(lam.sum()) / 6.0
+    cos_axis, sin_axis = _CIRCLE_AXES[family]
+    return 0.5 + float(lam[cos_axis] + lam[sin_axis]) / 4.0
+
+
 def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: int):
     """The NCF at n random inputs, chunk by chunk.
 
     Stream positions [0, n) of the (seed, row) generator give each input's
     cos(theta) on the sphere, or its angle on a family's circle; positions
     [n, 2n) give the sphere's phi.  Each chunk goes straight to Bloch
-    vectors, whose |r|^2 is checked, and the map's quadratic form is
-    evaluated there.
+    vectors, whose |r|^2 is checked, and the map's NCF is evaluated there.
     """
-    form = _ncf_form(spec)
+    lam = receiver_map(spec)
     draws = _uniform_chunks(_rng(seed, row), n)
     if family is not None:
         for start, u in draws:
             r = _circle_coords(family, np.multiply(u, _TWO_PI, out=u))
             a, b = (v for v in r if v is not None)
             _check_unit(a * a + b * b, start, "|r|^2")
-            yield _bloch_ncf(form, *r)
+            yield _bloch_ncf(lam, *r)
         return
     for (start, u), (_, v) in zip(draws, _uniform_chunks(_rng(seed, row, skip=n), n)):
         cos_theta = 1.0 - 2.0 * u
@@ -173,7 +157,7 @@ def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: in
         y = np.sin(phi, out=phi)
         y *= sin_theta
         _check_unit(x * x + y * y + cos_theta * cos_theta, start, "|r|^2")
-        yield _bloch_ncf(form, x, y, cos_theta)
+        yield _bloch_ncf(lam, x, y, cos_theta)
 
 
 def _moments(chunks: Iterable[np.ndarray]) -> AverageResult:
@@ -207,13 +191,12 @@ def avg_fidelity_numeric(
 
     ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
     or "family" (one equatorial family named by ``family``, uniform in its
-    angle).  ``method`` is "quadrature" (the exact mean of ``ncf_batch``
-    over a design: the tetrahedron, or three equally spaced family members;
-    stderr 0) or "monte_carlo" (mean and standard error of the NCF at
-    ``n_samples`` random inputs from the Philox stream keyed by (seed, row),
-    evaluated on the receiver's Bloch map chunk by chunk in bounded memory;
-    see ``_ncf_draws``).  Both raise CorrectionMismatchError for a channel
-    whose receiver map does.
+    angle).  ``method`` is "quadrature" (the exact average of the receiver
+    map's NCF, ``_exact_average``; stderr 0) or "monte_carlo" (mean and
+    standard error of the NCF at ``n_samples`` random inputs from the
+    Philox stream keyed by (seed, row), evaluated on the receiver's Bloch
+    map chunk by chunk in bounded memory; see ``_ncf_draws``).  Both raise
+    CorrectionMismatchError for a channel whose receiver map does.
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
@@ -224,7 +207,7 @@ def avg_fidelity_numeric(
         raise ValueError(f"unknown domain {domain!r}")
 
     if method == "quadrature":
-        return AverageResult(float(np.mean(ncf_batch(spec, *_design(family)))), 0.0)
+        return AverageResult(_exact_average(spec, family), 0.0)
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")
@@ -243,32 +226,6 @@ class PowerReport:
     tau: float
     meets_classical_bound: bool
     meets_tangle_bound: bool
-
-
-def _analytic_average(spec: ChannelSpec, family: str | None) -> float:
-    """Average NCF from the receiver's Bloch map.
-
-    With NCF(r) = 1/2 + t.r/2 + r.T.r/2, the sphere average is
-    1/2 + tr(T)/6 and the average over the circle of axes i, j is
-    1/2 + (T_ii + T_jj)/4.
-    """
-    _, transfer = receiver_map(spec)
-    if family is None:
-        return 0.5 + float(np.trace(transfer)) / 6.0
-    # the circle spans the two Bloch axes other than its matched axis
-    i, j = (n for n, axis in enumerate("xyz") if axis != MATCHED_AXIS[family])
-    return 0.5 + float(transfer[i, i] + transfer[j, j]) / 4.0
-
-
-def _spec_average(spec: ChannelSpec, method: str, seed: int, row: int) -> AverageResult:
-    family = spec.matched_family
-    if method == "analytic":
-        return AverageResult(_analytic_average(spec, family), 0.0)
-    if family is not None:
-        return avg_fidelity_numeric(
-            spec, "family", family=family, method=method, seed=seed, row=row
-        )
-    return avg_fidelity_numeric(spec, "sphere", method=method, seed=seed, row=row)
 
 
 def power_report(spec: ChannelSpec, f_bar: float) -> PowerReport:
@@ -290,13 +247,19 @@ def sweep(
     """One PowerReport per channel, in input order.
 
     Theta channels are averaged over their matched family, everything else
-    over the full sphere.  Rows are independent; Monte Carlo rows draw from
-    streams keyed by (seed, row-index) so ordering or parallelism cannot
-    change the numbers.
+    over the full sphere; "analytic" is "quadrature".  Rows are independent;
+    Monte Carlo rows draw from streams keyed by (seed, row-index) so
+    ordering or parallelism cannot change the numbers.
     """
+    if method == "analytic":
+        method = "quadrature"
     reports = []
     for row, spec in enumerate(specs):
-        avg = _spec_average(spec, method, seed, row)
+        family = spec.matched_family
+        avg = avg_fidelity_numeric(
+            spec, "sphere" if family is None else "family",
+            method=method, family=family, seed=seed, row=row,
+        )
         reports.append(power_report(spec, avg.mean))
     return reports
 
@@ -352,7 +315,7 @@ def mismatch_report(a: float, b: float) -> MismatchReport:
 
     Each channel is the theta channel matched to ``channel_family``; inputs
     run over ``input_family`` with the uniform circle measure, averaged on
-    the simulated receiver map (``receiver_map``).  Matched rows (i = j) are
+    the simulated receiver map (``_exact_average``).  Matched rows (i = j) are
     the baseline.  The report also states whether the largest mismatched
     control power agrees with the claimed classical-limit value 1/3 within
     1e-9; the flag records the computed outcome, whatever it is.
@@ -363,7 +326,7 @@ def mismatch_report(a: float, b: float) -> MismatchReport:
     for i in FAMILY_NAMES:
         spec = ThetaChannel(a, b, MATCHED_AXIS[i])
         for j in FAMILY_NAMES:
-            avg = _analytic_average(spec, j)
+            avg = _exact_average(spec, j)
             power = control_power(avg)
             rows.append(
                 MismatchRow(

@@ -293,6 +293,7 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
     if name is None:
         raise UsageError("a channel is required (--channel)")
     if getattr(args, "config", None):
+        _reject_params(args, ("c", "d", "a", "b", "a2", "k"), "a channel read from --config")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -637,7 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=("sphere", "family"), default="sphere")
     p.add_argument("--family", choices=FAMILY_NAMES, default=None)
     p.add_argument(
-        "--method", choices=("quadrature", "monte_carlo"), default="quadrature"
+        "--method", choices=("quadrature", "monte_carlo"), default="quadrature",
+        help="quadrature (default) and power-sweep's analytic are the same exact average",
     )
     p.add_argument("--n-samples", type=int, default=MC_SAMPLES, dest="n_samples")
     _add_common(p)
@@ -649,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-grid", metavar="START:STOP:STEP", default=None)
     p.add_argument(
         "--method", choices=("analytic", "quadrature", "monte_carlo"),
-        default="analytic",
+        default="analytic", help="analytic and quadrature are the same exact average",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_power_sweep)

@@ -17,12 +17,12 @@ Two protocol variants share the same wiring.  The joint register is always
   same fidelity against the input for every sender outcome; that fidelity
   is the non-conditioned fidelity (NCF).
 
-Without the controller the protocol is one fixed qubit channel, the
-receiver's Bloch map r -> t + T r (``receiver_map``), and the NCF is one
-real quadratic form in the input's Bloch vector (``_ncf_form``).  The map
-is the one controller-absent engine: ``unconditioned_teleport`` reads the
-receiver's state off it, and ``ncf_batch`` evaluates the form for arrays
-of inputs and Monte Carlo for its random Bloch vectors, both with
+Without the controller the protocol is one fixed qubit channel, a Pauli
+channel once summed over the sender's outcomes: the receiver's Bloch map
+r -> lambda * r (``receiver_map``), NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
+The map is the one controller-absent engine: ``unconditioned_teleport``
+reads the receiver's state off it, and ``ncf_batch`` evaluates the NCF for
+arrays of inputs and Monte Carlo for its random Bloch vectors, both with
 ``_bloch_ncf``.  A channel whose sender outcomes leave different maps is
 refused by all of them alike.  The tests pin the map to a step-by-step
 walk of the branches, their independent oracle.
@@ -398,16 +398,16 @@ def _transfer_matrix(spec: ChannelSpec) -> tuple[np.ndarray, float]:
     return transfer, spread
 
 
-def receiver_map(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver's Bloch map r -> t + T r when the controller abstains.
-
-    The protocol without the controller is one fixed qubit channel, so an
-    input with Bloch vector r reaches the receiver as t + T r and
-    NCF(r) = 1/2 + t.r/2 + r.T.r/2.  Raises CorrectionMismatchError when
-    the sender's outcomes leave the receiver in different maps.
+def receiver_map(spec: ChannelSpec) -> np.ndarray:
+    """The read-only lambda of the receiver's Bloch map r -> lambda * r when
+    the controller abstains: summed over the sender's outcomes the protocol
+    is a Pauli twirl, so its transfer matrix is diagonal.  Raises
+    CorrectionMismatchError when the sender's outcomes leave different maps.
     """
     transfer, _ = _transfer_matrix(spec)
-    return transfer[1:, 0], transfer[1:, 1:]
+    lam = np.diagonal(transfer)[1:] / transfer[0, 0]
+    lam.flags.writeable = False
+    return lam
 
 
 def _check_unit(norm: np.ndarray, start: int, what: str) -> None:
@@ -432,34 +432,19 @@ def _pauli_coords(k0: np.ndarray, k1: np.ndarray, start: int = 0):
     return norm, cross.real, cross.imag, p0 - p1
 
 
-def _ncf_form(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(t, S) with NCF(r) = (1 + t.r + r.S.r)/2 at a unit Bloch vector r: t
-    and S (symmetrized) are R_i0 and R_ij (i, j >= 1) of the transfer matrix
-    over R_00.  The map preserves the trace (R_0j = 0 for j >= 1), so R_00
-    is every input's output trace, divided out once here."""
-    transfer, _ = _transfer_matrix(spec)
-    quad = transfer[1:, 1:] / transfer[0, 0]
-    return transfer[1:, 0] / transfer[0, 0], (quad + quad.T) / 2.0
-
-
-def _bloch_ncf(form: tuple[np.ndarray, np.ndarray], x, y, z) -> np.ndarray:
-    """(1 + t.r + r.S.r)/2 at Bloch vectors r = (x, y, z), clipped to
-    [0, 1], for the form (t, S) of ``_ncf_form``: axis by axis, in place,
-    r_i (t_i + S_ii r_i + 2 S_ij r_j summed over j > i).  An axis given as
-    None is zero at every input, as on a great circle, and is skipped.
-    Elementwise, not a BLAS product: BLAS's first call adds its work buffer
-    to the peak memory of the whole process."""
-    t, s = form
-    axes = [(i, r) for i, r in enumerate((x, y, z)) if r is not None]
+def _bloch_ncf(lam: np.ndarray, x, y, z) -> np.ndarray:
+    """(1 + sum_i lambda_i r_i^2)/2 at Bloch vectors r = (x, y, z), clipped
+    to [0, 1], summed axis by axis in place.  An axis given as None is zero
+    at every input, as on a great circle, and is skipped.  Elementwise, not
+    a BLAS product: BLAS's first call adds its work buffer to the peak
+    memory of the whole process."""
     total = 1.0
-    for n, (i, r) in enumerate(axes):
-        term = r * s[i, i]
-        term += t[i]
-        for j, other in axes[n + 1:]:
-            term += (2.0 * s[i, j]) * other
-        term *= r
-        term += total
-        total = term
+    for lam_i, r in zip(lam, (x, y, z)):
+        if r is not None:
+            term = r * r
+            term *= lam_i
+            term += total
+            total = term
     total *= 0.5
     return np.clip(total, 0.0, 1.0, out=total)
 
@@ -467,10 +452,10 @@ def _bloch_ncf(form: tuple[np.ndarray, np.ndarray], x, y, z) -> np.ndarray:
 def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     """Non-conditioned fidelity for arrays of input amplitudes.
 
-    Evaluates the quadratic form of the receiver's Bloch map
-    (``_bloch_ncf``, which Monte Carlo shares) at each input's Bloch vector
-    over |k|^2, so near-unit inputs are measured as if normalized.  The
-    tests pin it pointwise to a step-by-step walk of the branches.  Raises
+    Evaluates the NCF of the receiver's Bloch map (``_bloch_ncf``, which
+    Monte Carlo shares) at each input's Bloch vector over |k|^2, so
+    near-unit inputs are measured as if normalized.  The tests pin it
+    pointwise to a step-by-step walk of the branches.  Raises
     DimensionError unless k0 and k1 have one shape, NormalizationError
     unless every |k0|^2 + |k1|^2 is 1 within 1e-10, and
     CorrectionMismatchError for a channel whose map is refused.
@@ -479,12 +464,12 @@ def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     k1 = np.asarray(k1, dtype=complex).reshape(-1)
     if k0.shape != k1.shape:
         raise DimensionError("k0 and k1 arrays must have matching shapes")
-    form = _ncf_form(spec)
+    lam = receiver_map(spec)
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
         norm, x, y, z = _pauli_coords(k0[rows], k1[rows], start)
-        out[rows] = _bloch_ncf(form, x / norm, y / norm, z / norm)
+        out[rows] = _bloch_ncf(lam, x / norm, y / norm, z / norm)
     return out
 
 
@@ -493,17 +478,17 @@ def unconditioned_teleport(
 ) -> NcfResult:
     """Teleport without the controller; returns the receiver's mixed state.
 
-    The receiver's map r -> t + T r takes the input's Bloch vector r to
-    rho3 = (I + (t + T r).sigma)/2, and ncf = <phi| rho3 |phi> comes from
-    the quadratic form ``ncf_batch`` evaluates.  ``per_outcome_equal`` says
-    whether the four sender outcomes leave maps within 1e-12 of each other;
-    beyond 1e-10 no single correction fits the channel, and
-    CorrectionMismatchError is raised.
+    The receiver's map takes the input's Bloch vector r to
+    rho3 = (I + (lambda * r).sigma)/2, and ncf = <phi| rho3 |phi> is what
+    ``ncf_batch`` evaluates.  ``per_outcome_equal`` says whether the four
+    sender outcomes leave maps within 1e-12 of each other; beyond 1e-10 no
+    single correction fits the channel, and CorrectionMismatchError is
+    raised.
     """
     amps = _resolve_input(f).amps
-    transfer, spread = _transfer_matrix(spec)
+    _, spread = _transfer_matrix(spec)
     norm, x, y, z = _pauli_coords(amps[:1], amps[1:])
-    bloch = transfer[1:, 0] + transfer[1:, 1:] @ np.concatenate([x, y, z]) / norm
+    bloch = receiver_map(spec) * np.concatenate([x, y, z]) / norm
     rho3 = (IDENTITY + np.tensordot(bloch, _PAULI_BASIS[1:], axes=1)) / 2.0
     return NcfResult(
         rho3=DensityOperator(rho3),

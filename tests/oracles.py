@@ -8,10 +8,12 @@ controller-absent protocol that way, one sender outcome at a time, and is
 the reference every controller-absent number is pinned to.
 ``transfer_matrix_per_outcome`` builds the receiver's Pauli transfer
 matrix one sender outcome at a time, as the engine must reproduce bit for
-bit.  ``mismatch_ncf_closed`` is the closed form
-the mismatch averages are checked against, ``monte_carlo_one_shot``
-draws a whole Monte Carlo average at once, as the streamed one must, and
-``ncf_variance`` is the exact variance its standard error estimates.
+bit.  ``design`` holds exact designs for quadratics in the Bloch vector,
+where the walk's mean is the average the package computes in closed form.
+``mismatch_ncf_closed`` is the closed form the mismatch averages are
+checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
+average at once, as the streamed one must, and ``ncf_variance`` is the
+exact variance its standard error estimates.
 """
 from __future__ import annotations
 
@@ -22,7 +24,13 @@ import numpy as np
 from ctpower.analysis import FAMILY_NAMES
 from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
 from ctpower.errors import CorrectionMismatchError, DimensionError
-from ctpower.protocol import INPUT_FAMILIES, _CORRECTIONS, _resolve_input, ncf_batch
+from ctpower.protocol import (
+    INPUT_FAMILIES,
+    _CORRECTIONS,
+    ArbitraryInput,
+    _resolve_input,
+    ncf_batch,
+)
 from ctpower.qcore import (
     BELL_OUTCOMES,
     EXACT_ATOL,
@@ -208,7 +216,6 @@ def walk_ncf(spec: ChannelSpec, k0, k1) -> np.ndarray:
     return np.array(out)
 
 
-
 def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
     """R_ij = tr(sigma_i E(sigma_j))/2 of the controller-absent protocol E:
     for each sender outcome, the two Kraus operators (one per computational
@@ -226,6 +233,26 @@ def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
             "iab,cbd,jde,cae->ij", paulis, kraus, paulis, kraus.conj()
         ).real
     return per_outcome.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# exact designs
+
+# The NCF is a quadratic in the input's Bloch vector: the regular tetrahedron
+# is a spherical 2-design, and three equally spaced members of a great
+# circle average any degree-2 trigonometric polynomial.
+_THIRDS = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
+
+
+def design(family: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude arrays (k0, k1) of the tetrahedron (``family`` None: the
+    north pole and three points at polar angle arccos(-1/3)), or of three
+    equally spaced members of a family's circle."""
+    if family is None:
+        return ArbitraryInput.amplitudes(
+            np.array([0.0, *3 * [np.arccos(-1.0 / 3.0)]]), np.array([0.0, *_THIRDS])
+        )
+    return INPUT_FAMILIES[family].amplitudes(_THIRDS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Averages, bounds, sweeps, and the mismatch experiment.
 
 Oracles here integrate the closed-form NCF expressions directly with
-high-order fixed quadrature, independently of the design points under
+high-order fixed quadrature, independently of the exact averages under
 test.  Regression constants derived that way are frozen inline.
 """
 import math
@@ -40,6 +40,7 @@ from ctpower.verify import _random_local_unitary
 from oracles import (
     MatchedFamiliesError,
     apply_gate,
+    design,
     mismatch_ncf_closed,
     monte_carlo_one_shot,
     ncf_variance,
@@ -151,23 +152,26 @@ def test_matched_family_average_is_the_dominant_weight():
 
 
 def test_quadrature_is_the_map_at_the_design_points():
-    # quadrature is the mean of the map's NCF (ncf_batch) over a design, bit
-    # for bit; the step-by-step walk at the same points and the closed forms
-    # agree within 1e-12
+    # quadrature is the exact average of the map's NCF: its mean over a
+    # design (ncf_batch) within 1e-15, and the step-by-step walk's at the
+    # same points and the closed forms within 1e-12
     for d in (-0.8, 0.0, 0.37, 1.0):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
         mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
-        assert mean == float(np.mean(ncf_batch(spec, *analysis._design(None))))
-        assert abs(mean - np.mean(walk_ncf(spec, *analysis._design(None)))) < 1e-12
+        assert abs(mean - np.mean(ncf_batch(spec, *design(None)))) <= 1e-15
+        assert abs(mean - np.mean(walk_ncf(spec, *design(None)))) < 1e-12
         assert abs(mean - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
     for a2 in (0.3, 0.5, 0.9):
         a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+        hi, lo = max(a2, 1.0 - a2), min(a2, 1.0 - a2)
         for fam in FAMILY_NAMES:
-            spec = ThetaChannel(a=a, b=b, k=MATCHED_AXIS[fam])
-            mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="quadrature")
-            assert mean == float(np.mean(ncf_batch(spec, *analysis._design(fam))))
-            assert abs(mean - np.mean(walk_ncf(spec, *analysis._design(fam)))) < 1e-12
-            assert abs(mean - max(a * a, b * b)) < 1e-12
+            # the matched channel, flat on its circle, and a mismatched one
+            for k, want in ((MATCHED_AXIS[fam], hi), (fam[0], hi + lo / 2.0)):
+                spec = ThetaChannel(a=a, b=b, k=k)
+                mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="quadrature")
+                assert abs(mean - np.mean(ncf_batch(spec, *design(fam)))) <= 1e-15
+                assert abs(mean - np.mean(walk_ncf(spec, *design(fam)))) < 1e-12
+                assert abs(mean - want) < 1e-12
 
 
 def test_domain_and_measure_validation():
@@ -400,11 +404,11 @@ def test_sweep_quadrature_agrees_with_analytic():
     analytic = sweep(specs, method="analytic")
     numeric = sweep(specs, method="quadrature")
     for a, q in zip(analytic, numeric):
-        assert abs(a.f_bar - q.f_bar) < 1e-9
+        assert a.f_bar == q.f_bar  # one exact average, bit for bit
 
 
 def test_analytic_sweep_reads_the_receiver_map():
-    # sphere: 1/2 + tr(T)/6 = 2/3 + |d|/3; matched circle: max(a^2, b^2)
+    # sphere: 1/2 + sum(lambda)/6 = 2/3 + |d|/3; matched circle: max(a^2, b^2)
     for d in (-0.8, -0.3, 0.0, 0.5, 1.0):
         (rep,) = sweep([MSChannel(c=math.sqrt(1 - d * d), d=d)], method="analytic")
         assert abs(rep.f_bar - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
@@ -412,12 +416,12 @@ def test_analytic_sweep_reads_the_receiver_map():
         for k in ("x", "y", "z"):
             (rep,) = sweep([ThetaChannel(a, b, k)], method="analytic")
             assert abs(rep.f_bar - max(a * a, b * b)) < 1e-12
-    # raw channels now have an analytic average too; quadrature agrees
+    # raw channels have an analytic average too; the walk over the
+    # tetrahedron agrees
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     raw = RawChannel(state=apply_gate(u, 0, MSChannel(c=0.6, d=-0.8).state))
     (rep,) = sweep([raw], method="analytic")
-    quad, _ = avg_fidelity_numeric(raw, "sphere", method="quadrature")
-    assert abs(rep.f_bar - quad) < 1e-12
+    assert abs(rep.f_bar - np.mean(walk_ncf(raw, *design(None)))) < 1e-12
     # controller and receiver share a Bell pair, the sender is |0>: the walk
     # gives 1/2 for every input, but the sender's outcome weights depend on
     # the input, so the map is refused, and every method refuses with it
@@ -505,15 +509,14 @@ def test_mismatch_report_structure_and_claim_flag():
     assert report.claim_agrees is False
     table = mismatch_table(report)
     assert len(table) == 9 and table[0]["channel_family"] == "xz"
-    # the rows come off the receiver map; quadrature is the cross-check
+    # the rows come off the receiver map; the walk over each circle's
+    # design is the cross-check
     for a2 in (0.5, 0.3):
         a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
         for row in mismatch_report(a, b).rows:
             spec = ThetaChannel(a, b, MATCHED_AXIS[row.channel_family])
-            quad = avg_fidelity_numeric(
-                spec, "family", family=row.input_family, method="quadrature"
-            ).mean
-            assert abs(row.avg_ncf - quad) <= 1e-9
+            walked = np.mean(walk_ncf(spec, *design(row.input_family)))
+            assert abs(row.avg_ncf - walked) <= 1e-12
 
 
 def test_mismatch_dominance_on_a_dominant_grid():

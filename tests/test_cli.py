@@ -362,6 +362,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     twice.write_text("family = ms\nc = 0.6\nd = 0.8\nd = -0.8\n")
     assert main(["ct", "--channel", "ms", "--config", str(twice)]) == 2  # key repeated
     assert "repeats the 'd' key" in capsys.readouterr().err
+    # a config sets every channel parameter, so channel flags beside it are refused
+    ms_cfg, theta_cfg = tmp_path / "ms.cfg", tmp_path / "theta.cfg"
+    ms_cfg.write_text("family = ms\nc = 0.6\nd = 0.8\n")
+    theta_cfg.write_text("family = theta\na = 0.6\nb = 0.8\nk = z\n")
+    for argv, flag in (
+        (["ncf", "--channel", "ms", "--config", str(ms_cfg), "--c", "0.2", "--k", "x"], "--c"),
+        (["avg", "--channel", "ms", "--config", str(ms_cfg), "--a2", "0.3"], "--a2"),
+        (["verify", "--channel", "ms", "--config", str(ms_cfg), "--d", "0.1"], "--d"),
+        (["ct", "--channel", "ms_xy", "--config", str(theta_cfg), "--k", "z"], "--k"),
+        (["channel", "ms", "--config", str(ms_cfg), "--a", "0.6"], "--a"),
+        (["power-sweep", "--channel", "ms", "--config", str(ms_cfg), "--b", "0.8"], "--b"),
+    ):
+        assert main(argv) == 2, argv
+        assert f"{flag} does not apply to a channel read from --config" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["ct", "--channel", "hexagonal"])  # argparse rejects the choice
     capsys.readouterr()

@@ -2,14 +2,14 @@
 
 Channels are named MS/GHZ/theta states and the same states with a random
 unitary on the controller qubit, which must leave the receiver's map
-unchanged.  For each, the map must be a valid qubit channel on the unit
-sphere, and the NCF it gives must equal the step-by-step branch walk of
-``oracles.py`` pointwise, and the analytic averages over the sphere and the
-three circles.  With the controller's help teleportation must be
-perfect, also for a raw copy rotated so that its computational controller
-basis is the named one.  The command line must end in an exit code, never
-a traceback, whatever flags and values it is given, and the same fuzzing
-must reach the exit code of a failed check.
+unchanged.  For each, the map must be a completely positive Pauli channel,
+and the NCF it gives must equal the step-by-step branch walk of
+``oracles.py`` pointwise, and the walk's mean over exact designs for the
+sphere and the three circles.  With the controller's help teleportation
+must be perfect, also for a raw copy rotated so that its computational
+controller basis is the named one.  The command line must end in an exit
+code, never a traceback, whatever flags and values it is given, and the
+same fuzzing must reach the exit code of a failed check.
 """
 import argparse
 import contextlib
@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctpower.analysis import FAMILY_NAMES, _analytic_average, avg_fidelity_numeric
+from ctpower.analysis import FAMILY_NAMES, avg_fidelity_numeric
 from ctpower.channels import (
     GHZChannel,
     MSChannel,
@@ -37,7 +37,7 @@ from ctpower.protocol import (
     receiver_map,
 )
 from ctpower.qcore import PureState, make_qubit
-from oracles import apply_gate, walk_ncf
+from oracles import apply_gate, design, walk_ncf
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -83,27 +83,28 @@ bloch_points = st.lists(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(spec=channels(), points=bloch_points)
 def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, points):
-    t, T = receiver_map(spec)
-    assert np.all(np.abs(T) <= 1.0 + 1e-12)
+    lam = receiver_map(spec)
+    # the Pauli channel r -> lambda * r is completely positive exactly when
+    # (1, lambda) lies in the tetrahedron |l1 +- l2| <= 1 +- l3
+    assert abs(lam[0] + lam[1]) <= 1.0 + lam[2] + 1e-12
+    assert abs(lam[0] - lam[1]) <= 1.0 - lam[2] + 1e-12
     theta = np.array([p[0] for p in points])
     phi = np.array([p[1] for p in points])
     r = np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
     )
-    assert np.all(np.linalg.norm(t + r @ T.T, axis=1) <= 1.0 + 1e-12)
-    from_map = 0.5 + 0.5 * r @ t + 0.5 * np.einsum("ni,ij,nj->n", r, T, r)
+    from_map = 0.5 + 0.5 * (r * r) @ lam
     assert np.all((-1e-12 <= from_map) & (from_map <= 1.0 + 1e-12))
     k0 = np.cos(theta / 2.0)
     k1 = np.exp(1j * phi) * np.sin(theta / 2.0)
     batch = ncf_batch(spec, k0, k1)
     assert np.max(np.abs(batch - from_map)) < 1e-12
     assert np.max(np.abs(batch - walk_ncf(spec, k0, k1))) < 1e-12
-    # quadrature reads the map at exact designs (pinned to the walk's mean
-    # over them in test_protocol.py); the analytic average must agree
+    # quadrature is the exact average: the walk's mean over an exact design
     for family in (None,) + FAMILY_NAMES:
         domain = "sphere" if family is None else "family"
         quad = avg_fidelity_numeric(spec, domain, method="quadrature", family=family).mean
-        assert abs(quad - _analytic_average(spec, family)) < 1e-12
+        assert abs(quad - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

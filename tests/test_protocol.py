@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from ctpower import verify
-from ctpower.analysis import FAMILY_NAMES, _design, avg_fidelity_numeric
+from ctpower.analysis import FAMILY_NAMES, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
     GHZChannel,
@@ -73,6 +73,7 @@ from ctpower.verify import _random_local_unitary
 from oracles import (
     apply_gate,
     correction,
+    design,
     equal_up_to_global_phase,
     project_single_qubit,
     project_two_qubit,
@@ -366,7 +367,7 @@ def test_unconditioned_teleport_matches_the_branch_walk():
         for family in (None,) + FAMILY_NAMES:
             domain = "sphere" if family is None else "family"
             quad = avg_fidelity_numeric(spec, domain, family=family).mean
-            assert abs(quad - np.mean(walk_ncf(spec, *_design(family)))) < 1e-12
+            assert abs(quad - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
 def test_channels_whose_outcomes_leave_different_maps_are_refused():
@@ -485,7 +486,7 @@ def tetrahedron_walks(spec):
     """walk_controlled at the four tetrahedron inputs, as (input amps,
     {(controller label, Bell outcome): (probability, receiver amps)})."""
     out = []
-    for k0, k1 in zip(*_design(None)):
+    for k0, k1 in zip(*design(None)):
         phi = make_qubit(k0, k1)
         walk = walk_controlled(spec, phi)
         out.append((phi.amps, {(label, o): (p, amps) for label, o, p, amps in walk}))
@@ -498,13 +499,13 @@ def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
     # tetrahedron: exact, since the weighted fidelity is a quadratic in the
     # input's Bloch vector
     rng = np.random.default_rng(103)
-    design = list(zip(*_design(None)))
+    points = list(zip(*design(None)))
     for spec in raw_pair_cases(rng):
-        joints = [tensor(make_qubit(k0, k1), spec.state) for k0, k1 in design]
+        joints = [tensor(make_qubit(k0, k1), spec.state) for k0, k1 in points]
         for _, cvec, pair in spec.controller_measurement:
             for outcome in BELL_OUTCOMES:
                 scores = dict.fromkeys(PAULIS, 0.0)
-                for (k0, k1), joint in zip(design, joints):
+                for (k0, k1), joint in zip(points, joints):
                     p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
                     if after_ctrl is None:
                         continue
@@ -513,7 +514,7 @@ def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
                         continue
                     for name, gate in PAULIS.items():
                         fid = abs(np.vdot([k0, k1], gate @ post.amps)) ** 2
-                        scores[name] += p_ctrl * p_bell * fid / len(design)
+                        scores[name] += p_ctrl * p_bell * fid / len(points)
                 named = next(
                     name for name, gate in PAULIS.items()
                     if np.array_equal(gate, correction(pair, outcome))
@@ -704,18 +705,16 @@ def test_ncf_batch_rejects_unnormalized_and_non_finite_amplitudes():
 
 def test_receiver_map_shapes():
     # MS: dephasing that shrinks the equator by |d|; theta: shrink by
-    # a^2 - b^2 off the channel axis, identity along it
+    # |a^2 - b^2| off the channel axis, identity along it
     for d in (0.8, -0.8):
-        t, T = receiver_map(MSChannel(c=0.6, d=d))
-        assert np.max(np.abs(t)) < 1e-14
-        assert np.max(np.abs(T - np.diag([0.8, 0.8, 1.0]))) < 1e-14
+        lam = receiver_map(MSChannel(c=0.6, d=d))
+        assert lam.shape == (3,)
+        assert np.max(np.abs(lam - [0.8, 0.8, 1.0])) < 1e-14
     for k, axis in (("x", 0), ("y", 1), ("z", 2)):
         for a, b in ((0.6, 0.8), (0.8, -0.6)):
-            t, T = receiver_map(ThetaChannel(a, b, k))
             want = np.full(3, abs(a * a - b * b))
             want[axis] = 1.0
-            assert np.max(np.abs(t)) < 1e-14
-            assert np.max(np.abs(T - np.diag(want))) < 1e-14
+            assert np.max(np.abs(receiver_map(ThetaChannel(a, b, k)) - want)) < 1e-14
 
 
 def mapped_channels(rng, count):
@@ -738,25 +737,40 @@ def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
         assert _transfer_matrix(spec)[0].tobytes() == oracle.tobytes()
 
 
+def assert_pauli_channel(transfer):
+    """R_00 = 1 and every other entry off the diagonal within 1e-15: the
+    first row (R_00, 0, 0, 0) keeps the trace, the first column holds no
+    shift, and the Bloch map scales each axis on its own."""
+    assert abs(transfer[0, 0] - 1.0) <= 1e-15
+    assert np.max(np.abs(transfer - np.diag(np.diagonal(transfer)))) <= 1e-15
+
+
 def test_transfer_matrix_preserves_the_trace():
-    # the first row is (R00, 0, 0, 0): the output trace is R00 for every
-    # input, which the quadratic form of the NCF divides out once
+    # summed over the sender's outcomes the protocol is a Pauli twirl, so the
+    # transfer matrix is diagonal: receiver_map's three numbers are all of it
     for spec in mapped_channels(np.random.default_rng(101), 20):
-        first_row = _transfer_matrix(spec)[0][0]
-        assert abs(first_row[0] - 1.0) <= 1e-15
-        assert np.max(np.abs(first_row[1:])) <= 1e-15
+        assert_pauli_channel(_transfer_matrix(spec)[0])
+    # the twirl holds for every channel, also the ones the map refuses
+    rng = np.random.default_rng(107)
+    for _ in range(50):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        spec = RawChannel(state=PureState(v / np.linalg.norm(v)))
+        with pytest.raises(CorrectionMismatchError):
+            _transfer_matrix(spec)
+        assert_pauli_channel(transfer_matrix_per_outcome(spec))
 
 
 def test_receiver_map_is_built_once_and_read_only():
-    t, T = receiver_map(MSChannel(c=0.6, d=0.8))
-    # an equal spec reuses the cached map
-    assert receiver_map(MSChannel(c=0.6, d=0.8))[1].base is T.base
-    for view in (t, T, T.base):
+    lam = receiver_map(MSChannel(c=0.6, d=0.8))
+    # an equal spec reuses the cached transfer matrix
+    transfer = _transfer_matrix(MSChannel(c=0.6, d=0.8))[0]
+    assert _transfer_matrix(MSChannel(c=0.6, d=0.8))[0] is transfer
+    for view in (lam, transfer):
         with pytest.raises(ValueError):
             view[0] = 2.0
-    assert np.max(np.abs(T - np.diag([0.8, 0.8, 1.0]))) < 1e-14
+    assert np.max(np.abs(lam - [0.8, 0.8, 1.0])) < 1e-14
     # raw channels parsed from the same text are equal, so they share it too
     text = channel_to_config(RawChannel(state=MSChannel(c=0.8, d=-0.6).state))
     first, second = channel_from_config(text), channel_from_config(text)
     assert first == second and hash(first) == hash(second)
-    assert receiver_map(second)[1].base is receiver_map(first)[1].base
+    assert _transfer_matrix(second)[0] is _transfer_matrix(first)[0]
