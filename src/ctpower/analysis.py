@@ -14,11 +14,12 @@ Every method reads the receiver's Bloch map (``protocol.receiver_map``),
 the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
 Quadrature and the analytic method are one exact average of it
 (``_exact_average``), which ``mismatch_report`` reads too.  Monte Carlo
-evaluates the map's NCF at Bloch vectors drawn straight from the
-counter-based Philox generator, so every stochastic result is
+evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
+from the counter-based Philox generator, so every stochastic result is
 bit-reproducible from (seed, row-index); it streams the draws in fixed-size
-chunks and merges the chunks' moments, so its memory stays bounded.  The
-tests pin both to a step-by-step walk of the branches.
+chunks and merges the chunks' moments, so its memory stays bounded, and
+``_ncf_variance`` gives the exact variance its standard error estimates.
+The tests pin them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
@@ -112,14 +113,24 @@ def _uniform_chunks(rng: np.random.Generator, n: int):
 _CIRCLE_AXES = {"xz": (2, 0), "xy": (0, 1), "yz": (2, 1)}
 
 
-def _circle_coords(family: str, angle: np.ndarray) -> list:
-    """[x, y, z] of a circle's members at ``angle``, None on the axis that
-    is zero on the whole circle; the sine overwrites ``angle``."""
-    r = [None, None, None]
+def _cos_squared(u: np.ndarray) -> np.ndarray:
+    """cos^2(2 pi u) = (1 + cos(4 pi u))/2, overwriting ``u``; 4 pi u is
+    exactly twice the angle 2 pi u, since doubling is exact."""
+    c2 = np.cos(np.multiply(u, 2.0 * _TWO_PI, out=u), out=u)
+    c2 += 1.0
+    c2 *= 0.5
+    return c2
+
+
+def _circle_squares(family: str, u: np.ndarray) -> list:
+    """[x^2, y^2, z^2] of a circle's members at angle 2 pi u: cos^2 on the
+    family's cos axis, 1 - cos^2 on its sin axis, and None on the axis that
+    is zero on the whole circle; overwrites ``u``."""
+    r2 = [None, None, None]
     cos_axis, sin_axis = _CIRCLE_AXES[family]
-    r[cos_axis] = np.cos(angle)
-    r[sin_axis] = np.sin(angle, out=angle)
-    return r
+    r2[cos_axis] = _cos_squared(u)
+    r2[sin_axis] = 1.0 - r2[cos_axis]
+    return r2
 
 
 def _exact_average(spec: ChannelSpec, family: str | None) -> float:
@@ -132,32 +143,51 @@ def _exact_average(spec: ChannelSpec, family: str | None) -> float:
     return 0.5 + float(lam[cos_axis] + lam[sin_axis]) / 4.0
 
 
+def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
+    """The exact variance of the NCF over the sphere (``family`` None) or a
+    family's circle, whose square root over sqrt(n) is the standard error
+    Monte Carlo estimates: (3 sum lambda_i^2 - (sum lambda_i)^2)/90 from the
+    sphere's E[r_i^4] = 1/5 and E[r_i^2 r_j^2] = 1/15, and
+    (lambda_c - lambda_s)^2/32 from the circle's Var(cos^2 a) = 1/8."""
+    lam = receiver_map(spec)
+    if family is None:
+        return float(3.0 * (lam * lam).sum() - lam.sum() ** 2) / 90.0
+    cos_axis, sin_axis = _CIRCLE_AXES[family]
+    return float(lam[cos_axis] - lam[sin_axis]) ** 2 / 32.0
+
+
 def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: int):
     """The NCF at n random inputs, chunk by chunk.
 
     Stream positions [0, n) of the (seed, row) generator give each input's
-    cos(theta) on the sphere, or its angle on a family's circle; positions
-    [n, 2n) give the sphere's phi.  Each chunk goes straight to Bloch
-    vectors, whose |r|^2 is checked, and the map's NCF is evaluated there.
+    u, with cos(theta) = 1 - 2u on the sphere or angle 2 pi u on a family's
+    circle; positions [n, 2n) give the sphere's phi = 2 pi v.  The Pauli
+    channel's NCF reads only the squared Bloch coordinates, so each chunk
+    goes straight to them, with one cosine of the doubled angle and no sine
+    or square root: sin^2(theta) = (1 - z)(1 + z), x^2 = sin^2(theta)
+    cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their magnitudes,
+    |r|^2, is checked, and the map's NCF is evaluated there.
     """
     lam = receiver_map(spec)
     draws = _uniform_chunks(_rng(seed, row), n)
     if family is not None:
         for start, u in draws:
-            r = _circle_coords(family, np.multiply(u, _TWO_PI, out=u))
-            a, b = (v for v in r if v is not None)
-            _check_unit(a * a + b * b, start, "|r|^2")
-            yield _bloch_ncf(lam, *r)
+            r2 = _circle_squares(family, u)
+            a2, b2 = (v for v in r2 if v is not None)
+            _check_unit(a2 + b2, start, "|r|^2")
+            yield _bloch_ncf(lam, *r2)
         return
     for (start, u), (_, v) in zip(draws, _uniform_chunks(_rng(seed, row, skip=n), n)):
-        cos_theta = 1.0 - 2.0 * u
-        sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-        phi = np.multiply(v, _TWO_PI, out=v)
-        x = sin_theta * np.cos(phi)
-        y = np.sin(phi, out=phi)
-        y *= sin_theta
-        _check_unit(x * x + y * y + cos_theta * cos_theta, start, "|r|^2")
-        yield _bloch_ncf(lam, x, y, cos_theta)
+        z = 1.0 - 2.0 * u
+        y2 = (1.0 - z) * (1.0 + z)  # sin^2(theta), until x^2 is taken off
+        x2 = _cos_squared(v)
+        x2 *= y2
+        y2 -= x2
+        z *= z  # z^2
+        # a z outside [-1, 1] makes sin^2(theta) negative while the sum of
+        # the squares stays 1; the magnitudes show it
+        _check_unit(np.abs(x2) + np.abs(y2) + z, start, "|r|^2")
+        yield _bloch_ncf(lam, x2, y2, z)
 
 
 def _moments(chunks: Iterable[np.ndarray]) -> AverageResult:

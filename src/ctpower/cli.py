@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import (
     FAMILY_NAMES,
     MC_SAMPLES,
+    _ncf_variance,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
@@ -470,6 +471,8 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     ]
     if args.method == "monte_carlo":
         report.scalars.append(("n_samples", args.n_samples))
+        predicted = math.sqrt(_ncf_variance(spec, args.family) / args.n_samples)
+        print(f"predicted stderr: {predicted:.6e}", file=sys.stderr)
     return report, 0
 
 

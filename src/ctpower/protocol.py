@@ -22,10 +22,11 @@ channel once summed over the sender's outcomes: the receiver's Bloch map
 r -> lambda * r (``receiver_map``), NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
 The map is the one controller-absent engine: ``unconditioned_teleport``
 reads the receiver's state off it, and ``ncf_batch`` evaluates the NCF for
-arrays of inputs and Monte Carlo for its random Bloch vectors, both with
-``_bloch_ncf``.  A channel whose sender outcomes leave different maps is
-refused by all of them alike.  The tests pin the map to a step-by-step
-walk of the branches, their independent oracle.
+arrays of inputs and Monte Carlo for its random inputs, both with
+``_bloch_ncf`` on squared Bloch coordinates.  A channel whose sender
+outcomes leave different maps is refused by all of them alike.  The tests
+pin the map to a step-by-step walk of the branches, their independent
+oracle.
 
 Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
 chan, one per controller state c and sender outcome o, which ``_kraus``
@@ -432,17 +433,17 @@ def _pauli_coords(k0: np.ndarray, k1: np.ndarray, start: int = 0):
     return norm, cross.real, cross.imag, p0 - p1
 
 
-def _bloch_ncf(lam: np.ndarray, x, y, z) -> np.ndarray:
-    """(1 + sum_i lambda_i r_i^2)/2 at Bloch vectors r = (x, y, z), clipped
-    to [0, 1], summed axis by axis in place.  An axis given as None is zero
-    at every input, as on a great circle, and is skipped.  Elementwise, not
-    a BLAS product: BLAS's first call adds its work buffer to the peak
-    memory of the whole process."""
+def _bloch_ncf(lam: np.ndarray, x2, y2, z2) -> np.ndarray:
+    """(1 + sum_i lambda_i r_i^2)/2 from the squared Bloch coordinates
+    (x^2, y^2, z^2) of each input, clipped to [0, 1], summed axis by axis in
+    place: the Pauli channel's NCF depends on no sign of r.  An axis given as
+    None is zero at every input, as on a great circle, and is skipped.
+    Elementwise, not a BLAS product: BLAS's first call adds its work buffer
+    to the peak memory of the whole process."""
     total = 1.0
-    for lam_i, r in zip(lam, (x, y, z)):
-        if r is not None:
-            term = r * r
-            term *= lam_i
+    for lam_i, r2 in zip(lam, (x2, y2, z2)):
+        if r2 is not None:
+            term = r2 * lam_i
             term += total
             total = term
     total *= 0.5
@@ -453,9 +454,9 @@ def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     """Non-conditioned fidelity for arrays of input amplitudes.
 
     Evaluates the NCF of the receiver's Bloch map (``_bloch_ncf``, which
-    Monte Carlo shares) at each input's Bloch vector over |k|^2, so
-    near-unit inputs are measured as if normalized.  The tests pin it
-    pointwise to a step-by-step walk of the branches.  Raises
+    Monte Carlo shares) on the squares of each input's Bloch vector over
+    |k|^2, so near-unit inputs are measured as if normalized.  The tests
+    pin it pointwise to a step-by-step walk of the branches.  Raises
     DimensionError unless k0 and k1 have one shape, NormalizationError
     unless every |k0|^2 + |k1|^2 is 1 within 1e-10, and
     CorrectionMismatchError for a channel whose map is refused.
@@ -468,8 +469,8 @@ def ncf_batch(spec: ChannelSpec, k0, k1) -> np.ndarray:
     out = np.empty(k0.size, dtype=float)
     for start in range(0, k0.size, _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
-        norm, x, y, z = _pauli_coords(k0[rows], k1[rows], start)
-        out[rows] = _bloch_ncf(lam, x / norm, y / norm, z / norm)
+        norm, *coords = _pauli_coords(k0[rows], k1[rows], start)
+        out[rows] = _bloch_ncf(lam, *((r / norm) ** 2 for r in coords))
     return out
 
 

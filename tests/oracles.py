@@ -12,8 +12,8 @@ bit.  ``design`` holds exact designs for quadratics in the Bloch vector,
 where the walk's mean is the average the package computes in closed form.
 ``mismatch_ncf_closed`` is the closed form the mismatch averages are
 checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
-average at once, as the streamed one must, and ``ncf_variance`` is the
-exact variance its standard error estimates.
+average at once (at ``one_shot_inputs``), as the streamed one must, and
+``ncf_variance`` is the exact variance its standard error estimates.
 """
 from __future__ import annotations
 
@@ -305,20 +305,27 @@ def philox_draws(seed: int, row: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rng.random(n)
 
 
-def monte_carlo_one_shot(
-    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
-) -> tuple[float, float]:
-    """Mean and standard error of the NCF at n inputs drawn in one go: the
-    amplitudes of uniform cos(theta) and phi on the sphere (``family`` None),
-    or of uniform angles on a family's circle, then one ``ncf_batch``."""
+def one_shot_inputs(
+    family: str | None, n: int, seed: int, row: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude arrays (k0, k1) of n inputs drawn in one go: uniform
+    cos(theta) and phi on the sphere (``family`` None), or uniform angles
+    on a family's circle."""
     first, second = philox_draws(seed, row, n)
     if family is None:
         cos_theta = 1.0 - 2.0 * first
         k0 = np.sqrt((1.0 + cos_theta) / 2.0).astype(complex)
         k1 = np.exp(1j * (2.0 * np.pi * second)) * np.sqrt((1.0 - cos_theta) / 2.0)
-    else:
-        k0, k1 = INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * first)
-    vals = ncf_batch(spec, k0, k1)
+        return k0, k1
+    return INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * first)
+
+
+def monte_carlo_one_shot(
+    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
+) -> tuple[float, float]:
+    """Mean and standard error of the NCF at the ``one_shot_inputs``, from
+    one ``ncf_batch``."""
+    vals = ncf_batch(spec, *one_shot_inputs(family, n, seed, row))
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(vals.mean()), stderr
 

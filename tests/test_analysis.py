@@ -44,6 +44,7 @@ from oracles import (
     mismatch_ncf_closed,
     monte_carlo_one_shot,
     ncf_variance,
+    one_shot_inputs,
     philox_draws,
     walk_ncf,
     walk_unconditioned,
@@ -259,15 +260,38 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
 
 
 def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
-    # Monte Carlo puts (cos a, sin a) on a circle's two Bloch axes without
-    # building amplitudes; the Pauli coordinates of the members are the oracle
-    angles = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
+    # Monte Carlo puts (cos^2 a, sin^2 a) on a circle's two Bloch axes without
+    # building amplitudes; the squared Pauli coordinates of the members are
+    # the oracle
+    u = np.linspace(0.0, 1.0, 97, endpoint=False)
     for family in FAMILY_NAMES:
-        _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(angles))
-        got = analysis._circle_coords(family, angles.copy())
+        _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * u))
+        got = analysis._circle_squares(family, u.copy())
         for axis in range(3):
-            coord = np.zeros_like(angles) if got[axis] is None else got[axis]
-            assert np.max(np.abs(coord - want[axis])) <= 1e-15, (family, axis)
+            square = np.zeros_like(u) if got[axis] is None else got[axis]
+            assert np.max(np.abs(square - want[axis] ** 2)) <= 1e-15, (family, axis)
+
+
+def test_monte_carlo_values_are_ncf_batch_at_the_one_shot_inputs(monkeypatch):
+    # each value of the stream, not only the mean, is the NCF at the input
+    # the one-shot draw builds amplitudes for
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    unitary = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    specs = [
+        MSChannel(c=0.6, d=-0.8),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
+        RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
+    ]
+    for n in (1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
+        for family in (None, *FAMILY_NAMES):
+            k0, k1 = one_shot_inputs(family, n, 5, 1)
+            for spec in specs:
+                chunks = list(analysis._ncf_draws(spec, family, n, 5, 1))
+                assert max(len(chunk) for chunk in chunks) <= SMALL_CHUNK
+                got = np.concatenate(chunks)
+                want = ncf_batch(spec, k0, k1)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, (spec, family, n)
 
 
 def walk_central_moments(spec, family):
@@ -320,6 +344,26 @@ def test_monte_carlo_stderr_matches_the_predicted_spread():
             assert abs(stderr - sigma / math.sqrt(n)) <= 4.0 * spread, (spec, family)
 
 
+def test_predicted_variance_is_the_exact_spread_of_the_ncf():
+    # the variance read off lambda, (3 sum lambda^2 - (sum lambda)^2)/90 on
+    # the sphere and (lambda_c - lambda_s)^2/32 on a circle, against the
+    # oracle's moments of the full transfer matrix
+    rng = np.random.default_rng(131)
+    named = [MSChannel(c=math.sqrt(1.0 - d * d), d=d) for d in (-0.8, -0.3, 0.0, 0.6, 1.0)]
+    named += [
+        ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=k)
+        for a2 in (0.1, 0.5, 0.8) for k in "xyz"
+    ]
+    raw = [
+        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, spec.state))
+        for spec in named
+    ]
+    for spec in named + raw:
+        for family in (None, *FAMILY_NAMES):
+            got = analysis._ncf_variance(spec, family)
+            assert abs(got - ncf_variance(spec, family)) <= 1e-15, (spec, family)
+
+
 def test_monte_carlo_memory_does_not_grow_with_n_samples():
     spec = MSChannel(c=0.6, d=-0.8)
     for family in (None, "xz"):
@@ -363,6 +407,17 @@ def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
     for family in (None, *FAMILY_NAMES):
         with pytest.raises(NormalizationError, match=r"\|r\|\^2 = nan at index 0"):
             mc_average(spec, family, 5)
+
+
+def test_monte_carlo_sphere_checks_draws_outside_the_unit_interval(monkeypatch):
+    # u = 5 gives cos(theta) = -9: squares that still sum to 1, but two of
+    # them negative
+    def outside_draws(rng, n):
+        yield 0, np.full(n, 5.0)
+
+    monkeypatch.setattr(analysis, "_uniform_chunks", outside_draws)
+    with pytest.raises(NormalizationError, match=r"\|r\|\^2 = 161.0 at index 0"):
+        mc_average(MSChannel(c=0.6, d=0.8), None, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: rendering, determinism, exit codes, grids."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from ctpower.channels import GHZChannel, RawChannel, ThetaChannel, channel_to_config
+from ctpower.channels import (
+    GHZChannel,
+    MSChannel,
+    RawChannel,
+    ThetaChannel,
+    channel_to_config,
+)
 from ctpower.cli import UsageError, main, parse_grid
 from ctpower.qcore import PureState
+from oracles import ncf_variance
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +288,35 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first = run_cli(capsys, *argv)
     _, second = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_avg_monte_carlo_prints_the_predicted_stderr_on_stderr(capsys, tmp_path):
+    spec = MSChannel(c=0.8, d=-0.6)
+    n = 20000
+    for family in (None, "xz", "xy"):
+        domain = ["--domain", "sphere"] if family is None else [
+            "--domain", "family", "--family", family,
+        ]
+        argv = [
+            "avg", "--channel", "ms", "--d=-0.6", *domain, "--method", "monte_carlo",
+            "--n-samples", str(n), "--seed", "7", "--format", "json",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        predicted = math.sqrt(ncf_variance(spec, family) / n)
+        assert captured.err == f"predicted stderr: {predicted:.6e}\n"
+        # stdout and --output carry the report alone
+        assert "predicted" not in captured.out
+        path = tmp_path / "avg.json"
+        assert main([*argv, "--output", str(path)]) == 0
+        capsys.readouterr()
+        written = path.read_text(encoding="utf-8")
+        assert "predicted" not in written
+        assert json.loads(written)["scalars"] == json.loads(captured.out)["scalars"]
+        measured = json.loads(captured.out)["scalars"]["stderr"]
+        assert abs(measured - predicted) <= max(0.05 * predicted, 1e-15)
+    assert main(["avg", "--channel", "ms", "--d=-0.6", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_flag_and_environment_default(capsys, monkeypatch):
