@@ -20,6 +20,13 @@ known Bell pair.  The controller of a theta or raw channel measures in the
 computational basis, and each outcome names the Bell pair of largest weight
 in the pair it leaves: on a theta channel the pair the outcome leaves
 exactly.  The receiver corrects toward that pair, whatever the input.
+
+Each formula is written once, over stacks: ``_ms_amps`` and ``_theta_amps``
+give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS controller bras,
+``_computational_pairs`` the pairs a computational controller names, and
+``_tangles`` the 3-tangles of (n, 8) rows.  ``ms_state``,
+``theta_channel``, ``charlie_basis``, ``three_tangle`` and the default
+``controller_measurement`` are their validated one-row views.
 """
 from __future__ import annotations
 
@@ -43,6 +50,7 @@ from .qcore import (
     PAULI_Y_REAL,
     BellOutcome,
     PureState,
+    _const,
     make_qubit,
     pauli,
 )
@@ -101,8 +109,7 @@ class ChannelSpec:
         names the Bell pair p of largest weight |<bell_p| <c| chan|^2, ties
         within 1e-12 going to the earlier pair in BELL_OUTCOMES.  Theta and
         raw channels measure so; MS channels override it."""
-        weights = np.abs(self.state.amps.reshape(2, 4) @ BELL_BRAS.T) ** 2
-        best = np.argmax(weights >= weights.max(axis=1, keepdims=True) - EXACT_ATOL, axis=1)
+        best = _computational_pairs(self.state.amps[None])[0]
         return tuple(
             (label, make_qubit(*np.eye(2)[c]), BELL_OUTCOMES[best[c]])
             for c, label in enumerate("01")
@@ -209,17 +216,67 @@ class RawChannel(ChannelSpec):
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each family is one stacked formula over arrays of parameters,
+# (n, 8) amplitudes or (n, 2, 2) controller bras, and the public
+# constructors are its validated one-row views
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz", with
+# PAULI_Y_REAL for y (see theta_channel)
+_PHI_PLUS = np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
+_THETA_A = _const(np.kron([1.0, 0.0], _PHI_PLUS))
+_THETA_B = _const([
+    np.kron([0.0, 1.0], np.kron(np.eye(2), sigma) @ _PHI_PLUS)
+    for sigma in (pauli("x"), PAULI_Y_REAL, pauli("z"))
+])
+
+
+def _ms_amps(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(n, 8) amplitudes of the MS states of unit pairs (c[i], d[i])."""
+    amps = np.zeros((len(c), 8), dtype=complex)
+    amps[:, 0b000] = _SQRT_HALF
+    amps[:, 0b111] = c * _SQRT_HALF
+    amps[:, 0b011] = d * _SQRT_HALF
+    return amps
+
+
+def _theta_amps(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(n, 8) amplitudes of the theta channels of unit pairs (a[i], b[i])
+    about axis "xyz"[axes[i]]."""
+    return a[:, None] * _THETA_A + b[:, None] * _THETA_B[axes]
+
+
+def _charlie_bras(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) bras (<x+|, <x-|) of ``charlie_basis`` for unit pairs
+    (c[i], d[i]); DegenerateBasisError if any vector vanishes."""
+    vecs = np.empty((len(c), 2, 2), dtype=complex)
+    vecs[:, 0, 0] = 1.0 + d
+    vecs[:, 0, 1] = c
+    vecs[:, 1, 0] = 1.0 - d
+    vecs[:, 1, 1] = -c
+    norm2 = np.sum(np.abs(vecs) ** 2, axis=-1)
+    if np.any(norm2 < EXACT_ATOL):
+        i, j = np.argwhere(norm2 < EXACT_ATOL)[0]
+        raise DegenerateBasisError(
+            f"controller basis vector {('x+', 'x-')[j]} vanishes at "
+            f"c={float(c[i])!r}, d={float(d[i])!r}"
+        )
+    return (vecs / np.sqrt(norm2)[..., None]).conj()
+
+
+def _computational_pairs(amps: np.ndarray) -> np.ndarray:
+    """(n, 2) indices into BELL_OUTCOMES of the pair each computational
+    controller outcome c of the (n, 8) channels names: the pair p of largest
+    weight |<bell_p| <c| chan|^2, ties within 1e-12 going to the earlier."""
+    weights = np.abs(amps.reshape(-1, 2, 4) @ BELL_BRAS.T) ** 2
+    return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
+
 
 def ms_state(c: float, d: float) -> PureState:
     """(|000> + c|111> + d|011>)/sqrt(2) with real c, d and c^2+d^2 = 1."""
     c, d = check_unit_pair(c, d, "c, d")
-    amps = np.zeros(8, dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    amps[0b000] = s
-    amps[0b111] = c * s
-    amps[0b011] = d * s
-    return PureState(amps)
+    return PureState(_ms_amps(np.array([c]), np.array([d]))[0])
 
 
 def charlie_basis(c: float, d: float) -> tuple[PureState, PureState]:
@@ -234,17 +291,8 @@ def charlie_basis(c: float, d: float) -> tuple[PureState, PureState]:
     normalization, which happens exactly at c=0 with d = -1 or +1.
     """
     c, d = check_unit_pair(c, d, "c, d")
-    plus = np.array([1.0 + d, c], dtype=complex)
-    minus = np.array([1.0 - d, -c], dtype=complex)
-    out = []
-    for vec, label in ((plus, "x+"), (minus, "x-")):
-        norm2 = float(np.sum(np.abs(vec) ** 2))
-        if norm2 < EXACT_ATOL:
-            raise DegenerateBasisError(
-                f"controller basis vector {label} vanishes at c={c!r}, d={d!r}"
-            )
-        out.append(PureState(vec / np.sqrt(norm2)))
-    return out[0], out[1]
+    plus, minus = _charlie_bras(np.array([c]), np.array([d]))[0].conj()
+    return PureState(plus), PureState(minus)
 
 
 def theta_channel(a: float, b: float, k: str) -> PureState:
@@ -255,12 +303,9 @@ def theta_channel(a: float, b: float, k: str) -> PureState:
     only multiply that branch by a phase i.
     """
     a, b = check_unit_pair(a, b, "a, b")
-    sigma = PAULI_Y_REAL if k == "y" else pauli(k)
-    s = 1.0 / np.sqrt(2.0)
-    phi_plus = np.array([s, 0.0, 0.0, s], dtype=complex)
-    rotated = (np.kron(np.eye(2), sigma) @ phi_plus)
-    amps = a * np.kron([1.0, 0.0], phi_plus) + b * np.kron([0.0, 1.0], rotated)
-    return PureState(amps)
+    if k not in ("x", "y", "z"):
+        raise ValueError(f"unknown Pauli axis {k!r}")
+    return PureState(_theta_amps(np.array([a]), np.array([b]), np.array(["xyz".index(k)]))[0])
 
 
 NAMED_CHANNELS = ("tetrahedral_xz", "ms_xy", "psi_yz")
@@ -289,17 +334,14 @@ class TangleReport:
     meets_bound: bool
 
 
-def three_tangle(state: PureState) -> TangleReport:
-    """Residual (three-way) entanglement of a pure 3-qubit state.
-
-    Computed as the hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|
-    over the eight amplitudes.  Known family values: c^2 for an MS state,
-    4 a^2 b^2 for a theta channel, 1 for GHZ, 0 for anything with a
-    product-qubit factor.
-    """
-    if state.num_qubits != 3:
-        raise DimensionError(f"3-tangle needs 3 qubits, got {state.num_qubits}")
-    p = state.amps
+def _tangles(amps: np.ndarray) -> np.ndarray:
+    """3-tangles of (n, 8) amplitude rows, or of one (8,) row: the
+    hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|, capped at 1;
+    ValueError if any row exceeds 1 by more than 1e-10.  One row is
+    evaluated on scalars, a third of the cost of a one-row stack; stacked
+    complex products and magnitudes can round an ulp apart from scalar
+    ones."""
+    p = amps.T
     d1 = p[0] ** 2 * p[7] ** 2 + p[1] ** 2 * p[6] ** 2 + p[2] ** 2 * p[5] ** 2 + p[4] ** 2 * p[3] ** 2
     d2 = (
         p[0] * p[7] * p[3] * p[4]
@@ -311,9 +353,22 @@ def three_tangle(state: PureState) -> TangleReport:
     )
     d3 = p[0] * p[6] * p[5] * p[3] + p[7] * p[1] * p[2] * p[4]
     tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    if tau > 1.0 + PSD_ATOL:
-        raise ValueError(f"3-tangle {tau!r} exceeds 1 beyond tolerance")
-    tau = min(tau, 1.0)
+    if (tau > 1.0 + PSD_ATOL).any():
+        raise ValueError(f"3-tangle {float(np.max(tau))!r} exceeds 1 beyond tolerance")
+    return np.minimum(tau, 1.0)
+
+
+def three_tangle(state: PureState) -> TangleReport:
+    """Residual (three-way) entanglement of a pure 3-qubit state.
+
+    Computed as the hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|
+    over the eight amplitudes.  Known family values: c^2 for an MS state,
+    4 a^2 b^2 for a theta channel, 1 for GHZ, 0 for anything with a
+    product-qubit factor.
+    """
+    if state.num_qubits != 3:
+        raise DimensionError(f"3-tangle needs 3 qubits, got {state.num_qubits}")
+    tau = float(_tangles(state.amps))
     return TangleReport(tau=tau, meets_bound=tau >= TANGLE_BOUND - 1e-10)
 
 

@@ -53,7 +53,7 @@ from .protocol import (
     ncf_theta_closed,
     unconditioned_teleport,
 )
-from .verify import check_channel_ct, format_report, run_all
+from .verify import check_channel_ct, format_report, suite
 
 SEED_ENV_VAR = "CTPOWER_SEED"
 _CT_FIDELITY_GATE = 1.0 - 1e-9
@@ -558,13 +558,23 @@ def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, 
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    """Run the checks and emit the report; stderr gets one ``time`` line per
+    check, in run order, then the elapsed time of the command."""
     started = time.monotonic()
     if args.channel is not None:
-        results, mode = [check_channel_ct(_spec_from_args(args))], "channel"
+        spec = _spec_from_args(args)
+        checks, mode = [lambda: check_channel_ct(spec)], "channel"
     else:
-        results = run_all(config.seed, quick=args.quick)
+        checks = suite(config.seed, quick=args.quick)
         mode = "quick" if args.quick else "full"
+    results, times = [], []
+    for check in checks:
+        check_started = time.perf_counter()
+        results.append(check())
+        times.append(time.perf_counter() - check_started)
     _emit(format_report(results, seed=config.seed, mode=mode), config)
+    for result, seconds in zip(results, times):
+        print(f"time {result.name}: {seconds * 1e3:.2f} ms", file=sys.stderr)
     print(f"elapsed: {time.monotonic() - started:.2f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 

@@ -32,13 +32,17 @@ Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
 chan, one per controller state c and sender outcome o, which ``_kraus``
 stacks over channels; the map above takes the computational controller
 states and the dominant correction.  With the controller present each
-branch is one K, stacked by ``_controlled_kraus`` from the controller
-outcomes each channel lists: ``controlled_teleport`` hands the receiver
-K phi with probability |K phi|^2.  Controlled teleportation is perfect for
-every input exactly when each K of non-zero weight is lambda I: the branch
-then returns the input with probability |lambda|^2, whatever the input.
-``_ct_certificate`` measures max |K - lambda I| / sqrt(p), lambda = tr K / 2
-and p = |K|_F^2 / 2 the branch probability averaged over inputs.
+branch is one K, from the controller outcomes each channel lists, which
+``_controlled_arrays`` turns into ``_kraus`` arguments:
+``controlled_teleport`` hands the receiver K phi with probability
+|K phi|^2.  Controlled teleportation is perfect for every input exactly
+when each K of non-zero weight is lambda I: the branch then returns the
+input with probability |lambda|^2, whatever the input.
+``_ct_certificate`` takes the ``_kraus`` arguments and measures
+max |K - lambda I| / sqrt(p), lambda = tr K / 2 and p = |K|_F^2 / 2 the
+branch probability averaged over inputs; a caller holding channel
+amplitudes and controller bras as arrays passes them directly, with no
+spec per channel.
 """
 from __future__ import annotations
 
@@ -223,12 +227,14 @@ def _kraus(chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray) -> np.ndarr
     return gates @ kraus
 
 
-def _controlled_kraus(specs: Sequence[ChannelSpec]) -> np.ndarray:
-    """``_kraus`` of the controlled protocol of each channel, shape
-    (n, C, 4, 2, 2): one row per controller outcome its
-    ``controller_measurement`` lists, corrected for the pair it names."""
+def _controlled_arrays(
+    specs: Sequence[ChannelSpec],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_kraus`` arguments of the controlled protocol of each channel:
+    one controller bra and named pair per outcome its
+    ``controller_measurement`` lists."""
     outcomes = [s.controller_measurement for s in specs]
-    return _kraus(
+    return (
         np.array([s.state.amps.reshape(2, 2, 2) for s in specs]),
         np.array([[cvec.amps.conj() for _, cvec, _ in row] for row in outcomes]),
         np.array([[BELL_OUTCOMES.index(pair) for _, _, pair in row] for row in outcomes]),
@@ -279,7 +285,7 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
     probabilities still sum to 1.
     """
     phi = _resolve_input(f)
-    received = _controlled_kraus([spec])[0] @ phi.amps  # (controller, sender, 2)
+    received = _kraus(*_controlled_arrays([spec]))[0] @ phi.amps  # (controller, sender, 2)
     probability = np.sum(received.real**2 + received.imag**2, axis=-1)
     labels = [label for label, _, _ in spec.controller_measurement]
     branches: list[CtBranch] = []
@@ -304,15 +310,19 @@ class _Certificate(NamedTuple):
     defect: np.ndarray       # (n,) max |K - lambda I| / sqrt(p), kept branches
 
 
-def _ct_certificate(specs: Sequence[ChannelSpec]) -> _Certificate:
+def _ct_certificate(
+    chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray
+) -> _Certificate:
     """Certify the controlled protocol of each channel for every input.
 
-    Each branch (controller outcome c, sender outcome o) is one corrected
-    Kraus operator K; it returns every input exactly when K = lambda I, and
-    its probability is then |lambda|^2 for every input.  A branch is kept
-    when its input-averaged probability p exceeds ZERO_PROB.
+    Takes the arguments of ``_kraus``, one channel per row; spec callers
+    pass ``*_controlled_arrays(specs)``.  Each branch (controller outcome
+    c, sender outcome o) is one corrected Kraus operator K; it returns
+    every input exactly when K = lambda I, and its probability is then
+    |lambda|^2 for every input.  A branch is kept when its input-averaged
+    probability p exceeds ZERO_PROB.
     """
-    kraus = _controlled_kraus(specs)
+    kraus = _kraus(chans, cvecs, shared)
     scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
     probability = np.sum(kraus.real**2 + kraus.imag**2, axis=(-2, -1)) / 2.0
     kept = probability > ZERO_PROB

@@ -14,16 +14,30 @@ where the walk's mean is the average the package computes in closed form.
 checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
 average at once (at ``one_shot_inputs``), as the streamed one must, and
 ``ncf_variance`` is the exact variance its standard error estimates.
+``random_channel`` draws one of ``verify --quick``'s random channels as a
+spec, the draws the package turns straight into arrays, and
+``random_local_unitary`` one of its Haar-random rotations.  The
+``*_scalar`` functions build one channel at a time, as the constructors
+did before they became stacked formulas, which must reproduce them bit
+for bit.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from ctpower.analysis import FAMILY_NAMES
-from ctpower.channels import MATCHED_AXIS, ChannelSpec, check_unit_pair
-from ctpower.errors import CorrectionMismatchError, DimensionError
+from ctpower.channels import (
+    MATCHED_AXIS,
+    ChannelSpec,
+    GHZChannel,
+    MSChannel,
+    ThetaChannel,
+    check_unit_pair,
+)
+from ctpower.errors import CorrectionMismatchError, DegenerateBasisError, DimensionError
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
@@ -32,12 +46,14 @@ from ctpower.protocol import (
     ncf_batch,
 )
 from ctpower.qcore import (
+    BELL_BRAS,
     BELL_OUTCOMES,
     EXACT_ATOL,
     IDENTITY,
     MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
+    PAULI_Y_REAL,
     PAULI_Z,
     ZERO_PROB,
     DensityOperator,
@@ -45,6 +61,7 @@ from ctpower.qcore import (
     bell_state,
     pauli,
 )
+from ctpower.verify import _random_local_unitaries
 
 
 class MatchedFamiliesError(ValueError):
@@ -369,3 +386,90 @@ def ncf_variance(spec: ChannelSpec, family: str | None) -> float:
     mean_quad = float(np.einsum("ij,ij->", quad, second))
     var_g = t @ second @ t + np.einsum("ij,ijkl,kl->", quad, fourth, quad) - mean_quad**2
     return float(var_g) / 4.0
+
+
+# ---------------------------------------------------------------------------
+# the random channels of the perfect-ct check
+
+def random_channel(rng: np.random.Generator) -> ChannelSpec:
+    """GHZ, an MS channel with |c| >= 0.05, or a theta channel on a random
+    axis, a third each, as a validated spec: the scalar draws
+    ``verify._random_channels`` takes, in the same order."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return GHZChannel()
+    if kind == 1:
+        # keep |c| away from 0: the controller basis degenerates there
+        while True:
+            alpha = rng.uniform(0.0, 2.0 * np.pi)
+            if abs(math.cos(alpha)) >= 0.05:
+                return MSChannel(c=math.cos(alpha), d=math.sin(alpha))
+    beta = rng.uniform(0.0, 2.0 * np.pi)
+    axis = ("x", "y", "z")[int(rng.integers(3))]
+    return ThetaChannel(a=math.cos(beta), b=math.sin(beta), k=axis)
+
+
+def random_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random 2x2 unitary, drawn as ``check_three_tangle`` draws
+    each of its rotations."""
+    return _random_local_unitaries(rng, 1)[0]
+
+
+# ---------------------------------------------------------------------------
+# one channel at a time: the scalar constructors
+
+def ms_amps_scalar(c: float, d: float) -> np.ndarray:
+    """(|000> + c|111> + d|011>)/sqrt(2), written amplitude by amplitude."""
+    amps = np.zeros(8, dtype=complex)
+    s = 1.0 / np.sqrt(2.0)
+    amps[0b000] = s
+    amps[0b111] = c * s
+    amps[0b011] = d * s
+    return amps
+
+
+def theta_amps_scalar(a: float, b: float, k: str) -> np.ndarray:
+    """a|0>|phi+> + b|1>(I x sigma_k)|phi+>, with PAULI_Y_REAL for y, from
+    fresh Kronecker products."""
+    sigma = PAULI_Y_REAL if k == "y" else pauli(k)
+    s = 1.0 / np.sqrt(2.0)
+    phi_plus = np.array([s, 0.0, 0.0, s], dtype=complex)
+    rotated = np.kron(np.eye(2), sigma) @ phi_plus
+    return a * np.kron([1.0, 0.0], phi_plus) + b * np.kron([0.0, 1.0], rotated)
+
+
+def charlie_kets_scalar(c: float, d: float) -> np.ndarray:
+    """The kets (|x+>, |x->) of an MS channel's controller basis as rows,
+    normalized one vector at a time; DegenerateBasisError if one vanishes."""
+    out = []
+    for vec, label in (([1.0 + d, c], "x+"), ([1.0 - d, -c], "x-")):
+        vec = np.array(vec, dtype=complex)
+        norm2 = float(np.sum(np.abs(vec) ** 2))
+        if norm2 < EXACT_ATOL:
+            raise DegenerateBasisError(f"controller basis vector {label} vanishes")
+        out.append(vec / np.sqrt(norm2))
+    return np.array(out)
+
+
+def computational_pairs_scalar(amps: np.ndarray) -> list[int]:
+    """For each computational controller outcome of one channel, the index
+    into BELL_OUTCOMES of the pair of largest weight, ties within 1e-12
+    going to the earlier pair."""
+    weights = np.abs(amps.reshape(2, 4) @ BELL_BRAS.T) ** 2
+    best = np.argmax(weights >= weights.max(axis=1, keepdims=True) - EXACT_ATOL, axis=1)
+    return best.tolist()
+
+
+def three_tangle_scalar(p: np.ndarray) -> float:
+    """4|d1 - 2 d2 + 4 d3| of one amplitude vector, uncapped, term by term."""
+    d1 = p[0] ** 2 * p[7] ** 2 + p[1] ** 2 * p[6] ** 2 + p[2] ** 2 * p[5] ** 2 + p[4] ** 2 * p[3] ** 2
+    d2 = (
+        p[0] * p[7] * p[3] * p[4]
+        + p[0] * p[7] * p[5] * p[2]
+        + p[0] * p[7] * p[6] * p[1]
+        + p[3] * p[4] * p[5] * p[2]
+        + p[3] * p[4] * p[6] * p[1]
+        + p[5] * p[2] * p[6] * p[1]
+    )
+    d3 = p[0] * p[6] * p[5] * p[3] + p[7] * p[1] * p[2] * p[4]
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

@@ -36,7 +36,6 @@ from ctpower.protocol import (
     unconditioned_teleport,
 )
 from ctpower.qcore import PureState
-from ctpower.verify import _random_local_unitary
 from oracles import (
     MatchedFamiliesError,
     apply_gate,
@@ -46,6 +45,7 @@ from oracles import (
     ncf_variance,
     one_shot_inputs,
     philox_draws,
+    random_local_unitary,
     walk_ncf,
     walk_unconditioned,
 )
@@ -326,8 +326,8 @@ def test_monte_carlo_stderr_matches_the_predicted_spread():
     specs = [
         ms,
         theta,
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, ms.state)),
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, theta.state)),
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, ms.state)),
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, theta.state)),
     ]
     n = 50_000
     for row, spec in enumerate(specs):
@@ -355,7 +355,7 @@ def test_predicted_variance_is_the_exact_spread_of_the_ncf():
         for a2 in (0.1, 0.5, 0.8) for k in "xyz"
     ]
     raw = [
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, spec.state))
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, spec.state))
         for spec in named
     ]
     for spec in named + raw:

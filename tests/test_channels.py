@@ -11,12 +11,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ctpower import verify
 from ctpower.channels import (
     TANGLE_BOUND,
     GHZChannel,
     MSChannel,
     RawChannel,
     ThetaChannel,
+    _charlie_bras,
+    _computational_pairs,
+    _ms_amps,
+    _tangles,
+    _theta_amps,
     channel_from_config,
     channel_to_config,
     charlie_basis,
@@ -32,6 +38,7 @@ from ctpower.errors import (
     NormalizationError,
 )
 from ctpower.qcore import (
+    BELL_OUTCOMES,
     PAULI_Y,
     BellOutcome,
     PureState,
@@ -40,9 +47,14 @@ from ctpower.qcore import (
 )
 from oracles import (
     apply_gate,
+    charlie_kets_scalar,
+    computational_pairs_scalar,
     equal_up_to_global_phase,
+    ms_amps_scalar,
     partial_trace,
     tensor,
+    theta_amps_scalar,
+    three_tangle_scalar,
     to_density,
 )
 
@@ -311,6 +323,74 @@ def test_tangle_bound_threshold():
     assert not three_tangle(theta_channel(0.5, math.sqrt(0.75), "z")).meets_bound
     with pytest.raises(DimensionError):
         three_tangle(bell_state(BellOutcome.PHI_PLUS))
+
+
+def tangle_stack(rng):
+    """GHZ, a 41-point MS grid, 41-point theta grids on x, y and z, and 100
+    Haar-random states, as (n, 8) amplitude rows."""
+    grid = np.linspace(0.0, 1.0, 41)
+    rows = [GHZChannel().state.amps]
+    rows += [ms_state(c, math.sqrt(1.0 - c * c)).amps for c in grid]
+    rows += [
+        theta_channel(math.sqrt(a2), math.sqrt(1.0 - a2), k).amps
+        for k in "xyz" for a2 in grid
+    ]
+    rows += [random_state(rng).amps for _ in range(100)]
+    return np.array(rows)
+
+
+def test_stacked_tangles_are_the_one_row_tangle():
+    amps = tangle_stack(np.random.default_rng(149))
+    taus = _tangles(amps)
+    assert taus.shape == (len(amps),)
+    for row, tau in zip(amps, taus):
+        assert abs(tau - three_tangle(PureState(row)).tau) <= 1e-15
+        # one row is the scalar formula, bit for bit
+        assert three_tangle(PureState(row)).tau == min(three_tangle_scalar(row), 1.0)
+    # one row beyond 1 refuses the whole stack
+    amps[62] *= 1.1  # the x-axis theta row at a^2 = 1/2, whose tangle is 1
+    with pytest.raises(ValueError, match="exceeds 1"):
+        _tangles(amps)
+
+
+def test_stacked_constructors_are_the_scalar_constructors():
+    # every stacked row, and every public constructor, is bit for bit the
+    # channel the scalar oracle builds one at a time
+    grid = np.linspace(0.0, 2.0 * np.pi, 41)
+    x, y = np.cos(grid), np.sin(grid)
+    for i, row in enumerate(_ms_amps(x, y)):
+        want = ms_amps_scalar(x[i], y[i]).tobytes()
+        assert row.tobytes() == want == ms_state(x[i], y[i]).amps.tobytes()
+    for axis, k in enumerate("xyz"):
+        stack = _theta_amps(x, y, np.full(x.size, axis))
+        for i, row in enumerate(stack):
+            want = theta_amps_scalar(x[i], y[i], k).tobytes()
+            assert row.tobytes() == want == theta_channel(x[i], y[i], k).amps.tobytes()
+    keep = np.abs(x) >= 1e-3
+    for i, bras in zip(np.flatnonzero(keep), _charlie_bras(x[keep], y[keep])):
+        want = charlie_kets_scalar(x[i], y[i]).tobytes()
+        kets = np.array([v.amps for v in charlie_basis(x[i], y[i])])
+        assert bras.conj().tobytes() == want == kets.tobytes()
+    # one degenerate row refuses the whole stack, as the oracle refuses it
+    with pytest.raises(DegenerateBasisError):
+        charlie_kets_scalar(0.0, 1.0)
+    with pytest.raises(DegenerateBasisError):
+        _charlie_bras(np.array([0.6, 0.0]), np.array([0.8, 1.0]))
+    # the computational pairs, stacked and as the default controller measurement
+    amps = tangle_stack(np.random.default_rng(151))
+    for row, pairs in zip(amps, _computational_pairs(amps)):
+        want = computational_pairs_scalar(row)
+        named = [o for _, _, o in RawChannel(state=PureState(row)).controller_measurement]
+        assert pairs.tolist() == want and [BELL_OUTCOMES[p] for p in want] == named
+
+
+def test_three_tangle_check_refuses_a_non_unitary_rotation(monkeypatch):
+    real = verify._random_local_unitaries
+    monkeypatch.setattr(
+        verify, "_random_local_unitaries", lambda rng, n: 1.001 * real(rng, n)
+    )
+    with pytest.raises(NormalizationError, match="rotated"):
+        verify.check_three_tangle(0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,8 +16,10 @@ from ctpower.channels import (
     ThetaChannel,
     channel_to_config,
 )
-from ctpower.cli import UsageError, main, parse_grid
+from ctpower import cli
+from ctpower.cli import UsageError, build_parser, main, parse_grid
 from ctpower.qcore import PureState
+from ctpower.verify import format_report, suite
 from oracles import ncf_variance
 
 
@@ -443,6 +446,30 @@ def test_verify_quick_passes_and_is_deterministic(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     text = first.read_text()
     assert "9/9 checks passed" in text and "mode: quick" in text
+
+
+def test_verify_times_each_check_on_stderr(capsys, tmp_path):
+    # one "time" line per check, in run order, then the elapsed line; the
+    # report on stdout and in --output is the suite's, byte for byte
+    want = format_report([check() for check in suite(0, True)], seed=0, mode="quick")
+    assert main(["verify", "--quick", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    path = tmp_path / "report.txt"
+    assert main(["verify", "--quick", "--seed", "0", "--output", str(path)]) == 0
+    captured_file = capsys.readouterr()
+    assert captured_file.out == "" and path.read_text() == want
+    names = [
+        line[5:].split(":")[0] for line in want.splitlines() if line[:5] in ("PASS ", "FAIL ")
+    ]
+    for err in (captured.err, captured_file.err):
+        lines = err.splitlines()
+        assert len(lines) == len(names) + 1 and lines[-1].startswith("elapsed: ")
+        for line, name in zip(lines, names):
+            assert re.fullmatch(rf"time {name}: \d+\.\d\d ms", line), line
+    assert main(["verify", "--channel", "ghz"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"time channel-ct: \d+\.\d\d ms", lines[0])
 
 
 def test_verify_failure_injection(capsys, tmp_path):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from ctpower import verify
-from ctpower.analysis import FAMILY_NAMES, avg_fidelity_numeric
+from ctpower.analysis import FAMILY_NAMES, _rng, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
     GHZChannel,
@@ -42,6 +42,7 @@ from ctpower.errors import (
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
+    _controlled_arrays,
     _ct_certificate,
     _resolve_input,
     _transfer_matrix,
@@ -69,7 +70,6 @@ from ctpower.qcore import (
     make_qubit,
     pauli,
 )
-from ctpower.verify import _random_local_unitary
 from oracles import (
     apply_gate,
     correction,
@@ -77,6 +77,8 @@ from oracles import (
     equal_up_to_global_phase,
     project_single_qubit,
     project_two_qubit,
+    random_channel,
+    random_local_unitary,
     tensor,
     transfer_matrix_per_outcome,
     walk_ncf,
@@ -316,7 +318,7 @@ def test_controlled_teleport_matches_the_branch_walk():
         rotated_on_controller(ThetaChannel(0.6, 0.8, "y"), rng),
         RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state)),
         # imperfect branches: each outcome's pair of largest weight
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, 0.8).state)),
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, MSChannel(0.6, 0.8).state)),
         # each controller outcome leaves a product state over which phi+
         # and phi-, or all four pairs, tie: the first (phi+) must win
         RawChannel(state=GHZChannel().state),
@@ -351,8 +353,8 @@ def test_unconditioned_teleport_matches_the_branch_walk():
         MSChannel(c=0.8, d=-0.6),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
         ThetaChannel(a=math.sqrt(0.8), b=math.sqrt(0.2), k="y"),
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, MSChannel(0.6, -0.8).state)),
-        RawChannel(state=apply_gate(_random_local_unitary(rng), 0, ThetaChannel(0.8, 0.6, "x").state)),
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, MSChannel(0.6, -0.8).state)),
+        RawChannel(state=apply_gate(random_local_unitary(rng), 0, ThetaChannel(0.8, 0.6, "x").state)),
     ] + mapped_channels(rng, 2)
     inputs = [make_qubit(1.0, 0.0), YZInput(2.5)] + [random_qubit(rng) for _ in range(4)]
     for spec in specs:
@@ -418,7 +420,7 @@ def test_ct_certificate_matches_the_controlled_walk():
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
         ThetaChannel(a=1.0, b=0.0, k="z"),
     ] + [random_ms(rng) for _ in range(12)] + [random_theta(rng) for _ in range(12)]
-    cert = _ct_certificate(specs)
+    cert = _ct_certificate(*_controlled_arrays(specs))
     assert np.max(cert.defect) <= 1e-13
     assert np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)) <= 1e-12
     inputs = [random_qubit(rng) for _ in range(4)]
@@ -444,19 +446,38 @@ def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
         swapped_pairs(MSChannel(c=0.6, d=0.8)),
         swapped_pairs(ThetaChannel(a=0.6, b=0.8, k="x")),
     ]
-    assert np.min(_ct_certificate(faulty).defect) >= 0.1
+    assert np.min(_ct_certificate(*_controlled_arrays(faulty)).defect) >= 0.1
     for spec in faulty:
         assert controlled_teleport(spec, ArbitraryInput(1.0, 0.5)).min_fidelity < 0.9
-    # one such channel among the check's 200 fails it
-    draws = iter(range(200))
-    real = verify._random_channel
-    monkeypatch.setattr(
-        verify, "_random_channel",
-        lambda rng: faulty[0] if next(draws) == 137 else real(rng),
-    )
+    # one such channel among the check's 200 fails it: the drawn arrays
+    # with channel 137's two named pairs swapped
+    real = verify._random_channels
+
+    def swap_137(rng, n):
+        chans, cvecs, shared = real(rng, n)
+        shared[137] = shared[137, ::-1]
+        return chans, cvecs, shared
+
+    monkeypatch.setattr(verify, "_random_channels", swap_137)
     result = verify.check_perfect_ct(0)
     assert not result.passed
     assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
+    defect = _ct_certificate(*swap_137(_rng(0, 1), 200)).defect
+    assert np.flatnonzero(defect > 1e-12).tolist() == [137]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_random_channels_are_the_spec_oracle_arrays(seed):
+    # the arrays perfect-ct certifies are, bit for bit, the ones
+    # _controlled_arrays builds from the oracle's specs for the same draws,
+    # and both take the same draws from the stream
+    rng, oracle_rng = _rng(seed, 1), _rng(seed, 1)
+    arrays = verify._random_channels(rng, 200)
+    specs = [random_channel(oracle_rng) for _ in range(200)]
+    for got, want in zip(arrays, _controlled_arrays(specs), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert rng.random() == oracle_rng.random()
 
 
 def raw_pair_cases(rng):
@@ -477,7 +498,7 @@ def raw_pair_cases(rng):
     for spec in (random_ms(rng), random_theta(rng)):
         cases += [
             rotated_on_controller(spec, rng),
-            RawChannel(state=apply_gate(_random_local_unitary(rng), 0, spec.state)),
+            RawChannel(state=apply_gate(random_local_unitary(rng), 0, spec.state)),
         ]
     return cases
 
@@ -532,7 +553,7 @@ def test_ct_certificate_certifies_raw_channels():
     rng = np.random.default_rng(107)
     ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
     cases = raw_pair_cases(rng)
-    cert = _ct_certificate([ghz_h] + cases)
+    cert = _ct_certificate(*_controlled_arrays([ghz_h] + cases))
     assert cert.defect[0] <= 1e-13
     assert np.max(cert.defect[[-4, -2]]) <= 1e-13  # rotated onto the named basis
     assert np.min(cert.defect[1:4]) >= 0.1  # raw GHZ, |0>(|0>+i|1>), W
@@ -668,7 +689,7 @@ def test_ncf_batch_matches_the_branch_walk_pointwise():
         RawChannel(state=MSChannel(c=0.8, d=0.6).state),
         # a unitary on the controller qubit leaves the receiver's map alone
         RawChannel(state=apply_gate(
-            _random_local_unitary(rng), 0, ThetaChannel(0.6, -0.8, "z").state
+            random_local_unitary(rng), 0, ThetaChannel(0.6, -0.8, "z").state
         )),
     ]
     qubits = [random_qubit(rng) for _ in range(25)]
@@ -726,7 +747,7 @@ def mapped_channels(rng, count):
         ms, theta = random_ms(rng, c_floor=0.0), random_theta(rng)
         specs += [
             ms, theta, rotated_on_controller(ms, rng),
-            RawChannel(state=apply_gate(_random_local_unitary(rng), 0, theta.state)),
+            RawChannel(state=apply_gate(random_local_unitary(rng), 0, theta.state)),
         ]
     return specs
 

@@ -1,5 +1,6 @@
 """Every ``python`` code block and every ``ctpower`` command line of the
-``sh`` blocks in README.md runs as written."""
+``sh`` blocks in README.md runs as written, and the sample verification
+report is the one ``verify --quick --seed 0`` prints."""
 import re
 import shlex
 from pathlib import Path
@@ -37,3 +38,16 @@ def test_readme_cli_lines_exit_0(capsys, tmp_path):
         argv = [str(config) if arg == "my_state.cfg" else arg for arg in argv]
         assert main(argv) == 0, line
         capsys.readouterr()
+
+
+def test_readme_sample_report_is_verify_quick_seed_0(capsys):
+    # the sample shows the report's first lines, header included, and its
+    # last line, with "..." for the lines between
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(ctpower verification report\n.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    head, _, tail = blocks[0].partition("...\n")
+    assert tail, "the sample elides its middle lines with '...'"
+    assert main(["verify", "--quick", "--seed", "0"]) == 0
+    report = capsys.readouterr().out
+    assert report.startswith(head) and report.endswith(tail)
