@@ -18,14 +18,14 @@ which is where ``charlie_basis`` comes from: measuring the controller qubit
 in that (normalized, orthogonal) basis collapses sender+receiver onto a
 known Bell pair.  The controller of a theta or raw channel measures in the
 computational basis, and each outcome names the Bell pair of largest weight
-in the pair it leaves: on a theta channel the pair the outcome leaves
-exactly.  The receiver corrects toward that pair, whatever the input.
+in the pair it leaves, exactly the pair it leaves on a theta channel.
 
 Each formula is written once, over stacks: ``_ms_amps`` and ``_theta_amps``
 give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS controller bras,
-``_computational_pairs`` the pairs a computational controller names, and
-``_tangles`` the 3-tangles of (n, 8) rows.  ``ms_state``,
-``theta_channel``, ``charlie_basis``, ``three_tangle`` and the default
+``_bell_table`` the Bell amplitudes W[c, p] = <bell_p| <c| chan, whose
+weights name the computational controller's pairs and ``dominant_bell``,
+and ``_tangles`` the 3-tangles.  ``ms_state``, ``theta_channel``,
+``charlie_basis``, ``three_tangle`` and the default
 ``controller_measurement`` are their validated one-row views.
 """
 from __future__ import annotations
@@ -90,18 +90,22 @@ class ChannelSpec:
     per spec object, and has a ``controller_measurement``: one
     (label, basis vector, Bell pair left) triple per controller outcome;
     that pair and the sender's outcome alone fix the receiver's Pauli.
-    ``dominant_bell`` is the Bell pair of the most likely outcome, which
-    the receiver corrects toward when the controller abstains.
     """
 
     family: ClassVar[str]
-    dominant_bell: ClassVar[BellOutcome] = BellOutcome.PHI_PLUS  # plain corrections
     # averages run over this input family's great circle, or the sphere
     matched_family: ClassVar[str | None] = None
 
     def params(self) -> dict[str, object]:
         """The family parameters a report prints, in order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    @cached_property
+    def dominant_bell(self) -> BellOutcome:
+        """The pair the receiver corrects toward when the controller abstains:
+        the largest Bell weight sum_c |W[c, p]|^2 of rho_SR = tr_C chan."""
+        weights = np.sum(np.abs(_bell_table(self.state.amps)) ** 2, axis=-2)
+        return BELL_OUTCOMES[_first_max(weights)[0]]
 
     @cached_property
     def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
@@ -146,10 +150,6 @@ class MSChannel(ChannelSpec):
             plus, minus = charlie_basis(self.c, self.d)
         return (("x+", plus, BellOutcome.PHI_PLUS), ("x-", minus, BellOutcome.PHI_MINUS))
 
-    @property
-    def dominant_bell(self) -> BellOutcome:
-        return self.controller_measurement[self.d < 0.0][2]  # P(x-) > P(x+) iff d < 0
-
 
 @dataclass(frozen=True)
 class GHZChannel(MSChannel):
@@ -183,11 +183,6 @@ class ThetaChannel(ChannelSpec):
         return theta_channel(self.a, self.b, self.k)
 
     @property
-    def dominant_bell(self) -> BellOutcome:
-        # |0> leaves phi+, |1> the pair (I x sigma_k)|phi+>, with P(1) = b^2
-        return self.controller_measurement[self.b**2 > self.a**2][2]
-
-    @property
     def matched_family(self) -> str:
         return next(fam for fam, axis in MATCHED_AXIS.items() if axis == self.k)
 
@@ -200,6 +195,9 @@ class RawChannel(ChannelSpec):
     """
 
     family: ClassVar[str] = "raw"
+    # phi+, not the largest weight, until the benchmark's raw averages stop
+    # checking phi+ closed forms (ROADMAP item 1, step 2)
+    dominant_bell: ClassVar[BellOutcome] = BellOutcome.PHI_PLUS
 
     state: PureState = field(compare=False)  # a PureState compares by identity
     amps: tuple[complex, ...] = field(init=False, repr=False)
@@ -265,12 +263,22 @@ def _charlie_bras(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(norm2)[..., None]).conj()
 
 
+def _bell_table(amps: np.ndarray) -> np.ndarray:
+    """(n, 2, 4) Bell amplitudes W[c, p] = <bell_p| <c| chan of n channels'
+    amplitudes; einsum, as BLAS's first call grows peak memory."""
+    return np.einsum("nck,pk->ncp", amps.reshape(-1, 2, 4), BELL_BRAS)
+
+
+def _first_max(weights: np.ndarray) -> np.ndarray:
+    """Last-axis argmax, ties within 1e-12 going to the earlier entry."""
+    return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
+
+
 def _computational_pairs(amps: np.ndarray) -> np.ndarray:
     """(n, 2) indices into BELL_OUTCOMES of the pair each computational
     controller outcome c of the (n, 8) channels names: the pair p of largest
     weight |<bell_p| <c| chan|^2, ties within 1e-12 going to the earlier."""
-    weights = np.abs(amps.reshape(-1, 2, 4) @ BELL_BRAS.T) ** 2
-    return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
+    return _first_max(np.abs(_bell_table(amps)) ** 2)
 
 
 def ms_state(c: float, d: float) -> PureState:

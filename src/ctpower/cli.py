@@ -414,6 +414,17 @@ def _cmd_ct(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     return report, code
 
 
+# the closed-form NCF ``ncf`` prints beside the simulated one, by family, at
+# input phi; theta's form takes the dominant branch, the larger of |a|, |b|
+_NCF_CLOSED = {
+    "ms": lambda spec, phi: ncf_ms_closed(*phi.amps, spec.d),
+    "theta": lambda spec, phi: ncf_theta_closed(
+        max(abs(spec.a), abs(spec.b)), min(abs(spec.a), abs(spec.b)), spec.k, phi
+    ),
+}
+_NCF_CLOSED["ghz"] = _NCF_CLOSED["ms"]
+
+
 def _cmd_ncf(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     spec = _spec_from_args(args)
     family = _input_from_args(args)
@@ -423,16 +434,9 @@ def _cmd_ncf(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         ("ncf", result.ncf),
         ("per_outcome_equal", result.per_outcome_equal),
     ]
-    if isinstance(spec, MSChannel):  # GHZ included, at d = 0
-        state = input_state(family)
-        report.scalars.append(
-            ("ncf_closed", ncf_ms_closed(state.amps[0], state.amps[1], spec.d))
-        )
-    elif isinstance(spec, ThetaChannel):
-        hi, lo = sorted((spec.a, spec.b), key=abs, reverse=True)
-        report.scalars.append(
-            ("ncf_closed", ncf_theta_closed(hi, lo, spec.k, family))
-        )
+    closed = _NCF_CLOSED.get(spec.family)
+    if closed is not None:
+        report.scalars.append(("ncf_closed", closed(spec, input_state(family))))
     report.columns = ["element", "re", "im"]
     for r in range(2):
         for c in range(2):

@@ -24,6 +24,6 @@ class DegenerateBasisError(ValueError):
 class CorrectionMismatchError(ValueError):
     """Post-correction receiver states disagree across sender outcomes.
 
-    Raised when the disagreement exceeds 1e-10, which separates a wrong
+    Raised when they may differ by more than 1e-10, which separates a wrong
     correction rule from accumulated floating-point noise.
     """

@@ -4,45 +4,33 @@ Two protocol variants share the same wiring.  The joint register is always
 (input, controller, sender, receiver) = qubits (0, 1, 2, 3):
 
 * ``controlled_teleport``: the controller measures in the basis its
-  channel names, each outcome naming the Bell pair it leaves the
-  sender+receiver pair in, then the sender projects (input, sender) onto
-  the Bell basis and the receiver applies the Pauli that the two outcomes
-  fix, never looking at the input.  Every branch of a named channel ends
-  with the input state exactly; a raw channel's controller measures in the
-  computational basis, and each outcome names its pair of largest weight.
+  channel names (a raw channel's in the computational basis), each outcome
+  naming a Bell pair it leaves the sender and receiver; the sender projects
+  (input, sender) onto the Bell basis, and the receiver applies the Pauli
+  that the two outcomes fix, never looking at the input.
 
-* ``unconditioned_teleport``: the controller abstains.  The sender still
-  measures, the receiver corrects toward the dominant channel branch, and
-  the controller qubit is traced out.  The resulting mixed state has the
-  same fidelity against the input for every sender outcome; that fidelity
-  is the non-conditioned fidelity (NCF).
+* ``unconditioned_teleport``: the controller abstains, the receiver
+  corrects toward the dominant pair, and the controller qubit is traced
+  out; the input's fidelity with the result is the non-conditioned
+  fidelity (NCF).
 
-Without the controller the protocol is one fixed qubit channel, a Pauli
-channel once summed over the sender's outcomes: the receiver's Bloch map
-r -> lambda * r (``receiver_map``), NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
-The map is the one controller-absent engine: ``unconditioned_teleport``
-reads the receiver's state off it, and ``ncf_batch`` evaluates the NCF for
-arrays of inputs and Monte Carlo for its random inputs, both with
-``_bloch_ncf`` on squared Bloch coordinates.  A channel whose sender
-outcomes leave different maps is refused by all of them alike.  The tests
-pin the map to a step-by-step walk of the branches, their independent
-oracle.
+Both read one table per channel, its Bell amplitudes
+W[c, p] = <bell_p| <c| chan (``channels._bell_table``).  Without the
+controller, B = W^T conj(W) is the sender-receiver state rho_SR in the Bell
+basis, and summed over the sender's outcomes the protocol is the Pauli
+channel of its Bell weights w = diag B: the receiver's Bloch map
+r -> lambda * r (``receiver_map``), lambda a fixed +-1 matrix times w, and
+NCF(r) = (1 + sum_i lambda_i r_i^2)/2, which ``ncf_batch`` and Monte Carlo
+evaluate with ``_bloch_ncf``.  The sender's outcomes leave one map exactly
+when B is diagonal; a channel whose B is not is refused alike everywhere.
+The tests pin the map to a step-by-step walk of the branches.
 
-Both protocols are sums over corrected Kraus operators K = G <bell_o| <c|
-chan, one per controller state c and sender outcome o, which ``_kraus``
-stacks over channels; the map above takes the computational controller
-states and the dominant correction.  With the controller present each
-branch is one K, from the controller outcomes each channel lists, which
-``_controlled_arrays`` turns into ``_kraus`` arguments:
-``controlled_teleport`` hands the receiver K phi with probability
-|K phi|^2.  Controlled teleportation is perfect for every input exactly
-when each K of non-zero weight is lambda I: the branch then returns the
-input with probability |lambda|^2, whatever the input.
-``_ct_certificate`` takes the ``_kraus`` arguments and measures
-max |K - lambda I| / sqrt(p), lambda = tr K / 2 and p = |K|_F^2 / 2 the
-branch probability averaged over inputs; a caller holding channel
-amplitudes and controller bras as arrays passes them directly, with no
-spec per channel.
+With the controller, each branch (controller outcome c, sender outcome o)
+is one corrected Kraus operator K = G <bell_o| <c| chan, which ``_kraus``
+stacks from each channel's ``_controlled_arrays``; ``controlled_teleport``
+hands the receiver K phi with probability |K phi|^2.  ``_ct_certificate``
+reads the same arrays through W in the controller's basis, for every input
+at once, with no spec per channel.
 """
 from __future__ import annotations
 
@@ -53,7 +41,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, check_unit_pair
+from .channels import ChannelSpec, _bell_table, check_unit_pair
 from .errors import (
     CorrectionMismatchError,
     DimensionError,
@@ -305,9 +293,8 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
 
 
 class _Certificate(NamedTuple):
-    scale: np.ndarray        # (n, C, 4) lambda = tr K / 2 of each branch
-    probability: np.ndarray  # (n, C, 4) |K|_F^2 / 2, averaged over inputs
-    defect: np.ndarray       # (n,) max |K - lambda I| / sqrt(p), kept branches
+    probability: np.ndarray  # (n, C, 4) |w_c|^2 / 4 of each branch, every input
+    defect: np.ndarray       # (n,) max sqrt(2 off_c / |w_c|^2), kept outcomes
 
 
 def _ct_certificate(
@@ -315,22 +302,26 @@ def _ct_certificate(
 ) -> _Certificate:
     """Certify the controlled protocol of each channel for every input.
 
-    Takes the arguments of ``_kraus``, one channel per row; spec callers
-    pass ``*_controlled_arrays(specs)``.  Each branch (controller outcome
-    c, sender outcome o) is one corrected Kraus operator K; it returns
-    every input exactly when K = lambda I, and its probability is then
-    |lambda|^2 for every input.  A branch is kept when its input-averaged
-    probability p exceeds ZERO_PROB.
+    Takes the arguments of ``_kraus``, one channel per row.  Row c of W in
+    the controller's basis holds the Bell amplitudes w_c that outcome c
+    leaves, so each of its corrected Kraus operators K is a sum of Paulis
+    weighted by w_c, I by the named pair: every branch has probability
+    p = |w_c|^2 / 4 for every input, and |K - lambda I|_F^2 = off_c / 2,
+    off_c the weight off the named pair.  The defect
+    sqrt(2 off_c / |w_c|^2) = |K - lambda I|_F / sqrt(p) is 0 exactly when
+    every branch returns every input.  Outcomes with p <= ZERO_PROB are
+    dropped.
     """
-    kraus = _kraus(chans, cvecs, shared)
-    scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
-    probability = np.sum(kraus.real**2 + kraus.imag**2, axis=(-2, -1)) / 2.0
-    kept = probability > ZERO_PROB
-    kraus[..., 0, 0] -= scale  # K - lambda I in place, without a second stack
-    kraus[..., 1, 1] -= scale
-    residual = np.max(np.abs(kraus), axis=(-2, -1))
-    relative = residual / np.sqrt(np.where(kept, probability, 1.0)) * kept
-    return _Certificate(scale, probability, np.max(relative, axis=(1, 2)))
+    amps = np.einsum("nck,nkp->ncp", cvecs, _bell_table(chans))
+    weights = amps.real**2 + amps.imag**2
+    norm2 = np.sum(weights, axis=-1)
+    # summed entry by entry: |w|^2 - named would turn a last-bit cancellation
+    # into a defect near its square root, 1e-8
+    off = np.sum(np.where(np.arange(4) == shared[..., None], 0.0, weights), axis=-1)
+    kept = norm2 / 4.0 > ZERO_PROB
+    defect = np.sqrt(2.0 * off / np.where(kept, norm2, 1.0)) * kept
+    probability = np.broadcast_to((norm2 / 4.0)[..., None], (*norm2.shape, 4))
+    return _Certificate(probability, np.max(defect, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +352,20 @@ def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> 
 # ---------------------------------------------------------------------------
 # the receiver's Bloch map, and the NCF and receiver state read off it
 
-_PAULI_BASIS = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
+_BLOCH_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+
+# lambda_i = sum_p +-w_p over the Bell weights relabelled so that the
+# dominant pair is phi+, in BELL_OUTCOMES order: + where pair p's Pauli
+# (I, Z, X, XZ) commutes with sigma_i
+_LAMBDA_SIGNS = np.array([[1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]], dtype=float)
+
+# Each sender outcome's transfer matrix over its weight 1/4 is linear in B.
+# A diagonal B leaves the four outcomes one map; B_pq = x + iy, p < q, moves
+# outcome o's by x X_pq^o + y Y_pq^o, fixed tensors per dominant pair.  So
+# two outcomes differ in an entry by at most sum_{p<q} |B_pq| |(dX, dY)|,
+# and the largest such sum of |(dX, dY)| is 8 for every dominant pair:
+# spread <= 8 max_{p != q} |B_pq|.  The tests re-derive it from the oracle.
+_SPREAD_PER_COHERENCE = 8.0
 
 # rows per step of ncf_batch and per chunk of the Monte Carlo stream; bounds
 # the temporaries for any number of inputs
@@ -369,56 +373,40 @@ _BATCH_ROWS = 8192
 
 
 @functools.lru_cache(maxsize=256)
-def _transfer_matrix(spec: ChannelSpec) -> tuple[np.ndarray, float]:
-    """4x4 Pauli transfer matrix R_ij = tr(sigma_i E(sigma_j))/2 of the
-    controller-absent protocol E, summed over the sender's outcomes, and
-    the largest gap between the outcomes' matrices.
+def _bell_map(spec: ChannelSpec) -> tuple[np.ndarray, float]:
+    """lambda of the controller-absent protocol, and the largest |B_pq|,
+    p != q, of B = W^T conj(W) over the computational controller states.
 
-    Each outcome contributes two Kraus operators, one per controller basis
-    state, already corrected by the receiver.  Every outcome has average
-    probability 1/4 over the sphere; divided by that weight, the outcomes'
-    matrices must coincide (CorrectionMismatchError beyond 1e-10), or no
-    single correction fits the channel.  When they coincide, the sum
-    preserves the trace, so each outcome's R_0j (j >= 1) is zero: every
-    outcome then has probability 1/4 for every input.
-
-    Cached per spec, so a channel's map is built once however many
-    averages read it (a mismatch report reads three circles per channel);
-    the returned array is read-only because every caller shares it.
+    Correcting toward the dominant pair d gives the Pauli channel of the
+    Bell weights w = diag B relabelled by XOR with d, whatever B's other
+    entries: lambda = _LAMBDA_SIGNS w[p ^ d] / tr B.  The sender's outcomes
+    may leave maps more than 1e-10 apart once max |B_pq| > 1e-10 / 8:
+    CorrectionMismatchError.  Cached per spec, so a mismatch report's three
+    circles build one map; lambda is read-only because every caller shares
+    it.
     """
-    chan = spec.state.amps.reshape(1, 2, 2, 2)
-    dominant = np.full((1, 2), BELL_OUTCOMES.index(spec.dominant_bell))
-    # kraus[c, o]: outcome o's operator with the controller left in |c>
-    kraus = _kraus(chan, np.eye(2, dtype=complex)[None], dominant)[0]
-    per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
-    for o in range(len(BELL_OUTCOMES)):
-        # one contraction per outcome, over a contiguous copy: summing the
-        # outcomes inside one contraction rounds differently from this sum
-        k = kraus[:, o].copy()
-        per_outcome[o] = 0.5 * np.einsum(
-            "iab,cbd,jde,cae->ij", _PAULI_BASIS, k, _PAULI_BASIS, k.conj()
-        ).real
-    normed = per_outcome / per_outcome[:, :1, :1]
-    spread = float(np.max(np.abs(normed[:, None] - normed[None, :])))
-    if spread > CORRECTION_MISMATCH_ATOL:
+    table = _bell_table(spec.state.amps)[0]
+    bell = np.einsum("cp,cq->pq", table, table.conj())
+    weights = np.diagonal(bell).real
+    off = float(np.max(np.abs(bell[~np.eye(4, dtype=bool)])))
+    if off > CORRECTION_MISMATCH_ATOL / _SPREAD_PER_COHERENCE:
         raise CorrectionMismatchError(
-            f"corrected receiver maps disagree by {spread:.3e} across sender outcomes"
+            f"corrected receiver maps disagree across sender outcomes by up to "
+            f"{_SPREAD_PER_COHERENCE:g} x {off:.3e}, the largest |B_pq| off the "
+            f"Bell matrix's diagonal"
         )
-    transfer = per_outcome.sum(axis=0)
-    transfer.flags.writeable = False
-    return transfer, spread
+    relabelled = weights[np.arange(4) ^ BELL_OUTCOMES.index(spec.dominant_bell)]
+    lam = np.sum(_LAMBDA_SIGNS * relabelled, axis=1) / np.sum(weights)
+    lam.flags.writeable = False
+    return lam, off
 
 
 def receiver_map(spec: ChannelSpec) -> np.ndarray:
     """The read-only lambda of the receiver's Bloch map r -> lambda * r when
-    the controller abstains: summed over the sender's outcomes the protocol
-    is a Pauli twirl, so its transfer matrix is diagonal.  Raises
-    CorrectionMismatchError when the sender's outcomes leave different maps.
+    the controller abstains.  Raises CorrectionMismatchError when the
+    sender's outcomes may leave different maps.
     """
-    transfer, _ = _transfer_matrix(spec)
-    lam = np.diagonal(transfer)[1:] / transfer[0, 0]
-    lam.flags.writeable = False
-    return lam
+    return _bell_map(spec)[0]
 
 
 def _check_unit(norm: np.ndarray, start: int, what: str) -> None:
@@ -491,18 +479,16 @@ def unconditioned_teleport(
 
     The receiver's map takes the input's Bloch vector r to
     rho3 = (I + (lambda * r).sigma)/2, and ncf = <phi| rho3 |phi> is what
-    ``ncf_batch`` evaluates.  ``per_outcome_equal`` says whether the four
-    sender outcomes leave maps within 1e-12 of each other; beyond 1e-10 no
-    single correction fits the channel, and CorrectionMismatchError is
-    raised.
+    ``ncf_batch`` evaluates.  ``per_outcome_equal`` is max |B_pq| <= 1e-12 / 8,
+    sufficient for the four sender outcomes' maps to agree within 1e-12.
     """
     amps = _resolve_input(f).amps
-    _, spread = _transfer_matrix(spec)
+    lam, off = _bell_map(spec)
     norm, x, y, z = _pauli_coords(amps[:1], amps[1:])
-    bloch = receiver_map(spec) * np.concatenate([x, y, z]) / norm
-    rho3 = (IDENTITY + np.tensordot(bloch, _PAULI_BASIS[1:], axes=1)) / 2.0
+    bloch = lam * np.concatenate([x, y, z]) / norm
+    rho3 = (IDENTITY + np.tensordot(bloch, _BLOCH_PAULIS, axes=1)) / 2.0
     return NcfResult(
         rho3=DensityOperator(rho3),
         ncf=float(ncf_batch(spec, amps[:1], amps[1:])[0]),
-        per_outcome_equal=spread <= EXACT_ATOL,
+        per_outcome_equal=off <= EXACT_ATOL / _SPREAD_PER_COHERENCE,
     )

@@ -8,7 +8,7 @@ run time.
 
 The two structural checks hold their channels as amplitude stacks, not
 as one validated spec per channel: ``perfect-ct`` draws 200 channels
-straight into the arrays the certificate's Kraus stack is built from, and
+straight into the arrays the certificate reads their Bell amplitudes from, and
 ``three-tangle`` evaluates the hyperdeterminant once over all its states.
 ``tests/oracles.py`` keeps the spec-by-spec draw the arrays are pinned to.
 """
@@ -62,7 +62,7 @@ class CheckResult:
 
 
 def _random_channels(rng: np.random.Generator, n: int):
-    """``_kraus``'s (chans, cvecs, shared) for n random channels: GHZ, an MS
+    """The certificate's (chans, cvecs, shared) for n random channels: GHZ, an MS
     channel with |c| >= 0.05, or a theta channel on a random axis, a third
     each.  The parameters are drawn one channel at a time, then every array
     is built in one step: MS rows take the ``charlie_basis`` bras and the
@@ -100,9 +100,10 @@ def _random_channels(rng: np.random.Generator, n: int):
 def check_perfect_ct(seed: int) -> CheckResult:
     """Every branch of the controlled protocol returns every input (tol 1e-12).
 
-    Each of 200 random channels is certified for all inputs at once: every
-    kept branch's corrected Kraus operator K must equal lambda I, measured
-    as max |K - lambda I| / sqrt(p), and the input-averaged branch
+    Each of 200 random channels is certified for all inputs at once: each
+    controller outcome must leave only its named Bell pair, so that every
+    branch's Kraus operator K is lambda I, measured as the Frobenius
+    |K - lambda I|_F / sqrt(p) = sqrt(2 off / |w|^2), and the branch
     probabilities p must sum to 1.
     """
     cert = _ct_certificate(*_random_channels(_rng(seed, 1), 200))
@@ -111,7 +112,7 @@ def check_perfect_ct(seed: int) -> CheckResult:
     return CheckResult(
         "perfect-ct",
         worst <= 1e-12 and worst_prob <= 1e-12,
-        f"200 random channels, every input; max |K - lambda I|/sqrt(p) = {worst:.3e}, "
+        f"200 random channels, every input; max |K - lambda I|_F/sqrt(p) = {worst:.3e}, "
         f"max probability-sum defect {worst_prob:.3e} (tol 1e-12)",
     )
 
@@ -316,7 +317,7 @@ def check_channel_ct(spec: ChannelSpec) -> CheckResult:
     return CheckResult(
         "channel-ct",
         defect <= 1e-9,
-        f"every input; max |K - lambda I|/sqrt(p) = {defect:.3e} (tol 1e-9)",
+        f"every input; max |K - lambda I|_F/sqrt(p) = {defect:.3e} (tol 1e-9)",
     )
 
 

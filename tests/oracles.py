@@ -4,12 +4,15 @@ The package contracts whole measurements at once; these functions take
 one step at a time on validated registers of up to four qubits, the way
 the protocol is written on paper, so the tests can walk every branch
 independently of the engine.  ``walk_unconditioned`` walks the
-controller-absent protocol that way, one sender outcome at a time, and is
-the reference every controller-absent number is pinned to.
+controller-absent protocol with the same formulas, one sender outcome at
+a time, validating each input's joint register and its result once, and
+is the reference every controller-absent number is pinned to.
 ``transfer_matrix_per_outcome`` builds the receiver's Pauli transfer
-matrix one sender outcome at a time, as the engine must reproduce bit for
-bit.  ``design`` holds exact designs for quadratics in the Bloch vector,
-where the walk's mean is the average the package computes in closed form.
+matrix one sender outcome at a time: the engine's lambda is its diagonal,
+and ``outcome_spread``, the gap between the outcomes' matrices, is what
+the engine's refusal must cover.  ``design`` holds exact designs for
+quadratics in the Bloch vector, where the walk's mean is the average the
+package computes in closed form.
 ``mismatch_ncf_closed`` is the closed form the mismatch averages are
 checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
 average at once (at ``one_shot_inputs``), as the streamed one must, and
@@ -89,10 +92,12 @@ def apply_gate(gate: np.ndarray, target: int, state: PureState) -> PureState:
     n = state.num_qubits
     if not 0 <= target < n:
         raise IndexError(f"target qubit {target} out of range for {n} qubits")
-    t = state.amps.reshape((2,) * n)
-    t = np.tensordot(g, t, axes=([1], [target]))
-    t = np.moveaxis(t, 0, target)
-    return PureState(t.reshape(-1))
+    return PureState(_gate_tensor(g, target, state.amps.reshape((2,) * n)).reshape(-1))
+
+
+def _gate_tensor(gate: np.ndarray, target: int, t: np.ndarray) -> np.ndarray:
+    """The gate applied to axis ``target`` of the amplitude tensor t."""
+    return np.moveaxis(np.tensordot(gate, t, axes=([1], [target])), 0, target)
 
 
 def to_density(state: PureState) -> DensityOperator:
@@ -168,15 +173,19 @@ def partial_trace(rho: DensityOperator, discard: Iterable[int]) -> DensityOperat
         raise IndexError(f"discard indices {gone} out of range for {n} qubits")
     if len(gone) >= n:
         raise IndexError("cannot discard every qubit")
+    return DensityOperator(_trace_out(rho.mat, n, gone))
+
+
+def _trace_out(mat: np.ndarray, n: int, gone: list[int]) -> np.ndarray:
+    """The n-qubit operator ``mat`` with the qubits ``gone`` traced out."""
     keep = [q for q in range(n) if q not in set(gone)]
-    t = rho.mat.reshape((2,) * (2 * n))
+    t = mat.reshape((2,) * (2 * n))
     # row axis q and column axis n+q share a label for traced qubits
     row = list(range(n))
     col = [q if q in set(gone) else n + q for q in range(n)]
     out = keep + [n + q for q in keep]
-    reduced = np.einsum(t, row + col, out)
     dim = 2 ** len(keep)
-    return DensityOperator(reduced.reshape(dim, dim))
+    return np.einsum(t, row + col, out).reshape(dim, dim)
 
 
 def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL) -> bool:
@@ -200,26 +209,31 @@ def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
     """(rho3 matrix, spread of the per-outcome states) for one input.
 
     Each sender outcome is projected, corrected toward the dominant branch
-    and stripped of the controller on its own; the outcomes this input
-    never sees are dropped, and the kept ones are weighed by their
-    probabilities.  Raises CorrectionMismatchError when the kept outcomes'
-    states differ by more than 1e-10.
+    and stripped of the controller on its own, with the formulas of the
+    primitives above; the joint register is validated once, on the way in,
+    and rho3 once, on the way out.  The outcomes this input never sees are
+    dropped, and the kept ones are weighed by their probabilities.  Raises
+    CorrectionMismatchError when the kept outcomes' states differ by more
+    than 1e-10.
     """
     phi = _resolve_input(f)
-    joint = tensor(phi, spec.state)
+    joint = tensor(phi, spec.state).amps.reshape(2, 2, 2, 2)
     mats, probs = [], []
     for outcome in BELL_OUTCOMES:
-        p, post = project_two_qubit(joint, 0, 2, bell_state(outcome))
-        if post is None:
+        bra = bell_state(outcome).amps.conj().reshape(2, 2)
+        post = np.tensordot(bra, joint, axes=([0, 1], [0, 2]))  # (controller, receiver)
+        p = float(np.sum(np.abs(post) ** 2))
+        if p <= ZERO_PROB:
             continue
-        # post register: (controller, receiver)
-        corrected = apply_gate(correction(spec.dominant_bell, outcome), 1, post)
-        mats.append(partial_trace(to_density(corrected), (0,)).mat)
+        corrected = _gate_tensor(correction(spec.dominant_bell, outcome), 1, post / np.sqrt(p))
+        mats.append(_trace_out(np.outer(corrected, corrected.conj()), 2, [0]))
         probs.append(p)
-    spread = max(float(np.max(np.abs(a - b))) for a in mats for b in mats)
+    mats = np.array(mats)
+    spread = float(np.max(np.abs(mats[:, None] - mats[None, :])))
     if spread > 1e-10:
         raise CorrectionMismatchError(f"spread {spread:.3e}")
-    return sum(p * m for p, m in zip(probs, mats)) / sum(probs), spread
+    rho = DensityOperator(np.tensordot(probs, mats, axes=1) / sum(probs))
+    return rho.mat, spread
 
 
 def walk_ncf(spec: ChannelSpec, k0, k1) -> np.ndarray:
@@ -233,11 +247,16 @@ def walk_ncf(spec: ChannelSpec, k0, k1) -> np.ndarray:
     return np.array(out)
 
 
-def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
+def transfer_matrix_per_outcome(
+    spec: ChannelSpec, dominant=None, summed: bool = True
+) -> np.ndarray:
     """R_ij = tr(sigma_i E(sigma_j))/2 of the controller-absent protocol E:
     for each sender outcome, the two Kraus operators (one per computational
-    controller state) with the dominant correction, contracted on their own,
-    then summed over the outcomes."""
+    controller state) with the correction toward ``dominant`` (default the
+    spec's dominant pair), contracted on their own, then summed over the
+    outcomes; ``summed`` False keeps the (4, 4, 4) stack of the outcomes'
+    matrices."""
+    dominant = spec.dominant_bell if dominant is None else dominant
     paulis = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
@@ -245,11 +264,20 @@ def transfer_matrix_per_outcome(spec: ChannelSpec) -> np.ndarray:
         bra = bell_state(outcome).amps.conj().reshape(2, 2)  # (input, sender)
         # kraus[c] maps the input qubit to the receiver, controller left in |c>
         kraus = np.einsum("ts,csr->crt", bra, chan)
-        kraus = correction(spec.dominant_bell, outcome) @ kraus
+        kraus = correction(dominant, outcome) @ kraus
         per_outcome[o] = 0.5 * np.einsum(
             "iab,cbd,jde,cae->ij", paulis, kraus, paulis, kraus.conj()
         ).real
-    return per_outcome.sum(axis=0)
+    return per_outcome.sum(axis=0) if summed else per_outcome
+
+
+def outcome_spread(spec: ChannelSpec) -> float:
+    """The largest gap between two sender outcomes' transfer matrices, each
+    divided by its weight R_00: the spread a per-outcome map refuses beyond
+    1e-10."""
+    per_outcome = transfer_matrix_per_outcome(spec, summed=False)
+    normed = per_outcome / per_outcome[:, :1, :1]
+    return float(np.max(np.abs(normed[:, None] - normed[None, :])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ force: for every (shared Bell pair, sender outcome) the unique gate in
 The Bell pair a raw channel's controller outcome names is checked the
 same way: its correction must do as well, averaged over inputs, as the
 best of the four.  The certificate of perfect controlled teleportation,
-read off the corrected Kraus operators, is pinned to the controlled walk
-on inputs.
+read off each channel's Bell amplitudes, is pinned to the corrected Kraus
+operators branch by branch and to the controlled walk on inputs.
 
 The controlled protocol is the stack of corrected Kraus operators, and
-without the controller every number comes from the receiver's map.  The
-walks run both protocols one branch at a time through the primitives of
-``oracles.py``, validating every intermediate state, and are the oracle
-the protocols are pinned to: ``walk_controlled`` below, and
-``walk_unconditioned`` in ``oracles.py``.
+without the controller every number comes from the receiver's map, the
+Pauli channel of the Bell weights.  The walks run both protocols one
+branch at a time through the formulas of ``oracles.py`` and are the
+oracle the protocols are pinned to: ``walk_controlled`` below, validating
+every intermediate state, and ``walk_unconditioned`` in ``oracles.py``,
+which validates each input's joint register and its result.  The map's
+refusal is pinned to the spread of the per-outcome transfer matrices of
+``transfer_matrix_per_outcome``.
 """
 import math
 
@@ -42,10 +45,12 @@ from ctpower.errors import (
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
+    _SPREAD_PER_COHERENCE,
+    _bell_map,
     _controlled_arrays,
     _ct_certificate,
+    _kraus,
     _resolve_input,
-    _transfer_matrix,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -75,6 +80,7 @@ from oracles import (
     correction,
     design,
     equal_up_to_global_phase,
+    outcome_spread,
     project_single_qubit,
     project_two_qubit,
     random_channel,
@@ -424,7 +430,7 @@ def test_ct_certificate_matches_the_controlled_walk():
     assert np.max(cert.defect) <= 1e-13
     assert np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)) <= 1e-12
     inputs = [random_qubit(rng) for _ in range(4)]
-    for spec, scale, prob in zip(specs, cert.scale, cert.probability):
+    for spec, prob in zip(specs, cert.probability):
         labels = [label for label, _, _ in spec.controller_measurement]
         kept = {
             (labels[c], BELL_OUTCOMES[o]) for c, o in zip(*np.nonzero(prob > ZERO_PROB))
@@ -434,9 +440,8 @@ def test_ct_certificate_matches_the_controlled_walk():
             assert {(b.charlie_outcome, b.bell_outcome) for b in run.branches} == kept
             for b in run.branches:
                 c = labels.index(b.charlie_outcome)
-                lam = scale[c, BELL_OUTCOMES.index(b.bell_outcome)]
                 assert abs(b.fidelity - 1.0) <= 1e-12
-                assert abs(b.probability - abs(lam) ** 2) <= 1e-12
+                assert abs(b.probability - prob[c, BELL_OUTCOMES.index(b.bell_outcome)]) <= 1e-12
 
 
 def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
@@ -464,6 +469,37 @@ def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
     assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
     defect = _ct_certificate(*swap_137(_rng(0, 1), 200)).defect
     assert np.flatnonzero(defect > 1e-12).tolist() == [137]
+
+
+def test_certificate_identities_hold_on_every_kraus_branch():
+    # on every branch (c, o) the corrected Kraus operator K has
+    # |K|_F^2 / 2 = |w_c|^2 / 4 and |K - lambda I|_F / sqrt(p) equal to the
+    # certificate of outcome c alone, sqrt(2 off_c / |w_c|^2), which is at
+    # least the largest entry of |K - lambda I| / sqrt(p): 50 of verify's
+    # channels and 40 Haar-random raw channels, most far from perfect
+    rng = np.random.default_rng(113)
+    raw = []
+    for _ in range(40):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        raw.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
+    for chans, cvecs, shared in (
+        verify._random_channels(_rng(0, 1), 50), _controlled_arrays(raw)
+    ):
+        kraus = _kraus(chans, cvecs, shared)
+        prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1)) / 2.0
+        assert np.max(np.abs(_ct_certificate(chans, cvecs, shared).probability - prob)) <= 1e-14
+        scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
+        residual = kraus - scale[..., None, None] * IDENTITY
+        kept = prob > ZERO_PROB
+        frobenius = np.sqrt(np.sum(np.abs(residual) ** 2, axis=(-2, -1)) / np.where(kept, prob, 1.0))
+        entry = np.max(np.abs(residual), axis=(-2, -1)) / np.sqrt(np.where(kept, prob, 1.0))
+        for c in range(cvecs.shape[1]):
+            defect = _ct_certificate(chans, cvecs[:, c:c + 1], shared[:, c:c + 1]).defect
+            rows = kept[:, c, 0]
+            assert np.all(kept[:, c] == rows[:, None])
+            assert np.max(np.abs(frobenius[rows, c] - defect[rows, None])) <= 1e-14
+            assert np.all(defect[rows, None] >= entry[rows, c] - 1e-15)
+            assert np.all(defect[~rows] == 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -549,15 +585,18 @@ def test_ct_certificate_certifies_raw_channels():
     # others do not.  On every raw channel the certificate's branch
     # probabilities are the walk's averaged over the tetrahedron, and so is
     # the weighted fidelity |<phi|K|phi>|^2, whose average is
-    # (|tr K|^2 + |K|_F^2)/6 = (4 |lambda|^2 + 2 p)/6
+    # (|tr K|^2 + |K|_F^2)/6 = (4 |lambda|^2 + 2 p)/6, lambda = tr K / 2
     rng = np.random.default_rng(107)
     ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
     cases = raw_pair_cases(rng)
-    cert = _ct_certificate(*_controlled_arrays([ghz_h] + cases))
+    arrays = _controlled_arrays([ghz_h] + cases)
+    cert = _ct_certificate(*arrays)
+    kraus = _kraus(*arrays)
+    scales = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
     assert cert.defect[0] <= 1e-13
     assert np.max(cert.defect[[-4, -2]]) <= 1e-13  # rotated onto the named basis
     assert np.min(cert.defect[1:4]) >= 0.1  # raw GHZ, |0>(|0>+i|1>), W
-    for spec, scale, prob in zip([ghz_h] + cases, cert.scale, cert.probability):
+    for spec, scale, prob in zip([ghz_h] + cases, scales, cert.probability):
         labels = [label for label, _, _ in spec.controller_measurement]
         mean_prob = np.zeros_like(prob)
         mean_weighted = np.zeros_like(prob)
@@ -731,6 +770,11 @@ def test_receiver_map_shapes():
         lam = receiver_map(MSChannel(c=0.6, d=d))
         assert lam.shape == (3,)
         assert np.max(np.abs(lam - [0.8, 0.8, 1.0])) < 1e-14
+    # near d = 0 the Bell weights (1 +- d)/2 tie within 1e-12 and the earlier
+    # pair, phi+, is corrected toward: lambda = (d, d, 1)
+    for d in (0.0, 1e-13, -1e-13, 1e-9, -1e-9, 0.6, -0.6):
+        lam = receiver_map(MSChannel(c=math.sqrt(1.0 - d * d), d=d))
+        assert np.max(np.abs(lam - [abs(d), abs(d), 1.0])) <= 1e-12
     for k, axis in (("x", 0), ("y", 1), ("z", 2)):
         for a, b in ((0.6, 0.8), (0.8, -0.6)):
             want = np.full(3, abs(a * a - b * b))
@@ -752,10 +796,12 @@ def mapped_channels(rng, count):
     return specs
 
 
-def test_transfer_matrix_matches_the_per_outcome_oracle_bit_for_bit():
+def test_receiver_map_matches_the_per_outcome_oracle():
+    # lambda from the Bell weights is the diagonal of the oracle's transfer
+    # matrix; the two sum in different orders, so they agree to rounding
     for spec in mapped_channels(np.random.default_rng(97), 40):
         oracle = transfer_matrix_per_outcome(spec)
-        assert _transfer_matrix(spec)[0].tobytes() == oracle.tobytes()
+        assert np.max(np.abs(receiver_map(spec) - np.diagonal(oracle)[1:])) <= 2e-15
 
 
 def assert_pauli_channel(transfer):
@@ -770,28 +816,87 @@ def test_transfer_matrix_preserves_the_trace():
     # summed over the sender's outcomes the protocol is a Pauli twirl, so the
     # transfer matrix is diagonal: receiver_map's three numbers are all of it
     for spec in mapped_channels(np.random.default_rng(101), 20):
-        assert_pauli_channel(_transfer_matrix(spec)[0])
+        assert_pauli_channel(transfer_matrix_per_outcome(spec))
     # the twirl holds for every channel, also the ones the map refuses
     rng = np.random.default_rng(107)
     for _ in range(50):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         spec = RawChannel(state=PureState(v / np.linalg.norm(v)))
         with pytest.raises(CorrectionMismatchError):
-            _transfer_matrix(spec)
+            _bell_map(spec)
         assert_pauli_channel(transfer_matrix_per_outcome(spec))
 
 
 def test_receiver_map_is_built_once_and_read_only():
     lam = receiver_map(MSChannel(c=0.6, d=0.8))
-    # an equal spec reuses the cached transfer matrix
-    transfer = _transfer_matrix(MSChannel(c=0.6, d=0.8))[0]
-    assert _transfer_matrix(MSChannel(c=0.6, d=0.8))[0] is transfer
-    for view in (lam, transfer):
-        with pytest.raises(ValueError):
-            view[0] = 2.0
+    # an equal spec reuses the cached map
+    assert receiver_map(MSChannel(c=0.6, d=0.8)) is lam
+    assert _bell_map(MSChannel(c=0.6, d=0.8))[0] is lam
+    with pytest.raises(ValueError):
+        lam[0] = 2.0
     assert np.max(np.abs(lam - [0.8, 0.8, 1.0])) < 1e-14
     # raw channels parsed from the same text are equal, so they share it too
     text = channel_to_config(RawChannel(state=MSChannel(c=0.8, d=-0.6).state))
     first, second = channel_from_config(text), channel_from_config(text)
     assert first == second and hash(first) == hash(second)
-    assert _transfer_matrix(second)[0] is _transfer_matrix(first)[0]
+    assert _bell_map(second)[0] is _bell_map(first)[0]
+
+
+def test_spread_per_coherence_is_rederived_from_the_per_outcome_oracle():
+    # each outcome's transfer matrix, over its weight 1/4, is linear in the
+    # Bell matrix B.  A Bell pair alone leaves the four outcomes one map;
+    # an off-diagonal pair B_pq = x + iy moves outcome o's matrix by
+    # x X + y Y, read off the oracle at chi = (bell_p + e^{i phi} bell_q)/sqrt(2)
+    # for phi = 0, pi (X) and -pi/2, pi/2 (Y).  The largest sum over p < q
+    # of sqrt(dX^2 + dY^2) between two outcomes bounds the spread by
+    # kappa max |B_pq|, for every dominant pair
+    bells = [bell_state(o).amps for o in BELL_OUTCOMES]
+
+    def per_outcome(chi, dominant):
+        spec = RawChannel(state=PureState(np.concatenate([chi, np.zeros(4)])))
+        return 4.0 * transfer_matrix_per_outcome(spec, dominant, summed=False)
+
+    for dominant in BELL_OUTCOMES:
+        for bell in bells:
+            alone = per_outcome(bell, dominant)
+            assert np.max(np.abs(alone - alone[0])) <= 1e-15
+        bound = np.zeros((4, 4, 4, 4))
+        for p in range(4):
+            for q in range(p + 1, 4):
+                r = {
+                    phi: per_outcome((bells[p] + np.exp(1j * phi) * bells[q]) / math.sqrt(2.0), dominant)
+                    for phi in (0.0, np.pi, -np.pi / 2.0, np.pi / 2.0)
+                }
+                x, y = r[0.0] - r[np.pi], r[-np.pi / 2.0] - r[np.pi / 2.0]
+                bound += np.hypot(x[:, None] - x[None], y[:, None] - y[None])
+        assert abs(np.max(bound) - _SPREAD_PER_COHERENCE) <= 1e-12
+
+
+def perturbed(spec, rng, eps):
+    """``spec``'s amplitudes moved by ``eps`` in a random complex direction,
+    renormalized, as a raw channel."""
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps = spec.state.amps + eps * v / np.linalg.norm(v)
+    return RawChannel(state=PureState(amps / np.linalg.norm(amps)))
+
+
+def test_refusal_is_no_looser_than_the_per_outcome_spread():
+    # every channel whose outcomes' maps the oracle finds more than 1e-10
+    # apart is refused, and per_outcome_equal holds only where they are
+    # within 1e-12; the spread never exceeds kappa max |B_pq|
+    rng = np.random.default_rng(109)
+    refused = 0
+    for eps in np.logspace(-13, -9, 9):
+        for spec in mapped_channels(rng, 4):
+            raw = perturbed(spec, rng, eps)
+            spread = outcome_spread(raw)
+            try:
+                _, off = _bell_map(raw)
+            except CorrectionMismatchError:
+                refused += 1
+                continue
+            assert spread <= 1e-10
+            assert spread <= _SPREAD_PER_COHERENCE * off + 1e-15
+            if unconditioned_teleport(raw, XZInput(0.3)).per_outcome_equal:
+                assert spread <= 1e-12
+    assert refused > 0
