@@ -294,26 +294,6 @@ def sweep(
     return reports
 
 
-def power_table(reports: Iterable[PowerReport]) -> list[dict]:
-    """JSON-ready rows: {channel, params, f_bar, c_bar, tau, bounds}."""
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "channel": r.channel.family,
-                "params": r.channel.params(),
-                "f_bar": r.f_bar,
-                "c_bar": r.c_bar,
-                "tau": r.tau,
-                "bounds": {
-                    "classical": r.meets_classical_bound,
-                    "tangle": r.meets_tangle_bound,
-                },
-            }
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # mismatched channel/input families
 
@@ -377,17 +357,3 @@ def mismatch_report(a: float, b: float) -> MismatchReport:
         claim_power=CLASSICAL_POWER,
         claim_agrees=abs(worst - CLASSICAL_POWER) <= _CLAIM_ATOL,
     )
-
-
-def mismatch_table(report: MismatchReport) -> list[dict]:
-    """JSON-ready rows for a mismatch report."""
-    return [
-        {
-            "channel_family": r.channel_family,
-            "input_family": r.input_family,
-            "matched": r.matched,
-            "avg_ncf": r.avg_ncf,
-            "avg_power": r.avg_power,
-        }
-        for r in report.rows
-    ]

@@ -17,7 +17,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -25,12 +25,11 @@ from . import __version__
 from .analysis import (
     FAMILY_NAMES,
     MC_SAMPLES,
+    MismatchRow,
     _ncf_variance,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
-    mismatch_table,
-    power_table,
     sweep,
 )
 from .channels import (
@@ -70,7 +69,6 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     seed: int
     output_format: str
     output_path: str | None
@@ -481,7 +479,6 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
 
 
 def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
-    specs: list[ChannelSpec] = []
     if args.a2_grid is not None and args.d_grid is not None:
         raise UsageError("give either --a2-grid or --d-grid, not both")
     if args.a2_grid is not None or args.d_grid is not None:
@@ -490,46 +487,42 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     if args.a2_grid is not None:
         if args.channel not in (None, "theta") and args.channel not in NAMED_CHANNELS:
             raise UsageError("--a2-grid applies to theta-family channels")
-        axis = args.k
-        if args.channel in NAMED_CHANNELS:
-            if axis is not None:
-                raise UsageError(f"--k is fixed by the named channel {args.channel!r}")
-            axis = named_channel(args.channel, 1.0, 0.0).k
-        if axis is None:
-            raise UsageError("--a2-grid needs --k {x,y,z} or a named channel")
-        for a2 in parse_grid(args.a2_grid):
-            if not 0.0 <= a2 <= 1.0:
-                raise UsageError(f"a2 grid value {a2!r} outside [0, 1]")
-            specs.append(ThetaChannel(math.sqrt(a2), math.sqrt(1.0 - a2), axis))
+        args.channel = args.channel or "theta"
+        flag, grid = "a2", args.a2_grid
     elif args.d_grid is not None:
         if args.channel not in (None, "ms"):
             raise UsageError("--d-grid applies to ms channels")
         _reject_params(args, ("k",), "an ms grid sweep")
-        for d in parse_grid(args.d_grid):
-            if not -1.0 <= d <= 1.0:
-                raise UsageError(f"d grid value {d!r} outside [-1, 1]")
-            specs.append(MSChannel(math.sqrt(1.0 - d * d), d))
+        args.channel = "ms"
+        flag, grid = "d", args.d_grid
     else:
-        specs.append(_spec_from_args(args))
+        grid = None
+    if grid is None:
+        specs = [_spec_from_args(args)]
+    else:
+        specs = []
+        for value in parse_grid(grid):
+            # each point reads as if its value were the flag given alone
+            setattr(args, flag, value)
+            specs.append(_spec_from_args(args))
     if args.method == "monte_carlo" and len(specs) * MC_SAMPLES > _MAX_SAMPLES:
         raise UsageError(f"{len(specs)} grid points of {MC_SAMPLES} Monte Carlo "
                          f"samples each exceed the cap of {_MAX_SAMPLES} samples")
     reports = sweep(specs, method=args.method, seed=config.seed)
-    table = power_table(reports)
     out = Report(title="control power sweep")
-    out.scalars = [("method", args.method), ("points", len(table))]
+    out.scalars = [("method", args.method), ("points", len(reports))]
     out.columns = [
         "channel", "params", "f_bar", "c_bar", "tau",
         "meets_classical_bound", "meets_tangle_bound",
     ]
-    for row in table:
+    for r in reports:
         params = " ".join(
-            f"{k}={_fmt_value(v, 17)}" for k, v in row["params"].items()
+            f"{k}={_fmt_value(v, 17)}" for k, v in r.channel.params().items()
         )
         out.rows.append(
             [
-                row["channel"], params, row["f_bar"], row["c_bar"], row["tau"],
-                row["bounds"]["classical"], row["bounds"]["tangle"],
+                r.channel.family, params, r.f_bar, r.c_bar, r.tau,
+                r.meets_classical_bound, r.meets_tangle_bound,
             ]
         )
     return out, 0
@@ -550,14 +543,8 @@ def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, 
         ("claim_power", rep.claim_power),
         ("claim_agrees", rep.claim_agrees),
     ]
-    out.columns = ["channel_family", "input_family", "matched", "avg_ncf", "avg_power"]
-    for row in mismatch_table(rep):
-        out.rows.append(
-            [
-                row["channel_family"], row["input_family"], row["matched"],
-                row["avg_ncf"], row["avg_power"],
-            ]
-        )
+    out.columns = [f.name for f in fields(MismatchRow)]
+    out.rows = [list(astuple(r)) for r in rep.rows]
     return out, 0
 
 
@@ -566,6 +553,8 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     check, in run order, then the elapsed time of the command."""
     started = time.monotonic()
     if args.channel is not None:
+        if args.quick:
+            raise UsageError("--quick does not apply to verify --channel")
         spec = _spec_from_args(args)
         checks, mode = [lambda: check_channel_ct(spec)], "channel"
     else:
@@ -586,11 +575,12 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "json", "pretty"), default="pretty",
-        help="output format (default pretty)",
-    )
+def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
+    if formats:  # verify prints one fixed text report
+        parser.add_argument(
+            "--format", choices=("csv", "json", "pretty"), default="pretty",
+            help="output format (default pretty)",
+        )
     parser.add_argument("--output", metavar="PATH", help="write the report to a file")
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -681,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suite")
     p.add_argument("--quick", action="store_true", help="skip Monte Carlo checks")
     _add_channel_flags(p, positional=False)
-    _add_common(p)
+    _add_common(p, formats=False)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -695,7 +685,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(full_argv)
         seed = _resolve_seed(args)
         config = RunConfig(
-            command=args.command,
             seed=seed,
             output_format=getattr(args, "format", "pretty"),
             output_path=getattr(args, "output", None),

@@ -20,10 +20,8 @@ from ctpower.analysis import (
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
-    mismatch_table,
     power_bound_check,
     power_report,
-    power_table,
     sweep,
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
@@ -502,13 +500,6 @@ def test_ms_average_monotone_in_abs_d():
     assert all(b < a for a, b in zip(c, c[1:]))  # strictly decreasing
 
 
-def test_power_table_rows():
-    rows = power_table(sweep([MSChannel(c=0.6, d=0.8)]))
-    assert rows[0]["channel"] == "ms"
-    assert rows[0]["params"] == {"c": 0.6, "d": 0.8}
-    assert rows[0]["bounds"] == {"classical": False, "tangle": False}
-
-
 # ---------------------------------------------------------------------------
 # mismatched channel/input pairings
 
@@ -562,8 +553,6 @@ def test_mismatch_report_structure_and_claim_flag():
     assert abs(report.max_mismatched_power - 0.25) < 1e-9
     assert report.claim_power == pytest.approx(1.0 / 3.0)
     assert report.claim_agrees is False
-    table = mismatch_table(report)
-    assert len(table) == 9 and table[0]["channel_family"] == "xz"
     # the rows come off the receiver map; the walk over each circle's
     # design is the cross-check
     for a2 in (0.5, 0.3):

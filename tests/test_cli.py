@@ -5,11 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ctpower.analysis import MismatchRow
 from ctpower.channels import (
+    NAMED_CHANNELS,
     GHZChannel,
     MSChannel,
     RawChannel,
@@ -194,6 +197,76 @@ def test_power_sweep_peaks_at_even_split(capsys):
     c_bar = [row[3] for row in doc["rows"]]
     assert max(c_bar) == pytest.approx(0.5, abs=1e-12)
     assert c_bar.index(max(c_bar)) == 10  # a^2 = 0.5
+
+
+def test_power_sweep_row_fields(capsys):
+    code, out = run_cli(
+        capsys, "power-sweep", "--channel", "ms", "--c", "0.6", "--d", "0.8",
+        "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 1
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["channel"] == "ms"
+    assert row["params"] == "c=0.59999999999999998 d=0.80000000000000004"
+    assert row["meets_classical_bound"] is False
+    assert row["meets_tangle_bound"] is False
+
+
+def _csv_rows(capsys, *argv):
+    code, out = run_cli(capsys, "power-sweep", *argv, "--format", "csv")
+    assert code == 0, argv
+    return [line for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize(
+    "grid, channel",
+    [
+        ("--d-grid=-1:1:0.25", ()),
+        ("--d-grid=-1:1:0.25", ("--channel", "ms")),
+        *[("--a2-grid=0:1:0.125", ("--channel", "theta", "--k", k)) for k in "xyz"],
+        *[("--a2-grid=0:1:0.125", ("--channel", name)) for name in NAMED_CHANNELS],
+    ],
+)
+def test_power_sweep_grid_rows_equal_single_channel_rows(capsys, grid, channel):
+    # a grid point reads as if its value were the flag given alone, so each
+    # grid row is that single-channel row byte for byte; the csv rows leave
+    # out the "# command" metadata
+    grid_flag, _, text = grid.partition("=")
+    flag = "--d" if grid_flag == "--d-grid" else "--a2"
+    single = channel or ("--channel", "ms")
+    values = parse_grid(text)
+    rows = _csv_rows(capsys, *channel, grid)
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        assert [row] == _csv_rows(capsys, *single, f"{flag}={value!r}"), value
+        one_point = f"{grid_flag}={value!r}:{value!r}:1"
+        assert [row] == _csv_rows(capsys, *channel, one_point), value
+
+
+def test_power_sweep_refuses_grid_points_out_of_range(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("ctpower.cli.sweep", refuse)
+    for argv, message in (
+        (["--channel", "theta", "--k", "z", "--a2-grid=0.5:1.5:0.5"], "--a2 must lie in [0, 1]"),
+        (["--channel", "ms_xy", "--a2-grid=-0.5:0.5:0.5"], "--a2 must lie in [0, 1]"),
+        (["--d-grid=-1.5:1:0.5"], "|d| must not exceed 1"),
+        (["--channel", "ms", "--d-grid=0:2:1"], "|d| must not exceed 1"),
+    ):
+        assert main(["power-sweep", *argv]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_mismatch_command_json(capsys):
+    code, out = run_cli(capsys, "mismatch", "--a2", "0.5", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["columns"] == [f.name for f in fields(MismatchRow)]
+    assert len(doc["rows"]) == 9
+    assert doc["rows"][0][0] == "xz"
 
 
 def test_mismatch_command_csv(capsys):
@@ -470,6 +543,19 @@ def test_verify_times_each_check_on_stderr(capsys, tmp_path):
     assert main(["verify", "--channel", "ghz"]) == 0
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and re.fullmatch(r"time channel-ct: \d+\.\d\d ms", lines[0])
+
+
+def test_verify_refuses_flags_it_would_ignore(capsys):
+    # the verification report is fixed text, so --format is not a verify flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    # --channel runs one certificate, which has no quick form
+    assert main(["verify", "--channel", "ghz", "--quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ctpower: --quick does not apply to verify --channel\n"
 
 
 def test_verify_failure_injection(capsys, tmp_path):
