@@ -16,14 +16,19 @@ Quadrature and the analytic method are one exact average of it
 (``_exact_average``), which ``mismatch_report`` reads too.  Monte Carlo
 evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
 from the counter-based Philox generator, so every stochastic result is
-bit-reproducible from (seed, row-index); it streams the draws in fixed-size
-chunks and merges the chunks' moments, so its memory stays bounded, and
+bit-reproducible from (seed, row-index).  It computes the draws in
+fixed-size chunks, blocks of which run on the usable CPUs, each thread in
+buffers of its own, and merges the chunks' moments in chunk order: the
+numbers do not depend on the number of CPUs, and memory stays bounded.
 ``_ncf_variance`` gives the exact variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,10 +108,32 @@ def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
     return rng
 
 
-def _uniform_chunks(rng: np.random.Generator, n: int):
-    """(start, draws): the next n uniform doubles of ``rng``, in chunks."""
+def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray | None = None):
+    """(start, draws): the next n uniform doubles of ``rng``, in chunks, each
+    written into the front of ``out`` when a buffer is given."""
     for start in range(0, n, _BATCH_ROWS):
-        yield start, rng.random(min(_BATCH_ROWS, n - start))
+        size = min(_BATCH_ROWS, n - start)
+        yield start, rng.random(size) if out is None else rng.random(out=out[:size])
+
+
+class _Stream:
+    """The (seed, row) Philox stream, read at positions that never go back:
+    one generator, moved forward instead of built again for each block."""
+
+    def __init__(self, seed: int, row: int):
+        self.rng, self.pos = _rng(seed, row), 0
+
+    def chunks(self, lo: int, n: int, out: np.ndarray | None = None):
+        """``_uniform_chunks`` of the n doubles from position lo on, where lo
+        is not before the end of the previous call's doubles."""
+        steps = -(-self.pos // 4)  # counter steps drawn, four doubles each
+        if lo // 4 >= steps:
+            self.rng.bit_generator.advance(lo // 4 - steps)  # drops what is buffered
+            self.rng.random(lo % 4)
+        else:  # lo lies in the step drawn last
+            self.rng.random(lo - self.pos)
+        self.pos = lo + n
+        return _uniform_chunks(self.rng, n, out)
 
 
 # the Bloch axes (0 = x, 1 = y, 2 = z) of cos a and sin a on each circle
@@ -122,14 +149,14 @@ def _cos_squared(u: np.ndarray) -> np.ndarray:
     return c2
 
 
-def _circle_squares(family: str, u: np.ndarray) -> list:
+def _circle_squares(family: str, u: np.ndarray, out: np.ndarray | None = None) -> list:
     """[x^2, y^2, z^2] of a circle's members at angle 2 pi u: cos^2 on the
     family's cos axis, 1 - cos^2 on its sin axis, and None on the axis that
-    is zero on the whole circle; overwrites ``u``."""
+    is zero on the whole circle; overwrites ``u``, and ``out`` if given."""
     r2 = [None, None, None]
     cos_axis, sin_axis = _CIRCLE_AXES[family]
     r2[cos_axis] = _cos_squared(u)
-    r2[sin_axis] = 1.0 - r2[cos_axis]
+    r2[sin_axis] = np.subtract(1.0, r2[cos_axis], out=out)
     return r2
 
 
@@ -156,8 +183,12 @@ def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
     return float(lam[cos_axis] - lam[sin_axis]) ** 2 / 32.0
 
 
-def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: int):
-    """The NCF at n random inputs, chunk by chunk.
+def _ncf_draws(
+    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int,
+    lo: int = 0, hi: int | None = None, work: np.ndarray | None = None,
+    streams: tuple[_Stream, _Stream] | None = None,
+):
+    """The NCF at inputs lo to hi (default n) of n random ones, chunk by chunk.
 
     Stream positions [0, n) of the (seed, row) generator give each input's
     u, with cos(theta) = 1 - 2u on the sphere or angle 2 pi u on a family's
@@ -166,46 +197,176 @@ def _ncf_draws(spec: ChannelSpec, family: str | None, n: int, seed: int, row: in
     goes straight to them, with one cosine of the doubled angle and no sine
     or square root: sin^2(theta) = (1 - z)(1 + z), x^2 = sin^2(theta)
     cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their magnitudes,
-    |r|^2, is checked, and the map's NCF is evaluated there.
+    |r|^2, is checked, and the map's NCF is evaluated there.  ``lo`` is a
+    multiple of _BATCH_ROWS, so the chunks are those of [0, n).  Given
+    ``work``, five rows as long as a chunk, every chunk is computed in them
+    and the values yielded are views of ``work``; otherwise each chunk gets
+    new arrays.  ``streams`` are the u and v streams, if kept from an
+    earlier range that ended at or before lo.
     """
+    hi = n if hi is None else hi
     lam = receiver_map(spec)
-    draws = _uniform_chunks(_rng(seed, row), n)
+    u_buf, v_buf = (None, None) if work is None else work[:2]
+    u_stream, v_stream = streams or (_Stream(seed, row), _Stream(seed, row))
+    draws = u_stream.chunks(lo, hi - lo, u_buf)
     if family is not None:
         for start, u in draws:
-            r2 = _circle_squares(family, u)
+            _, sin2, _, norm, dist = [None] * 5 if work is None else work[:, :u.size]
+            r2 = _circle_squares(family, u, sin2)
             a2, b2 = (v for v in r2 if v is not None)
-            _check_unit(a2 + b2, start, "|r|^2")
+            _check_unit(np.add(a2, b2, out=norm), lo + start, "|r|^2", dist)
             yield _bloch_ncf(lam, *r2)
         return
-    for (start, u), (_, v) in zip(draws, _uniform_chunks(_rng(seed, row, skip=n), n)):
-        z = 1.0 - 2.0 * u
-        y2 = (1.0 - z) * (1.0 + z)  # sin^2(theta), until x^2 is taken off
+    draws = zip(draws, v_stream.chunks(n + lo, hi - lo, v_buf))
+    for (start, u), (_, v) in draws:
+        _, _, y2, norm, dist = [None] * 5 if work is None else work[:, :u.size]
+        z = np.subtract(1.0, np.multiply(u, 2.0, out=u), out=u)
+        y2 = np.subtract(1.0, z, out=y2)
+        y2 *= np.add(z, 1.0, out=norm)  # sin^2(theta), until x^2 is taken off
         x2 = _cos_squared(v)
         x2 *= y2
         y2 -= x2
         z *= z  # z^2
         # a z outside [-1, 1] makes sin^2(theta) negative while the sum of
         # the squares stays 1; the magnitudes show it
-        _check_unit(np.abs(x2) + np.abs(y2) + z, start, "|r|^2")
+        norm = np.abs(x2, out=norm)
+        norm += np.abs(y2, out=dist)
+        norm += z
+        _check_unit(norm, lo + start, "|r|^2", dist)
         yield _bloch_ncf(lam, x2, y2, z)
 
 
-def _moments(chunks: Iterable[np.ndarray]) -> AverageResult:
+def _chunk_moments(vals: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk's values, which
+    the squared deviations overwrite."""
+    mean = float(vals.mean())
+    vals -= mean
+    vals *= vals
+    return vals.size, mean, float(np.sum(vals))
+
+
+def _moments(chunks: Iterable[tuple[int, float, float]]) -> AverageResult:
     """Mean and standard error of the values of all chunks, merging each
-    chunk's (count, mean, sum of squared deviations) by Chan, Golub and
-    LeVeque's update; one chunk gives numpy's mean and std(ddof=1)."""
+    chunk's (count, mean, sum of squared deviations) in order by Chan, Golub
+    and LeVeque's update; one chunk gives numpy's mean and std(ddof=1)."""
     count, mean, m2 = 0, 0.0, 0.0
-    for vals in chunks:
-        size = vals.size
-        chunk_mean = float(vals.mean())
-        dev = vals - chunk_mean
+    for size, chunk_mean, chunk_m2 in chunks:
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)
-        m2 += float(np.sum(dev * dev)) + delta * delta * (count * size / total)
+        m2 += chunk_m2 + delta * delta * (count * size / total)
         count = total
     stderr = float(np.sqrt(m2 / (count - 1)) / np.sqrt(count)) if count > 1 else 0.0
     return AverageResult(mean, stderr)
+
+
+# Monte Carlo hands its chunks to threads in blocks of this many: small
+# blocks keep every thread busy to the end, and 10^5 samples already make
+# seven.  At most _MAX_WORKERS threads run, so their buffers, 320 KB a
+# thread, stay under 2 MB on any machine.
+_BLOCK_CHUNKS = 2
+_MAX_WORKERS = 6
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _in_order(task, count: int, workers: int):
+    """task(i, w) for i in range(count), yielded in order of i.
+
+    The calling thread and workers - 1 others claim the tasks in order of i,
+    each passing its own w in range(workers), and a task is claimed only
+    while fewer than 2 * workers results wait.  A task's exception is raised
+    when its turn comes, so the lowest failing i wins.  No thread outlives
+    the generator's end or its close().
+    """
+    cond = threading.Condition()
+    done = {}
+    claimed = folded = 0
+
+    def claim():
+        nonlocal claimed
+        if claimed >= min(count, folded + 2 * workers):
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def run(i, w):
+        try:
+            result = task(i, w), None
+        except BaseException as exc:  # raised again by the caller, in order
+            result = None, exc
+        with cond:
+            done[i] = result
+            cond.notify_all()
+
+    def worker(w):
+        while True:
+            with cond:
+                while (i := claim()) is None and claimed < count:
+                    cond.wait()
+            if i is None:
+                return
+            run(i, w)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=worker, args=(w,)))
+            threads[-1].start()
+        while folded < count:
+            with cond:
+                while folded not in done and (i := claim()) is None:
+                    cond.wait()
+                ready = done.pop(folded, None)
+                if ready is not None:
+                    folded += 1
+                    cond.notify_all()
+            if ready is None:
+                run(i, 0)
+                continue
+            result, error = ready
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        with cond:
+            claimed = count
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+
+
+def _monte_carlo(
+    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
+) -> AverageResult:
+    """Mean and standard error of the ``_ncf_draws`` values, blocks of
+    _BLOCK_CHUNKS chunks computed on up to one thread per usable CPU, each
+    in its own buffers, and the chunks' moments merged in the order of the
+    chunks: the result does not depend on the number of CPUs."""
+    block = _BLOCK_CHUNKS * _BATCH_ROWS
+    count = -(-n // block)
+    workers = min(_usable_cpus(), _MAX_WORKERS, count)
+    work = np.empty((workers, 5, min(n, _BATCH_ROWS)))
+    streams = [(_Stream(seed, row), _Stream(seed, row)) for _ in range(workers)]
+
+    def block_moments(i, w):
+        lo = i * block
+        draws = _ncf_draws(
+            spec, family, n, seed, row, lo, min(n, lo + block), work[w], streams[w]
+        )
+        return [_chunk_moments(vals) for vals in draws]
+
+    blocks = _in_order(block_moments, count, workers)
+    try:
+        return _moments(chain.from_iterable(blocks))
+    finally:
+        blocks.close()
 
 
 def avg_fidelity_numeric(
@@ -225,8 +386,9 @@ def avg_fidelity_numeric(
     map's NCF, ``_exact_average``; stderr 0) or "monte_carlo" (mean and
     standard error of the NCF at ``n_samples`` random inputs from the
     Philox stream keyed by (seed, row), evaluated on the receiver's Bloch
-    map chunk by chunk in bounded memory; see ``_ncf_draws``).  Both raise
-    CorrectionMismatchError for a channel whose receiver map does.
+    map chunk by chunk in bounded memory on the usable CPUs; see
+    ``_monte_carlo``).  Both raise CorrectionMismatchError for a channel
+    whose receiver map does.
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
@@ -241,7 +403,7 @@ def avg_fidelity_numeric(
     if method == "monte_carlo":
         if n_samples < 1:
             raise RangeError("n_samples must be at least 1")
-        return _moments(_ncf_draws(spec, family, n_samples, seed, row))
+        return _monte_carlo(spec, family, n_samples, seed, row)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -473,9 +473,15 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     ]
     if args.method == "monte_carlo":
         report.scalars.append(("n_samples", args.n_samples))
-        predicted = math.sqrt(_ncf_variance(spec, args.family) / args.n_samples)
-        print(f"predicted stderr: {predicted:.6e}", file=sys.stderr)
+        _print_predicted_stderr(spec, args.family, args.n_samples)
     return report, 0
+
+
+def _print_predicted_stderr(spec: ChannelSpec, family: str | None, n: int) -> None:
+    """Print on stderr the standard error the receiver map predicts for a
+    Monte Carlo average of n samples over the sphere or a family's circle."""
+    predicted = math.sqrt(_ncf_variance(spec, family) / n)
+    print(f"predicted stderr: {predicted:.6e}", file=sys.stderr)
 
 
 def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
@@ -509,6 +515,9 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
         raise UsageError(f"{len(specs)} grid points of {MC_SAMPLES} Monte Carlo "
                          f"samples each exceed the cap of {_MAX_SAMPLES} samples")
     reports = sweep(specs, method=args.method, seed=config.seed)
+    if args.method == "monte_carlo":
+        for spec in specs:
+            _print_predicted_stderr(spec, spec.matched_family, MC_SAMPLES)
     out = Report(title="control power sweep")
     out.scalars = [("method", args.method), ("points", len(reports))]
     out.columns = [

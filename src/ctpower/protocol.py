@@ -409,12 +409,15 @@ def receiver_map(spec: ChannelSpec) -> np.ndarray:
     return _bell_map(spec)[0]
 
 
-def _check_unit(norm: np.ndarray, start: int, what: str) -> None:
+def _check_unit(norm: np.ndarray, start: int, what: str, scratch=None) -> None:
     """Raise NormalizationError naming the first index, counted from
-    ``start``, where ``norm`` is not 1 within 1e-10; NaN and inf fail too."""
-    bad = ~(np.abs(norm - 1.0) <= INPUT_ATOL)  # NaN compares False
-    if bad.any():
-        i = int(np.argmax(bad))
+    ``start``, where ``norm`` is not 1 within 1e-10; NaN and inf fail too.
+    The distances from 1 overwrite ``scratch``, a float array of norm's
+    shape, when one is given."""
+    dist = np.subtract(norm, 1.0, out=scratch)
+    ok = np.abs(dist, out=dist) <= INPUT_ATOL  # NaN compares False
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise NormalizationError(
             f"{what} = {float(norm[i])!r} at index {start + i}, expected 1"
         )
@@ -435,15 +438,16 @@ def _bloch_ncf(lam: np.ndarray, x2, y2, z2) -> np.ndarray:
     """(1 + sum_i lambda_i r_i^2)/2 from the squared Bloch coordinates
     (x^2, y^2, z^2) of each input, clipped to [0, 1], summed axis by axis in
     place: the Pauli channel's NCF depends on no sign of r.  An axis given as
-    None is zero at every input, as on a great circle, and is skipped.
+    None is zero at every input, as on a great circle, and is skipped.  The
+    given arrays are overwritten, and the last holds the result.
     Elementwise, not a BLAS product: BLAS's first call adds its work buffer
     to the peak memory of the whole process."""
     total = 1.0
     for lam_i, r2 in zip(lam, (x2, y2, z2)):
         if r2 is not None:
-            term = r2 * lam_i
-            term += total
-            total = term
+            r2 *= lam_i
+            r2 += total
+            total = r2
     total *= 0.5
     return np.clip(total, 0.0, 1.0, out=total)
 

@@ -5,6 +5,9 @@ high-order fixed quadrature, independently of the exact averages under
 test.  Regression constants derived that way are frozen inline.
 """
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -396,7 +399,7 @@ def test_monte_carlo_moment_merge_edge_cases(monkeypatch):
 
 
 def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
-    def nan_draws(rng, n):
+    def nan_draws(rng, n, out=None):
         yield 0, np.full(n, np.nan)
 
     monkeypatch.setattr(analysis, "_uniform_chunks", nan_draws)
@@ -410,12 +413,98 @@ def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
 def test_monte_carlo_sphere_checks_draws_outside_the_unit_interval(monkeypatch):
     # u = 5 gives cos(theta) = -9: squares that still sum to 1, but two of
     # them negative
-    def outside_draws(rng, n):
+    def outside_draws(rng, n, out=None):
         yield 0, np.full(n, 5.0)
 
     monkeypatch.setattr(analysis, "_uniform_chunks", outside_draws)
     with pytest.raises(NormalizationError, match=r"\|r\|\^2 = 161.0 at index 0"):
         mc_average(MSChannel(c=0.6, d=0.8), None, 5)
+
+
+# Monte Carlo computes blocks of _BLOCK_CHUNKS chunks on up to one thread per
+# CPU; a small chunk puts many blocks and chunk edges inside a short stream
+SMALL_BLOCK = analysis._BLOCK_CHUNKS * SMALL_CHUNK
+
+# the sphere, and a circle the theta channel is not matched to
+CPU_CASES = (
+    (MSChannel(c=0.6, d=-0.8), None),
+    (ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"), "xz"),
+)
+
+
+def test_monte_carlo_does_not_depend_on_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    edges = range(SMALL_CHUNK, 9 * SMALL_BLOCK + 1, SMALL_CHUNK)
+    sizes = sorted({1, *(e + d for e in edges for d in (-1, 0, 1))})
+    for spec, family in CPU_CASES:
+        for n in sizes:
+            monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+            serial = mc_average(spec, family, n)
+            want_mean, want_stderr = monte_carlo_one_shot(spec, family, n, 5, 1)
+            assert abs(serial.mean - want_mean) <= 1e-15
+            assert abs(serial.stderr - want_stderr) <= 1e-15
+            for cpus in (2, 3):
+                monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+                assert mc_average(spec, family, n) == serial, (family, n, cpus)
+
+
+def poison_draws(monkeypatch, values):
+    """Replace by NaN every Monte Carlo draw equal to one of ``values``,
+    whichever block and thread draws it."""
+    real = analysis._uniform_chunks
+
+    def poisoned(rng, n, out=None):
+        for start, u in real(rng, n, out):
+            u[np.isin(u, values)] = np.nan
+            yield start, u
+
+    monkeypatch.setattr(analysis, "_uniform_chunks", poisoned)
+
+
+def test_monte_carlo_errors_name_the_global_draw_and_leave_no_threads(monkeypatch):
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    n = 6 * SMALL_BLOCK
+    first, _ = philox_draws(5, 1, n)
+    # index 24 lies in the second block, at 10 in its block and 3 in its
+    # chunk; index 45 lies in the fourth
+    assert 24 // SMALL_BLOCK == 1 and 45 // SMALL_BLOCK == 3
+    threads = threading.active_count()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        for spec, family in CPU_CASES:
+            for bad, named in (([24], 24), ([45], 45), ([24, 45], 24)):
+                with monkeypatch.context() as m:
+                    poison_draws(m, first[bad])
+                    with pytest.raises(NormalizationError, match=rf"= nan at index {named}, "):
+                        mc_average(spec, family, n)
+                assert threading.active_count() == threads
+            mc_average(spec, family, n)
+            assert threading.active_count() == threads
+
+
+def test_in_order_yields_in_order_within_its_window():
+    # more workers than cores, switching threads often: a lost update of
+    # the shared claim count would run a task twice or skip one
+    count = 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            started = []
+
+            def task(i, w):
+                started.append(i)
+                assert 0 <= w < workers
+                return i * i
+
+            for k, got in enumerate(analysis._in_order(task, count, workers)):
+                assert got == k * k
+                # result k is out, so at most 2 * workers results wait beyond it
+                assert max(started) <= k + 2 * workers
+                time.sleep(0.001)  # let the other threads run ahead
+            assert sorted(started) == list(range(count))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

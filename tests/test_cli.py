@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctpower.analysis import MismatchRow
+from ctpower.analysis import MC_SAMPLES, MismatchRow
 from ctpower.channels import (
     NAMED_CHANNELS,
     GHZChannel,
@@ -392,6 +392,33 @@ def test_avg_monte_carlo_prints_the_predicted_stderr_on_stderr(capsys, tmp_path)
         measured = json.loads(captured.out)["scalars"]["stderr"]
         assert abs(measured - predicted) <= max(0.05 * predicted, 1e-15)
     assert main(["avg", "--channel", "ms", "--d=-0.6", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_power_sweep_monte_carlo_prints_the_predicted_stderr_per_row(capsys, tmp_path):
+    argv = [
+        "power-sweep", "--d-grid=-0.5:0.25:0.75", "--method", "monte_carlo",
+        "--seed", "7", "--format", "json",
+    ]
+    want = [
+        f"predicted stderr: {math.sqrt(ncf_variance(spec, None) / MC_SAMPLES):.6e}"
+        for spec in (MSChannel(c=math.sqrt(0.75), d=-0.5), MSChannel(c=math.sqrt(0.9375), d=0.25))
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == want
+    # stdout and --output carry the report alone, and its rows are this
+    # grid's seeded values
+    rows = json.loads(captured.out)["rows"]
+    assert [row[2] for row in rows] == [0.83340429919785008, 0.75009665688638016]
+    assert "predicted" not in captured.out
+    path = tmp_path / "sweep.json"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == want
+    written = path.read_text(encoding="utf-8")
+    assert "predicted" not in written
+    assert json.loads(written)["rows"] == rows
+    assert main(["power-sweep", "--d-grid=-0.5:0.25:0.75", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
 
 
