@@ -17,16 +17,20 @@ Quadrature and the analytic method are one exact average of it
 evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
 from the counter-based Philox generator, so every stochastic result is
 bit-reproducible from (seed, row-index).  It computes the draws in
-fixed-size chunks, blocks of which run on the usable CPUs, each thread in
-buffers of its own, and merges the chunks' moments in chunk order: the
-numbers do not depend on the number of CPUs, and memory stays bounded.
+fixed-size chunks, in blocks dealt round-robin to one thread per usable
+CPU, the calling thread among them; each thread works in buffers of its
+own and hands its blocks back through a one-slot queue, and the chunks'
+moments merge in chunk order: the numbers do not depend on the number of
+CPUs, and memory stays bounded.
 ``_ncf_variance`` gives the exact variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
 import os
+import queue
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -97,23 +101,17 @@ def power_bound_check(a: float) -> bool:
 # ---------------------------------------------------------------------------
 # averaging
 
-def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
-    """The Philox generator keyed by (seed, row), positioned at double
-    ``skip`` of its stream; each counter step yields four doubles."""
+def _rng(seed: int, row: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, row), at the start of its stream."""
     key = np.array([np.uint64(seed), np.uint64(row)], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    bitgen.advance(skip // 4)
-    rng = np.random.Generator(bitgen)
-    rng.random(skip % 4)
-    return rng
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray | None = None):
+def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray):
     """(start, draws): the next n uniform doubles of ``rng``, in chunks, each
-    written into the front of ``out`` when a buffer is given."""
+    written into the front of ``out``."""
     for start in range(0, n, _BATCH_ROWS):
-        size = min(_BATCH_ROWS, n - start)
-        yield start, rng.random(size) if out is None else rng.random(out=out[:size])
+        yield start, rng.random(out=out[:min(_BATCH_ROWS, n - start)])
 
 
 class _Stream:
@@ -123,7 +121,7 @@ class _Stream:
     def __init__(self, seed: int, row: int):
         self.rng, self.pos = _rng(seed, row), 0
 
-    def chunks(self, lo: int, n: int, out: np.ndarray | None = None):
+    def chunks(self, lo: int, n: int, out: np.ndarray):
         """``_uniform_chunks`` of the n doubles from position lo on, where lo
         is not before the end of the previous call's doubles."""
         steps = -(-self.pos // 4)  # counter steps drawn, four doubles each
@@ -184,11 +182,10 @@ def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
 
 
 def _ncf_draws(
-    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int,
-    lo: int = 0, hi: int | None = None, work: np.ndarray | None = None,
-    streams: tuple[_Stream, _Stream] | None = None,
+    spec: ChannelSpec, family: str | None, n: int, lo: int, hi: int,
+    work: np.ndarray, streams: tuple[_Stream, _Stream],
 ):
-    """The NCF at inputs lo to hi (default n) of n random ones, chunk by chunk.
+    """The NCF at inputs lo to hi of n random ones, chunk by chunk.
 
     Stream positions [0, n) of the (seed, row) generator give each input's
     u, with cos(theta) = 1 - 2u on the sphere or angle 2 pi u on a family's
@@ -198,28 +195,25 @@ def _ncf_draws(
     or square root: sin^2(theta) = (1 - z)(1 + z), x^2 = sin^2(theta)
     cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their magnitudes,
     |r|^2, is checked, and the map's NCF is evaluated there.  ``lo`` is a
-    multiple of _BATCH_ROWS, so the chunks are those of [0, n).  Given
-    ``work``, five rows as long as a chunk, every chunk is computed in them
-    and the values yielded are views of ``work``; otherwise each chunk gets
-    new arrays.  ``streams`` are the u and v streams, if kept from an
-    earlier range that ended at or before lo.
+    multiple of _BATCH_ROWS, so the chunks are those of [0, n).  Every chunk
+    is computed in ``work``, five rows as long as a chunk, and the values
+    yielded are views of it.  ``streams`` are the generator's u and v
+    ``_Stream``s, read no further than lo and n + lo.
     """
-    hi = n if hi is None else hi
     lam = receiver_map(spec)
-    u_buf, v_buf = (None, None) if work is None else work[:2]
-    u_stream, v_stream = streams or (_Stream(seed, row), _Stream(seed, row))
-    draws = u_stream.chunks(lo, hi - lo, u_buf)
+    u_stream, v_stream = streams
+    draws = u_stream.chunks(lo, hi - lo, work[0])
     if family is not None:
         for start, u in draws:
-            _, sin2, _, norm, dist = [None] * 5 if work is None else work[:, :u.size]
+            _, sin2, _, norm, dist = work[:, :u.size]
             r2 = _circle_squares(family, u, sin2)
             a2, b2 = (v for v in r2 if v is not None)
             _check_unit(np.add(a2, b2, out=norm), lo + start, "|r|^2", dist)
             yield _bloch_ncf(lam, *r2)
         return
-    draws = zip(draws, v_stream.chunks(n + lo, hi - lo, v_buf))
+    draws = zip(draws, v_stream.chunks(n + lo, hi - lo, work[1]))
     for (start, u), (_, v) in draws:
-        _, _, y2, norm, dist = [None] * 5 if work is None else work[:, :u.size]
+        _, _, y2, norm, dist = work[:, :u.size]
         z = np.subtract(1.0, np.multiply(u, 2.0, out=u), out=u)
         y2 = np.subtract(1.0, z, out=y2)
         y2 *= np.add(z, 1.0, out=norm)  # sin^2(theta), until x^2 is taken off
@@ -279,65 +273,48 @@ def _usable_cpus() -> int:
 def _in_order(task, count: int, workers: int):
     """task(i, w) for i in range(count), yielded in order of i.
 
-    The calling thread and workers - 1 others claim the tasks in order of i,
-    each passing its own w in range(workers), and a task is claimed only
-    while fewer than 2 * workers results wait.  A task's exception is raised
-    when its turn comes, so the lowest failing i wins.  No thread outlives
-    the generator's end or its close().
+    Task i runs on worker w = i % workers, each worker taking its tasks in
+    increasing i.  The calling thread is worker 0 and runs its own tasks
+    when their turn comes; every other worker hands each result, or its
+    exception, to the caller through a one-slot queue of its own, so it
+    runs at most two tasks ahead of its last result taken.  An exception is
+    raised when its task's turn comes, so the lowest failing i wins.  No
+    thread outlives the generator's end or its close().
     """
-    cond = threading.Condition()
-    done = {}
-    claimed = folded = 0
-
-    def claim():
-        nonlocal claimed
-        if claimed >= min(count, folded + 2 * workers):
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def run(i, w):
-        try:
-            result = task(i, w), None
-        except BaseException as exc:  # raised again by the caller, in order
-            result = None, exc
-        with cond:
-            done[i] = result
-            cond.notify_all()
+    stop = threading.Event()
+    slots = [queue.Queue(1) for _ in range(workers)]
 
     def worker(w):
-        while True:
-            with cond:
-                while (i := claim()) is None and claimed < count:
-                    cond.wait()
-            if i is None:
+        for i in range(w, count, workers):
+            if stop.is_set():
                 return
-            run(i, w)
+            try:
+                result = task(i, w), None
+            except BaseException as exc:  # raised again by the caller, in order
+                result = None, exc
+            slots[w].put(result)
 
     threads = []
     try:
         for w in range(1, workers):
-            threads.append(threading.Thread(target=worker, args=(w,)))
-            threads[-1].start()
-        while folded < count:
-            with cond:
-                while folded not in done and (i := claim()) is None:
-                    cond.wait()
-                ready = done.pop(folded, None)
-                if ready is not None:
-                    folded += 1
-                    cond.notify_all()
-            if ready is None:
-                run(i, 0)
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            threads.append(thread)
+        for i in range(count):
+            if i % workers == 0:
+                yield task(i, 0)
                 continue
-            result, error = ready
+            result, error = slots[i % workers].get()
             if error is not None:
                 raise error
             yield result
     finally:
-        with cond:
-            claimed = count
-            cond.notify_all()
+        # a worker puts at most one more result once stop is set, and the
+        # drained slot has room for it
+        stop.set()
+        for slot in slots:
+            with suppress(queue.Empty):
+                slot.get_nowait()
         for thread in threads:
             thread.join()
 
@@ -357,9 +334,7 @@ def _monte_carlo(
 
     def block_moments(i, w):
         lo = i * block
-        draws = _ncf_draws(
-            spec, family, n, seed, row, lo, min(n, lo + block), work[w], streams[w]
-        )
+        draws = _ncf_draws(spec, family, n, lo, min(n, lo + block), work[w], streams[w])
         return [_chunk_moments(vals) for vals in draws]
 
     blocks = _in_order(block_moments, count, workers)

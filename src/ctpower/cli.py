@@ -332,12 +332,17 @@ def _theta_amplitudes(args: argparse.Namespace) -> tuple[float, float]:
     if args.a2 is not None:
         if args.a is not None or args.b is not None:
             raise UsageError("give either --a2 or --a/--b, not both")
-        if not 0.0 <= args.a2 <= 1.0:
-            raise UsageError(f"--a2 must lie in [0, 1], got {args.a2}")
-        return math.sqrt(args.a2), math.sqrt(1.0 - args.a2)
+        return _a2_amplitudes(args.a2)
     if args.a is None and args.b is None:
         raise UsageError("theta-family channels need --a2 or --a/--b")
     return _complete_unit_pair(args, "a", "b")
+
+
+def _a2_amplitudes(a2: float) -> tuple[float, float]:
+    """(sqrt(a2), sqrt(1 - a2)) for an --a2 in [0, 1]."""
+    if not 0.0 <= a2 <= 1.0:
+        raise UsageError(f"--a2 must lie in [0, 1], got {a2}")
+    return math.sqrt(a2), math.sqrt(1.0 - a2)
 
 
 def _complete_unit_pair(args: argparse.Namespace, x: str, y: str) -> tuple[float, float]:
@@ -449,6 +454,10 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
         raise UsageError("--domain family needs --family {xz,xy,yz}")
     if args.domain == "sphere" and args.family is not None:
         raise UsageError("--family only applies to --domain family")
+    if args.n_samples is None:
+        args.n_samples = MC_SAMPLES
+    elif args.method != "monte_carlo":
+        raise UsageError("--n-samples applies to --method monte_carlo")
     if not 1 <= args.n_samples <= _MAX_SAMPLES:
         raise UsageError(f"--n-samples must lie in [1, {_MAX_SAMPLES}], got {args.n_samples}")
     mean, stderr = avg_fidelity_numeric(
@@ -540,9 +549,7 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
 def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     if args.a2 is None:
         raise UsageError("mismatch needs --a2")
-    if not 0.0 <= args.a2 <= 1.0:
-        raise UsageError(f"--a2 must lie in [0, 1], got {args.a2}")
-    rep = mismatch_report(math.sqrt(args.a2), math.sqrt(1.0 - args.a2))
+    rep = mismatch_report(*_a2_amplitudes(args.a2))
     out = Report(title="channel/input family mismatch")
     out.scalars = [
         ("a", rep.a),
@@ -657,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("quadrature", "monte_carlo"), default="quadrature",
         help="quadrature (default) and power-sweep's analytic are the same exact average",
     )
-    p.add_argument("--n-samples", type=int, default=MC_SAMPLES, dest="n_samples")
+    p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
     _add_common(p)
     p.set_defaults(handler=_cmd_avg)
 

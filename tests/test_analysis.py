@@ -238,6 +238,14 @@ def mc_average(spec, family, n, seed=5, row=1):
     )
 
 
+def ncf_values(spec, family, n, seed=5, row=1):
+    """Copies of the ``_ncf_draws`` chunks of all n inputs, computed in one
+    set of work rows from fresh streams."""
+    work = np.empty((5, analysis._BATCH_ROWS))
+    streams = (analysis._Stream(seed, row), analysis._Stream(seed, row))
+    return [vals.copy() for vals in analysis._ncf_draws(spec, family, n, 0, n, work, streams)]
+
+
 def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
     monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
     unitary = np.array([[0.6, 0.8j], [0.8j, 0.6]])
@@ -249,7 +257,8 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
     for n in (1, 3, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
         first, second = philox_draws(5, 1, n)
         for skip, want in ((0, first), (n, second)):
-            streamed = [u for _, u in analysis._uniform_chunks(analysis._rng(5, 1, skip), n)]
+            chunks = analysis._Stream(5, 1).chunks(skip, n, np.empty(SMALL_CHUNK))
+            streamed = [u.copy() for _, u in chunks]
             assert max(len(chunk) for chunk in streamed) <= SMALL_CHUNK
             assert np.array_equal(np.concatenate(streamed), want)
         for spec in specs:
@@ -287,7 +296,7 @@ def test_monte_carlo_values_are_ncf_batch_at_the_one_shot_inputs(monkeypatch):
         for family in (None, *FAMILY_NAMES):
             k0, k1 = one_shot_inputs(family, n, 5, 1)
             for spec in specs:
-                chunks = list(analysis._ncf_draws(spec, family, n, 5, 1))
+                chunks = ncf_values(spec, family, n)
                 assert max(len(chunk) for chunk in chunks) <= SMALL_CHUNK
                 got = np.concatenate(chunks)
                 want = ncf_batch(spec, k0, k1)
@@ -386,7 +395,7 @@ def test_monte_carlo_moment_merge_edge_cases(monkeypatch):
     assert mc_average(spec, None, 1).stderr == 0.0
     # two one-value chunks merge to numpy's sample standard deviation
     monkeypatch.setattr(analysis, "_BATCH_ROWS", 1)
-    values = np.concatenate(list(analysis._ncf_draws(spec, None, 2, 5, 1)))
+    values = np.concatenate(ncf_values(spec, None, 2))
     mean, stderr = mc_average(spec, None, 2)
     assert mean == pytest.approx(values.mean(), abs=1e-15)
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(2.0), abs=1e-15)
@@ -490,10 +499,11 @@ def test_in_order_yields_in_order_within_its_window():
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3, 8):
-            started = []
+            started, by_worker = [], [[] for _ in range(workers)]
 
             def task(i, w):
                 started.append(i)
+                by_worker[w].append(i)
                 assert 0 <= w < workers
                 return i * i
 
@@ -503,8 +513,37 @@ def test_in_order_yields_in_order_within_its_window():
                 assert max(started) <= k + 2 * workers
                 time.sleep(0.001)  # let the other threads run ahead
             assert sorted(started) == list(range(count))
+            # each worker moves forward, as its Monte Carlo streams must
+            assert all(tasks == sorted(tasks) for tasks in by_worker)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_in_order_close_ends_workers_blocked_on_full_slots():
+    threads = threading.active_count()
+    for workers in (2, 3, 8):
+        finished = []
+
+        def task(i, w):
+            finished.append(i)
+            return i
+
+        blocks = analysis._in_order(task, 40, workers)
+        assert next(blocks) == 0
+        # every other worker fills its slot with its first task and then
+        # waits to put its second; the caller's own second task, i = workers,
+        # has not started
+        want = [i for i in range(2 * workers) if i != workers]
+        deadline = time.monotonic() + 10.0
+        while len(finished) < len(want) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.01)
+        assert sorted(finished) == want
+        closer = threading.Thread(target=blocks.close)
+        closer.start()
+        closer.join(10.0)
+        assert not closer.is_alive(), workers
+        assert threading.active_count() == threads, workers
 
 
 # ---------------------------------------------------------------------------

@@ -154,20 +154,24 @@ def test_avg_command_ghz_classical_value(capsys):
 
 
 def test_avg_command_caps_monte_carlo_samples(capsys):
-    # rejected before any sample is drawn, like a grid beyond its cap, and
-    # for every method: quadrature ignores the count but still checks it
-    for method in ("monte_carlo", "quadrature"):
-        for n in (0, -5, 10**9 + 1):
-            code = main([
-                "avg", "--channel", "ghz", "--method", method, "--n-samples", str(n),
-            ])
-            assert code == 2
-            assert f"must lie in [1, 1000000000], got {n}" in capsys.readouterr().err
-    # both ends pass; Monte Carlo's 10^9 reaches test_out_of_memory_exits_2
-    for method, n in (("monte_carlo", 1), ("quadrature", 1), ("quadrature", 10**9)):
-        argv = ["avg", "--channel", "ghz", "--method", method, "--n-samples", str(n)]
-        assert main(argv) == 0
-        capsys.readouterr()
+    # rejected before any sample is drawn, like a grid beyond its cap
+    for n in (0, -5, 10**9 + 1):
+        code = main([
+            "avg", "--channel", "ghz", "--method", "monte_carlo", "--n-samples", str(n),
+        ])
+        assert code == 2
+        assert f"must lie in [1, 1000000000], got {n}" in capsys.readouterr().err
+    # quadrature draws no samples, so it refuses the flag whatever its value
+    for n in (0, -5, 1, 10**9, 10**9 + 1):
+        code = main([
+            "avg", "--channel", "ghz", "--method", "quadrature", "--n-samples", str(n),
+        ])
+        assert code == 2
+        assert "--n-samples applies to --method monte_carlo" in capsys.readouterr().err
+    # Monte Carlo's lower end passes; its 10^9 reaches test_out_of_memory_exits_2
+    argv = ["avg", "--channel", "ghz", "--method", "monte_carlo", "--n-samples", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_power_sweep_caps_monte_carlo_samples(capsys, monkeypatch):
@@ -478,6 +482,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["ct", "--channel", "ghz", "--c", "0.5"]) == 2  # stray param
     assert main(["avg", "--channel", "ghz", "--domain", "family"]) == 2
     assert main(["mismatch"]) == 2
+    # mismatch and theta channels share one --a2 check
+    for argv in (["mismatch", "--a2", "1.5"], ["ncf", "--channel", "ms_xy", "--a2", "1.5"]):
+        assert main(argv) == 2, argv
+        assert "--a2 must lie in [0, 1], got 1.5" in capsys.readouterr().err
     for family, flag in (("xy", "--theta"), ("xz", "--phi"), ("yz", "--phi")):
         assert main(["ncf", "--channel", "ms", "--d", "0.5", "--input", family,
                      flag, "1.0"]) == 2

@@ -164,9 +164,10 @@ def cli_argv(draw):
     """A subcommand and flags from the parser's own choices, with values
     from a fixed pool, and on commands that take a channel, at times
     ``--channel raw --config`` with one of the configs as one unit.
-    ``avg`` always ends with an ``--n-samples`` of at most 1000, and
-    ``verify`` runs ``--quick`` unless it certifies one ``--channel``: both
-    would otherwise draw 10^6 Monte Carlo samples."""
+    ``avg`` ends with an ``--n-samples`` of at most 1000 when it draws
+    ``--method monte_carlo``, and ``verify`` runs ``--quick`` unless it
+    certifies one ``--channel``: both would otherwise draw 10^6 Monte Carlo
+    samples."""
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     parser = _SUBCOMMANDS[command]
     argv = [command]
@@ -178,7 +179,7 @@ def cli_argv(draw):
             argv.append(draw(_value(command, action)))
     if "--channel" in parser._option_string_actions and draw(st.booleans()):
         argv += ["--channel", "raw", "--config", draw(st.sampled_from(sorted(_CONFIGS)))]
-    if command == "avg":
+    if command == "avg" and "monte_carlo" in argv:
         argv += ["--n-samples", draw(st.integers(1, 1000).map(str) | _VALUES)]
     if command == "verify" and "--channel" not in argv:
         argv.append("--quick")
