@@ -27,6 +27,7 @@ The tests pin them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
 
+import operator
 import os
 import queue
 import threading
@@ -344,6 +345,19 @@ def _monte_carlo(
         blocks.close()
 
 
+def _integer(value, name: str, lo: int, bits: int | None = None) -> int:
+    """``value`` as an int in [lo, 2^bits), or RangeError naming ``name``; a
+    float is refused even when it is whole."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
+    if v < lo or (bits is not None and v >> bits):
+        bound = f"at least {lo}" if bits is None else f"in [{lo}, 2^{bits})"
+        raise RangeError(f"{name} must be {bound}, got {v}")
+    return v
+
+
 def avg_fidelity_numeric(
     spec: ChannelSpec,
     domain: str,
@@ -362,8 +376,10 @@ def avg_fidelity_numeric(
     standard error of the NCF at ``n_samples`` random inputs from the
     Philox stream keyed by (seed, row), evaluated on the receiver's Bloch
     map chunk by chunk in bounded memory on the usable CPUs; see
-    ``_monte_carlo``).  Both raise CorrectionMismatchError for a channel
-    whose receiver map does.
+    ``_monte_carlo``).  Every channel has a receiver map, so both average
+    every channel.  Monte Carlo raises RangeError naming ``n_samples``,
+    ``seed`` or ``row`` unless it is an integer, n_samples at least 1 and
+    seed and row in [0, 2^64).
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
@@ -376,8 +392,9 @@ def avg_fidelity_numeric(
     if method == "quadrature":
         return AverageResult(_exact_average(spec, family), 0.0)
     if method == "monte_carlo":
-        if n_samples < 1:
-            raise RangeError("n_samples must be at least 1")
+        n_samples = _integer(n_samples, "n_samples", 1)
+        seed = _integer(seed, "seed", 0, 64)
+        row = _integer(row, "row", 0, 64)
         return _monte_carlo(spec, family, n_samples, seed, row)
     raise ValueError(f"unknown method {method!r}")
 

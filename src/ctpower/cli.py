@@ -42,7 +42,6 @@ from .channels import (
     named_channel,
     three_tangle,
 )
-from .errors import CorrectionMismatchError
 from .protocol import (
     INPUT_FAMILIES,
     InputFamily,
@@ -711,9 +710,6 @@ def main(argv: list[str] | None = None) -> int:
         report, code = args.handler(args, config)
         _emit(_RENDERERS[config.output_format](report, config), config)
         return code
-    except CorrectionMismatchError as exc:
-        print(f"ctpower: check failed: {exc}", file=sys.stderr)
-        return 1
     except UsageError as exc:
         print(f"ctpower: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,3 @@ class RangeError(ValueError):
 
 class DegenerateBasisError(ValueError):
     """A measurement basis vector has zero norm before normalization."""
-
-
-class CorrectionMismatchError(ValueError):
-    """Post-correction receiver states disagree across sender outcomes.
-
-    Raised when they may differ by more than 1e-10, which separates a wrong
-    correction rule from accumulated floating-point noise.
-    """

@@ -28,7 +28,7 @@ from ctpower.analysis import (
     sweep,
 )
 from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
-from ctpower.errors import CorrectionMismatchError, NormalizationError, RangeError
+from ctpower.errors import NormalizationError, RangeError
 from ctpower.protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
@@ -135,9 +135,9 @@ def test_sphere_quadrature_matches_independent_oracle():
     assert abs(want - (2.0 / 3.0 + d / 3.0)) < 1e-12
 
 
-def test_quadrature_weights_integrate_to_one():
+def test_exact_average_of_a_flat_ncf_is_one():
     # NCF through MS{d=1} and Theta{a=1} is identically 1, so the averages
-    # measure exactly the total quadrature weight
+    # measure exactly the total weight of the domain's measure
     mean, _ = avg_fidelity_numeric(MSChannel(c=0.0, d=1.0), "sphere")
     assert abs(mean - 1.0) < 1e-12
     mean, _ = avg_fidelity_numeric(
@@ -153,7 +153,7 @@ def test_matched_family_average_is_the_dominant_weight():
         assert abs(mean - 0.5) < 1e-9
 
 
-def test_quadrature_is_the_map_at_the_design_points():
+def test_exact_average_is_the_mean_of_the_map_over_a_design():
     # quadrature is the exact average of the map's NCF: its mean over a
     # design (ncf_batch) within 1e-15, and the step-by-step walk's at the
     # same points and the closed forms within 1e-12
@@ -214,6 +214,51 @@ def test_monte_carlo_is_reproducible_and_stream_keyed():
     assert a.mean != c.mean
     with pytest.raises(RangeError):
         avg_fidelity_numeric(spec, "sphere", method="monte_carlo", n_samples=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_samples=1e6), "n_samples must be an integer, got 1000000.0"),
+        (dict(n_samples="10"), "n_samples must be an integer, got '10'"),
+        (dict(n_samples=0), "n_samples must be at least 1, got 0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=-1), r"seed must be in \[0, 2\^64\), got -1"),
+        (dict(seed=2**64), r"seed must be in \[0, 2\^64\), got 18446744073709551616"),
+        (dict(row=2.0), "row must be an integer, got 2.0"),
+        (dict(row=-1), r"row must be in \[0, 2\^64\), got -1"),
+    ],
+)
+def test_monte_carlo_rejects_counts_and_keys_that_are_not_whole(kwargs, message):
+    # before any draw, and on the calling thread: a float seed is not
+    # truncated and a negative one does not reach numpy's uint64
+    spec = MSChannel(c=0.6, d=0.8)
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        avg_fidelity_numeric(spec, "sphere", method="monte_carlo", **kwargs)
+
+
+def test_monte_carlo_takes_numpy_integers_and_the_largest_key():
+    spec = MSChannel(c=0.6, d=0.8)
+    want = avg_fidelity_numeric(
+        spec, "sphere", method="monte_carlo", n_samples=1000, seed=2**64 - 1, row=2**64 - 1
+    )
+    got = avg_fidelity_numeric(
+        spec, "sphere", method="monte_carlo", n_samples=np.int64(1000),
+        seed=np.uint64(2**64 - 1), row=np.uint64(2**64 - 1),
+    )
+    assert got == want
+
+
+def test_monte_carlo_on_a_generic_raw_channel():
+    # eight normalized Gaussian amplitudes: the sender's outcomes leave
+    # different states, and the draws average to the map's exact average
+    rng = np.random.default_rng(131)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    spec = RawChannel(state=PureState(v / np.linalg.norm(v)))
+    for row, family in enumerate((None, *FAMILY_NAMES)):
+        mean, stderr = mc_average(spec, family, 200_000, seed=13, row=row)
+        assert stderr > 0.0
+        assert abs(mean - analysis._exact_average(spec, family)) < 4.0 * stderr
 
 
 def test_monte_carlo_on_circle_domain():
@@ -603,21 +648,23 @@ def test_analytic_sweep_reads_the_receiver_map():
     raw = RawChannel(state=apply_gate(u, 0, MSChannel(c=0.6, d=-0.8).state))
     (rep,) = sweep([raw], method="analytic")
     assert abs(rep.f_bar - np.mean(walk_ncf(raw, *design(None)))) < 1e-12
-    # controller and receiver share a Bell pair, the sender is |0>: the walk
-    # gives 1/2 for every input, but the sender's outcome weights depend on
-    # the input, so the map is refused, and every method refuses with it
+    # controller and receiver share a Bell pair, the sender is |0>: the
+    # sender's outcome weights depend on the input, and summed over the
+    # outcomes the receiver holds I/2 for every input, so every method gives
+    # 1/2 and Monte Carlo's draws all equal it
     amps = np.zeros(8, dtype=complex)
     amps[[0b000, 0b101]] = 1.0 / math.sqrt(2.0)
     degenerate = RawChannel(state=PureState(amps))
     rho, _ = walk_unconditioned(degenerate, ArbitraryInput(1.0, 0.5))
     assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
-    with pytest.raises(CorrectionMismatchError):
-        unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5))
+    result = unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5))
+    assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
+    assert not result.per_outcome_equal
     for method in ("quadrature", "monte_carlo"):
-        with pytest.raises(CorrectionMismatchError):
-            avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)
-    with pytest.raises(CorrectionMismatchError):
-        sweep([degenerate], method="analytic")
+        avg = avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)
+        assert avg == (0.5, 0.0)
+    (rep,) = sweep([degenerate], method="analytic")
+    assert rep.f_bar == 0.5
 
 
 def test_ms_average_monotone_in_abs_d():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from ctpower.channels import (
     ThetaChannel,
     channel_to_config,
 )
-from ctpower import cli
+from ctpower import __version__, cli
 from ctpower.cli import UsageError, build_parser, main, parse_grid
+from ctpower.protocol import ArbitraryInput
 from ctpower.qcore import PureState
 from ctpower.verify import format_report, suite
-from oracles import ncf_variance
+from oracles import design, ncf_variance, walk_ncf
 
 
 def run_cli(capsys, *argv):
@@ -603,33 +605,48 @@ def test_verify_failure_injection(capsys, tmp_path):
     code = main(["verify", "--channel", "ghz", "--config", str(ghz)])
     capsys.readouterr()
     assert code == 0
-    # a raw channel whose receiver map is refused fails the average cleanly
-    amps = np.zeros(8, dtype=complex)
-    amps[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
-    degenerate = tmp_path / "degenerate.cfg"
-    degenerate.write_text(channel_to_config(RawChannel(state=PureState(amps))))
-    code = main(["avg", "--channel", "raw", "--config", str(degenerate)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("ctpower: check failed: ") and "Traceback" not in err
+    # the W state fails only the controlled certificate: without the
+    # controller it has an average, the walk's, like every channel
+    code, out = run_cli(capsys, "avg", "--channel", "raw", "--config",
+                        w_state_config(tmp_path), "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["scalars"]["mean"] - 4.0 / 9.0) < 1e-12
 
 
-def test_ncf_refuses_the_channels_avg_refuses(capsys, tmp_path):
-    # |000> and (|000> + |101>)/sqrt(2): the sender's outcomes leave different
-    # receiver maps, so no controller-absent number exists for any input
+def test_ncf_avg_and_power_sweep_accept_channels_whose_outcomes_disagree(capsys, tmp_path):
+    # |000>, (|000> + |101>)/sqrt(2) and the W state: the sender's outcomes
+    # leave different states, and summed over them the receiver's map is the
+    # walk's.  ncf prints the walk's NCF with per_outcome_equal false; avg
+    # and power-sweep print the walk's mean over the tetrahedron
     split = np.zeros(8, dtype=complex)
     split[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
-    for amps in (np.eye(8)[0], split):
-        path = tmp_path / "refused.cfg"
-        path.write_text(channel_to_config(RawChannel(state=PureState(amps))))
-        errors = []
-        for command in ("ncf", "avg"):
-            code = main([command, "--channel", "raw", "--config", str(path)])
-            captured = capsys.readouterr()
-            assert code == 1 and captured.out == ""
-            errors.append(captured.err)
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("ctpower: check failed: corrected receiver maps disagree")
+    w_state = np.eye(8)[[0b001, 0b010, 0b100]].sum(axis=0) / np.sqrt(3.0)
+    k0, k1 = ArbitraryInput.amplitudes(1.0, 0.5)
+    for name, amps, want in (
+        ("product", np.eye(8)[0], 2.0 / 3.0), ("split", split, 0.5), ("w", w_state, 4.0 / 9.0),
+    ):
+        spec = RawChannel(state=PureState(amps))
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(channel_to_config(spec))
+        flags = ["--channel", "raw", "--config", str(path), "--format", "json"]
+        code, out = run_cli(capsys, "ncf", *flags, "--theta", "1.0", "--phi", "0.5")
+        assert code == 0
+        scalars = json.loads(out)["scalars"]
+        assert scalars["per_outcome_equal"] is False
+        assert abs(scalars["ncf"] - walk_ncf(spec, k0, k1)[0]) < 1e-12
+        sphere = np.mean(walk_ncf(spec, *design(None)))
+        assert abs(sphere - want) < 1e-12
+        code, out = run_cli(capsys, "avg", *flags)
+        assert code == 0 and abs(json.loads(out)["scalars"]["mean"] - sphere) < 1e-12
+        code, out = run_cli(capsys, "power-sweep", *flags)
+        assert code == 0 and abs(json.loads(out)["rows"][0][2] - sphere) < 1e-12
+
+
+def test_package_version_is_the_pyproject_version():
+    # read with a regex: tomllib is not in Python 3.10's standard library
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert version == __version__
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -1,15 +1,17 @@
 """Property tests of the protocols over random channels.
 
-Channels are named MS/GHZ/theta states and the same states with a random
+Channels are named MS/GHZ/theta states, the same states with a random
 unitary on the controller qubit, which must leave the receiver's map
-unchanged.  For each, the map must be a completely positive Pauli channel,
+unchanged, and generic raw states, whose sender outcomes leave different
+states.  For each, the map must be a completely positive Pauli channel,
 and the NCF it gives must equal the step-by-step branch walk of
-``oracles.py`` pointwise, and the walk's mean over exact designs for the
-sphere and the three circles.  With the controller's help teleportation
-must be perfect, also for a raw copy rotated so that its computational
-controller basis is the named one.  The command line must end in an exit
-code, never a traceback, whatever flags and values it is given, and the
-same fuzzing must reach the exit code of a failed check.
+``oracles.py``, summed over the sender's outcomes, pointwise, and the
+walk's mean over exact designs for the sphere and the three circles.
+With the controller's help teleportation must be perfect, also for a raw
+copy rotated so that its computational controller basis is the named one.
+The command line must end in an exit code, never a traceback, whatever
+flags and values it is given, and the same fuzzing must reach the exit
+code of a failed check.
 """
 import argparse
 import contextlib
@@ -68,9 +70,19 @@ def unitaries(draw):
 
 
 @st.composite
+def generic_channels(draw):
+    # eight complex amplitudes with Gaussian parts, normalized
+    v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(2, 8))
+    return RawChannel(state=PureState((v[0] + 1j * v[1]) / np.linalg.norm(v)))
+
+
+@st.composite
 def channels(draw):
+    kind = draw(st.sampled_from(("named", "rotated", "generic")))
+    if kind == "generic":
+        return draw(generic_channels())
     spec = draw(named_channels())
-    if not draw(st.booleans()):
+    if kind == "named":
         return spec
     return RawChannel(state=apply_gate(draw(unitaries()), 0, spec.state))
 
@@ -134,13 +146,13 @@ def test_controlled_teleport_is_perfect(spec, phases, point):
     a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
 )
 
-# raw channel configs the command line reads: one with a receiver map;
-# |000>, whose sender outcomes leave different maps; and the W state,
-# which the controller cannot make perfect
+# raw channel configs the command line reads: a rotated MS channel, whose
+# sender outcomes leave one map; |000>, whose outcomes leave different maps;
+# and the W state, which the controller cannot make perfect
 _CONFIGS = {
     "valid.cfg": RawChannel(state=apply_gate(np.array([[0.6, 0.8j], [0.8j, 0.6]]), 0,
                                              MSChannel(c=0.6, d=-0.8).state)),
-    "refused.cfg": RawChannel(state=PureState(np.eye(8)[0])),
+    "product.cfg": RawChannel(state=PureState(np.eye(8)[0])),
     "w.cfg": RawChannel(state=PureState(np.eye(8)[[1, 2, 4]].sum(axis=0) / np.sqrt(3.0))),
 }
 

@@ -15,9 +15,9 @@ Pauli channel of the Bell weights.  The walks run both protocols one
 branch at a time through the formulas of ``oracles.py`` and are the
 oracle the protocols are pinned to: ``walk_controlled`` below, validating
 every intermediate state, and ``walk_unconditioned`` in ``oracles.py``,
-which validates each input's joint register and its result.  The map's
-refusal is pinned to the spread of the per-outcome transfer matrices of
-``transfer_matrix_per_outcome``.
+which validates each input's joint register and its result.  Every
+channel has a map, and ``per_outcome_equal`` is pinned to the spread of the
+per-outcome transfer matrices of ``transfer_matrix_per_outcome``.
 """
 import math
 
@@ -36,12 +36,7 @@ from ctpower.channels import (
     channel_to_config,
     ms_state,
 )
-from ctpower.errors import (
-    CorrectionMismatchError,
-    DimensionError,
-    NormalizationError,
-    RangeError,
-)
+from ctpower.errors import DimensionError, NormalizationError, RangeError
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
@@ -378,38 +373,40 @@ def test_unconditioned_teleport_matches_the_branch_walk():
             assert abs(quad - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
-def test_channels_whose_outcomes_leave_different_maps_are_refused():
-    # the sender's outcome weights depend on the input on both channels.  On
+def test_channels_whose_outcomes_leave_different_maps_have_the_summed_map():
+    # the sender's outcome weights depend on the input on the first two.  On
     # |000>, |0> keeps only phi+- and |1> only psi+-; on (|000> + |101>)/sqrt(2)
-    # every kept outcome leaves I/2.  The walk accepts each of these inputs on
-    # its own; the map refuses the channel, and so does every
-    # controller-absent number built on it
-    product = np.zeros(8, dtype=complex)
-    product[0b000] = 1.0
+    # every kept outcome leaves I/2.  The W state and a generic raw state
+    # leave different states on the outcomes.  Summed over the outcomes
+    # each is the Pauli channel of its Bell weights: the map is the walk,
+    # and per_outcome_equal is false
     split = np.zeros(8, dtype=complex)
     split[[0b000, 0b101]] = 1.0 / np.sqrt(2.0)
-    zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
-    tilted = input_state(ArbitraryInput(1.0, 0.5))
-    for amps, inputs in ((product, [zero, one]), (split, [zero, tilted, one])):
-        spec = RawChannel(state=PureState(amps))
-        for f in inputs:
-            walk_unconditioned(spec, f)
-            with pytest.raises(CorrectionMismatchError, match="corrected receiver maps disagree"):
-                unconditioned_teleport(spec, f)
-        with pytest.raises(CorrectionMismatchError, match="corrected receiver maps disagree"):
-            ncf_batch(spec, [1.0], [0.0])
-    rho, _ = walk_unconditioned(RawChannel(state=PureState(split)), tilted)
-    assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
-    # a generic raw state has no single correction; the walk says so too
+    w_state = np.eye(8)[[0b001, 0b010, 0b100]].sum(axis=0) / np.sqrt(3.0)
     rng = np.random.default_rng(87)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    generic = RawChannel(state=PureState(v / np.linalg.norm(v)))
-    with pytest.raises(CorrectionMismatchError):
-        walk_unconditioned(generic, tilted)
-    with pytest.raises(CorrectionMismatchError):
-        unconditioned_teleport(generic, tilted)
-    with pytest.raises(CorrectionMismatchError):
-        ncf_batch(generic, [1.0, 0.0], [0.0, 1.0])
+    tilted = input_state(ArbitraryInput(1.0, 0.5))
+    inputs = [make_qubit(1.0, 0.0), make_qubit(0.0, 1.0), tilted, random_qubit(rng)]
+    # the sphere means: |000> is the classical limit 2/3; W corrects toward phi+
+    for amps, sphere in (
+        (np.eye(8)[0], 2.0 / 3.0), (split, 0.5), (w_state, 4.0 / 9.0),
+        (v / np.linalg.norm(v), None),
+    ):
+        spec = RawChannel(state=PureState(amps))
+        for f in inputs:
+            result = unconditioned_teleport(spec, f)
+            rho, _ = walk_unconditioned(spec, f)
+            assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
+            assert not result.per_outcome_equal
+        k0, k1 = design(None)
+        walked = walk_ncf(spec, k0, k1)
+        assert np.max(np.abs(ncf_batch(spec, k0, k1) - walked)) < 1e-12
+        mean = avg_fidelity_numeric(spec, "sphere").mean
+        assert abs(mean - np.mean(walked)) < 1e-12
+        if sphere is not None:
+            assert abs(mean - sphere) <= 1e-15
+    rho, _ = walk_unconditioned(RawChannel(state=PureState(split)), tilted)
+    assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_ct_certificate_matches_the_controlled_walk():
@@ -785,7 +782,7 @@ def test_receiver_map_shapes():
 def mapped_channels(rng, count):
     """Edge-case named channels, then ``count`` rounds of a random MS and
     theta channel and each of them as a raw channel with its controller
-    rotated: all of them have a receiver map."""
+    rotated: on all of them the sender's outcomes leave one map."""
     specs = [GHZChannel(), MSChannel(c=0.0, d=-1.0), ThetaChannel(1.0, 0.0, "x")]
     for _ in range(count):
         ms, theta = random_ms(rng, c_floor=0.0), random_theta(rng)
@@ -817,14 +814,19 @@ def test_transfer_matrix_preserves_the_trace():
     # transfer matrix is diagonal: receiver_map's three numbers are all of it
     for spec in mapped_channels(np.random.default_rng(101), 20):
         assert_pauli_channel(transfer_matrix_per_outcome(spec))
-    # the twirl holds for every channel, also the ones the map refuses
+    # the twirl holds for every channel, also where the outcomes' own maps
+    # differ: lambda is the summed diagonal, and the walk is the map
     rng = np.random.default_rng(107)
     for _ in range(50):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         spec = RawChannel(state=PureState(v / np.linalg.norm(v)))
-        with pytest.raises(CorrectionMismatchError):
-            _bell_map(spec)
-        assert_pauli_channel(transfer_matrix_per_outcome(spec))
+        oracle = transfer_matrix_per_outcome(spec)
+        assert_pauli_channel(oracle)
+        assert np.max(np.abs(receiver_map(spec) - np.diagonal(oracle)[1:])) <= 2e-15
+        f = random_qubit(rng)
+        result = unconditioned_teleport(spec, f)
+        assert np.max(np.abs(result.rho3.mat - walk_unconditioned(spec, f)[0])) < 1e-12
+        assert not result.per_outcome_equal
 
 
 def test_receiver_map_is_built_once_and_read_only():
@@ -880,23 +882,20 @@ def perturbed(spec, rng, eps):
     return RawChannel(state=PureState(amps / np.linalg.norm(amps)))
 
 
-def test_refusal_is_no_looser_than_the_per_outcome_spread():
-    # every channel whose outcomes' maps the oracle finds more than 1e-10
-    # apart is refused, and per_outcome_equal holds only where they are
-    # within 1e-12; the spread never exceeds kappa max |B_pq|
+def test_per_outcome_equal_is_no_looser_than_the_per_outcome_spread():
+    # per_outcome_equal holds only where the oracle finds the outcomes' maps
+    # within 1e-12, the spread never exceeds kappa max |B_pq|, and the
+    # perturbations reach both sides of the flag
     rng = np.random.default_rng(109)
-    refused = 0
+    flags = set()
     for eps in np.logspace(-13, -9, 9):
         for spec in mapped_channels(rng, 4):
             raw = perturbed(spec, rng, eps)
             spread = outcome_spread(raw)
-            try:
-                _, off = _bell_map(raw)
-            except CorrectionMismatchError:
-                refused += 1
-                continue
-            assert spread <= 1e-10
+            _, off = _bell_map(raw)
             assert spread <= _SPREAD_PER_COHERENCE * off + 1e-15
-            if unconditioned_teleport(raw, XZInput(0.3)).per_outcome_equal:
+            equal = unconditioned_teleport(raw, XZInput(0.3)).per_outcome_equal
+            if equal:
                 assert spread <= 1e-12
-    assert refused > 0
+            flags.add(equal)
+    assert flags == {True, False}
