@@ -17,11 +17,12 @@ Quadrature and the analytic method are one exact average of it
 evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
 from the counter-based Philox generator, so every stochastic result is
 bit-reproducible from (seed, row-index).  It computes the draws in
-fixed-size chunks, in blocks dealt round-robin to one thread per usable
-CPU, the calling thread among them; each thread works in buffers of its
-own and hands its blocks back through a one-slot queue, and the chunks'
-moments merge in chunk order: the numbers do not depend on the number of
-CPUs, and memory stays bounded.
+fixed-size chunks, cut into one contiguous run per usable CPU, each run on
+a thread of its own (the calling thread among them) in buffers of its own.
+Each chunk's moments go into one row of a table, 24 bytes a chunk of
+8,192 draws, which is folded in chunk order after the threads end: the
+numbers do not depend on the number of CPUs, and memory stays bounded
+(the table is under 2.8 MiB at the CLI's cap of 10^9 samples).
 ``_ncf_variance`` gives the exact variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
@@ -29,12 +30,9 @@ from __future__ import annotations
 
 import operator
 import os
-import queue
 import threading
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,10 +100,14 @@ def power_bound_check(a: float) -> bool:
 # ---------------------------------------------------------------------------
 # averaging
 
-def _rng(seed: int, row: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed, row), at the start of its stream."""
+def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by (seed, row), moved past the first
+    ``skip`` doubles of its stream: four doubles to a counter step."""
     key = np.array([np.uint64(seed), np.uint64(row)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.advance(skip // 4)
+    rng.random(skip % 4)
+    return rng
 
 
 def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray):
@@ -113,26 +115,6 @@ def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray):
     written into the front of ``out``."""
     for start in range(0, n, _BATCH_ROWS):
         yield start, rng.random(out=out[:min(_BATCH_ROWS, n - start)])
-
-
-class _Stream:
-    """The (seed, row) Philox stream, read at positions that never go back:
-    one generator, moved forward instead of built again for each block."""
-
-    def __init__(self, seed: int, row: int):
-        self.rng, self.pos = _rng(seed, row), 0
-
-    def chunks(self, lo: int, n: int, out: np.ndarray):
-        """``_uniform_chunks`` of the n doubles from position lo on, where lo
-        is not before the end of the previous call's doubles."""
-        steps = -(-self.pos // 4)  # counter steps drawn, four doubles each
-        if lo // 4 >= steps:
-            self.rng.bit_generator.advance(lo // 4 - steps)  # drops what is buffered
-            self.rng.random(lo % 4)
-        else:  # lo lies in the step drawn last
-            self.rng.random(lo - self.pos)
-        self.pos = lo + n
-        return _uniform_chunks(self.rng, n, out)
 
 
 # the Bloch axes (0 = x, 1 = y, 2 = z) of cos a and sin a on each circle
@@ -184,7 +166,7 @@ def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
 
 def _ncf_draws(
     spec: ChannelSpec, family: str | None, n: int, lo: int, hi: int,
-    work: np.ndarray, streams: tuple[_Stream, _Stream],
+    work: np.ndarray, seed: int, row: int,
 ):
     """The NCF at inputs lo to hi of n random ones, chunk by chunk.
 
@@ -198,12 +180,11 @@ def _ncf_draws(
     |r|^2, is checked, and the map's NCF is evaluated there.  ``lo`` is a
     multiple of _BATCH_ROWS, so the chunks are those of [0, n).  Every chunk
     is computed in ``work``, five rows as long as a chunk, and the values
-    yielded are views of it.  ``streams`` are the generator's u and v
-    ``_Stream``s, read no further than lo and n + lo.
+    yielded are views of it.  The u and v draws come from two generators
+    keyed by (seed, row), moved to positions lo and n + lo.
     """
     lam = receiver_map(spec)
-    u_stream, v_stream = streams
-    draws = u_stream.chunks(lo, hi - lo, work[0])
+    draws = _uniform_chunks(_rng(seed, row, lo), hi - lo, work[0])
     if family is not None:
         for start, u in draws:
             _, sin2, _, norm, dist = work[:, :u.size]
@@ -212,7 +193,7 @@ def _ncf_draws(
             _check_unit(np.add(a2, b2, out=norm), lo + start, "|r|^2", dist)
             yield _bloch_ncf(lam, *r2)
         return
-    draws = zip(draws, v_stream.chunks(n + lo, hi - lo, work[1]))
+    draws = zip(draws, _uniform_chunks(_rng(seed, row, n + lo), hi - lo, work[1]))
     for (start, u), (_, v) in draws:
         _, _, y2, norm, dist = work[:, :u.size]
         z = np.subtract(1.0, np.multiply(u, 2.0, out=u), out=u)
@@ -240,12 +221,13 @@ def _chunk_moments(vals: np.ndarray) -> tuple[int, float, float]:
     return vals.size, mean, float(np.sum(vals))
 
 
-def _moments(chunks: Iterable[tuple[int, float, float]]) -> AverageResult:
-    """Mean and standard error of the values of all chunks, merging each
-    chunk's (count, mean, sum of squared deviations) in order by Chan, Golub
-    and LeVeque's update; one chunk gives numpy's mean and std(ddof=1)."""
+def _moments(table: np.ndarray) -> AverageResult:
+    """Mean and standard error of the values of all chunks, merging the rows
+    (count, mean, sum of squared deviations) of ``table``, one per chunk, in
+    order by Chan, Golub and LeVeque's update; one chunk gives numpy's mean
+    and std(ddof=1)."""
     count, mean, m2 = 0, 0.0, 0.0
-    for size, chunk_mean, chunk_m2 in chunks:
+    for size, chunk_mean, chunk_m2 in map(np.ndarray.tolist, table):
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)
@@ -255,11 +237,8 @@ def _moments(chunks: Iterable[tuple[int, float, float]]) -> AverageResult:
     return AverageResult(mean, stderr)
 
 
-# Monte Carlo hands its chunks to threads in blocks of this many: small
-# blocks keep every thread busy to the end, and 10^5 samples already make
-# seven.  At most _MAX_WORKERS threads run, so their buffers, 320 KB a
+# At most this many Monte Carlo threads run, so their buffers, 320 KB a
 # thread, stay under 2 MB on any machine.
-_BLOCK_CHUNKS = 2
 _MAX_WORKERS = 6
 
 
@@ -271,78 +250,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(task, count: int, workers: int):
-    """task(i, w) for i in range(count), yielded in order of i.
+def _monte_carlo(
+    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
+) -> AverageResult:
+    """Mean and standard error of the ``_ncf_draws`` values.
 
-    Task i runs on worker w = i % workers, each worker taking its tasks in
-    increasing i.  The calling thread is worker 0 and runs its own tasks
-    when their turn comes; every other worker hands each result, or its
-    exception, to the caller through a one-slot queue of its own, so it
-    runs at most two tasks ahead of its last result taken.  An exception is
-    raised when its task's turn comes, so the lowest failing i wins.  No
-    thread outlives the generator's end or its close().
+    The chunks are cut into one contiguous run per thread, up to one thread
+    per usable CPU, and the calling thread computes run 0.  Each run works
+    in buffers of its own and writes chunk i's moments into row i of one
+    table, which ``_moments`` folds in chunk order once every run has
+    ended: the result does not depend on the number of CPUs.  A failing
+    run stops every later run at its next chunk, and the error of the
+    lowest failing run, which holds the lowest failing draw, is raised.  An
+    exception in the caller stops every other run too; no thread outlives
+    the call.
     """
-    stop = threading.Event()
-    slots = [queue.Queue(1) for _ in range(workers)]
+    chunks = -(-n // _BATCH_ROWS)
+    workers = min(_usable_cpus(), _MAX_WORKERS, chunks)
+    edges = [chunks * w // workers for w in range(workers + 1)]
+    table = np.empty((chunks, 3))
+    errors = [None] * workers
 
-    def worker(w):
-        for i in range(w, count, workers):
-            if stop.is_set():
-                return
-            try:
-                result = task(i, w), None
-            except BaseException as exc:  # raised again by the caller, in order
-                result = None, exc
-            slots[w].put(result)
+    def run(w):
+        lo, hi = edges[w] * _BATCH_ROWS, min(n, edges[w + 1] * _BATCH_ROWS)
+        try:
+            work = np.empty((5, min(hi - lo, _BATCH_ROWS)))
+            draws = _ncf_draws(spec, family, n, lo, hi, work, seed, row)
+            for i, vals in enumerate(draws, edges[w]):
+                table[i] = _chunk_moments(vals)
+                if any(error is not None for error in errors[:w]):
+                    return
+        except BaseException as exc:  # raised again by the caller, in run order
+            errors[w] = exc
 
     threads = []
     try:
         for w in range(1, workers):
-            thread = threading.Thread(target=worker, args=(w,))
+            thread = threading.Thread(target=run, args=(w,))
             thread.start()
             threads.append(thread)
-        for i in range(count):
-            if i % workers == 0:
-                yield task(i, 0)
-                continue
-            result, error = slots[i % workers].get()
-            if error is not None:
-                raise error
-            yield result
-    finally:
-        # a worker puts at most one more result once stop is set, and the
-        # drained slot has room for it
-        stop.set()
-        for slot in slots:
-            with suppress(queue.Empty):
-                slot.get_nowait()
+        run(0)
         for thread in threads:
             thread.join()
-
-
-def _monte_carlo(
-    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
-) -> AverageResult:
-    """Mean and standard error of the ``_ncf_draws`` values, blocks of
-    _BLOCK_CHUNKS chunks computed on up to one thread per usable CPU, each
-    in its own buffers, and the chunks' moments merged in the order of the
-    chunks: the result does not depend on the number of CPUs."""
-    block = _BLOCK_CHUNKS * _BATCH_ROWS
-    count = -(-n // block)
-    workers = min(_usable_cpus(), _MAX_WORKERS, count)
-    work = np.empty((workers, 5, min(n, _BATCH_ROWS)))
-    streams = [(_Stream(seed, row), _Stream(seed, row)) for _ in range(workers)]
-
-    def block_moments(i, w):
-        lo = i * block
-        draws = _ncf_draws(spec, family, n, lo, min(n, lo + block), work[w], streams[w])
-        return [_chunk_moments(vals) for vals in draws]
-
-    blocks = _in_order(block_moments, count, workers)
-    try:
-        return _moments(chain.from_iterable(blocks))
-    finally:
-        blocks.close()
+    except BaseException as exc:  # in the caller, KeyboardInterrupt included
+        errors[0] = exc
+        for thread in threads:
+            thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return _moments(table)
 
 
 def _integer(value, name: str, lo: int, bits: int | None = None) -> int:

@@ -7,7 +7,6 @@ test.  Regression constants derived that way are frozen inline.
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -285,10 +284,9 @@ def mc_average(spec, family, n, seed=5, row=1):
 
 def ncf_values(spec, family, n, seed=5, row=1):
     """Copies of the ``_ncf_draws`` chunks of all n inputs, computed in one
-    set of work rows from fresh streams."""
+    set of work rows from generators at the start of the (seed, row) stream."""
     work = np.empty((5, analysis._BATCH_ROWS))
-    streams = (analysis._Stream(seed, row), analysis._Stream(seed, row))
-    return [vals.copy() for vals in analysis._ncf_draws(spec, family, n, 0, n, work, streams)]
+    return [vals.copy() for vals in analysis._ncf_draws(spec, family, n, 0, n, work, seed, row)]
 
 
 def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
@@ -300,12 +298,15 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
         RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
     ]
     for n in (1, 3, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
-        first, second = philox_draws(5, 1, n)
-        for skip, want in ((0, first), (n, second)):
-            chunks = analysis._Stream(5, 1).chunks(skip, n, np.empty(SMALL_CHUNK))
+        # the doubles at positions [0, 2n + 20) of the stream; skips 0 to 9
+        # and n to n + 9 give every skip % 4 and cross counter steps
+        stream = np.concatenate(philox_draws(5, 1, n + 10))
+        for skip in (*range(10), *range(n, n + 10)):
+            rng = analysis._rng(5, 1, skip)
+            chunks = analysis._uniform_chunks(rng, n, np.empty(SMALL_CHUNK))
             streamed = [u.copy() for _, u in chunks]
             assert max(len(chunk) for chunk in streamed) <= SMALL_CHUNK
-            assert np.array_equal(np.concatenate(streamed), want)
+            assert np.array_equal(np.concatenate(streamed), stream[skip:skip + n]), (n, skip)
         for spec in specs:
             for family in (None, *FAMILY_NAMES):
                 mean, stderr = mc_average(spec, family, n)
@@ -475,9 +476,10 @@ def test_monte_carlo_sphere_checks_draws_outside_the_unit_interval(monkeypatch):
         mc_average(MSChannel(c=0.6, d=0.8), None, 5)
 
 
-# Monte Carlo computes blocks of _BLOCK_CHUNKS chunks on up to one thread per
-# CPU; a small chunk puts many blocks and chunk edges inside a short stream
-SMALL_BLOCK = analysis._BLOCK_CHUNKS * SMALL_CHUNK
+# Monte Carlo cuts its chunks into one run per CPU; small chunks put many
+# chunk and run edges inside a short stream, and the sizes below step by
+# two of them
+SMALL_BLOCK = 2 * SMALL_CHUNK
 
 # the sphere, and a circle the theta channel is not matched to
 CPU_CASES = (
@@ -487,24 +489,31 @@ CPU_CASES = (
 
 
 def test_monte_carlo_does_not_depend_on_the_cpu_count(monkeypatch):
+    # more threads than cores, switching often: a table row lost or written
+    # by the wrong run changes the bits
     monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
     edges = range(SMALL_CHUNK, 9 * SMALL_BLOCK + 1, SMALL_CHUNK)
     sizes = sorted({1, *(e + d for e in edges for d in (-1, 0, 1))})
-    for spec, family in CPU_CASES:
-        for n in sizes:
-            monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
-            serial = mc_average(spec, family, n)
-            want_mean, want_stderr = monte_carlo_one_shot(spec, family, n, 5, 1)
-            assert abs(serial.mean - want_mean) <= 1e-15
-            assert abs(serial.stderr - want_stderr) <= 1e-15
-            for cpus in (2, 3):
-                monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
-                assert mc_average(spec, family, n) == serial, (family, n, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for spec, family in CPU_CASES:
+            for n in sizes:
+                monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+                serial = mc_average(spec, family, n)
+                want_mean, want_stderr = monte_carlo_one_shot(spec, family, n, 5, 1)
+                assert abs(serial.mean - want_mean) <= 1e-15
+                assert abs(serial.stderr - want_stderr) <= 1e-15
+                for cpus in (2, 3, 6):
+                    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+                    assert mc_average(spec, family, n) == serial, (family, n, cpus)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def poison_draws(monkeypatch, values):
     """Replace by NaN every Monte Carlo draw equal to one of ``values``,
-    whichever block and thread draws it."""
+    whichever run and thread draws it."""
     real = analysis._uniform_chunks
 
     def poisoned(rng, n, out=None):
@@ -519,9 +528,9 @@ def test_monte_carlo_errors_name_the_global_draw_and_leave_no_threads(monkeypatc
     monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
     n = 6 * SMALL_BLOCK
     first, _ = philox_draws(5, 1, n)
-    # index 24 lies in the second block, at 10 in its block and 3 in its
-    # chunk; index 45 lies in the fourth
-    assert 24 // SMALL_BLOCK == 1 and 45 // SMALL_BLOCK == 3
+    # on two and three CPUs index 24 lies in the caller's run, at 3 in its
+    # chunk, and index 45 in the next run, which must not stop the caller's
+    assert all(24 < n // cpus <= 45 < 2 * n // cpus for cpus in (2, 3))
     threads = threading.active_count()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
@@ -536,59 +545,46 @@ def test_monte_carlo_errors_name_the_global_draw_and_leave_no_threads(monkeypatc
             assert threading.active_count() == threads
 
 
-def test_in_order_yields_in_order_within_its_window():
-    # more workers than cores, switching threads often: a lost update of
-    # the shared claim count would run a task twice or skip one
-    count = 40
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3, 8):
-            started, by_worker = [], [[] for _ in range(workers)]
+def test_monte_carlo_failure_in_the_caller_stops_every_other_run(monkeypatch):
+    # the caller's first chunk fails while every other run waits in its own
+    # first chunk; each of them stops at its next chunk instead of computing
+    # the rest of its run, and is joined before the error is raised
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    n = 200 * SMALL_CHUNK
+    first, _ = philox_draws(5, 1, 1)
+    caller, threads = threading.get_ident(), threading.active_count()
+    real_moments, real_check = analysis._chunk_moments, analysis._check_unit
+    for cpus in (2, 3):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        for spec, family in CPU_CASES:
+            for error in (NormalizationError, KeyboardInterrupt):
+                failed, counts = threading.Event(), {}
 
-            def task(i, w):
-                started.append(i)
-                by_worker[w].append(i)
-                assert 0 <= w < workers
-                return i * i
+                def moments(vals):
+                    ident = threading.get_ident()
+                    if ident == caller:  # reached in KeyboardInterrupt's case only
+                        failed.set()
+                        raise KeyboardInterrupt
+                    failed.wait(10.0)
+                    counts[ident] = counts.get(ident, 0) + 1
+                    return real_moments(vals)
 
-            for k, got in enumerate(analysis._in_order(task, count, workers)):
-                assert got == k * k
-                # result k is out, so at most 2 * workers results wait beyond it
-                assert max(started) <= k + 2 * workers
-                time.sleep(0.001)  # let the other threads run ahead
-            assert sorted(started) == list(range(count))
-            # each worker moves forward, as its Monte Carlo streams must
-            assert all(tasks == sorted(tasks) for tasks in by_worker)
-    finally:
-        sys.setswitchinterval(interval)
+                def check(*args):
+                    try:
+                        real_check(*args)
+                    except NormalizationError:
+                        failed.set()
+                        raise
 
-
-def test_in_order_close_ends_workers_blocked_on_full_slots():
-    threads = threading.active_count()
-    for workers in (2, 3, 8):
-        finished = []
-
-        def task(i, w):
-            finished.append(i)
-            return i
-
-        blocks = analysis._in_order(task, 40, workers)
-        assert next(blocks) == 0
-        # every other worker fills its slot with its first task and then
-        # waits to put its second; the caller's own second task, i = workers,
-        # has not started
-        want = [i for i in range(2 * workers) if i != workers]
-        deadline = time.monotonic() + 10.0
-        while len(finished) < len(want) and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.01)
-        assert sorted(finished) == want
-        closer = threading.Thread(target=blocks.close)
-        closer.start()
-        closer.join(10.0)
-        assert not closer.is_alive(), workers
-        assert threading.active_count() == threads, workers
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "_chunk_moments", moments)
+                    if error is NormalizationError:
+                        poison_draws(m, first)
+                        m.setattr(analysis, "_check_unit", check)
+                    with pytest.raises(error):
+                        mc_average(spec, family, n)
+                assert sorted(counts.values()) == [1] * (cpus - 1), (cpus, family, error)
+                assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

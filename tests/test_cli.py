@@ -20,8 +20,8 @@ from ctpower.channels import (
     ThetaChannel,
     channel_to_config,
 )
-from ctpower import __version__, cli
-from ctpower.cli import UsageError, build_parser, main, parse_grid
+from ctpower import __version__
+from ctpower.cli import UsageError, main, parse_grid
 from ctpower.protocol import ArbitraryInput
 from ctpower.qcore import PureState
 from ctpower.verify import format_report, suite

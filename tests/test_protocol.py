@@ -34,7 +34,6 @@ from ctpower.channels import (
     ThetaChannel,
     channel_from_config,
     channel_to_config,
-    ms_state,
 )
 from ctpower.errors import DimensionError, NormalizationError, RangeError
 from ctpower.protocol import (
