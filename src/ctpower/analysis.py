@@ -15,14 +15,14 @@ the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
 Quadrature and the analytic method are one exact average of it
 (``_exact_average``), which ``mismatch_report`` reads too.  Monte Carlo
 evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
-from the counter-based Philox generator, so every stochastic result is
-bit-reproducible from (seed, row-index).  It computes the draws in
-fixed-size chunks, cut into one contiguous run per usable CPU, each run on
-a thread of its own (the calling thread among them) in buffers of its own.
-Each chunk's moments go into one row of a table, 24 bytes a chunk of
-8,192 draws, which is folded in chunk order after the threads end: the
+from a PCG64DXSM generator keyed by (seed, row-index), so every stochastic
+result is bit-reproducible from the two.  It computes the draws in chunks
+of 16,384, cut into one contiguous run per usable CPU, each run on a
+thread of its own (the calling thread among them) in buffers of its own,
+640 KB a thread.  Each chunk's moments go into one row of a table, 24
+bytes a chunk, which is folded in chunk order after the threads end: the
 numbers do not depend on the number of CPUs, and memory stays bounded
-(the table is under 2.8 MiB at the CLI's cap of 10^9 samples).
+(the table is under 1.4 MiB at the CLI's cap of 10^9 samples).
 ``_ncf_variance`` gives the exact variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
@@ -46,7 +46,6 @@ from .channels import (
 )
 from .errors import RangeError
 from .protocol import (
-    _BATCH_ROWS,
     INPUT_FAMILIES,
     ArbitraryInput,
     _bloch_ncf,
@@ -60,7 +59,9 @@ CLASSICAL_POWER = 1.0 / 3.0
 
 MC_SAMPLES = 10**6  # per Monte Carlo average, and per point of a sweep
 
-_TWO_PI = 2.0 * np.pi
+# Monte Carlo draws this many inputs a chunk: each numpy call on a chunk
+# hands the GIL over and back, so smaller chunks leave a second thread idle
+_CHUNK_DRAWS = 16384
 
 
 class AverageResult(NamedTuple):
@@ -101,20 +102,18 @@ def power_bound_check(a: float) -> bool:
 # averaging
 
 def _rng(seed: int, row: int, skip: int = 0) -> np.random.Generator:
-    """The Philox generator keyed by (seed, row), moved past the first
-    ``skip`` doubles of its stream: four doubles to a counter step."""
-    key = np.array([np.uint64(seed), np.uint64(row)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    rng.bit_generator.advance(skip // 4)
-    rng.random(skip % 4)
-    return rng
+    """The PCG64DXSM generator keyed by (seed, row), the row-th child that
+    ``SeedSequence(seed).spawn`` gives, moved past the first ``skip``
+    doubles of its stream: one 64-bit step a double."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(row,)))
+    return np.random.Generator(bits.advance(skip))
 
 
 def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray):
     """(start, draws): the next n uniform doubles of ``rng``, in chunks, each
     written into the front of ``out``."""
-    for start in range(0, n, _BATCH_ROWS):
-        yield start, rng.random(out=out[:min(_BATCH_ROWS, n - start)])
+    for start in range(0, n, _CHUNK_DRAWS):
+        yield start, rng.random(out=out[:min(_CHUNK_DRAWS, n - start)])
 
 
 # the Bloch axes (0 = x, 1 = y, 2 = z) of cos a and sin a on each circle
@@ -122,18 +121,20 @@ _CIRCLE_AXES = {"xz": (2, 0), "xy": (0, 1), "yz": (2, 1)}
 
 
 def _cos_squared(u: np.ndarray) -> np.ndarray:
-    """cos^2(2 pi u) = (1 + cos(4 pi u))/2, overwriting ``u``; 4 pi u is
-    exactly twice the angle 2 pi u, since doubling is exact."""
-    c2 = np.cos(np.multiply(u, 2.0 * _TWO_PI, out=u), out=u)
-    c2 += 1.0
-    c2 *= 0.5
-    return c2
+    """cos^2(2 pi u) = sin^2(pi (frac(2u) - 1/2)) for u in [0, 1), overwriting
+    ``u``.  frac(2u) - 1/2 is 2 (|u - 1/2| - 1/4) up to a sign the square
+    drops, and both are exact for u a multiple of 2^-53, as every draw is,
+    so the sine reads an argument in [-pi/2, pi/2] that needs no reduction."""
+    t = np.abs(np.subtract(u, 0.5, out=u), out=u)
+    t -= 0.25
+    t *= 2.0 * np.pi
+    return np.square(np.sin(t, out=t), out=t)
 
 
-def _circle_squares(family: str, u: np.ndarray, out: np.ndarray | None = None) -> list:
+def _circle_squares(family: str, u: np.ndarray, out: np.ndarray) -> list:
     """[x^2, y^2, z^2] of a circle's members at angle 2 pi u: cos^2 on the
     family's cos axis, 1 - cos^2 on its sin axis, and None on the axis that
-    is zero on the whole circle; overwrites ``u``, and ``out`` if given."""
+    is zero on the whole circle; overwrites ``u`` and ``out``."""
     r2 = [None, None, None]
     cos_axis, sin_axis = _CIRCLE_AXES[family]
     r2[cos_axis] = _cos_squared(u)
@@ -174,14 +175,14 @@ def _ncf_draws(
     u, with cos(theta) = 1 - 2u on the sphere or angle 2 pi u on a family's
     circle; positions [n, 2n) give the sphere's phi = 2 pi v.  The Pauli
     channel's NCF reads only the squared Bloch coordinates, so each chunk
-    goes straight to them, with one cosine of the doubled angle and no sine
-    or square root: sin^2(theta) = (1 - z)(1 + z), x^2 = sin^2(theta)
-    cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their magnitudes,
-    |r|^2, is checked, and the map's NCF is evaluated there.  ``lo`` is a
-    multiple of _BATCH_ROWS, so the chunks are those of [0, n).  Every chunk
-    is computed in ``work``, five rows as long as a chunk, and the values
-    yielded are views of it.  The u and v draws come from two generators
-    keyed by (seed, row), moved to positions lo and n + lo.
+    goes straight to them, with one sine of a reduced angle a draw and no
+    cosine or square root: sin^2(theta) = (1 - z)(1 + z), x^2 =
+    sin^2(theta) cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their
+    magnitudes, |r|^2, is checked, and the map's NCF is evaluated there.
+    ``lo`` is a multiple of _CHUNK_DRAWS, so the chunks are those of [0, n).
+    Every chunk is computed in ``work``, five rows as long as a chunk, and
+    the values yielded are views of it.  The u and v draws come from two
+    generators keyed by (seed, row), moved to positions lo and n + lo.
     """
     lam = receiver_map(spec)
     draws = _uniform_chunks(_rng(seed, row, lo), hi - lo, work[0])
@@ -237,8 +238,8 @@ def _moments(table: np.ndarray) -> AverageResult:
     return AverageResult(mean, stderr)
 
 
-# At most this many Monte Carlo threads run, so their buffers, 320 KB a
-# thread, stay under 2 MB on any machine.
+# At most this many Monte Carlo threads run, so their buffers, 640 KB a
+# thread, stay under 4 MB on any machine.
 _MAX_WORKERS = 6
 
 
@@ -257,25 +258,25 @@ def _monte_carlo(
 
     The chunks are cut into one contiguous run per thread, up to one thread
     per usable CPU, and the calling thread computes run 0.  Each run works
-    in buffers of its own and writes chunk i's moments into row i of one
-    table, which ``_moments`` folds in chunk order once every run has
-    ended: the result does not depend on the number of CPUs.  A failing
-    run stops every later run at its next chunk, and the error of the
-    lowest failing run, which holds the lowest failing draw, is raised.  An
-    exception in the caller stops every other run too; no thread outlives
-    the call.
+    in its own rows of one buffer, allocated up front so that peak memory
+    does not hang on thread timing, and writes chunk i's moments into row i
+    of one table, which ``_moments`` folds in chunk order once every run has
+    ended: the result does not depend on the number of CPUs.  A failing run
+    stops every later run at its next chunk, and the lowest failing run's
+    error, naming the lowest failing draw, is raised.  An exception in the
+    caller stops every other run too; no thread outlives the call.
     """
-    chunks = -(-n // _BATCH_ROWS)
+    chunks = -(-n // _CHUNK_DRAWS)
     workers = min(_usable_cpus(), _MAX_WORKERS, chunks)
     edges = [chunks * w // workers for w in range(workers + 1)]
     table = np.empty((chunks, 3))
+    work = np.empty((workers, 5, min(n, _CHUNK_DRAWS)))
     errors = [None] * workers
 
     def run(w):
-        lo, hi = edges[w] * _BATCH_ROWS, min(n, edges[w + 1] * _BATCH_ROWS)
+        lo, hi = edges[w] * _CHUNK_DRAWS, min(n, edges[w + 1] * _CHUNK_DRAWS)
         try:
-            work = np.empty((5, min(hi - lo, _BATCH_ROWS)))
-            draws = _ncf_draws(spec, family, n, lo, hi, work, seed, row)
+            draws = _ncf_draws(spec, family, n, lo, hi, work[w], seed, row)
             for i, vals in enumerate(draws, edges[w]):
                 table[i] = _chunk_moments(vals)
                 if any(error is not None for error in errors[:w]):
@@ -332,7 +333,7 @@ def avg_fidelity_numeric(
     angle).  ``method`` is "quadrature" (the exact average of the receiver
     map's NCF, ``_exact_average``; stderr 0) or "monte_carlo" (mean and
     standard error of the NCF at ``n_samples`` random inputs from the
-    Philox stream keyed by (seed, row), evaluated on the receiver's Bloch
+    PCG64DXSM stream keyed by (seed, row), evaluated on the receiver's Bloch
     map chunk by chunk in bounded memory on the usable CPUs; see
     ``_monte_carlo``).  Every channel has a receiver map, so both average
     every channel.  Monte Carlo raises RangeError naming ``n_samples``,

@@ -361,8 +361,7 @@ _LAMBDA_SIGNS = np.array([[1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]], dtype
 # spread <= 8 max_{p != q} |B_pq|.  The tests re-derive it from the oracle.
 _SPREAD_PER_COHERENCE = 8.0
 
-# rows per step of ncf_batch and per chunk of the Monte Carlo stream; bounds
-# the temporaries for any number of inputs
+# rows per step of ncf_batch; bounds the temporaries for any number of inputs
 _BATCH_ROWS = 8192
 
 

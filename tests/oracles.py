@@ -339,10 +339,31 @@ def mismatch_ncf_closed(
 # ---------------------------------------------------------------------------
 # Monte Carlo drawn all at once
 
-def philox_draws(seed: int, row: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second n uniform doubles of the (seed, row) stream."""
-    key = np.array([seed, row], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+# PCG64DXSM moves its 128-bit state s to s * _PCG_MULTIPLIER + inc, mod
+# 2^128, once per double
+_PCG_MULTIPLIER = 0xDA942042E4DD58B5
+_MOD = 2**128
+
+
+def stream_draws(
+    seed: int, row: int, n: int, skip: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform doubles at positions [skip, skip + n) and [skip + n,
+    skip + 2n) of the (seed, row) stream: PCG64DXSM seeded by the row-th
+    child that ``SeedSequence(seed).spawn`` gives, with its state carried
+    ``skip`` steps by powers of the step's affine map, not by ``advance``."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(row + 1)[row])
+    state = bits.state
+    mult, plus = 1, 0  # s -> mult s + plus, the steps taken so far
+    step_mult, step_plus = _PCG_MULTIPLIER, state["state"]["inc"]
+    while skip:
+        if skip & 1:
+            mult, plus = mult * step_mult % _MOD, (plus * step_mult + step_plus) % _MOD
+        step_mult, step_plus = step_mult * step_mult % _MOD, (step_mult + 1) * step_plus % _MOD
+        skip >>= 1
+    state["state"]["state"] = (mult * state["state"]["state"] + plus) % _MOD
+    bits.state = state
+    rng = np.random.Generator(bits)
     first = rng.random(n)
     return first, rng.random(n)
 
@@ -353,7 +374,7 @@ def one_shot_inputs(
     """Amplitude arrays (k0, k1) of n inputs drawn in one go: uniform
     cos(theta) and phi on the sphere (``family`` None), or uniform angles
     on a family's circle."""
-    first, second = philox_draws(seed, row, n)
+    first, second = stream_draws(seed, row, n)
     if family is None:
         cos_theta = 1.0 - 2.0 * first
         k0 = np.sqrt((1.0 + cos_theta) / 2.0).astype(complex)

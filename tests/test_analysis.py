@@ -44,8 +44,8 @@ from oracles import (
     monte_carlo_one_shot,
     ncf_variance,
     one_shot_inputs,
-    philox_draws,
     random_local_unitary,
+    stream_draws,
     walk_ncf,
     walk_unconditioned,
 )
@@ -269,7 +269,7 @@ def test_monte_carlo_on_circle_domain():
     assert abs(mean - 0.7) < max(4.0 * stderr, 1e-12)
 
 
-# Monte Carlo streams its draws in chunks of _BATCH_ROWS; a small chunk puts
+# Monte Carlo streams its draws in chunks of _CHUNK_DRAWS; a small chunk puts
 # every case below across chunk boundaries
 SMALL_CHUNK = 7
 
@@ -285,12 +285,12 @@ def mc_average(spec, family, n, seed=5, row=1):
 def ncf_values(spec, family, n, seed=5, row=1):
     """Copies of the ``_ncf_draws`` chunks of all n inputs, computed in one
     set of work rows from generators at the start of the (seed, row) stream."""
-    work = np.empty((5, analysis._BATCH_ROWS))
+    work = np.empty((5, analysis._CHUNK_DRAWS))
     return [vals.copy() for vals in analysis._ncf_draws(spec, family, n, 0, n, work, seed, row)]
 
 
 def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     unitary = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     specs = [
         MSChannel(c=0.6, d=-0.8),
@@ -298,21 +298,37 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
         RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
     ]
     for n in (1, 3, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
-        # the doubles at positions [0, 2n + 20) of the stream; skips 0 to 9
-        # and n to n + 9 give every skip % 4 and cross counter steps
-        stream = np.concatenate(philox_draws(5, 1, n + 10))
-        for skip in (*range(10), *range(n, n + 10)):
-            rng = analysis._rng(5, 1, skip)
-            chunks = analysis._uniform_chunks(rng, n, np.empty(SMALL_CHUNK))
-            streamed = [u.copy() for _, u in chunks]
-            assert max(len(chunk) for chunk in streamed) <= SMALL_CHUNK
-            assert np.array_equal(np.concatenate(streamed), stream[skip:skip + n]), (n, skip)
+        # the doubles at positions [0, 2n + 20) of the stream, and 2n + 20
+        # from just short of 2^32 on, where a skip that is cut to 32 bits
+        # lands at the start of the stream
+        for base in (0, 2**32 - 5):
+            stream = np.concatenate(stream_draws(5, 1, n + 10, base))
+            for skip in (*range(10), *range(n, n + 10)):
+                rng = analysis._rng(5, 1, base + skip)
+                chunks = analysis._uniform_chunks(rng, n, np.empty(SMALL_CHUNK))
+                streamed = [u.copy() for _, u in chunks]
+                assert max(len(chunk) for chunk in streamed) <= SMALL_CHUNK
+                want = stream[skip:skip + n]
+                assert np.array_equal(np.concatenate(streamed), want), (n, base + skip)
         for spec in specs:
             for family in (None, *FAMILY_NAMES):
                 mean, stderr = mc_average(spec, family, n)
                 want_mean, want_stderr = monte_carlo_one_shot(spec, family, n, 5, 1)
                 assert abs(mean - want_mean) <= 1e-15
                 assert abs(stderr - want_stderr) <= 1e-15
+
+
+def test_cos_squared_matches_a_long_double_cosine():
+    # cos^2(2 pi u) from the reduced argument, against the cosine of the
+    # whole angle in long double, on fresh draws and where the reduction
+    # changes branch or the square is 0 or 1
+    pi = 4.0 * np.arctan(np.longdouble(1.0))
+    edges = np.array([0.0, 2.0**-53, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 1 - 2.0**-53])
+    for u in (np.random.default_rng(137).random(10**5), edges):
+        got = analysis._cos_squared(u.copy())
+        want = np.cos(2.0 * pi * u.astype(np.longdouble)) ** 2
+        assert np.max(np.abs(got - want)) <= 5e-16
+        assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
@@ -322,16 +338,69 @@ def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
     u = np.linspace(0.0, 1.0, 97, endpoint=False)
     for family in FAMILY_NAMES:
         _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * u))
-        got = analysis._circle_squares(family, u.copy())
+        got = analysis._circle_squares(family, u.copy(), np.empty_like(u))
         for axis in range(3):
             square = np.zeros_like(u) if got[axis] is None else got[axis]
             assert np.max(np.abs(square - want[axis] ** 2)) <= 1e-15, (family, axis)
 
 
+# Seeded Monte Carlo results, pinned bit for bit: seed 5, row 1; n = 1, a
+# chunk's last draw, the next chunk's first, and 10^6.  A change to the
+# stream, the chunking or the fold that moves any of them must say so and
+# bump the version.
+PINNED_AVERAGES = {
+    ("ms", None, 1): ("0x1.f770e1210d9c0p-1", "0x0.0p+0"),
+    ("ms", None, 16_384): ("0x1.ddec3fc6be656p-1", "0x1.e6bc00cebbe9bp-13"),
+    ("ms", None, 16_385): ("0x1.ddecabb34a8ecp-1", "0x1.e6c05d04fef59p-13"),
+    ("ms", None, 1_000_000): ("0x1.dde112012018bp-1", "0x1.f3e631e663b19p-16"),
+    ("ms", "xz", 1): ("0x1.fc3c51a0574eep-1", "0x0.0p+0"),
+    ("ms", "xz", 16_384): ("0x1.e63975fab3985p-1", "0x1.224bcabc54c21p-12"),
+    ("ms", "xz", 16_385): ("0x1.e639d2d01fc0ep-1", "0x1.224af79cfa0a5p-12"),
+    ("ms", "xz", 1_000_000): ("0x1.e65f3545b08b5p-1", "0x1.288cfce118649p-15"),
+    ("ms", "xy", 1): ("0x1.ccccccccccccep-1", "0x0.0p+0"),
+    ("ms", "xy", 16_384): ("0x1.ccccccccccccfp-1", "0x1.0e2db63ccc68cp-59"),
+    ("ms", "xy", 16_385): ("0x1.ccccccccccccfp-1", "0x1.0e2dc1003139ep-59"),
+    ("ms", "xy", 1_000_000): ("0x1.ccccccccccccfp-1", "0x1.144d656b48dfcp-62"),
+    ("ms", "yz", 1): ("0x1.fc3c51a0574eep-1", "0x0.0p+0"),
+    ("ms", "yz", 16_384): ("0x1.e63975fab3985p-1", "0x1.224bcabc54c21p-12"),
+    ("ms", "yz", 16_385): ("0x1.e639d2d01fc0ep-1", "0x1.224af79cfa0a5p-12"),
+    ("ms", "yz", 1_000_000): ("0x1.e65f3545b08b5p-1", "0x1.288cfce118649p-15"),
+    ("theta", None, 1): ("0x1.7b2fb0e81e6aep-1", "0x0.0p+0"),
+    ("theta", None, 16_384): ("0x1.9985d83f2d592p-1", "0x1.6ca776dcbc157p-11"),
+    ("theta", None, 16_385): ("0x1.99b4b31763fa8p-1", "0x1.6e55ce9eac119p-11"),
+    ("theta", None, 1_000_000): ("0x1.999719f96cc95p-1", "0x1.76effa4a0ea28p-14"),
+    ("theta", "xz", 1): ("0x1.71b171856079ep-1", "0x0.0p+0"),
+    ("theta", "xz", 16_384): ("0x1.b3ba04764b9d8p-1", "0x1.b371b01a7f232p-11"),
+    ("theta", "xz", 16_385): ("0x1.b3b8edf60723cp-1", "0x1.b370736b770f7p-11"),
+    ("theta", "xz", 1_000_000): ("0x1.b348c69554c4ap-1", "0x1.bcd37b51a496ep-14"),
+    ("theta", "xy", 1): ("0x1.f4b4f4e105ec9p-1", "0x0.0p+0"),
+    ("theta", "xy", 16_384): ("0x1.b2ac61f01ac8fp-1", "0x1.b371b01a7f232p-11"),
+    ("theta", "xy", 16_385): ("0x1.b2ad78705f42bp-1", "0x1.b370736b770f7p-11"),
+    ("theta", "xy", 1_000_000): ("0x1.b31d9fd111a1dp-1", "0x1.bcd37b51a496ep-14"),
+    ("theta", "yz", 1): ("0x1.6666666666667p-1", "0x0.0p+0"),
+    ("theta", "yz", 16_384): ("0x1.6666666666666p-1", "0x1.13dee66cf98b7p-60"),
+    ("theta", "yz", 16_385): ("0x1.6666666666666p-1", "0x1.13dc720ffb8a5p-60"),
+    ("theta", "yz", 1_000_000): ("0x1.6666666666666p-1", "0x1.1cba62d75dd0bp-63"),
+}
+
+
+def test_monte_carlo_pins_the_seeded_stream():
+    assert analysis._CHUNK_DRAWS == 16_384  # the edge the sizes straddle
+    specs = {
+        "ms": MSChannel(c=0.6, d=-0.8),
+        "theta": ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
+    }
+    got = {
+        (name, family, n): tuple(v.hex() for v in mc_average(specs[name], family, n))
+        for name, family, n in PINNED_AVERAGES
+    }
+    assert got == PINNED_AVERAGES
+
+
 def test_monte_carlo_values_are_ncf_batch_at_the_one_shot_inputs(monkeypatch):
     # each value of the stream, not only the mean, is the NCF at the input
     # the one-shot draw builds amplitudes for
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     unitary = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     specs = [
         MSChannel(c=0.6, d=-0.8),
@@ -440,13 +509,13 @@ def test_monte_carlo_moment_merge_edge_cases(monkeypatch):
     spec = MSChannel(c=0.6, d=-0.8)
     assert mc_average(spec, None, 1).stderr == 0.0
     # two one-value chunks merge to numpy's sample standard deviation
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", 1)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 1)
     values = np.concatenate(ncf_values(spec, None, 2))
     mean, stderr = mc_average(spec, None, 2)
     assert mean == pytest.approx(values.mean(), abs=1e-15)
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(2.0), abs=1e-15)
     # a flat matched circle, with the last chunk ending exactly at n
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     matched = ThetaChannel(a=math.sqrt(0.7), b=math.sqrt(0.3), k="y")
     mean, stderr = mc_average(matched, "xz", 3 * SMALL_CHUNK)
     assert abs(mean - 0.7) < 1e-12
@@ -491,7 +560,7 @@ CPU_CASES = (
 def test_monte_carlo_does_not_depend_on_the_cpu_count(monkeypatch):
     # more threads than cores, switching often: a table row lost or written
     # by the wrong run changes the bits
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     edges = range(SMALL_CHUNK, 9 * SMALL_BLOCK + 1, SMALL_CHUNK)
     sizes = sorted({1, *(e + d for e in edges for d in (-1, 0, 1))})
     interval = sys.getswitchinterval()
@@ -525,9 +594,9 @@ def poison_draws(monkeypatch, values):
 
 
 def test_monte_carlo_errors_name_the_global_draw_and_leave_no_threads(monkeypatch):
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     n = 6 * SMALL_BLOCK
-    first, _ = philox_draws(5, 1, n)
+    first, _ = stream_draws(5, 1, n)
     # on two and three CPUs index 24 lies in the caller's run, at 3 in its
     # chunk, and index 45 in the next run, which must not stop the caller's
     assert all(24 < n // cpus <= 45 < 2 * n // cpus for cpus in (2, 3))
@@ -549,9 +618,9 @@ def test_monte_carlo_failure_in_the_caller_stops_every_other_run(monkeypatch):
     # the caller's first chunk fails while every other run waits in its own
     # first chunk; each of them stops at its next chunk instead of computing
     # the rest of its run, and is joined before the error is raised
-    monkeypatch.setattr(analysis, "_BATCH_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", SMALL_CHUNK)
     n = 200 * SMALL_CHUNK
-    first, _ = philox_draws(5, 1, 1)
+    first, _ = stream_draws(5, 1, 1)
     caller, threads = threading.get_ident(), threading.active_count()
     real_moments, real_check = analysis._chunk_moments, analysis._check_unit
     for cpus in (2, 3):
