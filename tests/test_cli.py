@@ -531,6 +531,37 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["avg", "--args-from={missing}"], "cannot read --args-from file: [Errno 2]"),
+        (["avg", "--args-from"], "--args-from needs a file path"),
+        (["ct", "--channel", "ms", "--config", "{missing}"], "cannot read channel config: [Errno 2]"),
+        (["ct", "--channel", "ms", "--config", "{theta}"],
+         "config file holds a ThetaChannel, but --channel says 'ms'"),
+        (["ncf", "--channel", "raw"], "raw channels need --config with an amplitude list"),
+        (["ct", "--channel", "ms_xy", "--a2", "0.5", "--k", "x"],
+         "--k is fixed by the named channel 'ms_xy'"),
+        (["avg", "--channel", "ghz", "--family", "xz"], "--family only applies to --domain family"),
+        (["power-sweep", "--a2-grid=0:1:0.5", "--d-grid=0:1:0.5"],
+         "give either --a2-grid or --d-grid, not both"),
+        (["power-sweep", "--channel", "ms", "--a2-grid=0:1:0.5"],
+         "--a2-grid applies to theta-family channels"),
+        (["power-sweep", "--channel", "theta", "--d-grid=0:1:0.5"],
+         "--d-grid applies to ms channels"),
+    ],
+)
+def test_usage_error_branches_exit_2_with_one_message(capsys, tmp_path, argv, message):
+    theta = tmp_path / "theta.cfg"
+    theta.write_text("family = theta\na = 0.6\nb = 0.8\nk = z\n")
+    paths = {"missing": tmp_path / "missing.txt", "theta": theta}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ctpower: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     # raising stands in for an allocation that fails; the largest
     # --n-samples the cap lets through reaches the average

@@ -20,6 +20,7 @@ channel has a map, and ``per_outcome_equal`` is pinned to the spread of the
 per-outcome transfer matrices of ``transfer_matrix_per_outcome``.
 """
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -202,6 +203,38 @@ def test_input_family_ranges():
         XYInput(phi=7.0)
     with pytest.raises(RangeError):
         YZInput(theta=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "cls, angle",
+    [(cls, f.name) for cls in INPUT_FAMILIES.values() for f in fields(cls)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_input_family_angle_edges(cls, angle):
+    # every angle lies in [0, 2pi) but ArbitraryInput's theta, in [0, pi];
+    # values down to -1e-12 clamp to 0, and up to pi + 1e-12 to the closed pi
+    closed = cls is ArbitraryInput and angle == "theta"
+    upper = np.pi if closed else 2.0 * np.pi
+
+    def member(value):
+        return cls(**{f.name: value if f.name == angle else 0.5 for f in fields(cls)})
+
+    for value in (-1e-12, -5e-13, -0.0, 0.0):
+        assert getattr(member(value), angle) == 0.0, value
+    inside = np.nextafter(upper, 0.0)
+    assert getattr(member(inside), angle) == inside
+    if closed:
+        for value in (np.pi, np.pi + 5e-13, np.pi + 1e-12):
+            assert getattr(member(value), angle) == np.pi, value
+        beyond = (np.pi + 2e-12, 3.5)
+    else:
+        beyond = (upper, upper + 1e-13, 7.0)
+    for value in (-2e-12, -0.1, *beyond):
+        with pytest.raises(RangeError, match=rf"^{angle} = .* outside \[0, "):
+            member(value)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(RangeError, match=rf"^{angle} must be finite"):
+            member(value)
 
 
 # ---------------------------------------------------------------------------
