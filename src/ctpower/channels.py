@@ -5,28 +5,28 @@ qubit 1 to the sender, qubit 2 to the receiver.
 
 Families:
 
-* ``ms_state(c, d)``       (|000> + c|111> + d|011>)/sqrt(2), c^2 + d^2 = 1
-* GHZ                      the c=1, d=0 member of the family above
-* ``theta_channel(a,b,k)`` a|0>|phi+>  +  b|1>(I x sigma_k)|phi+>
-* raw                      any caller-supplied normalized 3-qubit state
+* ``MSChannel(c, d)``         (|000> + c|111> + d|011>)/sqrt(2), c^2 + d^2 = 1
+* ``GHZChannel()``            the c=1, d=0 member of the family above
+* ``ThetaChannel(a, b, k)``   a|0>|phi+>  +  b|1>(I x sigma_k)|phi+>
+* ``RawChannel(state)``       any caller-supplied normalized 3-qubit state
 
 The controller's slice of an MS state decomposes over Bell pairs as
 
     1/2 [(1+d)|0> + c|1>] |phi+>  +  1/2 [(1-d)|0> - c|1>] |phi->
 
-which is where ``charlie_basis`` comes from: measuring the controller qubit
-in that (normalized, orthogonal) basis collapses sender+receiver onto a
-known Bell pair.  The controller of a theta or raw channel measures in the
-computational basis, and each outcome names the Bell pair of largest weight
-in the pair it leaves, exactly the pair it leaves on a theta channel.
+which is where the MS controller basis |x+-> comes from: measuring the
+controller qubit in that (normalized, orthogonal) basis collapses
+sender+receiver onto a known Bell pair.  The controller of a theta or raw
+channel measures in the computational basis, and each outcome names the
+Bell pair of largest weight in the pair it leaves, exactly the pair it
+leaves on a theta channel.
 
 Each formula is written once, over stacks: ``_ms_amps`` and ``_theta_amps``
 give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS controller bras,
 ``_bell_table`` the Bell amplitudes W[c, p] = <bell_p| <c| chan, whose
 weights name the computational controller's pairs and ``dominant_bell``,
-and ``_tangles`` the 3-tangles.  ``ms_state``, ``theta_channel``,
-``charlie_basis``, ``three_tangle`` and the default
-``controller_measurement`` are their validated one-row views.
+and ``_tangles`` the 3-tangles.  The specs, which validate their
+parameters once, and ``three_tangle`` are their one-row views.
 """
 from __future__ import annotations
 
@@ -136,18 +136,19 @@ class MSChannel(ChannelSpec):
 
     @cached_property
     def state(self) -> PureState:
-        return ms_state(self.c, self.d)
+        return PureState(_ms_amps(np.array([self.c]), np.array([self.d]))[0])
 
     @cached_property
     def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
         if self.c**2 <= EXACT_ATOL:
-            # charlie_basis degenerates here, but the controller is (all but)
+            # the x+- basis degenerates here, but the controller is (all but)
             # a product factor: its |0> leaves the Bell pair that x+ (d > 0)
             # or x- (d < 0) names, and its |1> has probability c^2/2 <= ZERO_PROB
             zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
             plus, minus = (zero, one) if self.d > 0.0 else (one, zero)
         else:
-            plus, minus = charlie_basis(self.c, self.d)
+            bras = _charlie_bras(np.array([self.c]), np.array([self.d]))[0]
+            plus, minus = map(PureState, bras.conj())
         return (("x+", plus, BellOutcome.PHI_PLUS), ("x-", minus, BellOutcome.PHI_MINUS))
 
 
@@ -180,7 +181,8 @@ class ThetaChannel(ChannelSpec):
 
     @cached_property
     def state(self) -> PureState:
-        return theta_channel(self.a, self.b, self.k)
+        axis = np.array(["xyz".index(self.k)])
+        return PureState(_theta_amps(np.array([self.a]), np.array([self.b]), axis)[0])
 
     @property
     def matched_family(self) -> str:
@@ -215,13 +217,14 @@ class RawChannel(ChannelSpec):
 
 # ---------------------------------------------------------------------------
 # constructors: each family is one stacked formula over arrays of parameters,
-# (n, 8) amplitudes or (n, 2, 2) controller bras, and the public
-# constructors are its validated one-row views
+# (n, 8) amplitudes or (n, 2, 2) controller bras, and the specs above are
+# its validated one-row views
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-# a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz", with
-# PAULI_Y_REAL for y (see theta_channel)
+# a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz".  For
+# y the rotation is the real PAULI_Y_REAL, so the b-branch is exactly
+# b|1>|psi->; the Hermitian Pauli y would only multiply it by a phase i
 _PHI_PLUS = np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
 _THETA_A = _const(np.kron([1.0, 0.0], _PHI_PLUS))
 _THETA_B = _const([
@@ -246,8 +249,15 @@ def _theta_amps(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def _charlie_bras(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) bras (<x+|, <x-|) of ``charlie_basis`` for unit pairs
-    (c[i], d[i]); DegenerateBasisError if any vector vanishes."""
+    """(n, 2, 2) bras (<x+|, <x-|) of the MS controller basis for unit
+    pairs (c[i], d[i]):
+
+        |x+> = [(1+d)|0> + c|1>] / sqrt((1+d)^2 + c^2)
+        |x-> = [(1-d)|0> - c|1>] / sqrt((1-d)^2 + c^2)
+
+    Raises DegenerateBasisError when either vector vanishes before
+    normalization, which happens exactly at c=0 with d = -1 or +1.
+    """
     vecs = np.empty((len(c), 2, 2), dtype=complex)
     vecs[:, 0, 0] = 1.0 + d
     vecs[:, 0, 1] = c
@@ -279,41 +289,6 @@ def _computational_pairs(amps: np.ndarray) -> np.ndarray:
     controller outcome c of the (n, 8) channels names: the pair p of largest
     weight |<bell_p| <c| chan|^2, ties within 1e-12 going to the earlier."""
     return _first_max(np.abs(_bell_table(amps)) ** 2)
-
-
-def ms_state(c: float, d: float) -> PureState:
-    """(|000> + c|111> + d|011>)/sqrt(2) with real c, d and c^2+d^2 = 1."""
-    c, d = check_unit_pair(c, d, "c, d")
-    return PureState(_ms_amps(np.array([c]), np.array([d]))[0])
-
-
-def charlie_basis(c: float, d: float) -> tuple[PureState, PureState]:
-    """Controller measurement basis that collapses an MS channel onto Bell pairs.
-
-    Returns (|x+>, |x->) with
-
-        |x+> = [(1+d)|0> + c|1>] / sqrt((1+d)^2 + c^2)
-        |x-> = [(1-d)|0> - c|1>] / sqrt((1-d)^2 + c^2)
-
-    Raises DegenerateBasisError when either vector vanishes before
-    normalization, which happens exactly at c=0 with d = -1 or +1.
-    """
-    c, d = check_unit_pair(c, d, "c, d")
-    plus, minus = _charlie_bras(np.array([c]), np.array([d]))[0].conj()
-    return PureState(plus), PureState(minus)
-
-
-def theta_channel(a: float, b: float, k: str) -> PureState:
-    """a|0>|phi+> + b|1>(I x sigma_k)|phi+> with a^2 + b^2 = 1.
-
-    For k='y' the rotation uses the real matrix PAULI_Y_REAL, so the
-    b-branch comes out as exactly b|1>|psi->; the Hermitian Pauli y would
-    only multiply that branch by a phase i.
-    """
-    a, b = check_unit_pair(a, b, "a, b")
-    if k not in ("x", "y", "z"):
-        raise ValueError(f"unknown Pauli axis {k!r}")
-    return PureState(_theta_amps(np.array([a]), np.array([b]), np.array(["xyz".index(k)]))[0])
 
 
 NAMED_CHANNELS = ("tetrahedral_xz", "ms_xy", "psi_yz")

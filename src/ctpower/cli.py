@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import astuple, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     FAMILY_NAMES,
@@ -95,28 +93,18 @@ def _fmt_float(v: float, sig: int) -> str:
     return format(v, f".{sig}g")
 
 
-def _fmt_value(v: object, sig: int) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+def _fmt_value(v: bool | int | float | str, sig: int) -> str:
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v), sig)
-    if isinstance(v, (complex, np.complexfloating)):
-        c = complex(v)
-        sign = "+" if c.imag >= 0 or math.isnan(c.imag) else "-"
-        return f"{_fmt_float(c.real, sig)}{sign}{_fmt_float(abs(c.imag), sig)}j"
+    if isinstance(v, float):  # numpy's float64 too
+        return _fmt_float(v, sig)
     return str(v)
 
 
-def _json_scalar(v: object, sig: int) -> str:
-    if v is None:
-        return "null"
+def _json_scalar(v: bool | int | float | str, sig: int) -> str:
+    # booleans and numbers are JSON literals already; strings are quoted
     text = _fmt_value(v, sig)
-    # booleans and real numbers are JSON literals already; the rest are strings
-    if isinstance(v, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return text
-    return json.dumps(text)
+    return json.dumps(text) if isinstance(v, str) else text
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,18 @@ class InputFamily:
     Every subclass names its family and writes its state once, as
     ``amplitudes``: a numpy formula from its angle fields, in field order,
     to the amplitudes (k0, k1).  It takes one member's angles or arrays of
-    them alike.
+    them alike.  Every angle lies in [0, 2pi) but those ``closed_at_pi``
+    names, which lie in [0, pi].
     """
 
     name: ClassVar[str]
+    closed_at_pi: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            closed = f.name in self.closed_at_pi
+            angle = _angle(getattr(self, f.name), f.name, np.pi if closed else _TWO_PI, closed)
+            object.__setattr__(self, f.name, angle)
 
     def params(self) -> dict[str, float]:
         """The angles a report prints, in order."""
@@ -100,13 +108,10 @@ class ArbitraryInput(InputFamily):
     """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, Bloch angles."""
 
     name: ClassVar[str] = "arbitrary"
+    closed_at_pi: ClassVar[tuple[str, ...]] = ("theta",)
 
     theta: float
     phi: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _angle(self.theta, "theta", np.pi, True))
-        object.__setattr__(self, "phi", _angle(self.phi, "phi", _TWO_PI, False))
 
     @staticmethod
     def amplitudes(theta, phi):
@@ -121,9 +126,6 @@ class XZInput(InputFamily):
 
     theta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _angle(self.theta, "theta", _TWO_PI, False))
-
     @staticmethod
     def amplitudes(theta):
         return np.cos(theta / 2.0) + 0j, np.sin(theta / 2.0) + 0j
@@ -136,9 +138,6 @@ class XYInput(InputFamily):
     name: ClassVar[str] = "xy"
 
     phi: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _angle(self.phi, "phi", _TWO_PI, False))
 
     @staticmethod
     def amplitudes(phi):
@@ -154,9 +153,6 @@ class YZInput(InputFamily):
 
     theta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _angle(self.theta, "theta", _TWO_PI, False))
-
     @staticmethod
     def amplitudes(theta):
         return np.cos(theta / 2.0) + 0j, 1j * np.sin(theta / 2.0)
@@ -168,19 +164,16 @@ INPUT_FAMILIES: dict[str, type[InputFamily]] = {
 }
 
 
-def input_state(family: InputFamily) -> PureState:
-    """The single-qubit state a family member describes."""
-    if not isinstance(family, InputFamily):
-        raise TypeError(f"not an input family: {family!r}")
-    return make_qubit(*family.amplitudes(*family.params().values()))
-
-
-def _resolve_input(f: InputFamily | PureState) -> PureState:
+def input_state(f: InputFamily | PureState) -> PureState:
+    """The single-qubit state a family member describes, or ``f`` itself
+    when it is a one-qubit PureState."""
     if isinstance(f, PureState):
         if f.num_qubits != 1:
             raise DimensionError("teleportation input must be a single qubit")
         return f
-    return input_state(f)
+    if not isinstance(f, InputFamily):
+        raise TypeError(f"not an input family: {f!r}")
+    return make_qubit(*f.amplitudes(*f.params().values()))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +259,7 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
     Branches with probability at most ZERO_PROB are omitted; the recorded
     probabilities still sum to 1.
     """
-    phi = _resolve_input(f)
+    phi = input_state(f)
     received = _kraus(*_controlled_arrays([spec]))[0] @ phi.amps  # (controller, sender, 2)
     probability = np.sum(received.real**2 + received.imag**2, axis=-1)
     labels = [label for label, _, _ in spec.controller_measurement]
@@ -338,7 +331,7 @@ def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> 
     simulation matches this function called with the roles swapped.
     """
     a, b = check_unit_pair(a, b, "a, b")
-    phi = _resolve_input(f)
+    phi = input_state(f)
     expectation = complex(np.vdot(phi.amps, pauli(k) @ phi.amps))
     return a * a + b * b * abs(expectation) ** 2
 
@@ -470,7 +463,7 @@ def unconditioned_teleport(
     ``per_outcome_equal`` is max |B_pq| <= 1e-12 / 8, sufficient for the
     four sender outcomes' maps to agree within 1e-12.
     """
-    amps = _resolve_input(f).amps
+    amps = input_state(f).amps
     lam, off = _bell_map(spec)
     norm, x, y, z = _pauli_coords(amps[:1], amps[1:])
     bloch = lam * np.concatenate([x, y, z]) / norm

@@ -65,9 +65,9 @@ def _random_channels(rng: np.random.Generator, n: int):
     """The certificate's (chans, cvecs, shared) for n random channels: GHZ, an MS
     channel with |c| >= 0.05, or a theta channel on a random axis, a third
     each.  The parameters are drawn one channel at a time, then every array
-    is built in one step: MS rows take the ``charlie_basis`` bras and the
-    pairs phi+ and phi-, theta rows the computational bras and the pairs
-    those name."""
+    is built in one step: MS rows take the ``_charlie_bras`` of their
+    |x+-> basis and the pairs phi+ and phi-, theta rows the computational
+    bras and the pairs those name."""
     draws = []
     for _ in range(n):
         kind, angle, axis = int(rng.integers(3)), 0.0, 0  # GHZ is MS at angle 0

@@ -22,8 +22,8 @@ average at once (at ``one_shot_inputs``), as the streamed one must, and
 spec, the draws the package turns straight into arrays, and
 ``random_local_unitary`` one of its Haar-random rotations.  The
 ``*_scalar`` functions build one channel at a time, as the constructors
-did before they became stacked formulas, which must reproduce them bit
-for bit.
+did before they became stacked formulas; the stacks, and the state and
+controller basis of each spec, must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
     ArbitraryInput,
-    _resolve_input,
+    input_state,
     ncf_batch,
 )
 from ctpower.qcore import (
@@ -216,7 +216,7 @@ def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
     dropped, and the kept ones are weighed by their probabilities; the
     spread is the largest gap between two kept outcomes' states.
     """
-    phi = _resolve_input(f)
+    phi = input_state(f)
     joint = tensor(phi, spec.state).amps.reshape(2, 2, 2, 2)
     mats, probs = [], []
     for outcome in BELL_OUTCOMES:

@@ -25,11 +25,8 @@ from ctpower.channels import (
     _theta_amps,
     channel_from_config,
     channel_to_config,
-    charlie_basis,
     check_unit_pair,
-    ms_state,
     named_channel,
-    theta_channel,
     three_tangle,
 )
 from ctpower.errors import (
@@ -135,7 +132,7 @@ def test_channel_spec_validation():
 # MS states and the controller basis
 
 def test_ms_state_amplitudes():
-    s = ms_state(0.6, 0.8)
+    s = MSChannel(0.6, 0.8).state
     want = np.zeros(8)
     want[0b000], want[0b111], want[0b011] = 1.0, 0.6, 0.8
     assert np.max(np.abs(s.amps - want / np.sqrt(2.0))) < 1e-15
@@ -149,7 +146,7 @@ def test_charlie_basis_closed_form_and_orthogonality():
         c, d = math.cos(alpha), math.sin(alpha)
         if abs(c) < 1e-3:
             continue
-        plus, minus = charlie_basis(c, d)
+        (_, plus, _), (_, minus, _) = MSChannel(c, d).controller_measurement
         n_plus = math.sqrt((1 + d) ** 2 + c * c)
         n_minus = math.sqrt((1 - d) ** 2 + c * c)
         assert np.max(np.abs(plus.amps - np.array([1 + d, c]) / n_plus)) < 1e-12
@@ -159,9 +156,9 @@ def test_charlie_basis_closed_form_and_orthogonality():
 
 def test_charlie_basis_degenerate_cases():
     with pytest.raises(DegenerateBasisError):
-        charlie_basis(0.0, -1.0)
+        _charlie_bras(np.array([0.0]), np.array([-1.0]))
     with pytest.raises(DegenerateBasisError):
-        charlie_basis(0.0, 1.0)
+        _charlie_bras(np.array([0.0]), np.array([1.0]))
 
 
 def test_ms_state_bell_decomposition_identity():
@@ -170,7 +167,7 @@ def test_ms_state_bell_decomposition_identity():
         c, d = math.cos(alpha), math.sin(alpha)
         if abs(c) < 1e-2:
             continue
-        plus, minus = charlie_basis(c, d)
+        (_, plus, _), (_, minus, _) = MSChannel(c, d).controller_measurement
         p_plus = ((1 + d) ** 2 + c * c) / 4.0
         p_minus = ((1 - d) ** 2 + c * c) / 4.0
         assert abs(p_plus + p_minus - 1.0) < 1e-12
@@ -178,7 +175,7 @@ def test_ms_state_bell_decomposition_identity():
             math.sqrt(p_plus) * tensor(plus, bell_state(BellOutcome.PHI_PLUS)).amps
             + math.sqrt(p_minus) * tensor(minus, bell_state(BellOutcome.PHI_MINUS)).amps
         )
-        assert np.max(np.abs(rebuilt - ms_state(c, d).amps)) < 1e-12
+        assert np.max(np.abs(rebuilt - MSChannel(c, d).state.amps)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,7 @@ def test_theta_channel_branch_structure():
         "z": np.array([s, 0, 0, -s]),
     }
     for k, pair in want_b.items():
-        amps = theta_channel(a, b, k).amps
+        amps = ThetaChannel(a, b, k).state.amps
         assert np.max(np.abs(amps[:4] - a * np.array([s, 0, 0, s]))) < 1e-12
         assert np.max(np.abs(amps[4:] - b * pair)) < 1e-12
 
@@ -273,11 +270,11 @@ def test_computational_controller_names_the_pair_of_largest_weight():
 def test_tangle_known_family_values():
     assert three_tangle(GHZChannel().state).tau == pytest.approx(1.0, abs=1e-12)
     for c in np.linspace(0.0, 1.0, 11):
-        tau = three_tangle(ms_state(c, math.sqrt(1 - c * c))).tau
+        tau = three_tangle(MSChannel(c, math.sqrt(1 - c * c)).state).tau
         assert abs(tau - c * c) < 1e-12
     for k in "xyz":
         for a2 in np.linspace(0.0, 1.0, 11):
-            state = theta_channel(math.sqrt(a2), math.sqrt(1 - a2), k)
+            state = ThetaChannel(math.sqrt(a2), math.sqrt(1 - a2), k).state
             assert abs(three_tangle(state).tau - 4 * a2 * (1 - a2)) < 1e-12
 
 
@@ -286,8 +283,8 @@ def test_tangle_vanishes_on_product_states():
     for qubit in (make_qubit(1.0, 0.0), make_qubit(0.6, 0.8j)):
         assert three_tangle(tensor(qubit, bell)).tau < 1e-12
         assert three_tangle(tensor(bell, qubit)).tau < 1e-12
-    # ms_state(0, 1) = |0>(|00>+|11>)... with c=0 the state factorizes
-    assert three_tangle(ms_state(0.0, 1.0)).tau < 1e-12
+    # MSChannel(0, 1) = |0>(|00>+|11>)... with c=0 the state factorizes
+    assert three_tangle(MSChannel(0.0, 1.0).state).tau < 1e-12
 
 
 def test_tangle_matches_concurrence_oracle_on_random_states():
@@ -319,8 +316,8 @@ def test_tangle_local_unitary_invariance(parts, seed):
 def test_tangle_bound_threshold():
     assert TANGLE_BOUND == pytest.approx(8.0 / 9.0)
     third = math.sqrt(1.0 / 3.0)
-    assert three_tangle(theta_channel(third, math.sqrt(2.0 / 3.0), "z")).meets_bound
-    assert not three_tangle(theta_channel(0.5, math.sqrt(0.75), "z")).meets_bound
+    assert three_tangle(ThetaChannel(third, math.sqrt(2.0 / 3.0), "z").state).meets_bound
+    assert not three_tangle(ThetaChannel(0.5, math.sqrt(0.75), "z").state).meets_bound
     with pytest.raises(DimensionError):
         three_tangle(bell_state(BellOutcome.PHI_PLUS))
 
@@ -330,9 +327,9 @@ def tangle_stack(rng):
     Haar-random states, as (n, 8) amplitude rows."""
     grid = np.linspace(0.0, 1.0, 41)
     rows = [GHZChannel().state.amps]
-    rows += [ms_state(c, math.sqrt(1.0 - c * c)).amps for c in grid]
+    rows += [MSChannel(c, math.sqrt(1.0 - c * c)).state.amps for c in grid]
     rows += [
-        theta_channel(math.sqrt(a2), math.sqrt(1.0 - a2), k).amps
+        ThetaChannel(math.sqrt(a2), math.sqrt(1.0 - a2), k).state.amps
         for k in "xyz" for a2 in grid
     ]
     rows += [random_state(rng).amps for _ in range(100)]
@@ -354,22 +351,22 @@ def test_stacked_tangles_are_the_one_row_tangle():
 
 
 def test_stacked_constructors_are_the_scalar_constructors():
-    # every stacked row, and every public constructor, is bit for bit the
-    # channel the scalar oracle builds one at a time
+    # every stacked row, and every spec's state and controller basis, is
+    # bit for bit the channel the scalar oracle builds one at a time
     grid = np.linspace(0.0, 2.0 * np.pi, 41)
     x, y = np.cos(grid), np.sin(grid)
     for i, row in enumerate(_ms_amps(x, y)):
         want = ms_amps_scalar(x[i], y[i]).tobytes()
-        assert row.tobytes() == want == ms_state(x[i], y[i]).amps.tobytes()
+        assert row.tobytes() == want == MSChannel(x[i], y[i]).state.amps.tobytes()
     for axis, k in enumerate("xyz"):
         stack = _theta_amps(x, y, np.full(x.size, axis))
         for i, row in enumerate(stack):
             want = theta_amps_scalar(x[i], y[i], k).tobytes()
-            assert row.tobytes() == want == theta_channel(x[i], y[i], k).amps.tobytes()
+            assert row.tobytes() == want == ThetaChannel(x[i], y[i], k).state.amps.tobytes()
     keep = np.abs(x) >= 1e-3
     for i, bras in zip(np.flatnonzero(keep), _charlie_bras(x[keep], y[keep])):
         want = charlie_kets_scalar(x[i], y[i]).tobytes()
-        kets = np.array([v.amps for v in charlie_basis(x[i], y[i])])
+        kets = np.array([v.amps for _, v, _ in MSChannel(x[i], y[i]).controller_measurement])
         assert bras.conj().tobytes() == want == kets.tobytes()
     # one degenerate row refuses the whole stack, as the oracle refuses it
     with pytest.raises(DegenerateBasisError):

@@ -45,7 +45,6 @@ from ctpower.protocol import (
     _controlled_arrays,
     _ct_certificate,
     _kraus,
-    _resolve_input,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -116,7 +115,7 @@ def random_theta(rng):
 
 def walk_controlled(spec, f):
     """[(controller label, Bell outcome, probability, receiver amps)]."""
-    phi = _resolve_input(f)
+    phi = input_state(f)
     joint = tensor(phi, spec.state)
     branches = []
     for label, cvec, shared in spec.controller_measurement:
@@ -178,6 +177,18 @@ def test_input_state_forms():
     )
 
 
+def test_input_state_takes_members_and_one_qubit_states():
+    qubit = make_qubit(0.6, 0.8j)
+    assert input_state(qubit) is qubit
+    with pytest.raises(DimensionError, match="must be a single qubit"):
+        input_state(bell_state(BellOutcome.PHI_PLUS))
+    with pytest.raises(TypeError, match="not an input family"):
+        input_state((0.6, 0.8))
+    for run in (controlled_teleport, unconditioned_teleport):
+        with pytest.raises(DimensionError):
+            run(GHZChannel(), bell_state(BellOutcome.PHI_PLUS))
+
+
 def test_family_formula_serves_members_and_arrays():
     # one formula per family: on an array of angles it gives exactly the
     # members' states, and the family's matched theta axis has zero Pauli
@@ -191,26 +202,12 @@ def test_family_formula_serves_members_and_arrays():
         assert np.max(np.abs(expectation)) <= 1e-12
 
 
-def test_input_family_ranges():
-    assert ArbitraryInput(theta=np.pi, phi=0.0).theta == np.pi  # closed at pi
-    with pytest.raises(RangeError):
-        ArbitraryInput(theta=np.pi + 1e-6, phi=0.0)
-    with pytest.raises(RangeError):
-        ArbitraryInput(theta=1.0, phi=2 * np.pi)  # half-open at 2pi
-    with pytest.raises(RangeError):
-        XZInput(theta=-0.1)
-    with pytest.raises(RangeError):
-        XYInput(phi=7.0)
-    with pytest.raises(RangeError):
-        YZInput(theta=float("nan"))
-
-
 @pytest.mark.parametrize(
     "cls, angle",
     [(cls, f.name) for cls in INPUT_FAMILIES.values() for f in fields(cls)],
     ids=lambda v: getattr(v, "name", v),
 )
-def test_input_family_angle_edges(cls, angle):
+def test_input_family_ranges(cls, angle):
     # every angle lies in [0, 2pi) but ArbitraryInput's theta, in [0, pi];
     # values down to -1e-12 clamp to 0, and up to pi + 1e-12 to the closed pi
     closed = cls is ArbitraryInput and angle == "theta"
@@ -226,7 +223,7 @@ def test_input_family_angle_edges(cls, angle):
     if closed:
         for value in (np.pi, np.pi + 5e-13, np.pi + 1e-12):
             assert getattr(member(value), angle) == np.pi, value
-        beyond = (np.pi + 2e-12, 3.5)
+        beyond = (np.pi + 2e-12, np.pi + 1e-6, 3.5)
     else:
         beyond = (upper, upper + 1e-13, 7.0)
     for value in (-2e-12, -0.1, *beyond):
@@ -367,7 +364,7 @@ def test_controlled_teleport_matches_the_branch_walk():
             assert [(b.charlie_outcome, b.bell_outcome) for b in run.branches] == [
                 (label, outcome) for label, outcome, _, _ in walk
             ]
-            target = _resolve_input(f).amps
+            target = input_state(f).amps
             for branch, (_, _, prob, amps) in zip(run.branches, walk):
                 assert abs(branch.probability - prob) < 1e-12
                 assert np.max(np.abs(branch.receiver_state.amps - amps)) < 1e-12
@@ -395,7 +392,7 @@ def test_unconditioned_teleport_matches_the_branch_walk():
             result = unconditioned_teleport(spec, f)
             rho, spread = walk_unconditioned(spec, f)
             assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
-            phi = _resolve_input(f).amps
+            phi = input_state(f).amps
             assert abs(result.ncf - np.vdot(phi, rho @ phi).real) < 1e-12
             # the map's outcomes agree, and so do the walk's states
             assert result.per_outcome_equal and spread <= 1e-12
