@@ -21,12 +21,15 @@ channel measures in the computational basis, and each outcome names the
 Bell pair of largest weight in the pair it leaves, exactly the pair it
 leaves on a theta channel.
 
-Each formula is written once, over stacks: ``_ms_amps`` and ``_theta_amps``
-give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS controller bras,
-``_bell_table`` the Bell amplitudes W[c, p] = <bell_p| <c| chan, whose
-weights name the computational controller's pairs and ``dominant_bell``,
-and ``_tangles`` the 3-tangles.  The specs, which validate their
-parameters once, and ``three_tangle`` are their one-row views.
+Every Bell pair here is a row of ``qcore.BELL_KETS``; a theta channel's
+b-branch is |1> times the pair sigma_k leaves on the receiver's half of
+phi+.  Each formula is written once, over stacks: ``_ms_amps`` and
+``_theta_amps`` give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS
+controller bras, ``_bell_table`` the Bell amplitudes
+W[c, p] = <bell_p| <c| chan, whose weights name the computational
+controller's pairs and ``dominant_bell``, and ``_tangles`` the 3-tangles.
+The specs, which validate their parameters once, and ``three_tangle`` are
+their one-row views.
 """
 from __future__ import annotations
 
@@ -43,16 +46,16 @@ from .errors import (
 )
 from .qcore import (
     BELL_BRAS,
+    BELL_KETS,
     BELL_OUTCOMES,
     EXACT_ATOL,
     INPUT_ATOL,
     PSD_ATOL,
-    PAULI_Y_REAL,
     BellOutcome,
     PureState,
+    _SQRT_HALF,
     _const,
     make_qubit,
-    pauli,
 )
 
 TANGLE_BOUND = 8.0 / 9.0
@@ -220,17 +223,12 @@ class RawChannel(ChannelSpec):
 # (n, 8) amplitudes or (n, 2, 2) controller bras, and the specs above are
 # its validated one-row views
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-# a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz".  For
-# y the rotation is the real PAULI_Y_REAL, so the b-branch is exactly
+# a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz":
+# sigma_k on the receiver's half of phi+ leaves psi+, psi- and phi-.  For y
+# that is the real rotation -i sigma_y, so the b-branch is exactly
 # b|1>|psi->; the Hermitian Pauli y would only multiply it by a phase i
-_PHI_PLUS = np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
-_THETA_A = _const(np.kron([1.0, 0.0], _PHI_PLUS))
-_THETA_B = _const([
-    np.kron([0.0, 1.0], np.kron(np.eye(2), sigma) @ _PHI_PLUS)
-    for sigma in (pauli("x"), PAULI_Y_REAL, pauli("z"))
-])
+_THETA_A = _const(np.kron([1.0, 0.0], BELL_KETS[0]))
+_THETA_B = _const(np.kron([0.0, 1.0], BELL_KETS[[2, 3, 1]]))
 
 
 def _ms_amps(c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -699,10 +699,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = args.handler(args, config)
         _emit(_RENDERERS[config.output_format](report, config), config)
         return code
-    except UsageError as exc:
-        print(f"ctpower: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"ctpower: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -58,6 +58,7 @@ from .qcore import (
     BellOutcome,
     DensityOperator,
     PureState,
+    _SQRT_HALF,
     make_qubit,
     pauli,
 )
@@ -141,8 +142,7 @@ class XYInput(InputFamily):
 
     @staticmethod
     def amplitudes(phi):
-        s = 1.0 / np.sqrt(2.0)
-        return np.full(np.shape(phi), s, dtype=complex), s * np.exp(1j * phi)
+        return np.full(np.shape(phi), _SQRT_HALF, dtype=complex), _SQRT_HALF * np.exp(1j * phi)
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
 
 
 class _Certificate(NamedTuple):
-    probability: np.ndarray  # (n, C, 4) |w_c|^2 / 4 of each branch, every input
+    probability: np.ndarray  # (n, C) |w_c|^2 of each controller outcome, every input
     defect: np.ndarray       # (n,) max sqrt(2 off_c / |w_c|^2), kept outcomes
 
 
@@ -291,13 +291,13 @@ def _ct_certificate(
 
     Takes the arguments of ``_kraus``, one channel per row.  Row c of W in
     the controller's basis holds the Bell amplitudes w_c that outcome c
-    leaves, so each of its corrected Kraus operators K is a sum of Paulis
-    weighted by w_c, I by the named pair: every branch has probability
-    p = |w_c|^2 / 4 for every input, and |K - lambda I|_F^2 = off_c / 2,
-    off_c the weight off the named pair.  The defect
-    sqrt(2 off_c / |w_c|^2) = |K - lambda I|_F / sqrt(p) is 0 exactly when
-    every branch returns every input.  Outcomes with p <= ZERO_PROB are
-    dropped.
+    leaves: outcome c has probability |w_c|^2 for every input, and each of
+    its corrected Kraus operators K is a sum of Paulis weighted by w_c, I by
+    the named pair, so p = |K|_F^2 / 2 = |w_c|^2 / 4 and
+    |K - lambda I|_F^2 = off_c / 2, off_c the weight off the named pair.
+    The defect sqrt(2 off_c / |w_c|^2) = |K - lambda I|_F / sqrt(p) is 0
+    exactly when every branch returns every input, with probability p.
+    Outcomes with p <= ZERO_PROB are dropped.
     """
     amps = np.einsum("nck,nkp->ncp", cvecs, _bell_table(chans))
     weights = amps.real**2 + amps.imag**2
@@ -307,8 +307,7 @@ def _ct_certificate(
     off = np.sum(np.where(np.arange(4) == shared[..., None], 0.0, weights), axis=-1)
     kept = norm2 / 4.0 > ZERO_PROB
     defect = np.sqrt(2.0 * off / np.where(kept, norm2, 1.0)) * kept
-    probability = np.broadcast_to((norm2 / 4.0)[..., None], (*norm2.shape, 4))
-    return _Certificate(probability, np.max(defect, axis=1))
+    return _Certificate(norm2, np.max(defect, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ index q0*2^(n-1) + q1*2^(n-2) + .. + q_{n-1}.
 Amplitudes are plain Python/numpy complex numbers (``Amplitude`` below).
 States and density operators are thin frozen wrappers around read-only
 numpy arrays; every constructor validates the invariants it advertises.
+The four Bell pairs are written once, as the rows of ``BELL_KETS``, and
+the package builds every Bell-pair state and measurement from them.
 The package itself builds registers of at most 3 qubits; the 4-qubit bound
 serves the tests' branch-by-branch oracle (``tests/oracles.py``), which
-holds the projections, partial trace and gate application only the tests
-use.
+holds the projections, partial trace, gate application and fidelity only
+the tests use.
 """
 from __future__ import annotations
 
@@ -105,11 +107,6 @@ PAULI_X = _const([[0, 1], [1, 0]])
 PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 
-# Real stand-in for the y rotation: equals -i*PAULI_Y = PAULI_X @ PAULI_Z.
-# It sends (|00>+|11>)/sqrt(2) to (|01>-|10>)/sqrt(2) with no leftover phase,
-# and |<phi|PAULI_Y_REAL|phi>| = |<phi|PAULI_Y|phi>| for every |phi>.
-PAULI_Y_REAL = _const([[0, -1], [1, 0]])
-
 _PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
@@ -133,50 +130,25 @@ class BellOutcome(Enum):
     PSI_MINUS = "psi-"
 
 
-BELL_OUTCOMES = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-)
+BELL_OUTCOMES = tuple(BellOutcome)
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-_BELL_AMPS = {
-    BellOutcome.PHI_PLUS: _const([_SQRT_HALF, 0, 0, _SQRT_HALF]),
-    BellOutcome.PHI_MINUS: _const([_SQRT_HALF, 0, 0, -_SQRT_HALF]),
-    BellOutcome.PSI_PLUS: _const([0, _SQRT_HALF, _SQRT_HALF, 0]),
-    BellOutcome.PSI_MINUS: _const([0, _SQRT_HALF, -_SQRT_HALF, 0]),
-}
-
-
-# the conjugated Bell pairs as rows, in BELL_OUTCOMES order
-BELL_BRAS = _const([_BELL_AMPS[o].conj() for o in BELL_OUTCOMES])
+# the Bell pairs phi+, phi-, psi+ and psi- as rows, in BELL_OUTCOMES order
+BELL_KETS = _const(_SQRT_HALF * np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+))
+BELL_BRAS = _const(BELL_KETS.conj())
 
 
 def bell_state(outcome: BellOutcome) -> PureState:
     """The Bell pair |phi+->, |psi+-> as a 2-qubit state."""
-    return PureState(_BELL_AMPS[outcome])
+    return PureState(BELL_KETS[BELL_OUTCOMES.index(outcome)])
 
 
 # ---------------------------------------------------------------------------
-# single qubits and fidelity
+# single qubits
 
 def make_qubit(k0: Amplitude, k1: Amplitude) -> PureState:
     """Single qubit k0|0> + k1|1>; |k0|^2+|k1|^2 must be 1 within 1e-10."""
     return PureState(np.array([k0, k1], dtype=complex))
-
-
-def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
-    """<phi| rho |phi> / |phi|^2, clamped to [0, 1]: the fidelity of the
-    normalized state, also for a ``phi`` up to 1e-10 off unit norm."""
-    if rho.num_qubits != phi.num_qubits:
-        raise DimensionError(
-            f"operator on {rho.num_qubits} qubits vs state on {phi.num_qubits}"
-        )
-    overlap = complex(np.vdot(phi.amps, rho.mat @ phi.amps))
-    val = overlap / np.vdot(phi.amps, phi.amps).real
-    if abs(val.imag) > EXACT_ATOL or not -EXACT_ATOL <= val.real <= 1.0 + EXACT_ATOL:
-        raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
-    return min(max(val.real, 0.0), 1.0)
-

@@ -52,6 +52,7 @@ from .protocol import (
     ncf_batch,
     ncf_ms_closed,
 )
+from .qcore import BELL_KETS
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,12 @@ def check_perfect_ct(seed: int) -> CheckResult:
     Each of 200 random channels is certified for all inputs at once: each
     controller outcome must leave only its named Bell pair, so that every
     branch's Kraus operator K is lambda I, measured as the Frobenius
-    |K - lambda I|_F / sqrt(p) = sqrt(2 off / |w|^2), and the branch
-    probabilities p must sum to 1.
+    |K - lambda I|_F / sqrt(p) = sqrt(2 off / |w|^2), and the controller
+    outcomes' probabilities |w|^2 must sum to 1.
     """
     cert = _ct_certificate(*_random_channels(_rng(seed, 1), 200))
     worst = float(np.max(cert.defect))
-    worst_prob = float(np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)))
+    worst_prob = float(np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)))
     return CheckResult(
         "perfect-ct",
         worst <= 1e-12 and worst_prob <= 1e-12,
@@ -255,7 +256,6 @@ def check_three_tangle(seed: int) -> CheckResult:
     a2 = np.tile(np.linspace(0.0, 1.0, 21), 3)
     rng = _rng(seed, 8)
     qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     base = _ms_amps(np.array([0.6]), np.array([0.8]))
     # 50 rotations, one unitary per qubit, drawn in qubit order
     u = _random_local_unitaries(rng, 150).reshape(50, 3, 2, 2)
@@ -266,7 +266,7 @@ def check_three_tangle(seed: int) -> CheckResult:
     tau = _tangles(np.concatenate([
         _ms_amps(c, np.sqrt(1.0 - c * c)),
         _theta_amps(np.sqrt(a2), np.sqrt(1.0 - a2), np.repeat(np.arange(3), 21)),
-        np.kron(qubit / np.linalg.norm(qubit), bell)[None],
+        np.kron(qubit / np.linalg.norm(qubit), BELL_KETS[0])[None],
         base,
         rotated,
     ]))

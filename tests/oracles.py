@@ -24,6 +24,10 @@ spec, the draws the package turns straight into arrays, and
 ``*_scalar`` functions build one channel at a time, as the constructors
 did before they became stacked formulas; the stacks, and the state and
 controller basis of each spec, must reproduce them bit for bit.
+``theta_amps_scalar`` reaches a theta channel's b-branch by applying
+sigma_k to phi+, with the real ``PAULI_Y_REAL`` for y, where the package
+reads the pair it leaves off its Bell basis.  ``fidelity_with_pure`` is
+the fidelity of a density operator with a pure state.
 """
 from __future__ import annotations
 
@@ -57,7 +61,6 @@ from ctpower.qcore import (
     MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
-    PAULI_Y_REAL,
     PAULI_Z,
     ZERO_PROB,
     DensityOperator,
@@ -74,6 +77,12 @@ class MatchedFamiliesError(ValueError):
 
 # ---------------------------------------------------------------------------
 # composition and gates
+
+# Real stand-in for the y rotation: equals -i*PAULI_Y = PAULI_X @ PAULI_Z.
+# It sends (|00>+|11>)/sqrt(2) to (|01>-|10>)/sqrt(2) with no leftover phase,
+# and |<phi|PAULI_Y_REAL|phi>| = |<phi|PAULI_Y|phi>| for every |phi>.
+PAULI_Y_REAL = np.array([[0, -1], [1, 0]], dtype=complex)
+
 
 def tensor(left: PureState, right: PureState) -> PureState:
     """Tensor product; ``left`` supplies the leading (leftmost) qubits."""
@@ -194,6 +203,20 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = EXACT_ATOL
     if a.num_qubits != b.num_qubits:
         raise DimensionError("states live on different numbers of qubits")
     return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - tol)
+
+
+def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
+    """<phi| rho |phi> / |phi|^2, clamped to [0, 1]: the fidelity of the
+    normalized state, also for a ``phi`` up to 1e-10 off unit norm."""
+    if rho.num_qubits != phi.num_qubits:
+        raise DimensionError(
+            f"operator on {rho.num_qubits} qubits vs state on {phi.num_qubits}"
+        )
+    overlap = complex(np.vdot(phi.amps, rho.mat @ phi.amps))
+    val = overlap / np.vdot(phi.amps, phi.amps).real
+    if abs(val.imag) > EXACT_ATOL or not -EXACT_ATOL <= val.real <= 1.0 + EXACT_ATOL:
+        raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
+    return min(max(val.real, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

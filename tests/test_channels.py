@@ -18,6 +18,7 @@ from ctpower.channels import (
     MSChannel,
     RawChannel,
     ThetaChannel,
+    _THETA_B,
     _charlie_bras,
     _computational_pairs,
     _ms_amps,
@@ -34,15 +35,20 @@ from ctpower.errors import (
     DimensionError,
     NormalizationError,
 )
+from ctpower.protocol import _CORRECTIONS
 from ctpower.qcore import (
     BELL_OUTCOMES,
+    IDENTITY,
+    PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     BellOutcome,
     PureState,
     bell_state,
     make_qubit,
 )
 from oracles import (
+    PAULI_Y_REAL,
     apply_gate,
     charlie_kets_scalar,
     computational_pairs_scalar,
@@ -180,6 +186,19 @@ def test_ms_state_bell_decomposition_identity():
 
 # ---------------------------------------------------------------------------
 # theta channels
+
+def test_bell_labelling_is_the_pauli_on_the_receivers_half_of_phi_plus():
+    # one labelling runs through the package: Bell pair p is the correction
+    # _CORRECTIONS[p] on the receiver's half of phi+, and a theta channel's
+    # b-branch is sigma_k there, the real y for k = y, bit for bit
+    phi_plus = np.array([1, 0, 0, 1]) / np.sqrt(2.0)
+    for p, outcome in enumerate(BELL_OUTCOMES):
+        want = np.kron(IDENTITY, _CORRECTIONS[p]) @ phi_plus
+        assert np.array_equal(bell_state(outcome).amps, want)
+    for k, sigma in enumerate((PAULI_X, PAULI_Y_REAL, PAULI_Z)):
+        want = np.kron([0.0, 1.0], np.kron(IDENTITY, sigma) @ phi_plus)
+        assert np.array_equal(_THETA_B[k], want)
+
 
 def test_theta_channel_branch_structure():
     s = 1 / np.sqrt(2)

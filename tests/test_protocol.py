@@ -440,8 +440,8 @@ def test_channels_whose_outcomes_leave_different_maps_have_the_summed_map():
 
 def test_ct_certificate_matches_the_controlled_walk():
     # the certificate covers every input; on sampled inputs each branch of
-    # the walk must be one the certificate keeps, return the input, and
-    # happen with probability |lambda|^2
+    # the walk must be one the certificate keeps and return the input, and
+    # each controller outcome's branches must sum to its probability
     rng = np.random.default_rng(89)
     specs = [
         GHZChannel(),
@@ -454,20 +454,53 @@ def test_ct_certificate_matches_the_controlled_walk():
     ] + [random_ms(rng) for _ in range(12)] + [random_theta(rng) for _ in range(12)]
     cert = _ct_certificate(*_controlled_arrays(specs))
     assert np.max(cert.defect) <= 1e-13
-    assert np.max(np.abs(np.sum(cert.probability, axis=(1, 2)) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)) <= 1e-12
     inputs = [random_qubit(rng) for _ in range(4)]
     for spec, prob in zip(specs, cert.probability):
         labels = [label for label, _, _ in spec.controller_measurement]
         kept = {
-            (labels[c], BELL_OUTCOMES[o]) for c, o in zip(*np.nonzero(prob > ZERO_PROB))
+            (labels[c], o)
+            for c in np.flatnonzero(prob / 4.0 > ZERO_PROB)
+            for o in BELL_OUTCOMES
         }
         for f in inputs:
             run = controlled_teleport(spec, f)
             assert {(b.charlie_outcome, b.bell_outcome) for b in run.branches} == kept
+            per_outcome = np.zeros_like(prob)
             for b in run.branches:
-                c = labels.index(b.charlie_outcome)
                 assert abs(b.fidelity - 1.0) <= 1e-12
-                assert abs(b.probability - prob[c, BELL_OUTCOMES.index(b.bell_outcome)]) <= 1e-12
+                per_outcome[labels.index(b.charlie_outcome)] += b.probability
+            assert np.max(np.abs(per_outcome - prob)) <= 1e-12
+
+
+def test_certificate_outcome_probabilities_hold_at_every_input():
+    # off the perfect channels a branch's probability depends on the input,
+    # but each controller outcome's does not: on the W state and 20
+    # Haar-random raw channels, at 4 random inputs each, the walk's branches
+    # summed over the sender's outcomes give the certificate's probability
+    rng = np.random.default_rng(127)
+    w = np.zeros(8, dtype=complex)
+    w[[0b001, 0b010, 0b100]] = 1.0 / np.sqrt(3.0)
+    specs = [RawChannel(state=PureState(w))]
+    for _ in range(20):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        specs.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
+    cert = _ct_certificate(*_controlled_arrays(specs))
+    for spec, prob in zip(specs, cert.probability):
+        labels = [label for label, _, _ in spec.controller_measurement]
+        for _ in range(4):
+            per_outcome = np.zeros_like(prob)
+            for label, _, p, _ in walk_controlled(spec, random_qubit(rng)):
+                per_outcome[labels.index(label)] += p
+            assert np.max(np.abs(per_outcome - prob)) <= 1e-12
+    # W: outcome 1 leaves |00>, so its branches split (1/6, 1/6, 0, 0) at
+    # |0> and (0, 0, 1/6, 1/6) at |1>, and only their sum, 1/3, is fixed
+    assert np.max(np.abs(cert.probability[0] - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-15
+    for phi, want in (((1.0, 0.0), [1, 1, 0, 0]), ((0.0, 1.0), [0, 0, 1, 1])):
+        walk = walk_controlled(specs[0], make_qubit(*phi))
+        got = [sum(p for label, o, p, _ in walk if (label, o) == ("1", outcome))
+               for outcome in BELL_OUTCOMES]
+        assert np.max(np.abs(np.array(got) - np.array(want) / 6.0)) <= 1e-12
 
 
 def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
@@ -499,7 +532,8 @@ def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
 
 def test_certificate_identities_hold_on_every_kraus_branch():
     # on every branch (c, o) the corrected Kraus operator K has
-    # |K|_F^2 / 2 = |w_c|^2 / 4 and |K - lambda I|_F / sqrt(p) equal to the
+    # |K|_F^2 / 2 = |w_c|^2 / 4, so the four sum to outcome c's probability
+    # |w_c|^2, and |K - lambda I|_F / sqrt(p) equal to the
     # certificate of outcome c alone, sqrt(2 off_c / |w_c|^2), which is at
     # least the largest entry of |K - lambda I| / sqrt(p): 50 of verify's
     # channels and 40 Haar-random raw channels, most far from perfect
@@ -513,7 +547,8 @@ def test_certificate_identities_hold_on_every_kraus_branch():
     ):
         kraus = _kraus(chans, cvecs, shared)
         prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1)) / 2.0
-        assert np.max(np.abs(_ct_certificate(chans, cvecs, shared).probability - prob)) <= 1e-14
+        outcome_prob = _ct_certificate(chans, cvecs, shared).probability
+        assert np.max(np.abs(outcome_prob - np.sum(prob, axis=-1))) <= 1e-14
         scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
         residual = kraus - scale[..., None, None] * IDENTITY
         kept = prob > ZERO_PROB
@@ -608,9 +643,10 @@ def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
 def test_ct_certificate_certifies_raw_channels():
     # a raw channel is certified like a named one: the Hadamard-rotated GHZ
     # and the controller-rotated named channels return every input, and the
-    # others do not.  On every raw channel the certificate's branch
-    # probabilities are the walk's averaged over the tetrahedron, and so is
-    # the weighted fidelity |<phi|K|phi>|^2, whose average is
+    # others do not.  On every raw channel the walk's branch probabilities,
+    # averaged over the tetrahedron, are |K|_F^2 / 2 = p, and summed over the
+    # sender's outcomes the certificate's outcome probabilities; so is the
+    # weighted fidelity |<phi|K|phi>|^2, whose average is
     # (|tr K|^2 + |K|_F^2)/6 = (4 |lambda|^2 + 2 p)/6, lambda = tr K / 2
     rng = np.random.default_rng(107)
     ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
@@ -619,10 +655,13 @@ def test_ct_certificate_certifies_raw_channels():
     cert = _ct_certificate(*arrays)
     kraus = _kraus(*arrays)
     scales = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
+    branch_probs = np.sum(np.abs(kraus) ** 2, axis=(-2, -1)) / 2.0
     assert cert.defect[0] <= 1e-13
     assert np.max(cert.defect[[-4, -2]]) <= 1e-13  # rotated onto the named basis
     assert np.min(cert.defect[1:4]) >= 0.1  # raw GHZ, |0>(|0>+i|1>), W
-    for spec, scale, prob in zip([ghz_h] + cases, scales, cert.probability):
+    for spec, scale, prob, outcome_prob in zip(
+        [ghz_h] + cases, scales, branch_probs, cert.probability
+    ):
         labels = [label for label, _, _ in spec.controller_measurement]
         mean_prob = np.zeros_like(prob)
         mean_weighted = np.zeros_like(prob)
@@ -632,6 +671,7 @@ def test_ct_certificate_certifies_raw_channels():
                 mean_prob[index] += p / 4.0
                 mean_weighted[index] += p * abs(np.vdot(phi, amps)) ** 2 / 4.0
         assert np.max(np.abs(mean_prob - prob)) <= 1e-12
+        assert np.max(np.abs(np.sum(mean_prob, axis=-1) - outcome_prob)) <= 1e-12
         assert np.max(np.abs(mean_weighted - (4.0 * abs(scale) ** 2 + 2.0 * prob) / 6.0)) <= 1e-12
 
 

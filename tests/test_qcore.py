@@ -2,8 +2,9 @@
 
 The package's state containers, gates and Bell pairs live in ``ctpower.qcore``;
 the step-by-step primitives the other tests' oracles use (gate application,
-projections, partial trace) live in ``tests/oracles.py`` and are checked here
-too, since every oracle needs its own check."""
+projections, partial trace, fidelity, the real y rotation) live in
+``tests/oracles.py`` and are checked here too, since every oracle needs its
+own check."""
 import numpy as np
 import pytest
 
@@ -13,19 +14,19 @@ from ctpower.qcore import (
     IDENTITY,
     PAULI_X,
     PAULI_Y,
-    PAULI_Y_REAL,
     PAULI_Z,
     BellOutcome,
     DensityOperator,
     PureState,
     bell_state,
-    fidelity_with_pure,
     make_qubit,
     pauli,
 )
 from oracles import (
+    PAULI_Y_REAL,
     apply_gate,
     equal_up_to_global_phase,
+    fidelity_with_pure,
     partial_trace,
     project_single_qubit,
     project_two_qubit,
