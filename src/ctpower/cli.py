@@ -1,5 +1,11 @@
 """Command-line front end.
 
+The flag groups several subcommands share (``--output/--seed/--args-from``,
+``--format``, the channel parameters with ``--config``, ``--channel``, and
+``--input/--theta/--phi``) are declared once each, as argparse parent
+parsers.  A named channel (``ms_xy``, ...) fixes its theta axis, so a
+``--config`` beside it must hold a theta channel on that axis.
+
 Every command produces one report rendered as csv, json, or pretty text.
 csv and json carry 17 significant digits so values round-trip exactly;
 pretty mode trims to 6.  Output metadata records the tool version, the
@@ -31,6 +37,7 @@ from .analysis import (
     sweep,
 )
 from .channels import (
+    MATCHED_AXIS,
     NAMED_CHANNELS,
     ChannelSpec,
     GHZChannel,
@@ -59,6 +66,8 @@ _MAX_GRID_POINTS = 10**6
 _MAX_SAMPLES = 10**9
 
 _CHANNEL_CHOICES = ("ghz", "ms", "theta", "raw") + NAMED_CHANNELS
+# the channel-parameter flags, in the order refusals name them
+_CHANNEL_PARAMS = ("c", "d", "a", "b", "a2", "k")
 
 
 class UsageError(Exception):
@@ -280,23 +289,29 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
     if name is None:
         raise UsageError("a channel is required (--channel)")
     if getattr(args, "config", None):
-        _reject_params(args, ("c", "d", "a", "b", "a2", "k"), "a channel read from --config")
+        _reject_params(args, _CHANNEL_PARAMS, "a channel read from --config")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read channel config: {exc}") from None
         spec = channel_from_config(text)
-        # a named theta channel (ms_xy, ...) accepts any theta config
-        if name not in NAMED_CHANNELS and spec.family != name:
+        # a named channel (ms_xy, ...) reads a theta config on the axis its name fixes
+        named = name in NAMED_CHANNELS
+        if spec.family != ("theta" if named else name):
             raise UsageError(
                 f"config file holds a {type(spec).__name__}, but --channel says {name!r}"
             )
+        if named:
+            axis = MATCHED_AXIS[name.rpartition("_")[2]]
+            if spec.k != axis:
+                raise UsageError(f"config file holds a ThetaChannel with k = {spec.k}, "
+                                 f"but --channel {name!r} fixes k = {axis}")
         return spec
     if name == "raw":
         raise UsageError("raw channels need --config with an amplitude list")
     if name == "ghz":
-        _reject_params(args, ("c", "d", "a", "b", "a2", "k"), "the 'ghz' channel")
+        _reject_params(args, _CHANNEL_PARAMS, "the 'ghz' channel")
         return GHZChannel()
     if name == "ms":
         _reject_params(args, ("a", "b", "a2", "k"), "the 'ms' channel")
@@ -485,8 +500,8 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     if args.a2_grid is not None and args.d_grid is not None:
         raise UsageError("give either --a2-grid or --d-grid, not both")
     if args.a2_grid is not None or args.d_grid is not None:
-        # the grid sets every channel parameter
-        _reject_params(args, ("c", "d", "a", "b", "a2", "config"), "a grid sweep")
+        # the grid sets every channel parameter but a theta channel's axis
+        _reject_params(args, (*_CHANNEL_PARAMS[:-1], "config"), "a grid sweep")
     if args.a2_grid is not None:
         if args.channel not in (None, "theta") and args.channel not in NAMED_CHANNELS:
             raise UsageError("--a2-grid applies to theta-family channels")
@@ -579,47 +594,33 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    if formats:  # verify prints one fixed text report
-        parser.add_argument(
-            "--format", choices=("csv", "json", "pretty"), default="pretty",
-            help="output format (default pretty)",
-        )
-    parser.add_argument("--output", metavar="PATH", help="write the report to a file")
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
-    )
-    parser.add_argument(
-        "--args-from", metavar="FILE",
-        help="read extra flags from FILE, one flag (with value) per line",
-    )
-
-
-def _add_channel_flags(parser: argparse.ArgumentParser, positional: bool) -> None:
-    if positional:
-        parser.add_argument("family", choices=_CHANNEL_CHOICES, help="channel family")
-    else:
-        parser.add_argument("--channel", choices=_CHANNEL_CHOICES, default=None)
-    parser.add_argument("--c", type=float, default=None, help="ms amplitude c")
-    parser.add_argument("--d", type=float, default=None, help="ms amplitude d")
-    parser.add_argument("--a", type=float, default=None, help="theta amplitude a")
-    parser.add_argument("--b", type=float, default=None, help="theta amplitude b")
-    parser.add_argument("--a2", type=float, default=None, help="theta weight a^2")
-    parser.add_argument("--k", choices=("x", "y", "z"), default=None, help="theta axis")
-    parser.add_argument("--config", metavar="FILE", help="channel config file")
-
-
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--input", choices=tuple(INPUT_FAMILIES), default="arbitrary",
-        help="input state family (default arbitrary)",
-    )
-    parser.add_argument("--theta", type=float, default=None, help="polar/family angle")
-    parser.add_argument("--phi", type=float, default=None, help="azimuthal angle")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser.  Each flag group that several subcommands share is
+    declared once, as a parent parser; a subcommand lists its groups."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--output", metavar="PATH", help="write the report to a file")
+    run.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    run.add_argument("--args-from", metavar="FILE",
+                     help="read extra flags from FILE, one flag (with value) per line")
+    fmt = argparse.ArgumentParser(add_help=False)  # all but verify, whose report is fixed
+    fmt.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty",
+                     help="output format (default pretty)")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--c", type=float, help="ms amplitude c")
+    params.add_argument("--d", type=float, help="ms amplitude d")
+    params.add_argument("--a", type=float, help="theta amplitude a")
+    params.add_argument("--b", type=float, help="theta amplitude b")
+    params.add_argument("--a2", type=float, help="theta weight a^2")
+    params.add_argument("--k", choices=("x", "y", "z"), help="theta axis")
+    params.add_argument("--config", metavar="FILE", help="channel config file")
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--channel", choices=_CHANNEL_CHOICES)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--input", choices=tuple(INPUT_FAMILIES), default="arbitrary",
+                        help="input state family (default arbitrary)")
+    inputs.add_argument("--theta", type=float, help="polar/family angle")
+    inputs.add_argument("--phi", type=float, help="azimuthal angle")
+
     parser = argparse.ArgumentParser(
         prog="ctpower",
         description="Controlled-teleportation simulator and control-power analysis.",
@@ -627,55 +628,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ctpower {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("channel", help="print a channel state, its tangle, and bounds")
-    _add_channel_flags(p, positional=True)
-    _add_common(p)
+    p = sub.add_parser("channel", parents=[params, fmt, run],
+                       help="print a channel state, its tangle, and bounds")
+    p.add_argument("family", choices=_CHANNEL_CHOICES, help="channel family")
     p.set_defaults(handler=_cmd_channel)
 
-    p = sub.add_parser("ct", help="run controlled teleportation, one row per branch")
-    _add_channel_flags(p, positional=False)
-    _add_input_flags(p)
-    _add_common(p)
+    p = sub.add_parser("ct", parents=[channel, params, inputs, fmt, run],
+                       help="run controlled teleportation, one row per branch")
     p.set_defaults(handler=_cmd_ct)
 
-    p = sub.add_parser("ncf", help="teleport without the controller; report the NCF")
-    _add_channel_flags(p, positional=False)
-    _add_input_flags(p)
-    _add_common(p)
+    p = sub.add_parser("ncf", parents=[channel, params, inputs, fmt, run],
+                       help="teleport without the controller; report the NCF")
     p.set_defaults(handler=_cmd_ncf)
 
-    p = sub.add_parser("avg", help="average the NCF over a domain of inputs")
-    _add_channel_flags(p, positional=False)
+    p = sub.add_parser("avg", parents=[channel, params, fmt, run],
+                       help="average the NCF over a domain of inputs")
     p.add_argument("--domain", choices=("sphere", "family"), default="sphere")
-    p.add_argument("--family", choices=FAMILY_NAMES, default=None)
+    p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument(
         "--method", choices=("quadrature", "monte_carlo"), default="quadrature",
         help="quadrature (default) and power-sweep's analytic are the same exact average",
     )
-    p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
-    _add_common(p)
+    p.add_argument("--n-samples", type=int, dest="n_samples")
     p.set_defaults(handler=_cmd_avg)
 
-    p = sub.add_parser("power-sweep", help="control power across a parameter grid")
-    _add_channel_flags(p, positional=False)
-    p.add_argument("--a2-grid", metavar="START:STOP:STEP", default=None)
-    p.add_argument("--d-grid", metavar="START:STOP:STEP", default=None)
-    p.add_argument(
-        "--method", choices=("analytic", "quadrature", "monte_carlo"),
-        default="analytic", help="analytic and quadrature are the same exact average",
-    )
-    _add_common(p)
+    p = sub.add_parser("power-sweep", parents=[channel, params, fmt, run],
+                       help="control power across a parameter grid")
+    p.add_argument("--a2-grid", metavar="START:STOP:STEP")
+    p.add_argument("--d-grid", metavar="START:STOP:STEP")
+    p.add_argument("--method", choices=("analytic", "quadrature", "monte_carlo"),
+                   default="analytic", help="analytic and quadrature are the same exact average")
     p.set_defaults(handler=_cmd_power_sweep)
 
-    p = sub.add_parser("mismatch", help="NCF for all channel/input family pairings")
-    p.add_argument("--a2", type=float, default=None, help="channel weight a^2")
-    _add_common(p)
+    p = sub.add_parser("mismatch", parents=[fmt, run],
+                       help="NCF for all channel/input family pairings")
+    p.add_argument("--a2", type=float, help="channel weight a^2")
     p.set_defaults(handler=_cmd_mismatch)
 
-    p = sub.add_parser("verify", help="run the self-check suite")
+    p = sub.add_parser("verify", parents=[channel, params, run], help="run the self-check suite")
     p.add_argument("--quick", action="store_true", help="skip Monte Carlo checks")
-    _add_channel_flags(p, positional=False)
-    _add_common(p, formats=False)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -78,7 +78,7 @@ def test_criterion_08_three_tangle_oracle(emit):
 
 def test_criterion_09_mismatch_dominance_and_flag(emit):
     run(emit, 9, "mismatched families dominate; balanced-point flag computed",
-        lambda: verify.check_mismatch(SEED))
+        verify.check_mismatch)
 
 
 def test_criterion_10_verify_reports_byte_identical(emit, tmp_path, capfd):

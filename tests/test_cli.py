@@ -64,6 +64,13 @@ def test_parse_grid_errors():
             parse_grid(bad)
 
 
+def test_parse_grid_caps_at_exactly_a_million_points():
+    # the cap the README states, spelled out so that moving the constant fails
+    assert len(parse_grid("0:999999:1")) == 10**6
+    with pytest.raises(UsageError, match="more than 1000000 points"):
+        parse_grid("0:1000000:1")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -444,6 +451,10 @@ def test_seed_flag_and_environment_default(capsys, monkeypatch):
     assert json.loads(other)["scalars"]["mean"] != env_doc["scalars"]["mean"]
     monkeypatch.setenv("CTPOWER_SEED", "not-a-number")
     assert main(list(argv)) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("CTPOWER_SEED", "-1")  # refused by the CLI, not by Monte Carlo
+    assert main(["ncf", "--channel", "ghz"]) == 2
+    assert capsys.readouterr().err == "ctpower: seed must be an unsigned 64-bit integer, got -1\n"
 
 
 def test_output_file_and_metadata(capsys, tmp_path):
@@ -549,17 +560,53 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--a2-grid applies to theta-family channels"),
         (["power-sweep", "--channel", "theta", "--d-grid=0:1:0.5"],
          "--d-grid applies to ms channels"),
+        # a named channel reads only a theta config on the axis its name fixes
+        (["avg", "--channel", "ms_xy", "--config", "{ms}"],
+         "config file holds a MSChannel, but --channel says 'ms_xy'"),
+        (["avg", "--channel", "ms_xy", "--config", "{theta_x}"],
+         "config file holds a ThetaChannel with k = x, but --channel 'ms_xy' fixes k = z"),
+        (["ncf", "--channel", "theta", "--k", "x", "--a2", "0.5", "--a", "0.6"],
+         "give either --a2 or --a/--b, not both"),
+        (["ncf", "--channel", "theta", "--k", "x", "--a2", "0.5", "--b", "0.6"],
+         "give either --a2 or --a/--b, not both"),
+        # ncf draws nothing, so only the CLI's own bound can refuse the seed
+        (["ncf", "--channel", "ghz", "--seed", "18446744073709551616"],
+         "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
     ],
 )
 def test_usage_error_branches_exit_2_with_one_message(capsys, tmp_path, argv, message):
-    theta = tmp_path / "theta.cfg"
-    theta.write_text("family = theta\na = 0.6\nb = 0.8\nk = z\n")
-    paths = {"missing": tmp_path / "missing.txt", "theta": theta}
+    paths = {"missing": tmp_path / "missing.txt"}
+    for name, text in (
+        ("theta", "family = theta\na = 0.6\nb = 0.8\nk = z\n"),
+        ("theta_x", "family = theta\na = 0.6\nb = 0.8\nk = x\n"),
+        ("ms", "family = ms\nc = 0.6\nd = 0.8\n"),
+    ):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"ctpower: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_named_channel_reads_a_config_on_its_own_axis(capsys, tmp_path):
+    # ms_xy fixes k = z, so a z-axis theta config reads as the same theta flags
+    path = tmp_path / "theta.cfg"
+    path.write_text("family = theta\na = 0.6\nb = 0.8\nk = z\n")
+    _, from_config = run_cli(capsys, "avg", "--channel", "ms_xy", "--config", str(path),
+                             "--format", "json")
+    _, from_flags = run_cli(capsys, "avg", "--channel", "theta", "--a", "0.6", "--k", "z",
+                            "--format", "json")
+    assert json.loads(from_config)["scalars"] == json.loads(from_flags)["scalars"]
+
+
+def test_one_theta_amplitude_derives_the_other(capsys):
+    for given, value, derived, want in (("--a", "0.6", "b", 0.8), ("--b", "0.8", "a", 0.6)):
+        code, out = run_cli(capsys, "ncf", "--channel", "theta", given, value, "--k", "x",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["scalars"][derived] == pytest.approx(want, abs=1e-15)
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
