@@ -12,18 +12,18 @@ Averages run over one of two domains:
 
 Every method reads the receiver's Bloch map (``protocol.receiver_map``),
 the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
-Quadrature and the analytic method are one exact average of it
-(``_exact_average``), which ``mismatch_report`` reads too.  Monte Carlo
-evaluates the map's NCF on the squared Bloch coordinates of inputs drawn
-from a PCG64DXSM generator keyed by (seed, row-index), so every stochastic
-result is bit-reproducible from the two.  It computes the draws in chunks
-of 16,384, cut into one contiguous run per usable CPU, each run on a
-thread of its own (the calling thread among them) in buffers of its own,
-640 KB a thread.  Each chunk's moments go into one row of a table, 24
-bytes a chunk, which is folded in chunk order after the threads end: the
-numbers do not depend on the number of CPUs, and memory stays bounded
-(the table is under 1.4 MiB at the CLI's cap of 10^9 samples).
-``_ncf_variance`` gives the exact variance its standard error estimates.
+The exact method is its exact average (``_exact_average``), which
+``mismatch_report`` reads too.  Monte Carlo evaluates the map's NCF on the
+squared Bloch coordinates of inputs drawn from a PCG64DXSM generator keyed
+by (seed, row-index), so every stochastic result is bit-reproducible from
+the two.  It computes the draws in chunks of 16,384, cut into one
+contiguous run per usable CPU, each run on a thread of its own (the
+calling thread among them) in buffers of its own, 640 KB a thread.  Each
+chunk's moments go into one row of a table, 24 bytes a chunk, which is
+folded in chunk order after the threads end: the numbers do not depend on
+the number of CPUs, and memory stays bounded (the table is under 1.4 MiB
+at the CLI's cap of 10^9 samples).  ``_ncf_variance`` gives the exact
+variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
 from __future__ import annotations
@@ -320,7 +320,7 @@ def _integer(value, name: str, lo: int, bits: int | None = None) -> int:
 def avg_fidelity_numeric(
     spec: ChannelSpec,
     domain: str,
-    method: str = "quadrature",
+    method: str = "exact",
     family: str | None = None,
     n_samples: int = MC_SAMPLES,
     seed: int = 0,
@@ -330,25 +330,26 @@ def avg_fidelity_numeric(
 
     ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
     or "family" (one equatorial family named by ``family``, uniform in its
-    angle).  ``method`` is "quadrature" (the exact average of the receiver
-    map's NCF, ``_exact_average``; stderr 0) or "monte_carlo" (mean and
-    standard error of the NCF at ``n_samples`` random inputs from the
-    PCG64DXSM stream keyed by (seed, row), evaluated on the receiver's Bloch
-    map chunk by chunk in bounded memory on the usable CPUs; see
-    ``_monte_carlo``).  Every channel has a receiver map, so both average
-    every channel.  Monte Carlo raises RangeError naming ``n_samples``,
-    ``seed`` or ``row`` unless it is an integer, n_samples at least 1 and
-    seed and row in [0, 2^64).
+    angle); the sphere refuses a ``family``.  ``method`` is "exact" (the
+    exact average of the receiver map's NCF, ``_exact_average``; stderr 0)
+    or "monte_carlo" (mean and standard error of the NCF at ``n_samples``
+    random inputs from the PCG64DXSM stream keyed by (seed, row), evaluated
+    on the receiver's Bloch map chunk by chunk in bounded memory on the
+    usable CPUs; see ``_monte_carlo``).  Every channel has a receiver map,
+    so both average every channel.  Monte Carlo raises RangeError naming
+    ``n_samples``, ``seed`` or ``row`` unless it is an integer, n_samples at
+    least 1 and seed and row in [0, 2^64).
     """
     if domain == "family":
         if family not in FAMILY_NAMES:
             raise ValueError(f"domain 'family' needs family in {FAMILY_NAMES}")
     elif domain == "sphere":
-        family = None
+        if family is not None:
+            raise ValueError(f"family {family!r} applies only to domain 'family'")
     else:
         raise ValueError(f"unknown domain {domain!r}")
 
-    if method == "quadrature":
+    if method == "exact":
         return AverageResult(_exact_average(spec, family), 0.0)
     if method == "monte_carlo":
         n_samples = _integer(n_samples, "n_samples", 1)
@@ -385,17 +386,15 @@ def power_report(spec: ChannelSpec, f_bar: float) -> PowerReport:
 
 
 def sweep(
-    specs: Sequence[ChannelSpec], method: str = "analytic", seed: int = 0
+    specs: Sequence[ChannelSpec], method: str = "exact", seed: int = 0
 ) -> list[PowerReport]:
     """One PowerReport per channel, in input order.
 
     Theta channels are averaged over their matched family, everything else
-    over the full sphere; "analytic" is "quadrature".  Rows are independent;
-    Monte Carlo rows draw from streams keyed by (seed, row-index) so
-    ordering or parallelism cannot change the numbers.
+    over the full sphere, by ``method`` ("exact" or "monte_carlo").  Rows
+    are independent; Monte Carlo rows draw from streams keyed by (seed,
+    row-index) so ordering or parallelism cannot change the numbers.
     """
-    if method == "analytic":
-        method = "quadrature"
     reports = []
     for row, spec in enumerate(specs):
         family = spec.matched_family

@@ -16,10 +16,11 @@ The controller's slice of an MS state decomposes over Bell pairs as
 
 which is where the MS controller basis |x+-> comes from: measuring the
 controller qubit in that (normalized, orthogonal) basis collapses
-sender+receiver onto a known Bell pair.  The controller of a theta or raw
-channel measures in the computational basis, and each outcome names the
-Bell pair of largest weight in the pair it leaves, exactly the pair it
-leaves on a theta channel.
+sender+receiver onto a known Bell pair; where c^2 <= 1e-12 it degenerates
+to the computational basis.  The controller of a theta or raw channel
+measures in the computational basis, and each outcome names the Bell pair
+of largest weight in the pair it leaves, exactly the pair it leaves on a
+theta channel.
 
 Every Bell pair here is a row of ``qcore.BELL_KETS``; a theta channel's
 b-branch is |1> times the pair sigma_k leaves on the receiver's half of
@@ -39,11 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasisError,
-    DimensionError,
-    NormalizationError,
-)
+from .errors import DimensionError, NormalizationError
 from .qcore import (
     BELL_BRAS,
     BELL_KETS,
@@ -143,15 +140,8 @@ class MSChannel(ChannelSpec):
 
     @cached_property
     def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        if self.c**2 <= EXACT_ATOL:
-            # the x+- basis degenerates here, but the controller is (all but)
-            # a product factor: its |0> leaves the Bell pair that x+ (d > 0)
-            # or x- (d < 0) names, and its |1> has probability c^2/2 <= ZERO_PROB
-            zero, one = make_qubit(1.0, 0.0), make_qubit(0.0, 1.0)
-            plus, minus = (zero, one) if self.d > 0.0 else (one, zero)
-        else:
-            bras = _charlie_bras(np.array([self.c]), np.array([self.d]))[0]
-            plus, minus = map(PureState, bras.conj())
+        bras = _charlie_bras(np.array([self.c]), np.array([self.d]))[0]
+        plus, minus = map(PureState, bras.conj())
         return (("x+", plus, BellOutcome.PHI_PLUS), ("x-", minus, BellOutcome.PHI_MINUS))
 
 
@@ -253,21 +243,21 @@ def _charlie_bras(c: np.ndarray, d: np.ndarray) -> np.ndarray:
         |x+> = [(1+d)|0> + c|1>] / sqrt((1+d)^2 + c^2)
         |x-> = [(1-d)|0> - c|1>] / sqrt((1-d)^2 + c^2)
 
-    Raises DegenerateBasisError when either vector vanishes before
-    normalization, which happens exactly at c=0 with d = -1 or +1.
+    Where c^2 <= 1e-12 the basis degenerates (a vector vanishes at c = 0,
+    d = +-1), but the controller is (all but) a product factor: its |0>
+    leaves the pair x+ (d > 0) or x- (d < 0) names, and its |1> has
+    probability c^2/2 <= ZERO_PROB.  Those rows are the computational bras,
+    <0| first when d > 0 and <1| first when d < 0; on every other row both
+    vectors have a squared norm of at least c^2 > 1e-12.
     """
     vecs = np.empty((len(c), 2, 2), dtype=complex)
     vecs[:, 0, 0] = 1.0 + d
     vecs[:, 0, 1] = c
     vecs[:, 1, 0] = 1.0 - d
     vecs[:, 1, 1] = -c
+    flat = c**2 <= EXACT_ATOL
+    vecs[flat] = np.eye(2)[np.where(d[flat, None] > 0.0, [0, 1], [1, 0])]
     norm2 = np.sum(np.abs(vecs) ** 2, axis=-1)
-    if np.any(norm2 < EXACT_ATOL):
-        i, j = np.argwhere(norm2 < EXACT_ATOL)[0]
-        raise DegenerateBasisError(
-            f"controller basis vector {('x+', 'x-')[j]} vanishes at "
-            f"c={float(c[i])!r}, d={float(d[i])!r}"
-        )
     return (vecs / np.sqrt(norm2)[..., None]).conj()
 
 

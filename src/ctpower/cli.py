@@ -1,10 +1,10 @@
 """Command-line front end.
 
 The flag groups several subcommands share (``--output/--seed/--args-from``,
-``--format``, the channel parameters with ``--config``, ``--channel``, and
-``--input/--theta/--phi``) are declared once each, as argparse parent
-parsers.  A named channel (``ms_xy``, ...) fixes its theta axis, so a
-``--config`` beside it must hold a theta channel on that axis.
+``--format``, the channel parameters with ``--config``, ``--channel``,
+``--input/--theta/--phi`` and ``--method``) are declared once each, as
+argparse parent parsers.  A named channel (``ms_xy``, ...) fixes its theta
+axis, so a ``--config`` beside it must hold a theta channel on that axis.
 
 Every command produces one report rendered as csv, json, or pretty text.
 csv and json carry 17 significant digits so values round-trip exactly;
@@ -594,6 +594,12 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+def _method(name: str) -> str:
+    """A ``--method`` value, with quadrature and analytic, the exact
+    average's names before 0.14.0, read as exact."""
+    return "exact" if name in ("quadrature", "analytic") else name
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser.  Each flag group that several subcommands share is
     declared once, as a parent parser; a subcommand lists its groups."""
@@ -620,6 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input state family (default arbitrary)")
     inputs.add_argument("--theta", type=float, help="polar/family angle")
     inputs.add_argument("--phi", type=float, help="azimuthal angle")
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", type=_method, choices=("exact", "monte_carlo"),
+                        default="exact", help="exact (default; also spelled quadrature "
+                        "or analytic) or monte_carlo")
 
     parser = argparse.ArgumentParser(
         prog="ctpower",
@@ -641,23 +651,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="teleport without the controller; report the NCF")
     p.set_defaults(handler=_cmd_ncf)
 
-    p = sub.add_parser("avg", parents=[channel, params, fmt, run],
+    p = sub.add_parser("avg", parents=[channel, params, method, fmt, run],
                        help="average the NCF over a domain of inputs")
     p.add_argument("--domain", choices=("sphere", "family"), default="sphere")
     p.add_argument("--family", choices=FAMILY_NAMES)
-    p.add_argument(
-        "--method", choices=("quadrature", "monte_carlo"), default="quadrature",
-        help="quadrature (default) and power-sweep's analytic are the same exact average",
-    )
     p.add_argument("--n-samples", type=int, dest="n_samples")
     p.set_defaults(handler=_cmd_avg)
 
-    p = sub.add_parser("power-sweep", parents=[channel, params, fmt, run],
+    p = sub.add_parser("power-sweep", parents=[channel, params, method, fmt, run],
                        help="control power across a parameter grid")
     p.add_argument("--a2-grid", metavar="START:STOP:STEP")
     p.add_argument("--d-grid", metavar="START:STOP:STEP")
-    p.add_argument("--method", choices=("analytic", "quadrature", "monte_carlo"),
-                   default="analytic", help="analytic and quadrature are the same exact average")
     p.set_defaults(handler=_cmd_power_sweep)
 
     p = sub.add_parser("mismatch", parents=[fmt, run],

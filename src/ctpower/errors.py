@@ -15,7 +15,3 @@ class DimensionError(ValueError):
 
 class RangeError(ValueError):
     """A real parameter lies outside its documented domain."""
-
-
-class DegenerateBasisError(ValueError):
-    """A measurement basis vector has zero norm before normalization."""

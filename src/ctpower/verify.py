@@ -139,14 +139,14 @@ def check_ms_closed_form() -> CheckResult:
 
 
 def check_sphere_average(seed: int, quick: bool) -> CheckResult:
-    """Sphere-averaged NCF equals 2/3 + |d|/3 by quadrature and Monte Carlo."""
-    worst_quad = 0.0
+    """Sphere-averaged NCF equals 2/3 + |d|/3, exactly and by Monte Carlo."""
+    worst_exact = 0.0
     for d in np.linspace(-1.0, 1.0, 11):
         spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-        mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
-        worst_quad = max(worst_quad, abs(mean - avg_fidelity_ms_analytic(float(d))))
-    ok = worst_quad <= 1e-9
-    detail = f"quadrature over 11 d values: max deviation {worst_quad:.3e} (tol 1e-9)"
+        mean, _ = avg_fidelity_numeric(spec, "sphere")
+        worst_exact = max(worst_exact, abs(mean - avg_fidelity_ms_analytic(float(d))))
+    ok = worst_exact <= 1e-9
+    detail = f"exact average over 11 d values: max deviation {worst_exact:.3e} (tol 1e-9)"
     if not quick:
         worst_sigma = 0.0
         worst_abs = 0.0
@@ -171,7 +171,7 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
 
 def check_ghz_classical_limit() -> CheckResult:
     """Without the controller a GHZ channel is worth exactly 2/3 on average."""
-    mean, _ = avg_fidelity_numeric(GHZChannel(), "sphere", method="quadrature")
+    mean, _ = avg_fidelity_numeric(GHZChannel(), "sphere")
     dev_f = abs(mean - 2.0 / 3.0)
     dev_c = abs(control_power(mean) - 1.0 / 3.0)
     return CheckResult(

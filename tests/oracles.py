@@ -45,7 +45,7 @@ from ctpower.channels import (
     ThetaChannel,
     check_unit_pair,
 )
-from ctpower.errors import DegenerateBasisError, DimensionError
+from ctpower.errors import DimensionError
 from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
@@ -509,13 +509,13 @@ def theta_amps_scalar(a: float, b: float, k: str) -> np.ndarray:
 
 def charlie_kets_scalar(c: float, d: float) -> np.ndarray:
     """The kets (|x+>, |x->) of an MS channel's controller basis as rows,
-    normalized one vector at a time; DegenerateBasisError if one vanishes."""
+    normalized one vector at a time; ValueError if one vanishes."""
     out = []
     for vec, label in (([1.0 + d, c], "x+"), ([1.0 - d, -c], "x-")):
         vec = np.array(vec, dtype=complex)
         norm2 = float(np.sum(np.abs(vec) ** 2))
         if norm2 < EXACT_ATOL:
-            raise DegenerateBasisError(f"controller basis vector {label} vanishes")
+            raise ValueError(f"controller basis vector {label} vanishes")
         out.append(vec / np.sqrt(norm2))
     return np.array(out)
 

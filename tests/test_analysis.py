@@ -108,12 +108,12 @@ def test_power_bound_check_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# quadrature averaging
+# exact averaging
 
 def test_sphere_quadrature_matches_analytic_on_d_grid():
     for d in np.linspace(-1.0, 1.0, 11):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=float(d))
-        mean, stderr = avg_fidelity_numeric(spec, "sphere", method="quadrature")
+        mean, stderr = avg_fidelity_numeric(spec, "sphere", method="exact")
         assert stderr == 0.0
         assert abs(mean - avg_fidelity_ms_analytic(float(d))) < 1e-9
 
@@ -129,7 +129,7 @@ def test_sphere_quadrature_matches_independent_oracle():
         return p0 * p0 + p1 * p1 + 2.0 * d * p0 * p1
 
     want = sphere_average_oracle(closed, order=60)
-    got, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
+    got, _ = avg_fidelity_numeric(spec, "sphere", method="exact")
     assert abs(got - want) < 1e-12
     assert abs(want - (2.0 / 3.0 + d / 3.0)) < 1e-12
 
@@ -153,12 +153,12 @@ def test_matched_family_average_is_the_dominant_weight():
 
 
 def test_exact_average_is_the_mean_of_the_map_over_a_design():
-    # quadrature is the exact average of the map's NCF: its mean over a
+    # the exact method is the exact average of the map's NCF: its mean over a
     # design (ncf_batch) within 1e-15, and the step-by-step walk's at the
     # same points and the closed forms within 1e-12
     for d in (-0.8, 0.0, 0.37, 1.0):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
-        mean, _ = avg_fidelity_numeric(spec, "sphere", method="quadrature")
+        mean, _ = avg_fidelity_numeric(spec, "sphere", method="exact")
         assert abs(mean - np.mean(ncf_batch(spec, *design(None)))) <= 1e-15
         assert abs(mean - np.mean(walk_ncf(spec, *design(None)))) < 1e-12
         assert abs(mean - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
@@ -169,7 +169,7 @@ def test_exact_average_is_the_mean_of_the_map_over_a_design():
             # the matched channel, flat on its circle, and a mismatched one
             for k, want in ((MATCHED_AXIS[fam], hi), (fam[0], hi + lo / 2.0)):
                 spec = ThetaChannel(a=a, b=b, k=k)
-                mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="quadrature")
+                mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="exact")
                 assert abs(mean - np.mean(ncf_batch(spec, *design(fam)))) <= 1e-15
                 assert abs(mean - np.mean(walk_ncf(spec, *design(fam)))) < 1e-12
                 assert abs(mean - want) < 1e-12
@@ -183,6 +183,10 @@ def test_domain_and_measure_validation():
         avg_fidelity_numeric(spec, "family")  # family name missing
     with pytest.raises(ValueError):
         avg_fidelity_numeric(spec, "sphere", method="guessing")
+    # a family beside the sphere is refused, not dropped: the xy mean of
+    # this channel is 0.64, its sphere mean 0.76
+    with pytest.raises(ValueError, match="'xy' applies only to domain 'family'"):
+        avg_fidelity_numeric(ThetaChannel(0.6, 0.8, "z"), "sphere", family="xy")
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +675,7 @@ def test_power_report_fields():
 def test_sweep_ms_d_grid_reference_values():
     ds = (0.0, 0.25, 0.5, 0.75, 1.0)
     specs = [MSChannel(c=math.sqrt(1 - d * d), d=d) for d in ds]
-    reports = sweep(specs, method="analytic")
+    reports = sweep(specs)
     want = (2.0 / 3.0, 0.75, 5.0 / 6.0, 11.0 / 12.0, 1.0)
     for rep, f in zip(reports, want):
         assert abs(rep.f_bar - f) < 1e-12
@@ -682,36 +686,43 @@ def test_sweep_theta_a2_grid_reference_values():
     specs = [
         ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1 - a2), k="z") for a2 in grid
     ]
-    reports = sweep(specs, method="analytic")
+    reports = sweep(specs)
     for rep, c, tau in zip(reports, (1 / 3, 0.5, 1 / 3), (8 / 9, 1.0, 8 / 9)):
         assert abs(rep.c_bar - c) < 1e-9
         assert abs(rep.tau - tau) < 1e-9
         assert rep.meets_classical_bound and rep.meets_tangle_bound
 
 
-def test_sweep_quadrature_agrees_with_analytic():
+def test_sweep_defaults_to_the_exact_average():
     specs = [GHZChannel(), MSChannel(c=0.6, d=0.8),
              ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x")]
-    analytic = sweep(specs, method="analytic")
-    numeric = sweep(specs, method="quadrature")
-    for a, q in zip(analytic, numeric):
-        assert a.f_bar == q.f_bar  # one exact average, bit for bit
+    default = sweep(specs)
+    assert [r.f_bar for r in sweep(specs, method="exact")] == [r.f_bar for r in default]
+    for rep, spec, domain in zip(default, specs, ("sphere", "sphere", "family")):
+        want = avg_fidelity_numeric(spec, domain, family=spec.matched_family)
+        assert rep.f_bar == want.mean  # one exact average, bit for bit
+    # the exact average's names before 0.14.0 are CLI spellings only
+    for old in ("quadrature", "analytic"):
+        with pytest.raises(ValueError, match=f"unknown method '{old}'"):
+            sweep(specs, method=old)
+        with pytest.raises(ValueError, match=f"unknown method '{old}'"):
+            avg_fidelity_numeric(specs[0], "sphere", method=old)
 
 
 def test_analytic_sweep_reads_the_receiver_map():
     # sphere: 1/2 + sum(lambda)/6 = 2/3 + |d|/3; matched circle: max(a^2, b^2)
     for d in (-0.8, -0.3, 0.0, 0.5, 1.0):
-        (rep,) = sweep([MSChannel(c=math.sqrt(1 - d * d), d=d)], method="analytic")
+        (rep,) = sweep([MSChannel(c=math.sqrt(1 - d * d), d=d)])
         assert abs(rep.f_bar - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
     for a, b in ((0.6, 0.8), (0.8, -0.6), (math.sqrt(0.5), math.sqrt(0.5))):
         for k in ("x", "y", "z"):
-            (rep,) = sweep([ThetaChannel(a, b, k)], method="analytic")
+            (rep,) = sweep([ThetaChannel(a, b, k)])
             assert abs(rep.f_bar - max(a * a, b * b)) < 1e-12
     # raw channels have an analytic average too; the walk over the
     # tetrahedron agrees
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     raw = RawChannel(state=apply_gate(u, 0, MSChannel(c=0.6, d=-0.8).state))
-    (rep,) = sweep([raw], method="analytic")
+    (rep,) = sweep([raw])
     assert abs(rep.f_bar - np.mean(walk_ncf(raw, *design(None)))) < 1e-12
     # controller and receiver share a Bell pair, the sender is |0>: the
     # sender's outcome weights depend on the input, and summed over the
@@ -725,10 +736,10 @@ def test_analytic_sweep_reads_the_receiver_map():
     result = unconditioned_teleport(degenerate, ArbitraryInput(1.0, 0.5))
     assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
     assert not result.per_outcome_equal
-    for method in ("quadrature", "monte_carlo"):
+    for method in ("exact", "monte_carlo"):
         avg = avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)
         assert avg == (0.5, 0.0)
-    (rep,) = sweep([degenerate], method="analytic")
+    (rep,) = sweep([degenerate])
     assert rep.f_bar == 0.5
 
 
@@ -788,7 +799,7 @@ def test_mismatch_report_structure_and_claim_flag():
         assert 0.0 <= row.avg_power <= 1.0
         if row.matched:
             assert abs(row.avg_power - 0.5) < 1e-9
-    # the flag records the quadrature outcome; with the circle measure the
+    # the flag records the exact outcome; with the circle measure the
     # best mismatched power is 1/4, not the claimed 1/3
     assert abs(report.max_mismatched_power - 0.25) < 1e-9
     assert report.claim_power == pytest.approx(1.0 / 3.0)

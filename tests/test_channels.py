@@ -30,11 +30,7 @@ from ctpower.channels import (
     named_channel,
     three_tangle,
 )
-from ctpower.errors import (
-    DegenerateBasisError,
-    DimensionError,
-    NormalizationError,
-)
+from ctpower.errors import DimensionError, NormalizationError
 from ctpower.protocol import _CORRECTIONS
 from ctpower.qcore import (
     BELL_OUTCOMES,
@@ -107,10 +103,12 @@ def haar_unitary(rng):
 def test_check_unit_pair():
     a, b = check_unit_pair(0.6, 0.8, "a, b")
     assert (a, b) == (0.6, 0.8)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError) as refused:
         check_unit_pair(0.6, 0.9, "a, b")
-    with pytest.raises(NormalizationError):
-        check_unit_pair(0.6 + 0j, 0.8, "a, b")  # complex parameters rejected
+    assert str(refused.value) == "a, b must satisfy a unit sum of squares, got 1.17"
+    with pytest.raises(NormalizationError) as refused:
+        check_unit_pair(0.6 + 0j, 0.8, "c, d")  # complex parameters rejected
+    assert str(refused.value) == "c, d must be real numbers"
 
 
 def test_check_unit_pair_rejects_non_finite_values():
@@ -161,10 +159,23 @@ def test_charlie_basis_closed_form_and_orthogonality():
 
 
 def test_charlie_basis_degenerate_cases():
-    with pytest.raises(DegenerateBasisError):
-        _charlie_bras(np.array([0.0]), np.array([-1.0]))
-    with pytest.raises(DegenerateBasisError):
-        _charlie_bras(np.array([0.0]), np.array([1.0]))
+    # where c^2 <= 1e-12 the x+- basis degenerates, and the rows are the
+    # computational bras, <0| first when d > 0; past the threshold the
+    # formula runs; every row is finite and unit, with no floating-point
+    # warning, and the spec reads its one row
+    for c in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1.0000001e-6, -1.0000001e-6):
+        for sign in (1.0, -1.0):
+            d = sign * math.sqrt(1.0 - c * c)
+            with np.errstate(all="raise"):
+                (bras,) = _charlie_bras(np.array([c]), np.array([d]))
+            assert np.all(np.isfinite(bras))
+            assert np.max(np.abs(np.sum(np.abs(bras) ** 2, axis=-1) - 1.0)) < 1e-15
+            kets = np.array([v.amps for _, v, _ in MSChannel(c, d).controller_measurement])
+            assert kets.tobytes() == bras.conj().tobytes()
+            if c * c <= 1e-12:
+                assert bras.tolist() == (np.eye(2) if d > 0.0 else np.eye(2)[::-1]).tolist()
+            else:
+                assert bras.conj().tobytes() == charlie_kets_scalar(c, d).tobytes()
 
 
 def test_ms_state_bell_decomposition_identity():
@@ -382,16 +393,24 @@ def test_stacked_constructors_are_the_scalar_constructors():
         for i, row in enumerate(stack):
             want = theta_amps_scalar(x[i], y[i], k).tobytes()
             assert row.tobytes() == want == ThetaChannel(x[i], y[i], k).state.amps.tobytes()
-    keep = np.abs(x) >= 1e-3
-    for i, bras in zip(np.flatnonzero(keep), _charlie_bras(x[keep], y[keep])):
-        want = charlie_kets_scalar(x[i], y[i]).tobytes()
+    # the oracle reads the non-degenerate rows; the two degenerate ones
+    # (c^2 <= 1e-12 at d = +-1) are the computational bras in the stack too
+    flat = x**2 <= 1e-12
+    assert flat.sum() == 2
+    for i, bras in enumerate(_charlie_bras(x, y)):
         kets = np.array([v.amps for _, v, _ in MSChannel(x[i], y[i]).controller_measurement])
+        if flat[i]:
+            want = (np.eye(2) if y[i] > 0.0 else np.eye(2)[::-1]).astype(complex).tobytes()
+        else:
+            want = charlie_kets_scalar(x[i], y[i]).tobytes()
         assert bras.conj().tobytes() == want == kets.tobytes()
-    # one degenerate row refuses the whole stack, as the oracle refuses it
-    with pytest.raises(DegenerateBasisError):
+    # the oracle refuses a vanishing vector; in a stack, rows at c = 0 are
+    # computational and leave a regular row as it is alone
+    with pytest.raises(ValueError, match="x- vanishes"):
         charlie_kets_scalar(0.0, 1.0)
-    with pytest.raises(DegenerateBasisError):
-        _charlie_bras(np.array([0.6, 0.0]), np.array([0.8, 1.0]))
+    mixed = _charlie_bras(np.array([0.6, 0.0, 0.0]), np.array([0.8, 1.0, -1.0]))
+    assert mixed[0].tobytes() == _charlie_bras(np.array([0.6]), np.array([0.8]))[0].tobytes()
+    assert mixed[1:].tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     # the computational pairs, stacked and as the default controller measurement
     amps = tangle_stack(np.random.default_rng(151))
     for row, pairs in zip(amps, _computational_pairs(amps)):

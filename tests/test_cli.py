@@ -183,6 +183,22 @@ def test_avg_command_caps_monte_carlo_samples(capsys):
     capsys.readouterr()
 
 
+def test_every_method_spelling_runs_and_names_the_exact_average(capsys):
+    # quadrature and analytic, the exact average's names before 0.14.0, are
+    # still read; every report names the method that ran
+    for command in (["avg", "--channel", "ms", "--d", "0.5"],
+                    ["power-sweep", "--d-grid=0:1:0.5"]):
+        docs = []
+        for spelling in ([], ["--method", "exact"], ["--method", "quadrature"],
+                         ["--method", "analytic"]):
+            code, out = run_cli(capsys, *command, *spelling, "--format", "json")
+            assert code == 0
+            docs.append(json.loads(out))
+            assert docs[-1]["scalars"]["method"] == "exact"
+        assert all(doc["scalars"] == docs[0]["scalars"] for doc in docs)
+        assert all(doc["rows"] == docs[0]["rows"] for doc in docs)
+
+
 def test_power_sweep_caps_monte_carlo_samples(capsys, monkeypatch):
     # 1,001 grid points of 10^6 samples each ask for just over 10^9 samples;
     # refused before any point is averaged
@@ -197,6 +213,18 @@ def test_power_sweep_caps_monte_carlo_samples(capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert "1001 grid points" in err and "1000000000" in err
+    # 1,000 points ask for exactly 10^9 samples, which the cap lets through
+    # to the sweep; the stub averages nothing
+    swept = []
+    monkeypatch.setattr(
+        "ctpower.cli.sweep", lambda specs, method, seed: swept.append((len(specs), method)) or []
+    )
+    code = main([
+        "power-sweep", "--channel", "theta", "--k", "z",
+        "--a2-grid", "0:0.999:0.001", "--method", "monte_carlo",
+    ])
+    capsys.readouterr()
+    assert (code, swept) == (0, [(1000, "monte_carlo")])
 
 
 def test_power_sweep_peaks_at_even_split(capsys):

@@ -112,11 +112,11 @@ def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, point
     batch = ncf_batch(spec, k0, k1)
     assert np.max(np.abs(batch - from_map)) < 1e-12
     assert np.max(np.abs(batch - walk_ncf(spec, k0, k1))) < 1e-12
-    # quadrature is the exact average: the walk's mean over an exact design
+    # the exact method is the exact average: the walk's mean over an exact design
     for family in (None,) + FAMILY_NAMES:
         domain = "sphere" if family is None else "family"
-        quad = avg_fidelity_numeric(spec, domain, method="quadrature", family=family).mean
-        assert abs(quad - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
+        exact = avg_fidelity_numeric(spec, domain, method="exact", family=family).mean
+        assert abs(exact - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -43,10 +43,10 @@ CASES = {
         verify.check_ms_closed_form,
         "max |simulated - closed| = 1.000e-06",
     ),
-    "sphere-average quadrature": (
+    "sphere-average exact": (
         lambda mp: _shifted(mp, "avg_fidelity_ms_analytic", lambda f: f + OFF),
         lambda: verify.check_sphere_average(0, quick=True),
-        "quadrature over 11 d values: max deviation 1.000e-06",
+        "exact average over 11 d values: max deviation 1.000e-06",
     ),
     "ghz-classical-limit fidelity": (
         lambda mp: (
