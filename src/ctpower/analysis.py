@@ -156,11 +156,14 @@ def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
     """The exact variance of the NCF over the sphere (``family`` None) or a
     family's circle, whose square root over sqrt(n) is the standard error
     Monte Carlo estimates: (3 sum lambda_i^2 - (sum lambda_i)^2)/90 from the
-    sphere's E[r_i^4] = 1/5 and E[r_i^2 r_j^2] = 1/15, and
-    (lambda_c - lambda_s)^2/32 from the circle's Var(cos^2 a) = 1/8."""
+    sphere's E[r_i^4] = 1/5 and E[r_i^2 r_j^2] = 1/15, written as
+    sum_{i<j} (lambda_i - lambda_j)^2/90, which cannot cancel below 0 when
+    the lambdas are nearly equal, and (lambda_c - lambda_s)^2/32 from the
+    circle's Var(cos^2 a) = 1/8."""
     lam = receiver_map(spec)
     if family is None:
-        return float(3.0 * (lam * lam).sum() - lam.sum() ** 2) / 90.0
+        l0, l1, l2 = (float(v) for v in lam)
+        return ((l0 - l1) ** 2 + (l0 - l2) ** 2 + (l1 - l2) ** 2) / 90.0
     cos_axis, sin_axis = _CIRCLE_AXES[family]
     return float(lam[cos_axis] - lam[sin_axis]) ** 2 / 32.0
 

@@ -17,13 +17,14 @@ Exit codes: 0 success, 1 a quantitative check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import shlex
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .analysis import (
@@ -563,7 +564,7 @@ def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, 
         ("claim_agrees", rep.claim_agrees),
     ]
     out.columns = [f.name for f in fields(MismatchRow)]
-    out.rows = [list(astuple(r)) for r in rep.rows]
+    out.rows = [[getattr(r, name) for name in out.columns] for r in rep.rows]
     return out, 0
 
 
@@ -676,12 +677,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser for the life of the process.  It holds nothing a call
+# can change: its choices, version and handlers are fixed at import, help
+# width is read when help is formatted, and parsing leaves it as it was.
+# The handlers are bound when it is built, so a ``_cmd_*`` handler
+# monkeypatched after the first call is not seen.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
         full_argv = _splice_args_from(raw_argv)
-        args = parser.parse_args(full_argv)
+        args = _parser().parse_args(full_argv)
         seed = _resolve_seed(args)
         config = RunConfig(
             seed=seed,

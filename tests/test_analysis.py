@@ -476,13 +476,16 @@ def test_monte_carlo_stderr_matches_the_predicted_spread():
 def test_predicted_variance_is_the_exact_spread_of_the_ncf():
     # the variance read off lambda, (3 sum lambda^2 - (sum lambda)^2)/90 on
     # the sphere and (lambda_c - lambda_s)^2/32 on a circle, against the
-    # oracle's moments of the full transfer matrix
+    # oracle's moments of the full transfer matrix.  The small-c MS channels
+    # have nearly equal lambdas, where the sphere's form once cancelled to
+    # a negative variance (-1.97e-17 at c = 1.49e-8)
     rng = np.random.default_rng(131)
     named = [MSChannel(c=math.sqrt(1.0 - d * d), d=d) for d in (-0.8, -0.3, 0.0, 0.6, 1.0)]
     named += [
         ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=k)
         for a2 in (0.1, 0.5, 0.8) for k in "xyz"
     ]
+    named += [MSChannel(c=c, d=math.sqrt(1.0 - c * c)) for c in (1.4917934138154303e-08, 1e-4)]
     raw = [
         RawChannel(state=apply_gate(random_local_unitary(rng), 0, spec.state))
         for spec in named
@@ -490,6 +493,7 @@ def test_predicted_variance_is_the_exact_spread_of_the_ncf():
     for spec in named + raw:
         for family in (None, *FAMILY_NAMES):
             got = analysis._ncf_variance(spec, family)
+            assert got >= 0.0, (spec, family)
             assert abs(got - ncf_variance(spec, family)) <= 1e-15, (spec, family)
 
 

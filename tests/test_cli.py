@@ -20,8 +20,8 @@ from ctpower.channels import (
     ThetaChannel,
     channel_to_config,
 )
-from ctpower import __version__
-from ctpower.cli import UsageError, main, parse_grid
+from ctpower import __version__, cli
+from ctpower.cli import UsageError, build_parser, main, parse_grid
 from ctpower.protocol import ArbitraryInput
 from ctpower.qcore import PureState
 from ctpower.verify import format_report, suite
@@ -436,6 +436,18 @@ def test_avg_monte_carlo_prints_the_predicted_stderr_on_stderr(capsys, tmp_path)
     assert capsys.readouterr().err == ""
 
 
+def test_avg_monte_carlo_on_a_nearly_flat_channel_predicts_a_non_negative_stderr(capsys):
+    # the lambdas are equal to about 1e-16 here; the predicted variance
+    # once cancelled to -1.97e-17 and the command exited 2
+    argv = ["avg", "--channel", "ms", "--c", "1.4917934138154303e-08",
+            "--method", "monte_carlo", "--n-samples", "10"]
+    assert main(argv) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    label, _, value = line.partition(": ")
+    assert label == "predicted stderr"
+    assert 0.0 <= float(value) < 1e-15
+
+
 def test_power_sweep_monte_carlo_prints_the_predicted_stderr_per_row(capsys, tmp_path):
     argv = [
         "power-sweep", "--d-grid=-0.5:0.25:0.75", "--method", "monte_carlo",
@@ -746,6 +758,33 @@ def test_ncf_avg_and_power_sweep_accept_channels_whose_outcomes_disagree(capsys,
         assert code == 0 and abs(json.loads(out)["scalars"]["mean"] - sphere) < 1e-12
         code, out = run_cli(capsys, "power-sweep", *flags)
         assert code == 0 and abs(json.loads(out)["rows"][0][2] - sphere) < 1e-12
+
+
+def test_main_shares_one_parser_that_parsing_leaves_as_it_was(capsys):
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on its own errors, help and version
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    probes = (
+        ["avg", "--channel", "ms", "--d", "0.5", "--format", "json"],
+        ["mismatch", "--a2", "0.3", "--format", "csv"],
+    )
+    exits = (["ct", "--channel", "hexagonal"], ["--version"], ["avg", "--help"])
+    cli._parser.cache_clear()
+    fresh = [run(argv) for argv in probes]
+    parser = cli._parser()
+    first_exits = [run(argv) for argv in exits]
+    assert [code for code, _, _ in first_exits] == [2, 0, 0]
+    assert [run(argv) for argv in probes] == fresh
+    assert [run(argv) for argv in exits] == first_exits
+    assert cli._parser() is parser
 
 
 def test_package_version_is_the_pyproject_version():
