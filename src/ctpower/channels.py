@@ -10,33 +10,32 @@ Families:
 * ``ThetaChannel(a, b, k)``   a|0>|phi+>  +  b|1>(I x sigma_k)|phi+>
 * ``RawChannel(state)``       any caller-supplied normalized 3-qubit state
 
-The controller's slice of an MS state decomposes over Bell pairs as
+Every channel's controller measures in the basis its Bell table gives
+(``_controller_basis``): the first bra is the table's heaviest column,
+conjugated and normalized, the second the unit vector orthogonal to it,
+and each outcome names the Bell pair of largest weight in the state it
+leaves the sender and receiver.  The controller's slice of an MS state
+decomposes over Bell pairs as
 
     1/2 [(1+d)|0> + c|1>] |phi+>  +  1/2 [(1-d)|0> - c|1>] |phi->
 
-which is where the MS controller basis |x+-> comes from: measuring the
-controller qubit in that (normalized, orthogonal) basis collapses
-sender+receiver onto a known Bell pair; where c^2 <= 1e-12 it degenerates
-to the computational basis.  The controller of a theta or raw channel
-measures in the computational basis, and each outcome names the Bell pair
-of largest weight in the pair it leaves, exactly the pair it leaves on a
-theta channel.
+so there the rule gives the |x+-> basis, whose outcomes leave phi+ and
+phi-; on a theta channel it gives the computational basis, up to phase.
 
 Every Bell pair here is a row of ``qcore.BELL_KETS``; a theta channel's
 b-branch is |1> times the pair sigma_k leaves on the receiver's half of
 phi+.  Each formula is written once, over stacks: ``_ms_amps`` and
-``_theta_amps`` give (n, 8) amplitudes, ``_charlie_bras`` the (n, 2, 2) MS
-controller bras, ``_bell_table`` the Bell amplitudes
-W[c, p] = <bell_p| <c| chan, whose weights name the computational
-controller's pairs and ``dominant_bell``, and ``_tangles`` the 3-tangles.
-The specs, which validate their parameters once, and ``three_tangle`` are
-their one-row views.
+``_theta_amps`` give (n, 8) amplitudes, ``_bell_table`` the Bell amplitudes
+W[c, p] = <bell_p| <c| chan, whose weights name ``dominant_bell``,
+``_controller_basis`` the controller's bras and the pairs they name, and
+``_tangles`` the 3-tangles.  The specs, which validate their parameters
+once, and ``three_tangle`` are their one-row views.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .qcore import (
     PureState,
     _SQRT_HALF,
     _const,
-    make_qubit,
 )
 
 TANGLE_BOUND = 8.0 / 9.0
@@ -87,12 +85,14 @@ class ChannelSpec:
     """A member of a channel family, with the facts the protocol needs.
 
     Every subclass names its ``family``, builds its 3-qubit ``state`` once
-    per spec object, and has a ``controller_measurement``: one
-    (label, basis vector, Bell pair left) triple per controller outcome;
-    that pair and the sender's outcome alone fix the receiver's Pauli.
+    per spec object, and labels its two controller outcomes; its
+    ``controller_measurement`` is one (label, basis vector, Bell pair left)
+    triple per outcome, and that pair and the sender's outcome alone fix
+    the receiver's Pauli.
     """
 
     family: ClassVar[str]
+    controller_labels: ClassVar[tuple[str, str]] = ("0", "1")
     # averages run over this input family's great circle, or the sphere
     matched_family: ClassVar[str | None] = None
 
@@ -109,14 +109,12 @@ class ChannelSpec:
 
     @cached_property
     def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        """The controller measured in the computational basis: outcome c
-        names the Bell pair p of largest weight |<bell_p| <c| chan|^2, ties
-        within 1e-12 going to the earlier pair in BELL_OUTCOMES.  Theta and
-        raw channels measure so; MS channels override it."""
-        best = _computational_pairs(self.state.amps[None])[0]
+        """The one-row view of ``_controller_basis``, its outcomes labelled
+        by ``controller_labels``."""
+        bras, pairs, _ = _controller_basis(self.state.amps[None])
         return tuple(
-            (label, make_qubit(*np.eye(2)[c]), BELL_OUTCOMES[best[c]])
-            for c, label in enumerate("01")
+            (label, PureState(bra.conj()), BELL_OUTCOMES[pair])
+            for label, bra, pair in zip(self.controller_labels, bras[0], pairs[0])
         )
 
 
@@ -125,6 +123,7 @@ class MSChannel(ChannelSpec):
     """Maximal-slice channel with real parameters c, d, c^2 + d^2 = 1."""
 
     family: ClassVar[str] = "ms"
+    controller_labels: ClassVar[tuple[str, str]] = ("x+", "x-")
 
     c: float
     d: float
@@ -137,12 +136,6 @@ class MSChannel(ChannelSpec):
     @cached_property
     def state(self) -> PureState:
         return PureState(_ms_amps(np.array([self.c]), np.array([self.d]))[0])
-
-    @cached_property
-    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        bras = _charlie_bras(np.array([self.c]), np.array([self.d]))[0]
-        plus, minus = map(PureState, bras.conj())
-        return (("x+", plus, BellOutcome.PHI_PLUS), ("x-", minus, BellOutcome.PHI_MINUS))
 
 
 @dataclass(frozen=True)
@@ -209,9 +202,8 @@ class RawChannel(ChannelSpec):
 
 
 # ---------------------------------------------------------------------------
-# constructors: each family is one stacked formula over arrays of parameters,
-# (n, 8) amplitudes or (n, 2, 2) controller bras, and the specs above are
-# its validated one-row views
+# constructors: each family is one stacked formula over arrays of parameters
+# or (n, 8) amplitudes, and the specs above are its validated one-row views
 
 # a theta channel is a * _THETA_A + b * _THETA_B[k], k indexing "xyz":
 # sigma_k on the receiver's half of phi+ leaves psi+, psi- and phi-.  For y
@@ -236,31 +228,6 @@ def _theta_amps(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return a[:, None] * _THETA_A + b[:, None] * _THETA_B[axes]
 
 
-def _charlie_bras(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) bras (<x+|, <x-|) of the MS controller basis for unit
-    pairs (c[i], d[i]):
-
-        |x+> = [(1+d)|0> + c|1>] / sqrt((1+d)^2 + c^2)
-        |x-> = [(1-d)|0> - c|1>] / sqrt((1-d)^2 + c^2)
-
-    Where c^2 <= 1e-12 the basis degenerates (a vector vanishes at c = 0,
-    d = +-1), but the controller is (all but) a product factor: its |0>
-    leaves the pair x+ (d > 0) or x- (d < 0) names, and its |1> has
-    probability c^2/2 <= ZERO_PROB.  Those rows are the computational bras,
-    <0| first when d > 0 and <1| first when d < 0; on every other row both
-    vectors have a squared norm of at least c^2 > 1e-12.
-    """
-    vecs = np.empty((len(c), 2, 2), dtype=complex)
-    vecs[:, 0, 0] = 1.0 + d
-    vecs[:, 0, 1] = c
-    vecs[:, 1, 0] = 1.0 - d
-    vecs[:, 1, 1] = -c
-    flat = c**2 <= EXACT_ATOL
-    vecs[flat] = np.eye(2)[np.where(d[flat, None] > 0.0, [0, 1], [1, 0])]
-    norm2 = np.sum(np.abs(vecs) ** 2, axis=-1)
-    return (vecs / np.sqrt(norm2)[..., None]).conj()
-
-
 def _bell_table(amps: np.ndarray) -> np.ndarray:
     """(n, 2, 4) Bell amplitudes W[c, p] = <bell_p| <c| chan of n channels'
     amplitudes; einsum, as BLAS's first call grows peak memory."""
@@ -272,11 +239,41 @@ def _first_max(weights: np.ndarray) -> np.ndarray:
     return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
 
 
-def _computational_pairs(amps: np.ndarray) -> np.ndarray:
-    """(n, 2) indices into BELL_OUTCOMES of the pair each computational
-    controller outcome c of the (n, 8) channels names: the pair p of largest
-    weight |<bell_p| <c| chan|^2, ties within 1e-12 going to the earlier."""
-    return _first_max(np.abs(_bell_table(amps)) ** 2)
+class ControllerBasis(NamedTuple):
+    """The controller's measurement of n channels, one row per outcome."""
+
+    bras: np.ndarray   # (n, 2, 2) the controller bras
+    pairs: np.ndarray  # (n, 2) index into BELL_OUTCOMES of the pair each names
+    rows: np.ndarray   # (n, 2, 4) Bell amplitudes bras @ W that each leaves
+
+
+def _controller_basis(amps: np.ndarray) -> ControllerBasis:
+    """The controller basis of (n, 8) channels, read off their Bell tables W.
+
+    The first bra is W's heaviest column, conjugated and normalized, and the
+    second the unit vector orthogonal to it.  That column holds at least a
+    quarter of the weight, so no channel leaves the rule without a basis.
+    Each outcome names the pair of largest weight in its row of bras @ W,
+    ties within 1e-12 going to the earlier pair, and the outcomes are
+    ordered by the index of that pair, a tie keeping the heaviest column
+    first.  On a channel that some controller basis makes perfect, the rule
+    finds that basis: |x+-> on MS, the computational one on theta.
+    """
+    table = _bell_table(amps)
+    weights = table.real**2 + table.imag**2
+    col = table[np.arange(len(table)), :, _first_max(weights[:, 0] + weights[:, 1])]
+    col /= np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-1, keepdims=True))
+    bras = np.empty_like(table[..., :2])
+    bras[:, 0] = col.conj()
+    bras[:, 1, 0] = col[:, 1]
+    bras[:, 1, 1] = -col[:, 0]
+    # bras @ W, written out: two products cost less than an einsum here
+    rows = bras[..., :1] * table[:, None, 0] + bras[..., 1:] * table[:, None, 1]
+    pairs = _first_max(rows.real**2 + rows.imag**2)
+    swap = pairs[:, 1] < pairs[:, 0]
+    for a in (bras, pairs, rows):
+        a[swap] = a[swap, ::-1]
+    return ControllerBasis(bras, pairs, rows)
 
 
 NAMED_CHANNELS = ("tetrahedral_xz", "ms_xy", "psi_yz")

@@ -3,8 +3,8 @@
 Two protocol variants share the same wiring.  The joint register is always
 (input, controller, sender, receiver) = qubits (0, 1, 2, 3):
 
-* ``controlled_teleport``: the controller measures in the basis its
-  channel names (a raw channel's in the computational basis), each outcome
+* ``controlled_teleport``: the controller measures in the basis read off
+  its channel's Bell table (``channels._controller_basis``), each outcome
   naming a Bell pair it leaves the sender and receiver; the sender projects
   (input, sender) onto the Bell basis, and the receiver applies the Pauli
   that the two outcomes fix, never looking at the input.
@@ -28,21 +28,20 @@ step-by-step walk of the branches, summed over the outcomes.
 
 With the controller, each branch (controller outcome c, sender outcome o)
 is one corrected Kraus operator K = G <bell_o| <c| chan, which ``_kraus``
-stacks from each channel's ``_controlled_arrays``; ``controlled_teleport``
-hands the receiver K phi with probability |K phi|^2.  ``_ct_certificate``
-reads the same arrays through W in the controller's basis, for every input
-at once, with no spec per channel.
+stacks from the channels' amplitudes and controller bases;
+``controlled_teleport`` hands the receiver K phi with probability
+|K phi|^2.  ``_ct_certificate`` reads the rows of W that the controller
+basis leaves, for every input at once, with no spec per channel.
 """
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, _bell_table, check_unit_pair
+from .channels import ChannelSpec, _bell_table, _controller_basis, check_unit_pair
 from .errors import DimensionError, NormalizationError, RangeError
 from .qcore import (
     BELL_BRAS,
@@ -188,32 +187,18 @@ _CORRECTIONS = np.array([IDENTITY, PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z])
 _BELL_BRAS = BELL_BRAS.reshape(-1, 2, 2)
 
 
-def _kraus(chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Corrected Kraus operators K = G <bell_o| <c| chan, shape (n, C, 4, 2, 2).
+def _kraus(amps: np.ndarray) -> np.ndarray:
+    """Corrected Kraus operators K = G <bell_o| <c| chan of (n, 8) channel
+    amplitudes, shape (n, 2, 4, 2, 2).
 
-    ``chans`` (n, 2, 2, 2) holds channel amplitudes (controller, sender,
-    receiver), ``cvecs`` (n, C, 2) the controller bras, and ``shared``
-    (n, C) the index into BELL_OUTCOMES of the pair each controller outcome
-    leaves, which picks the receiver's Pauli G for each sender outcome o.
-    K[n, c, o] maps the input qubit to the receiver's qubit.
+    The controller measures in ``_controller_basis``, and the pair each of
+    its outcomes names picks the receiver's Pauli G for each sender outcome
+    o.  K[n, c, o] maps the input qubit to the receiver's qubit.
     """
-    kraus = np.einsum("nck,nksr,ois->ncori", cvecs, chans, _BELL_BRAS)
-    gates = _CORRECTIONS[shared[:, :, None] ^ np.arange(len(BELL_OUTCOMES))]
+    bras, pairs, _ = _controller_basis(amps)
+    kraus = np.einsum("nck,nksr,ois->ncori", bras, amps.reshape(-1, 2, 2, 2), _BELL_BRAS)
+    gates = _CORRECTIONS[pairs[:, :, None] ^ np.arange(len(BELL_OUTCOMES))]
     return gates @ kraus
-
-
-def _controlled_arrays(
-    specs: Sequence[ChannelSpec],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``_kraus`` arguments of the controlled protocol of each channel:
-    one controller bra and named pair per outcome its
-    ``controller_measurement`` lists."""
-    outcomes = [s.controller_measurement for s in specs]
-    return (
-        np.array([s.state.amps.reshape(2, 2, 2) for s in specs]),
-        np.array([[cvec.amps.conj() for _, cvec, _ in row] for row in outcomes]),
-        np.array([[BELL_OUTCOMES.index(pair) for _, _, pair in row] for row in outcomes]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +245,15 @@ def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunR
     probabilities still sum to 1.
     """
     phi = input_state(f)
-    received = _kraus(*_controlled_arrays([spec]))[0] @ phi.amps  # (controller, sender, 2)
+    received = _kraus(spec.state.amps[None])[0] @ phi.amps  # (controller, sender, 2)
     probability = np.sum(received.real**2 + received.imag**2, axis=-1)
-    labels = [label for label, _, _ in spec.controller_measurement]
     branches: list[CtBranch] = []
     for c, o in zip(*np.nonzero(probability > ZERO_PROB)):  # controller-major
         corrected = received[c, o] / np.sqrt(probability[c, o])
         fid = float(abs(np.vdot(phi.amps, corrected)) ** 2)
         branches.append(
             CtBranch(
-                charlie_outcome=labels[c],
+                charlie_outcome=spec.controller_labels[c],
                 bell_outcome=BELL_OUTCOMES[o],
                 probability=float(probability[c, o]),
                 receiver_state=PureState(corrected),
@@ -284,27 +268,24 @@ class _Certificate(NamedTuple):
     defect: np.ndarray       # (n,) max sqrt(2 off_c / |w_c|^2), kept outcomes
 
 
-def _ct_certificate(
-    chans: np.ndarray, cvecs: np.ndarray, shared: np.ndarray
-) -> _Certificate:
-    """Certify the controlled protocol of each channel for every input.
+def _ct_certificate(amps: np.ndarray) -> _Certificate:
+    """Certify the controlled protocol of (n, 8) channels for every input.
 
-    Takes the arguments of ``_kraus``, one channel per row.  Row c of W in
-    the controller's basis holds the Bell amplitudes w_c that outcome c
-    leaves: outcome c has probability |w_c|^2 for every input, and each of
-    its corrected Kraus operators K is a sum of Paulis weighted by w_c, I by
-    the named pair, so p = |K|_F^2 / 2 = |w_c|^2 / 4 and
-    |K - lambda I|_F^2 = off_c / 2, off_c the weight off the named pair.
+    Row c of ``_controller_basis``'s rows holds the Bell amplitudes w_c
+    that outcome c leaves: outcome c has probability |w_c|^2 for every
+    input, and each of its corrected Kraus operators K is a sum of Paulis
+    weighted by w_c, I by the named pair, so p = |K|_F^2 / 2 = |w_c|^2 / 4
+    and |K - lambda I|_F^2 = off_c / 2, off_c the weight off the named pair.
     The defect sqrt(2 off_c / |w_c|^2) = |K - lambda I|_F / sqrt(p) is 0
     exactly when every branch returns every input, with probability p.
     Outcomes with p <= ZERO_PROB are dropped.
     """
-    amps = np.einsum("nck,nkp->ncp", cvecs, _bell_table(chans))
-    weights = amps.real**2 + amps.imag**2
+    _, pairs, rows = _controller_basis(amps)
+    weights = rows.real**2 + rows.imag**2
     norm2 = np.sum(weights, axis=-1)
     # summed entry by entry: |w|^2 - named would turn a last-bit cancellation
     # into a defect near its square root, 1e-8
-    off = np.sum(np.where(np.arange(4) == shared[..., None], 0.0, weights), axis=-1)
+    off = np.sum(np.where(np.arange(4) == pairs[..., None], 0.0, weights), axis=-1)
     kept = norm2 / 4.0 > ZERO_PROB
     defect = np.sqrt(2.0 * off / np.where(kept, norm2, 1.0)) * kept
     return _Certificate(norm2, np.max(defect, axis=1))

@@ -8,9 +8,9 @@ run time.
 
 The two structural checks hold their channels as amplitude stacks, not
 as one validated spec per channel: ``perfect-ct`` draws 200 channels
-straight into the arrays the certificate reads their Bell amplitudes from, and
-``three-tangle`` evaluates the hyperdeterminant once over all its states.
-``tests/oracles.py`` keeps the spec-by-spec draw the arrays are pinned to.
+straight into the amplitudes the certificate reads, and ``three-tangle``
+evaluates the hyperdeterminant once over all its states.
+``tests/oracles.py`` keeps the spec-by-spec draw the stack is pinned to.
 """
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ from .channels import (
     GHZChannel,
     MSChannel,
     ThetaChannel,
-    _charlie_bras,
-    _computational_pairs,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -48,7 +46,6 @@ from .protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
     _check_unit,
-    _controlled_arrays,
     _ct_certificate,
     ncf_batch,
     ncf_ms_closed,
@@ -63,37 +60,25 @@ class CheckResult:
     detail: str
 
 
-def _random_channels(rng: np.random.Generator, n: int):
-    """The certificate's (chans, cvecs, shared) for n random channels: GHZ, an MS
-    channel with |c| >= 0.05, or a theta channel on a random axis, a third
-    each.  The parameters are drawn one channel at a time, then every array
-    is built in one step: MS rows take the ``_charlie_bras`` of their
-    |x+-> basis and the pairs phi+ and phi-, theta rows the computational
-    bras and the pairs those name."""
+def _random_channels(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 8) amplitudes of n random channels: GHZ, an MS channel or a
+    theta channel on a random axis, a third each.  The parameters are drawn
+    one channel at a time, then every row is built in one step; the
+    certificate reads each channel's controller basis off its amplitudes."""
     draws = []
     for _ in range(n):
         kind, angle, axis = int(rng.integers(3)), 0.0, 0  # GHZ is MS at angle 0
-        if kind == 1:
-            # keep |c| away from 0: the controller basis degenerates there
+        if kind > 0:
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            while abs(math.cos(angle)) < 0.05:
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-        elif kind == 2:
-            angle = rng.uniform(0.0, 2.0 * np.pi)
+        if kind == 2:
             axis = int(rng.integers(3))
         draws.append((kind, math.cos(angle), math.sin(angle), axis))
     kinds, x, y, axes = (np.array(column) for column in zip(*draws))
     ms, theta = kinds < 2, kinds == 2
-    chans = np.empty((n, 8), dtype=complex)
-    cvecs = np.empty((n, 2, 2), dtype=complex)
-    shared = np.empty((n, 2), dtype=int)
-    chans[ms] = _ms_amps(x[ms], y[ms])
-    cvecs[ms] = _charlie_bras(x[ms], y[ms])
-    shared[ms] = [0, 1]  # phi+ and phi- in BELL_OUTCOMES
-    chans[theta] = _theta_amps(x[theta], y[theta], axes[theta])
-    cvecs[theta] = np.eye(2, dtype=complex).conj()  # the bras of |0> and |1>
-    shared[theta] = _computational_pairs(chans[theta])
-    return chans.reshape(n, 2, 2, 2), cvecs, shared
+    amps = np.empty((n, 8), dtype=complex)
+    amps[ms] = _ms_amps(x[ms], y[ms])
+    amps[theta] = _theta_amps(x[theta], y[theta], axes[theta])
+    return amps
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +93,7 @@ def check_perfect_ct(seed: int) -> CheckResult:
     |K - lambda I|_F / sqrt(p) = sqrt(2 off / |w|^2), and the controller
     outcomes' probabilities |w|^2 must sum to 1.
     """
-    cert = _ct_certificate(*_random_channels(_rng(seed, 1), 200))
+    cert = _ct_certificate(_random_channels(_rng(seed, 1), 200))
     worst = float(np.max(cert.defect))
     worst_prob = float(np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)))
     return CheckResult(
@@ -314,7 +299,7 @@ def check_channel_ct(spec: ChannelSpec) -> CheckResult:
     about 4 d^2.  This is the failure-injection path: a corrupted raw
     channel fails here.
     """
-    defect = float(_ct_certificate(*_controlled_arrays([spec])).defect[0])
+    defect = float(_ct_certificate(spec.state.amps[None]).defect[0])
     return CheckResult(
         "channel-ct",
         defect <= 1e-9,

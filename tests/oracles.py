@@ -19,11 +19,14 @@ checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
 average at once (at ``one_shot_inputs``), as the streamed one must, and
 ``ncf_variance`` is the exact variance its standard error estimates.
 ``random_channel`` draws one of ``verify --quick``'s random channels as a
-spec, the draws the package turns straight into arrays, and
+spec, the draws the package turns straight into amplitudes, and
 ``random_local_unitary`` one of its Haar-random rotations.  The
 ``*_scalar`` functions build one channel at a time, as the constructors
-did before they became stacked formulas; the stacks, and the state and
-controller basis of each spec, must reproduce them bit for bit.
+did before they became stacked formulas; the stacks, and the state of
+each spec, must reproduce them bit for bit.  ``controller_basis_scalar``
+reads one channel's controller basis off its Bell table, outcome by
+outcome, and ``charlie_kets_scalar`` and ``computational_pairs_scalar``
+are the closed forms that basis must reach on MS and theta channels.
 ``theta_amps_scalar`` reaches a theta channel's b-branch by applying
 sigma_k to phi+, with the real ``PAULI_Y_REAL`` for y, where the package
 reads the pair it leaves off its Bell basis.  ``fidelity_with_pure`` is
@@ -461,21 +464,17 @@ def ncf_variance(spec: ChannelSpec, family: str | None) -> float:
 # the random channels of the perfect-ct check
 
 def random_channel(rng: np.random.Generator) -> ChannelSpec:
-    """GHZ, an MS channel with |c| >= 0.05, or a theta channel on a random
-    axis, a third each, as a validated spec: the scalar draws
-    ``verify._random_channels`` takes, in the same order."""
+    """GHZ, an MS channel or a theta channel on a random axis, a third
+    each, as a validated spec: the scalar draws ``verify._random_channels``
+    takes, in the same order."""
     kind = int(rng.integers(3))
     if kind == 0:
         return GHZChannel()
+    alpha = rng.uniform(0.0, 2.0 * np.pi)
     if kind == 1:
-        # keep |c| away from 0: the controller basis degenerates there
-        while True:
-            alpha = rng.uniform(0.0, 2.0 * np.pi)
-            if abs(math.cos(alpha)) >= 0.05:
-                return MSChannel(c=math.cos(alpha), d=math.sin(alpha))
-    beta = rng.uniform(0.0, 2.0 * np.pi)
+        return MSChannel(c=math.cos(alpha), d=math.sin(alpha))
     axis = ("x", "y", "z")[int(rng.integers(3))]
-    return ThetaChannel(a=math.cos(beta), b=math.sin(beta), k=axis)
+    return ThetaChannel(a=math.cos(alpha), b=math.sin(alpha), k=axis)
 
 
 def random_local_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -527,6 +526,29 @@ def computational_pairs_scalar(amps: np.ndarray) -> list[int]:
     weights = np.abs(amps.reshape(2, 4) @ BELL_BRAS.T) ** 2
     best = np.argmax(weights >= weights.max(axis=1, keepdims=True) - EXACT_ATOL, axis=1)
     return best.tolist()
+
+
+def controller_basis_scalar(amps: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The controller basis of one channel, one outcome at a time: its kets
+    as rows and the index into BELL_OUTCOMES of the pair each names.
+
+    The first ket is the heaviest column of W[c, p] = <bell_p| <c| chan,
+    normalized; the second is orthogonal to it, in a phase of its own.  Each
+    names the pair p of largest |<ket| W[:, p]|^2, and the two are sorted by
+    that pair, a tie keeping the heaviest column first.  Ties within 1e-12
+    go to the earlier pair.
+    """
+    table = amps.reshape(2, 4) @ BELL_BRAS.T
+
+    def first_max(weights: list[float]) -> int:
+        return next(p for p, w in enumerate(weights) if w >= max(weights) - EXACT_ATOL)
+
+    heavy = first_max([abs(table[0, p]) ** 2 + abs(table[1, p]) ** 2 for p in range(4)])
+    first = table[:, heavy] / np.linalg.norm(table[:, heavy])
+    kets = [first, np.array([-first[1].conjugate(), first[0].conjugate()])]
+    pairs = [first_max([abs(np.vdot(ket, table[:, p])) ** 2 for p in range(4)]) for ket in kets]
+    order = sorted(range(2), key=pairs.__getitem__)
+    return np.array([kets[c] for c in order]), [pairs[c] for c in order]
 
 
 def three_tangle_scalar(p: np.ndarray) -> float:

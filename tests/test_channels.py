@@ -19,8 +19,7 @@ from ctpower.channels import (
     RawChannel,
     ThetaChannel,
     _THETA_B,
-    _charlie_bras,
-    _computational_pairs,
+    _controller_basis,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -31,7 +30,7 @@ from ctpower.channels import (
     three_tangle,
 )
 from ctpower.errors import DimensionError, NormalizationError
-from ctpower.protocol import _CORRECTIONS
+from ctpower.protocol import _CORRECTIONS, _ct_certificate
 from ctpower.qcore import (
     BELL_OUTCOMES,
     IDENTITY,
@@ -48,6 +47,7 @@ from oracles import (
     apply_gate,
     charlie_kets_scalar,
     computational_pairs_scalar,
+    controller_basis_scalar,
     equal_up_to_global_phase,
     ms_amps_scalar,
     partial_trace,
@@ -89,6 +89,13 @@ def residual_tangle(state):
 def random_state(rng, n=3):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(v / np.linalg.norm(v))
+
+
+def same_ray(a, b, tol=1e-12):
+    """True when unit vectors a and b differ by a phase alone, entry by
+    entry within ``tol``."""
+    phase = np.vdot(b, a)
+    return bool(np.max(np.abs(a - phase / abs(phase) * b)) <= tol)
 
 
 def haar_unitary(rng):
@@ -144,6 +151,8 @@ def test_ms_state_amplitudes():
 
 
 def test_charlie_basis_closed_form_and_orthogonality():
+    # on MS the rule reaches the closed-form |x+-> basis, each ket up to a
+    # phase of its own, and the two kets are orthonormal
     rng = np.random.default_rng(43)
     for _ in range(50):
         alpha = rng.uniform(0, 2 * np.pi)
@@ -151,48 +160,57 @@ def test_charlie_basis_closed_form_and_orthogonality():
         if abs(c) < 1e-3:
             continue
         (_, plus, _), (_, minus, _) = MSChannel(c, d).controller_measurement
-        n_plus = math.sqrt((1 + d) ** 2 + c * c)
-        n_minus = math.sqrt((1 - d) ** 2 + c * c)
-        assert np.max(np.abs(plus.amps - np.array([1 + d, c]) / n_plus)) < 1e-12
-        assert np.max(np.abs(minus.amps - np.array([1 - d, -c]) / n_minus)) < 1e-12
+        want_plus, want_minus = charlie_kets_scalar(c, d)
+        assert same_ray(plus.amps, want_plus) and same_ray(minus.amps, want_minus)
         assert abs(np.vdot(plus.amps, minus.amps)) < 1e-12
 
 
 def test_charlie_basis_degenerate_cases():
-    # where c^2 <= 1e-12 the x+- basis degenerates, and the rows are the
-    # computational bras, <0| first when d > 0; past the threshold the
-    # formula runs; every row is finite and unit, with no floating-point
-    # warning, and the spec reads its one row
+    # at c = 0 the controller is the product factor |0>: its column is the
+    # heaviest, so |0> is x+ at d = 1 and x- at d = -1, up to phase, and
+    # the other outcome, which never happens, names phi+.  Near c = 0 the
+    # same rule runs, with no fork: every row is finite, unit and
+    # orthogonal, with no floating-point warning, the channel certifies, and
+    # the spec reads its one row
     for c in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1.0000001e-6, -1.0000001e-6):
         for sign in (1.0, -1.0):
             d = sign * math.sqrt(1.0 - c * c)
+            amps = _ms_amps(np.array([c]), np.array([d]))
             with np.errstate(all="raise"):
-                (bras,) = _charlie_bras(np.array([c]), np.array([d]))
+                bras, pairs, _ = _controller_basis(amps)
+                defect = _ct_certificate(amps).defect[0]
             assert np.all(np.isfinite(bras))
-            assert np.max(np.abs(np.sum(np.abs(bras) ** 2, axis=-1) - 1.0)) < 1e-15
+            assert np.max(np.abs(bras[0] @ bras[0].conj().T - np.eye(2))) < 1e-15
+            assert defect <= 1e-15
             kets = np.array([v.amps for _, v, _ in MSChannel(c, d).controller_measurement])
-            assert kets.tobytes() == bras.conj().tobytes()
-            if c * c <= 1e-12:
-                assert bras.tolist() == (np.eye(2) if d > 0.0 else np.eye(2)[::-1]).tolist()
-            else:
-                assert bras.conj().tobytes() == charlie_kets_scalar(c, d).tobytes()
+            assert kets.tobytes() == bras[0].conj().tobytes()
+            if c == 0.0:
+                held = 0 if d > 0.0 else 1
+                assert same_ray(kets[held], np.array([1.0, 0.0]), 0.0)
+                assert pairs[0].tolist() == [0, held]
 
 
 def test_ms_state_bell_decomposition_identity():
-    # (|000>+c|111>+d|011>)/sqrt2 = sqrt(p+)|x+>|phi+> + sqrt(p-)|x->|phi->
+    # (|000>+c|111>+d|011>)/sqrt2 = w+ |x+>|phi+> + w- |x->|phi->: each row
+    # the rule leaves holds its named pair alone, with weight
+    # |w+-|^2 = ((1 +- d)^2 + c^2)/4
     for alpha in np.linspace(0.05, 2 * np.pi - 0.05, 23):
         c, d = math.cos(alpha), math.sin(alpha)
         if abs(c) < 1e-2:
             continue
-        (_, plus, _), (_, minus, _) = MSChannel(c, d).controller_measurement
+        spec = MSChannel(c, d)
+        _, pairs, rows = _controller_basis(spec.state.amps[None])
+        assert pairs[0].tolist() == [0, 1]
+        w = rows[0, [0, 1], [0, 1]]
         p_plus = ((1 + d) ** 2 + c * c) / 4.0
         p_minus = ((1 - d) ** 2 + c * c) / 4.0
         assert abs(p_plus + p_minus - 1.0) < 1e-12
-        rebuilt = (
-            math.sqrt(p_plus) * tensor(plus, bell_state(BellOutcome.PHI_PLUS)).amps
-            + math.sqrt(p_minus) * tensor(minus, bell_state(BellOutcome.PHI_MINUS)).amps
+        assert np.max(np.abs(np.abs(w) ** 2 - [p_plus, p_minus])) < 1e-12
+        rebuilt = sum(
+            w[k] * tensor(ket, bell_state(pair)).amps
+            for k, (_, ket, pair) in enumerate(spec.controller_measurement)
         )
-        assert np.max(np.abs(rebuilt - MSChannel(c, d).state.amps)) < 1e-12
+        assert np.max(np.abs(rebuilt - spec.state.amps)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +296,21 @@ def test_computational_controller_names_the_pair_of_largest_weight():
                 assert labels == ("0", "1")
                 assert pairs == (BellOutcome.PHI_PLUS, pair)
         assert ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k=axis).dominant_bell == pair
-    # raw GHZ leaves |00> (phi+ and phi- tie) and |11> (phi+ and -phi- tie);
-    # a tie within 1e-12 goes to the earlier pair
+    # raw GHZ is an MS channel to the rule: its outcomes are |x+->, which
+    # leave phi+ and phi-
     pairs = [o[2] for o in RawChannel(state=GHZChannel().state).controller_measurement]
-    assert pairs == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
+    assert pairs == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS]
     # sqrt(0.5 + 1e-13)|psi-> + sqrt(0.5 - 1e-13)|psi+> on the controller's
-    # |0>: the weights differ by 2e-13, so psi+ wins the tie; on |1>, which
-    # never happens, all four weights are 0 and phi+ wins
+    # |0>: the two columns' weights differ by 2e-13, so psi+'s is the
+    # heaviest and its outcome names psi+; the other outcome, |1>, which
+    # never happens, leaves all four weights 0, names phi+ and comes first
     near_tie = np.concatenate([
         math.sqrt(0.5 + 1e-13) * bell_state(BellOutcome.PSI_MINUS).amps
         + math.sqrt(0.5 - 1e-13) * bell_state(BellOutcome.PSI_PLUS).amps,
         np.zeros(4),
     ])
     pairs = [o[2] for o in RawChannel(state=PureState(near_tie)).controller_measurement]
-    assert pairs == [BellOutcome.PSI_PLUS, BellOutcome.PHI_PLUS]
+    assert pairs == [BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +400,8 @@ def test_stacked_tangles_are_the_one_row_tangle():
 
 
 def test_stacked_constructors_are_the_scalar_constructors():
-    # every stacked row, and every spec's state and controller basis, is
-    # bit for bit the channel the scalar oracle builds one at a time
+    # every stacked row, and every spec's state, is bit for bit the channel
+    # the scalar oracle builds one at a time
     grid = np.linspace(0.0, 2.0 * np.pi, 41)
     x, y = np.cos(grid), np.sin(grid)
     for i, row in enumerate(_ms_amps(x, y)):
@@ -393,30 +412,25 @@ def test_stacked_constructors_are_the_scalar_constructors():
         for i, row in enumerate(stack):
             want = theta_amps_scalar(x[i], y[i], k).tobytes()
             assert row.tobytes() == want == ThetaChannel(x[i], y[i], k).state.amps.tobytes()
-    # the oracle reads the non-degenerate rows; the two degenerate ones
-    # (c^2 <= 1e-12 at d = +-1) are the computational bras in the stack too
-    flat = x**2 <= 1e-12
-    assert flat.sum() == 2
-    for i, bras in enumerate(_charlie_bras(x, y)):
-        kets = np.array([v.amps for _, v, _ in MSChannel(x[i], y[i]).controller_measurement])
-        if flat[i]:
-            want = (np.eye(2) if y[i] > 0.0 else np.eye(2)[::-1]).astype(complex).tobytes()
-        else:
-            want = charlie_kets_scalar(x[i], y[i]).tobytes()
-        assert bras.conj().tobytes() == want == kets.tobytes()
-    # the oracle refuses a vanishing vector; in a stack, rows at c = 0 are
-    # computational and leave a regular row as it is alone
-    with pytest.raises(ValueError, match="x- vanishes"):
-        charlie_kets_scalar(0.0, 1.0)
-    mixed = _charlie_bras(np.array([0.6, 0.0, 0.0]), np.array([0.8, 1.0, -1.0]))
-    assert mixed[0].tobytes() == _charlie_bras(np.array([0.6]), np.array([0.8]))[0].tobytes()
-    assert mixed[1:].tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-    # the computational pairs, stacked and as the default controller measurement
-    amps = tangle_stack(np.random.default_rng(151))
-    for row, pairs in zip(amps, _computational_pairs(amps)):
-        want = computational_pairs_scalar(row)
-        named = [o for _, _, o in RawChannel(state=PureState(row)).controller_measurement]
-        assert pairs.tolist() == want and [BELL_OUTCOMES[p] for p in want] == named
+    # the controller basis: each spec reads its one row of the stack bit for
+    # bit, and the stack is the scalar rule, each ket up to its phase; on
+    # theta the rule's pairs are the computational ones
+    theta = [_theta_amps(x, y, np.full(x.size, axis)) for axis in range(3)]
+    amps = np.concatenate([_ms_amps(x, y), *theta, tangle_stack(np.random.default_rng(151))])
+    specs = [MSChannel(x[i], y[i]) for i in range(x.size)]
+    specs += [ThetaChannel(x[i], y[i], k) for k in "xyz" for i in range(x.size)]
+    bras, pairs, rows = _controller_basis(amps)
+    for i, row in enumerate(amps):
+        one = _controller_basis(row[None])
+        assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip((bras, pairs, rows), one))
+        kets, want = controller_basis_scalar(row)
+        assert pairs[i].tolist() == want
+        assert same_ray(kets[0], bras[i, 0].conj()) and same_ray(kets[1], bras[i, 1].conj())
+        if i < len(specs):
+            named = [v.amps for _, v, _ in specs[i].controller_measurement]
+            assert np.array(named).tobytes() == bras[i].conj().tobytes()
+        if x.size <= i < len(specs):
+            assert pairs[i].tolist() == computational_pairs_scalar(row)
 
 
 def test_three_tangle_check_refuses_a_non_unitary_rotation(monkeypatch):

@@ -101,8 +101,9 @@ def test_ct_command_perfect_channel(capsys):
 
 
 def test_ct_command_degenerate_ms_controller(capsys):
-    # at d = +-1 the controller is a product factor; it is measured in the
-    # computational basis and only its |0> outcome happens
+    # at d = +-1 the controller is the product factor |0>, whose column is
+    # the heaviest: the rule measures it in the computational basis, up to
+    # phase, and only the |0> outcome happens
     for d, label in (("1", "x+"), ("-1", "x-")):
         code, out = run_cli(
             capsys, "ct", "--channel", "ms", "--d", d,
@@ -729,6 +730,17 @@ def test_verify_failure_injection(capsys, tmp_path):
                         w_state_config(tmp_path), "--format", "json")
     assert code == 0
     assert abs(json.loads(out)["scalars"]["mean"] - 4.0 / 9.0) < 1e-12
+
+
+def test_verify_certifies_ms_channels_with_small_c(capsys):
+    # the CLI derives d = sqrt(1 - c^2), which misses c^2 + d^2 = 1 by an
+    # ulp or so; read off the channel's own Bell table, the controller basis
+    # keeps that rounding out of the defect, which once read 1.2e-7 at
+    # c = 1e-5 and 1.9e-8 at c = 1e-4
+    for c in ("1e-5", "1e-4"):
+        code, out = run_cli(capsys, "verify", "--channel", "ms", "--c", c)
+        assert code == 0, out
+        assert "PASS channel-ct" in out
 
 
 def test_ncf_avg_and_power_sweep_accept_channels_whose_outcomes_disagree(capsys, tmp_path):

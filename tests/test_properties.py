@@ -8,7 +8,8 @@ and the NCF it gives must equal the step-by-step branch walk of
 ``oracles.py``, summed over the sender's outcomes, pointwise, and the
 walk's mean over exact designs for the sphere and the three circles.
 With the controller's help teleportation must be perfect, also for a raw
-copy rotated so that its computational controller basis is the named one.
+copy with any unitary on its controller, whose basis the controller rule
+must find, while the W state, rotated or not, keeps its defect of 1.
 The command line must end in an exit code, never a traceback, whatever
 flags and values it is given, and the same fuzzing must reach the exit
 code of a failed check.
@@ -34,12 +35,14 @@ from ctpower.channels import (
 )
 from ctpower.cli import build_parser, main
 from ctpower.protocol import (
+    _ct_certificate,
     controlled_teleport,
     ncf_batch,
     receiver_map,
 )
 from ctpower.qcore import PureState, make_qubit
-from oracles import apply_gate, design, walk_ncf
+from ctpower.verify import check_channel_ct
+from oracles import apply_gate, design, random_local_unitary, walk_ncf
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -137,6 +140,31 @@ def test_controlled_teleport_is_perfect(spec, phases, point):
         run = controlled_teleport(RawChannel(state=apply_gate(rotation, 0, spec.state)), phi)
     assert run.min_fidelity >= 1.0 - 1e-12
     assert abs(run.total_probability - 1.0) <= 1e-12
+
+
+_W_STATE = PureState(np.eye(8)[[0b001, 0b010, 0b100]].sum(axis=0) / np.sqrt(3.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    spec=named_channels(),
+    seed=st.integers(0, 2**32 - 1),
+    point=st.tuples(st.floats(0.0, math.pi), angles),
+)
+def test_the_controller_rule_finds_a_rotated_basis(spec, seed, point):
+    # a Haar unitary on the controller of a named channel, held as a raw
+    # channel: the rule reads the rotated basis off its Bell table, so the
+    # channel certifies and every branch returns the input.  The W state
+    # has no perfect basis, and under the same unitary its defect stays 1
+    u = random_local_unitary(np.random.default_rng(seed))
+    raw = RawChannel(state=apply_gate(u, 0, spec.state))
+    assert check_channel_ct(raw).passed
+    phi = make_qubit(math.cos(point[0] / 2), np.exp(1j * point[1]) * math.sin(point[0] / 2))
+    run = controlled_teleport(raw, phi)
+    assert run.min_fidelity >= 1.0 - 1e-12
+    assert abs(run.total_probability - 1.0) <= 1e-12
+    w_states = np.array([_W_STATE.amps, apply_gate(u, 0, _W_STATE).amps])
+    assert np.max(np.abs(_ct_certificate(w_states).defect - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctpower import verify
+from ctpower import protocol, verify
 from ctpower.analysis import FAMILY_NAMES, _rng, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
+    ControllerBasis,
     GHZChannel,
     MSChannel,
     RawChannel,
     ThetaChannel,
+    _ms_amps,
     channel_from_config,
     channel_to_config,
 )
@@ -42,7 +44,6 @@ from ctpower.protocol import (
     _CORRECTIONS,
     _SPREAD_PER_COHERENCE,
     _bell_map,
-    _controlled_arrays,
     _ct_certificate,
     _kraus,
     ArbitraryInput,
@@ -134,17 +135,26 @@ def walk_controlled(spec, f):
     return branches
 
 
-def swapped_pairs(spec):
-    """``spec`` with its two controller outcomes naming each other's Bell pair."""
-    base = type(spec)
+def amps_of(specs):
+    """The (n, 8) amplitudes of a list of specs."""
+    return np.array([spec.state.amps for spec in specs])
 
-    class Swapped(base):
-        @property
-        def controller_measurement(self):
-            (l0, v0, p0), (l1, v1, p1) = base.controller_measurement.func(self)
-            return (l0, v0, p1), (l1, v1, p0)
 
-    return Swapped(**spec.params())
+def patch_basis(monkeypatch, edit):
+    """Patch the protocol's controller rule to return ``edit`` of the real
+    rule's (bras, pairs, rows)."""
+    real = protocol._controller_basis
+    monkeypatch.setattr(protocol, "_controller_basis", lambda amps: ControllerBasis(*edit(*real(amps))))
+
+
+def swap_pairs(rows):
+    """A ``patch_basis`` edit: the channels in ``rows`` have their two
+    controller outcomes name each other's Bell pair."""
+    def edit(bras, pairs, basis_rows):
+        pairs[rows] = pairs[rows, ::-1]
+        return bras, pairs, basis_rows
+
+    return edit
 
 
 def rotated_on_controller(spec, rng):
@@ -318,17 +328,21 @@ def test_controlled_teleport_accepts_bare_states_with_phase():
         assert abs(x.fidelity - y.fidelity) < 1e-12
 
 
-def test_raw_channel_measures_the_controller_in_the_computational_basis():
+def test_raw_channel_controller_basis_is_read_off_its_bell_table():
     family = ArbitraryInput(1.0, 0.5)
-    # a Hadamard on GHZ's controller turns its |0>, |1> outcomes into the
-    # x+, x- outcomes that leave Bell pairs
-    ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
-    run = controlled_teleport(ghz_h, family)
-    assert {b.charlie_outcome for b in run.branches} == {"0", "1"}
-    assert run.min_fidelity > 1.0 - 1e-12
-    assert abs(run.total_probability - 1.0) < 1e-12
-    # on GHZ itself they strand the receiver in a product state
-    run = controlled_teleport(RawChannel(state=GHZChannel().state), family)
+    # raw GHZ, and GHZ with a Hadamard on its controller, teleport perfectly:
+    # the rule finds the x+- basis on the one and the computational basis
+    # on the other
+    for state in (GHZChannel().state, apply_gate(HADAMARD, 0, GHZChannel().state)):
+        run = controlled_teleport(RawChannel(state=state), family)
+        assert {b.charlie_outcome for b in run.branches} == {"0", "1"}
+        assert run.min_fidelity > 1.0 - 1e-12
+        assert abs(run.total_probability - 1.0) < 1e-12
+    # the W state has no basis that makes it perfect: its outcome "0" leaves
+    # phi+ and phi- alike
+    w = np.zeros(8, dtype=complex)
+    w[[0b001, 0b010, 0b100]] = 1.0 / np.sqrt(3.0)
+    run = controlled_teleport(RawChannel(state=PureState(w)), family)
     assert run.min_fidelity < 0.999
 
 
@@ -447,12 +461,12 @@ def test_ct_certificate_matches_the_controlled_walk():
         GHZChannel(),
         MSChannel(c=0.6, d=-0.8),
         MSChannel(c=0.0, d=1.0),
-        # c^2 <= 1e-12: the degenerate controller basis
+        # the x+ outcome has probability c^2/4, below ZERO_PROB
         MSChannel(c=1e-7, d=-1.0),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
         ThetaChannel(a=1.0, b=0.0, k="z"),
     ] + [random_ms(rng) for _ in range(12)] + [random_theta(rng) for _ in range(12)]
-    cert = _ct_certificate(*_controlled_arrays(specs))
+    cert = _ct_certificate(amps_of(specs))
     assert np.max(cert.defect) <= 1e-13
     assert np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)) <= 1e-12
     inputs = [random_qubit(rng) for _ in range(4)]
@@ -485,7 +499,7 @@ def test_certificate_outcome_probabilities_hold_at_every_input():
     for _ in range(20):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         specs.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
-    cert = _ct_certificate(*_controlled_arrays(specs))
+    cert = _ct_certificate(amps_of(specs))
     for spec, prob in zip(specs, cert.probability):
         labels = [label for label, _, _ in spec.controller_measurement]
         for _ in range(4):
@@ -493,44 +507,50 @@ def test_certificate_outcome_probabilities_hold_at_every_input():
             for label, _, p, _ in walk_controlled(spec, random_qubit(rng)):
                 per_outcome[labels.index(label)] += p
             assert np.max(np.abs(per_outcome - prob)) <= 1e-12
-    # W: outcome 1 leaves |00>, so its branches split (1/6, 1/6, 0, 0) at
-    # |0> and (0, 0, 1/6, 1/6) at |1>, and only their sum, 1/3, is fixed
-    assert np.max(np.abs(cert.probability[0] - [2.0 / 3.0, 1.0 / 3.0])) <= 1e-15
+    # W: outcome "0", the controller's |1>, leaves |00> and names phi+, so
+    # its branches split (1/6, 1/6, 0, 0) at |0> and (0, 0, 1/6, 1/6) at
+    # |1>, and only their sum, 1/3, is fixed
+    assert np.max(np.abs(cert.probability[0] - [1.0 / 3.0, 2.0 / 3.0])) <= 1e-15
     for phi, want in (((1.0, 0.0), [1, 1, 0, 0]), ((0.0, 1.0), [0, 0, 1, 1])):
         walk = walk_controlled(specs[0], make_qubit(*phi))
-        got = [sum(p for label, o, p, _ in walk if (label, o) == ("1", outcome))
+        got = [sum(p for label, o, p, _ in walk if (label, o) == ("0", outcome))
                for outcome in BELL_OUTCOMES]
         assert np.max(np.abs(np.array(got) - np.array(want) / 6.0)) <= 1e-12
+
+
+def test_ms_channels_certify_over_a_log_grid_of_c():
+    # 4,000 log-spaced c in [1e-9, 0.98], with d = sqrt(1 - c^2) as the CLI
+    # derives it, and their sign flips: every defect is within 1e-15 and
+    # every probability sum within 2e-15 of 1 (the largest measured are
+    # 3.1e-16, at c = 1.5e-5, and 1.0e-15)
+    c = np.logspace(-9.0, math.log10(0.98), 4000)
+    d = np.array([math.sqrt(1.0 - x * x) for x in c])
+    for sc, sd in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)):
+        cert = _ct_certificate(_ms_amps(sc * c, sd * d))
+        assert np.max(cert.defect) <= 1e-15
+        assert np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)) <= 2e-15
 
 
 def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
     # every correction is then a Pauli off: K = lambda Z on MS (phi+ and
     # phi- swapped), K = lambda X on an x-axis theta channel (phi+ and psi+)
-    faulty = [
-        swapped_pairs(MSChannel(c=0.6, d=0.8)),
-        swapped_pairs(ThetaChannel(a=0.6, b=0.8, k="x")),
-    ]
-    assert np.min(_ct_certificate(*_controlled_arrays(faulty)).defect) >= 0.1
+    faulty = [MSChannel(c=0.6, d=0.8), ThetaChannel(a=0.6, b=0.8, k="x")]
+    patch_basis(monkeypatch, swap_pairs(slice(None)))
+    assert np.min(_ct_certificate(amps_of(faulty)).defect) >= 0.1
     for spec in faulty:
         assert controlled_teleport(spec, ArbitraryInput(1.0, 0.5)).min_fidelity < 0.9
-    # one such channel among the check's 200 fails it: the drawn arrays
-    # with channel 137's two named pairs swapped
-    real = verify._random_channels
-
-    def swap_137(rng, n):
-        chans, cvecs, shared = real(rng, n)
-        shared[137] = shared[137, ::-1]
-        return chans, cvecs, shared
-
-    monkeypatch.setattr(verify, "_random_channels", swap_137)
+    monkeypatch.undo()
+    # one such channel among the check's 200 fails it: channel 137's two
+    # named pairs swapped
+    patch_basis(monkeypatch, swap_pairs(137))
     result = verify.check_perfect_ct(0)
     assert not result.passed
     assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
-    defect = _ct_certificate(*swap_137(_rng(0, 1), 200)).defect
+    defect = _ct_certificate(verify._random_channels(_rng(0, 1), 200)).defect
     assert np.flatnonzero(defect > 1e-12).tolist() == [137]
 
 
-def test_certificate_identities_hold_on_every_kraus_branch():
+def test_certificate_identities_hold_on_every_kraus_branch(monkeypatch):
     # on every branch (c, o) the corrected Kraus operator K has
     # |K|_F^2 / 2 = |w_c|^2 / 4, so the four sum to outcome c's probability
     # |w_c|^2, and |K - lambda I|_F / sqrt(p) equal to the
@@ -542,20 +562,21 @@ def test_certificate_identities_hold_on_every_kraus_branch():
     for _ in range(40):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         raw.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
-    for chans, cvecs, shared in (
-        verify._random_channels(_rng(0, 1), 50), _controlled_arrays(raw)
-    ):
-        kraus = _kraus(chans, cvecs, shared)
+    for amps in (verify._random_channels(_rng(0, 1), 50), amps_of(raw)):
+        kraus = _kraus(amps)
         prob = np.sum(np.abs(kraus) ** 2, axis=(-2, -1)) / 2.0
-        outcome_prob = _ct_certificate(chans, cvecs, shared).probability
+        outcome_prob = _ct_certificate(amps).probability
         assert np.max(np.abs(outcome_prob - np.sum(prob, axis=-1))) <= 1e-14
         scale = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
         residual = kraus - scale[..., None, None] * IDENTITY
         kept = prob > ZERO_PROB
         frobenius = np.sqrt(np.sum(np.abs(residual) ** 2, axis=(-2, -1)) / np.where(kept, prob, 1.0))
         entry = np.max(np.abs(residual), axis=(-2, -1)) / np.sqrt(np.where(kept, prob, 1.0))
-        for c in range(cvecs.shape[1]):
-            defect = _ct_certificate(chans, cvecs[:, c:c + 1], shared[:, c:c + 1]).defect
+        for c in range(2):
+            # the certificate of outcome c alone
+            patch_basis(monkeypatch, lambda *basis: (a[:, c:c + 1] for a in basis))
+            defect = _ct_certificate(amps).defect
+            monkeypatch.undo()
             rows = kept[:, c, 0]
             assert np.all(kept[:, c] == rows[:, None])
             assert np.max(np.abs(frobenius[rows, c] - defect[rows, None])) <= 1e-14
@@ -565,22 +586,21 @@ def test_certificate_identities_hold_on_every_kraus_branch():
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_random_channels_are_the_spec_oracle_arrays(seed):
-    # the arrays perfect-ct certifies are, bit for bit, the ones
-    # _controlled_arrays builds from the oracle's specs for the same draws,
-    # and both take the same draws from the stream
+    # the amplitudes perfect-ct certifies are, bit for bit, the states of the
+    # oracle's specs for the same draws, and both take the same draws from
+    # the stream
     rng, oracle_rng = _rng(seed, 1), _rng(seed, 1)
-    arrays = verify._random_channels(rng, 200)
-    specs = [random_channel(oracle_rng) for _ in range(200)]
-    for got, want in zip(arrays, _controlled_arrays(specs), strict=True):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    amps = verify._random_channels(rng, 200)
+    want = amps_of([random_channel(oracle_rng) for _ in range(200)])
+    assert amps.dtype == want.dtype and amps.shape == want.shape
+    assert amps.tobytes() == want.tobytes()
     assert rng.random() == oracle_rng.random()
 
 
 def raw_pair_cases(rng):
-    """Raw channels whose controller outcomes must name a Bell pair: raw GHZ
-    and |0> x (|0> + i|1>)/sqrt(2) (every pair ties on each outcome), the W
-    state, 20 generic states, and MS and theta channels with a unitary on
+    """Raw channels whose controller outcomes must name a Bell pair: raw
+    GHZ, |0> x (|0> + i|1>)/sqrt(2) (every pair ties on each outcome), the
+    W state, 20 generic states, and MS and theta channels with a unitary on
     the controller, named-basis and random."""
     w = np.zeros(8, dtype=complex)
     w[[0b001, 0b010, 0b100]] = 1.0 / np.sqrt(3.0)
@@ -641,9 +661,9 @@ def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
 
 
 def test_ct_certificate_certifies_raw_channels():
-    # a raw channel is certified like a named one: the Hadamard-rotated GHZ
-    # and the controller-rotated named channels return every input, and the
-    # others do not.  On every raw channel the walk's branch probabilities,
+    # a raw channel is certified like a named one: raw GHZ, the
+    # Hadamard-rotated GHZ and the controller-rotated named channels return
+    # every input, and |0>(|0>+i|1>) and W do not.  On every raw channel the walk's branch probabilities,
     # averaged over the tetrahedron, are |K|_F^2 / 2 = p, and summed over the
     # sender's outcomes the certificate's outcome probabilities; so is the
     # weighted fidelity |<phi|K|phi>|^2, whose average is
@@ -651,14 +671,14 @@ def test_ct_certificate_certifies_raw_channels():
     rng = np.random.default_rng(107)
     ghz_h = RawChannel(state=apply_gate(HADAMARD, 0, GHZChannel().state))
     cases = raw_pair_cases(rng)
-    arrays = _controlled_arrays([ghz_h] + cases)
-    cert = _ct_certificate(*arrays)
-    kraus = _kraus(*arrays)
+    amps = amps_of([ghz_h] + cases)
+    cert = _ct_certificate(amps)
+    kraus = _kraus(amps)
     scales = (kraus[..., 0, 0] + kraus[..., 1, 1]) / 2.0
     branch_probs = np.sum(np.abs(kraus) ** 2, axis=(-2, -1)) / 2.0
-    assert cert.defect[0] <= 1e-13
-    assert np.max(cert.defect[[-4, -2]]) <= 1e-13  # rotated onto the named basis
-    assert np.min(cert.defect[1:4]) >= 0.1  # raw GHZ, |0>(|0>+i|1>), W
+    # GHZ, raw and Hadamard-rotated, and the rotated named channels
+    assert np.max(cert.defect[[0, 1, -4, -3, -2, -1]]) <= 1e-13
+    assert np.min(cert.defect[2:4]) >= 0.1  # |0>(|0>+i|1>), W
     for spec, scale, prob, outcome_prob in zip(
         [ghz_h] + cases, scales, branch_probs, cert.probability
     ):
@@ -676,8 +696,9 @@ def test_ct_certificate_certifies_raw_channels():
 
 
 def test_degenerate_ms_controller_measures_in_the_computational_basis():
-    # at c = 0 (and wherever c^2 <= 1e-12) the controller is a product
-    # factor; its |0> outcome names the Bell pair the channel shares
+    # at c = 0 the controller is the product factor |0>, and at c = 1e-7
+    # all but; the outcome that holds |0> names the Bell pair the channel
+    # shares, and the other has probability c^2/4, below ZERO_PROB
     for c, d, label in ((0.0, 1.0, "x+"), (0.0, -1.0, "x-"), (1e-7, -1.0, "x-")):
         run = controlled_teleport(MSChannel(c=c, d=d), ArbitraryInput(1.2, 0.4))
         assert {b.charlie_outcome for b in run.branches} == {label}

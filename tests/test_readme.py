@@ -20,8 +20,8 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_readme_cli_lines_exit_0(capsys, tmp_path):
-    # my_state.cfg: a raw theta channel, whose computational controller
-    # basis leaves Bell pairs, so verify --channel raw passes on it
+    # my_state.cfg: a raw theta channel, whose controller basis leaves Bell
+    # pairs, so verify --channel raw passes on it
     config = tmp_path / "my_state.cfg"
     config.write_text(
         channel_to_config(RawChannel(state=ThetaChannel(0.6, 0.8, "x").state))
