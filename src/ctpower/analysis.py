@@ -16,13 +16,17 @@ The exact method is its exact average (``_exact_average``), which
 ``mismatch_report`` reads too.  Monte Carlo evaluates the map's NCF on the
 squared Bloch coordinates of inputs drawn from a PCG64DXSM generator keyed
 by (seed, row-index), so every stochastic result is bit-reproducible from
-the two.  It computes the draws in chunks of 16,384, cut into one
-contiguous run per usable CPU, each run on a thread of its own (the
-calling thread among them) in buffers of its own, 640 KB a thread.  Each
-chunk's moments go into one row of a table, 24 bytes a chunk, which is
-folded in chunk order after the threads end: the numbers do not depend on
-the number of CPUs, and memory stays bounded (the table is under 1.4 MiB
-at the CLI's cap of 10^9 samples).  ``_ncf_variance`` gives the exact
+the two.  The NCF reads only those squares, so every input is drawn in the
+positive octant (or quarter circle), where the squares need one
+trigonometric factor, sin^2(pi v/2), which ``_sin_squared`` evaluates as
+a degree-9 polynomial in v^2: no libm call is made.  It computes the
+draws in chunks of 32,768, cut into one contiguous run per usable CPU, up
+to 3, each run on a thread of its own (the calling thread among them) in
+buffers of its own, 1.25 MiB a thread.  Each chunk's moments go into one
+row of a table, 24 bytes a chunk, which is folded in chunk order after
+the threads end: the numbers do not depend on the number of CPUs, and
+memory stays bounded (the table is under 0.7 MiB at the CLI's cap of
+10^9 samples).  ``_ncf_variance`` gives the exact
 variance its standard error estimates.
 The tests pin them to a step-by-step walk of the branches.
 """
@@ -60,8 +64,10 @@ CLASSICAL_POWER = 1.0 / 3.0
 MC_SAMPLES = 10**6  # per Monte Carlo average, and per point of a sweep
 
 # Monte Carlo draws this many inputs a chunk: each numpy call on a chunk
-# hands the GIL over and back, so smaller chunks leave a second thread idle
-_CHUNK_DRAWS = 16384
+# hands the GIL over and back, so smaller chunks make the threads trade it
+# more often: at 16,384, with sin^2's twenty calls a chunk, a second
+# thread made the average slower
+_CHUNK_DRAWS = 32768
 
 
 class AverageResult(NamedTuple):
@@ -119,26 +125,44 @@ def _uniform_chunks(rng: np.random.Generator, n: int, out: np.ndarray):
 # the Bloch axes (0 = x, 1 = y, 2 = z) of cos a and sin a on each circle
 _CIRCLE_AXES = {"xz": (2, 0), "xy": (0, 1), "yz": (2, 1)}
 
+# c_0 to c_9 of P, with sin^2(pi v/2) = w P(w) for w = v^2 and v in [0, 1]:
+# a 40-digit least-squares fit at 400 Chebyshev nodes, rounded to doubles,
+# within 3.6e-16 of a long-double sin^2 (tests/fit_sin_squared.py)
+_SIN_SQUARED = (
+    2.4674011002723373,
+    -2.0293560632082692,
+    0.6676313844252936,
+    -0.11766531516232484,
+    0.012903445611317343,
+    -0.0009647869025790661,
+    5.231856785729412e-05,
+    -2.150938390789955e-06,
+    6.893895595420206e-08,
+    -1.6041975238274983e-09,
+)
 
-def _cos_squared(u: np.ndarray) -> np.ndarray:
-    """cos^2(2 pi u) = sin^2(pi (frac(2u) - 1/2)) for u in [0, 1), overwriting
-    ``u``.  frac(2u) - 1/2 is 2 (|u - 1/2| - 1/4) up to a sign the square
-    drops, and both are exact for u a multiple of 2^-53, as every draw is,
-    so the sine reads an argument in [-pi/2, pi/2] that needs no reduction."""
-    t = np.abs(np.subtract(u, 0.5, out=u), out=u)
-    t -= 0.25
-    t *= 2.0 * np.pi
-    return np.square(np.sin(t, out=t), out=t)
+
+def _sin_squared(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin^2(pi v/2) for v in [0, 1] into ``out``, as w P(w) by Horner's rule
+    with w = v^2, which overwrites ``v``.  The result is clipped to [0, 1]
+    on both sides, so a draw outside [0, 1] cannot grow without bound before
+    the |r|^2 check sees it."""
+    w = np.multiply(v, v, out=v)
+    p = np.multiply(w, _SIN_SQUARED[-1], out=out)
+    for c in _SIN_SQUARED[-2::-1]:
+        p += c
+        p *= w
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def _circle_squares(family: str, u: np.ndarray, out: np.ndarray) -> list:
-    """[x^2, y^2, z^2] of a circle's members at angle 2 pi u: cos^2 on the
-    family's cos axis, 1 - cos^2 on its sin axis, and None on the axis that
+    """[x^2, y^2, z^2] of a circle's members at angle pi u/2: sin^2 on the
+    family's sin axis, 1 - sin^2 on its cos axis, and None on the axis that
     is zero on the whole circle; overwrites ``u`` and ``out``."""
     r2 = [None, None, None]
     cos_axis, sin_axis = _CIRCLE_AXES[family]
-    r2[cos_axis] = _cos_squared(u)
-    r2[sin_axis] = np.subtract(1.0, r2[cos_axis], out=out)
+    r2[sin_axis] = _sin_squared(u, out)
+    r2[cos_axis] = np.subtract(1.0, r2[sin_axis], out=u)
     return r2
 
 
@@ -174,13 +198,16 @@ def _ncf_draws(
 ):
     """The NCF at inputs lo to hi of n random ones, chunk by chunk.
 
-    Stream positions [0, n) of the (seed, row) generator give each input's
-    u, with cos(theta) = 1 - 2u on the sphere or angle 2 pi u on a family's
-    circle; positions [n, 2n) give the sphere's phi = 2 pi v.  The Pauli
-    channel's NCF reads only the squared Bloch coordinates, so each chunk
-    goes straight to them, with one sine of a reduced angle a draw and no
-    cosine or square root: sin^2(theta) = (1 - z)(1 + z), x^2 =
-    sin^2(theta) cos^2(phi), y^2 = sin^2(theta) - x^2.  The sum of their
+    The Pauli channel's NCF reads only the squared Bloch coordinates, which
+    every reflection in a coordinate plane keeps, so the inputs are drawn
+    in the positive octant of the sphere, or the first quarter of a
+    family's circle, with the same distribution of squares.  Stream
+    positions [0, n) of the (seed, row) generator give each input's u, with
+    cos(theta) = u on the sphere or angle pi u/2 on a circle; positions
+    [n, 2n) give the sphere's phi = pi v/2.  Each chunk goes straight to the
+    squares: z^2 = u^2, sin^2(theta) = 1 - u^2, y^2 = sin^2(theta) S(v) and
+    x^2 = sin^2(theta) - y^2, with S(v) = sin^2(pi v/2) from
+    ``_sin_squared``; on a circle S(u) and 1 - S(u).  The sum of their
     magnitudes, |r|^2, is checked, and the map's NCF is evaluated there.
     ``lo`` is a multiple of _CHUNK_DRAWS, so the chunks are those of [0, n).
     Every chunk is computed in ``work``, five rows as long as a chunk, and
@@ -199,21 +226,19 @@ def _ncf_draws(
         return
     draws = zip(draws, _uniform_chunks(_rng(seed, row, n + lo), hi - lo, work[1]))
     for (start, u), (_, v) in draws:
-        _, _, y2, norm, dist = work[:, :u.size]
-        z = np.subtract(1.0, np.multiply(u, 2.0, out=u), out=u)
-        y2 = np.subtract(1.0, z, out=y2)
-        y2 *= np.add(z, 1.0, out=norm)  # sin^2(theta), until x^2 is taken off
-        x2 = _cos_squared(v)
-        x2 *= y2
-        y2 -= x2
-        z *= z  # z^2
-        # a z outside [-1, 1] makes sin^2(theta) negative while the sum of
+        _, _, x2, y2, dist = work[:, :u.size]
+        z2 = np.multiply(u, u, out=u)
+        x2 = np.subtract(1.0, z2, out=x2)  # sin^2(theta), until y^2 is taken off
+        y2 = _sin_squared(v, y2)
+        y2 *= x2
+        x2 -= y2
+        # a u outside [0, 1] makes sin^2(theta) negative while the sum of
         # the squares stays 1; the magnitudes show it
-        norm = np.abs(x2, out=norm)
+        norm = np.abs(x2, out=v)
         norm += np.abs(y2, out=dist)
-        norm += z
+        norm += z2
         _check_unit(norm, lo + start, "|r|^2", dist)
-        yield _bloch_ncf(lam, x2, y2, z)
+        yield _bloch_ncf(lam, x2, y2, z2)
 
 
 def _chunk_moments(vals: np.ndarray) -> tuple[int, float, float]:
@@ -241,9 +266,9 @@ def _moments(table: np.ndarray) -> AverageResult:
     return AverageResult(mean, stderr)
 
 
-# At most this many Monte Carlo threads run, so their buffers, 640 KB a
-# thread, stay under 4 MB on any machine.
-_MAX_WORKERS = 6
+# At most this many Monte Carlo threads run, so their buffers, 1.25 MiB a
+# thread, stay under 4 MiB on any machine.
+_MAX_WORKERS = 3
 
 
 def _usable_cpus() -> int:

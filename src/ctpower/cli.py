@@ -62,7 +62,7 @@ from .verify import check_channel_ct, format_report, suite
 SEED_ENV_VAR = "CTPOWER_SEED"
 _CT_FIDELITY_GATE = 1.0 - 1e-9
 _MAX_GRID_POINTS = 10**6
-# Monte Carlo keeps 24 bytes per 16,384 samples, under 1.4 MiB at this cap,
+# Monte Carlo keeps 24 bytes per 32,768 samples, under 0.7 MiB at this cap,
 # so the cap is what stops a run lasting hours
 _MAX_SAMPLES = 10**9
 

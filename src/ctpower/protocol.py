@@ -399,13 +399,12 @@ def _bloch_ncf(lam: np.ndarray, x2, y2, z2) -> np.ndarray:
     given arrays are overwritten, and the last holds the result.
     Elementwise, not a BLAS product: BLAS's first call adds its work buffer
     to the peak memory of the whole process."""
-    total = 1.0
+    total = 0.5
     for lam_i, r2 in zip(lam, (x2, y2, z2)):
         if r2 is not None:
-            r2 *= lam_i
+            r2 *= 0.5 * lam_i  # halving is exact, so the 1/2 folds into lambda
             r2 += total
             total = r2
-    total *= 0.5
     return np.clip(total, 0.0, 1.0, out=total)
 
 

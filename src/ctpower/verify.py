@@ -26,6 +26,7 @@ from .analysis import (
     FAMILY_NAMES,
     MATCHED_AXIS,
     MC_SAMPLES,
+    _ncf_variance,
     _rng,
     avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
@@ -124,7 +125,12 @@ def check_ms_closed_form() -> CheckResult:
 
 
 def check_sphere_average(seed: int, quick: bool) -> CheckResult:
-    """Sphere-averaged NCF equals 2/3 + |d|/3, exactly and by Monte Carlo."""
+    """Sphere-averaged NCF equals 2/3 + |d|/3, exactly and by Monte Carlo.
+
+    Each Monte Carlo row's sample stderr must also lie within 5% of the
+    predicted sqrt(Var/n), whose own sampling spread at n = 10^6 is about
+    0.1%; a row whose prediction is 0 is not compared.
+    """
     worst_exact = 0.0
     for d in np.linspace(-1.0, 1.0, 11):
         spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
@@ -135,6 +141,8 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
     if not quick:
         worst_sigma = 0.0
         worst_abs = 0.0
+        worst_spread = 0.0
+        predicted = []
         for row, d in enumerate((0.0, 0.5, -0.8)):
             spec = MSChannel(c=math.sqrt(1.0 - d * d), d=d)
             mean, stderr = avg_fidelity_numeric(
@@ -144,10 +152,16 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
             err = abs(mean - avg_fidelity_ms_analytic(d))
             worst_sigma = max(worst_sigma, err / stderr)
             worst_abs = max(worst_abs, err)
-        ok = ok and worst_sigma <= 4.0 and worst_abs <= 2e-3
+            want = math.sqrt(_ncf_variance(spec, None) / MC_SAMPLES)
+            predicted.append(f"{want:.3e}")
+            if want > 0.0:
+                worst_spread = max(worst_spread, abs(stderr / want - 1.0))
+        ok = ok and worst_sigma <= 4.0 and worst_abs <= 2e-3 and worst_spread <= 0.05
         detail += (
             f"; Monte Carlo n=10^{math.log10(MC_SAMPLES):g} at 3 d values: worst "
-            f"{worst_sigma:.2f} stderr, worst {worst_abs:.3e} absolute (tol 4 stderr / 2e-3)"
+            f"{worst_sigma:.2f} stderr, worst {worst_abs:.3e} absolute (tol 4 stderr / 2e-3); "
+            f"predicted stderr {', '.join(predicted)}, sample stderr off by at most "
+            f"{worst_spread:.2%} (tol 5%)"
         )
     else:
         detail += "; Monte Carlo skipped (quick mode)"

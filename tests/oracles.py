@@ -397,16 +397,13 @@ def stream_draws(
 def one_shot_inputs(
     family: str | None, n: int, seed: int, row: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude arrays (k0, k1) of n inputs drawn in one go: uniform
-    cos(theta) and phi on the sphere (``family`` None), or uniform angles
-    on a family's circle."""
+    """Amplitude arrays (k0, k1) of n inputs drawn in one go, in the
+    positive octant: theta = arccos u and phi = pi v/2 on the sphere
+    (``family`` None), or angle pi u/2 on a family's circle."""
     first, second = stream_draws(seed, row, n)
     if family is None:
-        cos_theta = 1.0 - 2.0 * first
-        k0 = np.sqrt((1.0 + cos_theta) / 2.0).astype(complex)
-        k1 = np.exp(1j * (2.0 * np.pi * second)) * np.sqrt((1.0 - cos_theta) / 2.0)
-        return k0, k1
-    return INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * first)
+        return ArbitraryInput.amplitudes(np.arccos(first), np.pi / 2.0 * second)
+    return INPUT_FAMILIES[family].amplitudes(np.pi / 2.0 * first)
 
 
 def monte_carlo_one_shot(

@@ -299,6 +299,9 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
     specs = [
         MSChannel(c=0.6, d=-0.8),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
+        # lambda_x != lambda_y on these two: draws that swap x^2 and y^2 show
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
         RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
     ]
     for n in (1, 3, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
@@ -322,26 +325,25 @@ def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
                 assert abs(stderr - want_stderr) <= 1e-15
 
 
-def test_cos_squared_matches_a_long_double_cosine():
-    # cos^2(2 pi u) from the reduced argument, against the cosine of the
-    # whole angle in long double, on fresh draws and where the reduction
-    # changes branch or the square is 0 or 1
+def test_sin_squared_matches_a_long_double_sine():
+    # sin^2(pi v/2) from the polynomial in v^2, against the sine in long
+    # double, on fresh draws and where the square is 0, 1/2 or 1
     pi = 4.0 * np.arctan(np.longdouble(1.0))
-    edges = np.array([0.0, 2.0**-53, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 1 - 2.0**-53])
-    for u in (np.random.default_rng(137).random(10**5), edges):
-        got = analysis._cos_squared(u.copy())
-        want = np.cos(2.0 * pi * u.astype(np.longdouble)) ** 2
+    edges = np.array([0.0, 2.0**-53, 1 / 4, 1 / 2, 3 / 4, 1 - 2.0**-53, 1.0])
+    for v in (np.random.default_rng(137).random(10**5), edges):
+        got = analysis._sin_squared(v.copy(), np.empty_like(v))
+        want = np.sin(pi * v.astype(np.longdouble) / 2.0) ** 2
         assert np.max(np.abs(got - want)) <= 5e-16
         assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
-    # Monte Carlo puts (cos^2 a, sin^2 a) on a circle's two Bloch axes without
-    # building amplitudes; the squared Pauli coordinates of the members are
-    # the oracle
-    u = np.linspace(0.0, 1.0, 97, endpoint=False)
+    # Monte Carlo puts (cos^2 a, sin^2 a) at a = pi u/2 on a circle's two
+    # Bloch axes without building amplitudes; the squared Pauli coordinates
+    # of the members are the oracle
+    u = np.linspace(0.0, 1.0, 97)
     for family in FAMILY_NAMES:
-        _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(2.0 * np.pi * u))
+        _, *want = _pauli_coords(*INPUT_FAMILIES[family].amplitudes(np.pi / 2.0 * u))
         got = analysis._circle_squares(family, u.copy(), np.empty_like(u))
         for axis in range(3):
             square = np.zeros_like(u) if got[axis] is None else got[axis]
@@ -353,43 +355,43 @@ def test_circle_draws_are_the_bloch_vectors_of_the_family_members():
 # stream, the chunking or the fold that moves any of them must say so and
 # bump the version.
 PINNED_AVERAGES = {
-    ("ms", None, 1): ("0x1.f770e1210d9c0p-1", "0x0.0p+0"),
-    ("ms", None, 16_384): ("0x1.ddec3fc6be656p-1", "0x1.e6bc00cebbe9bp-13"),
-    ("ms", None, 16_385): ("0x1.ddecabb34a8ecp-1", "0x1.e6c05d04fef59p-13"),
-    ("ms", None, 1_000_000): ("0x1.dde112012018bp-1", "0x1.f3e631e663b19p-16"),
-    ("ms", "xz", 1): ("0x1.fc3c51a0574eep-1", "0x0.0p+0"),
-    ("ms", "xz", 16_384): ("0x1.e63975fab3985p-1", "0x1.224bcabc54c21p-12"),
-    ("ms", "xz", 16_385): ("0x1.e639d2d01fc0ep-1", "0x1.224af79cfa0a5p-12"),
-    ("ms", "xz", 1_000_000): ("0x1.e65f3545b08b5p-1", "0x1.288cfce118649p-15"),
-    ("ms", "xy", 1): ("0x1.ccccccccccccep-1", "0x0.0p+0"),
-    ("ms", "xy", 16_384): ("0x1.ccccccccccccfp-1", "0x1.0e2db63ccc68cp-59"),
-    ("ms", "xy", 16_385): ("0x1.ccccccccccccfp-1", "0x1.0e2dc1003139ep-59"),
-    ("ms", "xy", 1_000_000): ("0x1.ccccccccccccfp-1", "0x1.144d656b48dfcp-62"),
-    ("ms", "yz", 1): ("0x1.fc3c51a0574eep-1", "0x0.0p+0"),
-    ("ms", "yz", 16_384): ("0x1.e63975fab3985p-1", "0x1.224bcabc54c21p-12"),
-    ("ms", "yz", 16_385): ("0x1.e639d2d01fc0ep-1", "0x1.224af79cfa0a5p-12"),
-    ("ms", "yz", 1_000_000): ("0x1.e65f3545b08b5p-1", "0x1.288cfce118649p-15"),
-    ("theta", None, 1): ("0x1.7b2fb0e81e6aep-1", "0x0.0p+0"),
-    ("theta", None, 16_384): ("0x1.9985d83f2d592p-1", "0x1.6ca776dcbc157p-11"),
-    ("theta", None, 16_385): ("0x1.99b4b31763fa8p-1", "0x1.6e55ce9eac119p-11"),
-    ("theta", None, 1_000_000): ("0x1.999719f96cc95p-1", "0x1.76effa4a0ea28p-14"),
-    ("theta", "xz", 1): ("0x1.71b171856079ep-1", "0x0.0p+0"),
-    ("theta", "xz", 16_384): ("0x1.b3ba04764b9d8p-1", "0x1.b371b01a7f232p-11"),
-    ("theta", "xz", 16_385): ("0x1.b3b8edf60723cp-1", "0x1.b370736b770f7p-11"),
-    ("theta", "xz", 1_000_000): ("0x1.b348c69554c4ap-1", "0x1.bcd37b51a496ep-14"),
-    ("theta", "xy", 1): ("0x1.f4b4f4e105ec9p-1", "0x0.0p+0"),
-    ("theta", "xy", 16_384): ("0x1.b2ac61f01ac8fp-1", "0x1.b371b01a7f232p-11"),
-    ("theta", "xy", 16_385): ("0x1.b2ad78705f42bp-1", "0x1.b370736b770f7p-11"),
-    ("theta", "xy", 1_000_000): ("0x1.b31d9fd111a1dp-1", "0x1.bcd37b51a496ep-14"),
-    ("theta", "yz", 1): ("0x1.6666666666667p-1", "0x0.0p+0"),
-    ("theta", "yz", 16_384): ("0x1.6666666666666p-1", "0x1.13dee66cf98b7p-60"),
-    ("theta", "yz", 16_385): ("0x1.6666666666666p-1", "0x1.13dc720ffb8a5p-60"),
-    ("theta", "yz", 1_000_000): ("0x1.6666666666666p-1", "0x1.1cba62d75dd0bp-63"),
+    ("ms", None, 1): ("0x1.fb9f6810e2b33p-1", "0x0.0p+0"),
+    ("ms", None, 32_768): ("0x1.dde28525a353ep-1", "0x1.5a3002f2767f7p-13"),
+    ("ms", None, 32_769): ("0x1.dde2640176cbbp-1", "0x1.5a2ee4b21f016p-13"),
+    ("ms", None, 1_000_000): ("0x1.dde09725e8e48p-1", "0x1.f459ede2ff865p-16"),
+    ("ms", "xz", 1): ("0x1.cd0a785058276p-1", "0x0.0p+0"),
+    ("ms", "xz", 32_768): ("0x1.e6673f8fb14ebp-1", "0x1.9a82e450d69b7p-13"),
+    ("ms", "xz", 32_769): ("0x1.e667703d355b6p-1", "0x1.9a829226da7a4p-13"),
+    ("ms", "xz", 1_000_000): ("0x1.e663cb1bd5900p-1", "0x1.28b96274f3e21p-15"),
+    ("ms", "xy", 1): ("0x1.ccccccccccccdp-1", "0x0.0p+0"),
+    ("ms", "xy", 32_768): ("0x1.ccccccccccccfp-1", "0x1.80746f42006e6p-60"),
+    ("ms", "xy", 32_769): ("0x1.ccccccccccccfp-1", "0x1.8072c346d7271p-60"),
+    ("ms", "xy", 1_000_000): ("0x1.ccccccccccccfp-1", "0x1.162e45b7381eap-62"),
+    ("ms", "yz", 1): ("0x1.cd0a785058276p-1", "0x0.0p+0"),
+    ("ms", "yz", 32_768): ("0x1.e6673f8fb14ebp-1", "0x1.9a82e450d69b7p-13"),
+    ("ms", "yz", 32_769): ("0x1.e667703d355b6p-1", "0x1.9a829226da7a4p-13"),
+    ("ms", "yz", 1_000_000): ("0x1.e663cb1bd5900p-1", "0x1.28b96274f3e21p-15"),
+    ("theta", None, 1): ("0x1.66911342b1d83p-1", "0x0.0p+0"),
+    ("theta", None, 32_768): ("0x1.99635810157d8p-1", "0x1.02998e708dfa0p-11"),
+    ("theta", None, 32_769): ("0x1.9979c7241caa8p-1", "0x1.03b749674f12ap-11"),
+    ("theta", None, 1_000_000): ("0x1.999103255cca2p-1", "0x1.771e32b6d235fp-14"),
+    ("theta", "xz", 1): ("0x1.ff46fd755df06p-1", "0x0.0p+0"),
+    ("theta", "xz", 32_768): ("0x1.b330a7b7527a6p-1", "0x1.33e22b3ca0f49p-11"),
+    ("theta", "xz", 32_769): ("0x1.b33015aec6546p-1", "0x1.33e1ed9d23dbap-11"),
+    ("theta", "xz", 1_000_000): ("0x1.b33b0512e5b68p-1", "0x1.bd1613af6dd30p-14"),
+    ("theta", "xy", 1): ("0x1.671f68f108762p-1", "0x0.0p+0"),
+    ("theta", "xy", 32_768): ("0x1.b335beaf13ec1p-1", "0x1.33e22b3ca0f49p-11"),
+    ("theta", "xy", 32_769): ("0x1.b33650b7a0121p-1", "0x1.33e1ed9d23dbap-11"),
+    ("theta", "xy", 1_000_000): ("0x1.b32b615380afep-1", "0x1.bd1613af6dd30p-14"),
+    ("theta", "yz", 1): ("0x1.6666666666668p-1", "0x0.0p+0"),
+    ("theta", "yz", 32_768): ("0x1.6666666666666p-1", "0x1.8d5b77923022bp-61"),
+    ("theta", "yz", 32_769): ("0x1.6666666666666p-1", "0x1.8d5d843b6bc08p-61"),
+    ("theta", "yz", 1_000_000): ("0x1.6666666666666p-1", "0x1.1f270d045d81ep-63"),
 }
 
 
 def test_monte_carlo_pins_the_seeded_stream():
-    assert analysis._CHUNK_DRAWS == 16_384  # the edge the sizes straddle
+    assert analysis._CHUNK_DRAWS == 32_768  # the edge the sizes straddle
     specs = {
         "ms": MSChannel(c=0.6, d=-0.8),
         "theta": ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
@@ -409,6 +411,9 @@ def test_monte_carlo_values_are_ncf_batch_at_the_one_shot_inputs(monkeypatch):
     specs = [
         MSChannel(c=0.6, d=-0.8),
         ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="z"),
+        # lambda_x != lambda_y on these two: draws that swap x^2 and y^2 show
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x"),
+        ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="y"),
         RawChannel(state=apply_gate(unitary, 0, MSChannel(c=0.8, d=0.6).state)),
     ]
     for n in (1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3):
@@ -497,20 +502,24 @@ def test_predicted_variance_is_the_exact_spread_of_the_ncf():
             assert abs(got - ncf_variance(spec, family)) <= 1e-15, (spec, family)
 
 
-def test_monte_carlo_memory_does_not_grow_with_n_samples():
+def test_monte_carlo_memory_does_not_grow_with_n_samples(monkeypatch):
+    # on this machine's CPUs, and on 6, past _MAX_WORKERS, so the bound is
+    # checked with every thread's buffers on any machine
     spec = MSChannel(c=0.6, d=-0.8)
-    for family in (None, "xz"):
-        mc_average(spec, family, 10)  # builds the cached receiver map
-        peaks = []
-        for n in (10**5, 10**6):
-            tracemalloc.start()
-            try:
-                mc_average(spec, family, n)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < 4 * 2**20
-        assert abs(peaks[1] - peaks[0]) < 2**18
+    for cpus in (analysis._usable_cpus(), 6):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        for family in (None, "xz"):
+            mc_average(spec, family, 10)  # builds the cached receiver map
+            peaks = []
+            for n in (10**5, 10**6):
+                tracemalloc.start()
+                try:
+                    mc_average(spec, family, n)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) < 4 * 2**20, (cpus, family, peaks)
+            assert abs(peaks[1] - peaks[0]) < 2**18, (cpus, family, peaks)
 
 
 def test_monte_carlo_moment_merge_edge_cases(monkeypatch):
@@ -543,13 +552,13 @@ def test_monte_carlo_checks_the_normalization_of_its_draws(monkeypatch):
 
 
 def test_monte_carlo_sphere_checks_draws_outside_the_unit_interval(monkeypatch):
-    # u = 5 gives cos(theta) = -9: squares that still sum to 1, but two of
-    # them negative
+    # u = 5 gives cos(theta) = 5: squares that still sum to 1, but
+    # sin^2(theta) = -24 among them, so |r|^2 = 24 + 25
     def outside_draws(rng, n, out=None):
         yield 0, np.full(n, 5.0)
 
     monkeypatch.setattr(analysis, "_uniform_chunks", outside_draws)
-    with pytest.raises(NormalizationError, match=r"\|r\|\^2 = 161.0 at index 0"):
+    with pytest.raises(NormalizationError, match=r"\|r\|\^2 = 49.0 at index 0"):
         mc_average(MSChannel(c=0.6, d=0.8), None, 5)
 
 

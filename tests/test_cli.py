@@ -464,7 +464,7 @@ def test_power_sweep_monte_carlo_prints_the_predicted_stderr_per_row(capsys, tmp
     # stdout and --output carry the report alone, and its rows are this
     # grid's seeded values
     rows = json.loads(captured.out)["rows"]
-    assert [row[2] for row in rows] == [0.83320679680734999, 0.75004791196000764]
+    assert [row[2] for row in rows] == [0.8334984850072508, 0.7500743139975556]
     assert "predicted" not in captured.out
     path = tmp_path / "sweep.json"
     assert main([*argv, "--output", str(path)]) == 0

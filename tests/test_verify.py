@@ -4,21 +4,23 @@ Each case patches one input of a check by ``OFF``, far outside the
 check's tolerance and far inside 1, then asserts that the check fails and
 that its detail line prints the bad value.  Where a check joins two
 thresholds, each case breaks one of them alone, so neither can be dropped
-or joined by ``or`` without a failing test.  Three cases take other
+or joined by ``or`` without a failing test.  Four cases take other
 sizes: the Monte Carlo half of ``sphere-average``, whose tolerances are 4
-standard errors and 2e-3, moves its means by 5 standard errors or by
-3e-3; and ``bound-triple-identity``, a count of disagreeing predicates,
-negates one predicate.  The defect half of ``perfect-ct`` is broken in
-``test_protocol.py``.  The std half of ``matched-flatness`` cannot fail
-alone: a standard deviation never exceeds the largest deviation from
-any value, which the other half bounds by the same 1e-12.
+standard errors, 2e-3 and a sample stderr within 5% of its prediction,
+moves its means by 5 standard errors or by 3e-3, or puts its standard
+errors 6% off their prediction; and ``bound-triple-identity``, a count of
+disagreeing predicates, negates one predicate.  The defect half of
+``perfect-ct`` is broken in ``test_protocol.py``.  The std half of
+``matched-flatness`` cannot fail alone: a standard deviation never
+exceeds the largest deviation from any value, which the other half
+bounds by the same 1e-12.
 """
 import dataclasses
 
 import pytest
 
 from ctpower import verify
-from ctpower.analysis import avg_fidelity_ms_analytic
+from ctpower.analysis import MC_SAMPLES, avg_fidelity_ms_analytic
 
 OFF = 1e-6
 
@@ -29,11 +31,15 @@ def _shifted(monkeypatch, name, shift):
     monkeypatch.setattr(verify, name, lambda *args, **kwargs: shift(real(*args, **kwargs)))
 
 
-def _monte_carlo_at(monkeypatch, sigmas, offset, stderr):
+def _monte_carlo_at(monkeypatch, sigmas, offset, stderr=None, predicted=None):
     """Patch the Monte Carlo averages of ``sphere-average`` to sit
     ``sigmas`` of their standard errors and ``offset`` above the exact
-    value, with standard error ``stderr`` (None: their own)."""
+    value, with standard error ``stderr`` (None: their own), and a given
+    ``stderr``'s prediction to ``predicted`` (None: ``stderr``)."""
     real = verify.avg_fidelity_numeric
+    if stderr is not None:
+        want = stderr if predicted is None else predicted
+        monkeypatch.setattr(verify, "_ncf_variance", lambda spec, family: want**2 * MC_SAMPLES)
 
     def patched(spec, domain, **kwargs):
         mean, err = real(spec, domain, **kwargs)
@@ -105,7 +111,7 @@ CASES = {
         "50 local-unitary rotations drift 1.000e-06",
     ),
     "sphere-average Monte Carlo stderr": (
-        lambda mp: _monte_carlo_at(mp, 5.0, 0.0, None),
+        lambda mp: _monte_carlo_at(mp, 5.0, 0.0),
         lambda: verify.check_sphere_average(0, quick=False),
         "worst 5.00 stderr",
     ),
@@ -113,6 +119,11 @@ CASES = {
         lambda mp: _monte_carlo_at(mp, 0.0, 3e-3, 1.0),
         lambda: verify.check_sphere_average(0, quick=False),
         "worst 0.00 stderr, worst 3.000e-03 absolute",
+    ),
+    "sphere-average Monte Carlo spread": (
+        lambda mp: _monte_carlo_at(mp, 0.0, 0.0, 1.06e-4, 1e-4),
+        lambda: verify.check_sphere_average(0, quick=False),
+        "predicted stderr 1.000e-04, 1.000e-04, 1.000e-04, sample stderr off by at most 6.00%",
     ),
     "matched-flatness": (
         lambda mp: _shifted(mp, "ncf_batch", lambda ncf: ncf + OFF),
