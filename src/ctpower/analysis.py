@@ -5,10 +5,10 @@ A channel gives the controller real authority only when the fidelity
 achievable WITHOUT the controller stays at or below the classical limit
 2/3, i.e. when C >= 1/3.
 
-Averages run over one of two domains:
-
-* "sphere": dOmega / 4pi over all pure qubit inputs,
-* "family": uniform angle along one equatorial input family's great circle.
+Every average runs over one domain of inputs, named by ``family``: None
+for the Bloch sphere, dOmega / 4pi over all pure qubit inputs, or one of
+``FAMILY_NAMES`` for the uniform angle along that input family's great
+circle.
 
 Every method reads the receiver's Bloch map (``protocol.receiver_map``),
 the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
@@ -347,36 +347,28 @@ def _integer(value, name: str, lo: int, bits: int | None = None) -> int:
 
 def avg_fidelity_numeric(
     spec: ChannelSpec,
-    domain: str,
-    method: str = "exact",
     family: str | None = None,
+    method: str = "exact",
     n_samples: int = MC_SAMPLES,
     seed: int = 0,
     row: int = 0,
 ) -> AverageResult:
-    """Average the simulated NCF over a domain of input states.
+    """Average the simulated NCF over the sphere (``family`` None: all pure
+    inputs, uniform on the Bloch sphere) or over the great circle of the
+    input family ``family`` names, uniform in its angle.
 
-    ``domain`` is "sphere" (all pure inputs, uniform on the Bloch sphere)
-    or "family" (one equatorial family named by ``family``, uniform in its
-    angle); the sphere refuses a ``family``.  ``method`` is "exact" (the
-    exact average of the receiver map's NCF, ``_exact_average``; stderr 0)
-    or "monte_carlo" (mean and standard error of the NCF at ``n_samples``
-    random inputs from the PCG64DXSM stream keyed by (seed, row), evaluated
-    on the receiver's Bloch map chunk by chunk in bounded memory on the
-    usable CPUs; see ``_monte_carlo``).  Every channel has a receiver map,
-    so both average every channel.  Monte Carlo raises RangeError naming
-    ``n_samples``, ``seed`` or ``row`` unless it is an integer, n_samples at
-    least 1 and seed and row in [0, 2^64).
+    ``method`` is "exact" (the exact average of the receiver map's NCF,
+    ``_exact_average``; stderr 0) or "monte_carlo" (mean and standard error
+    of the NCF at ``n_samples`` random inputs from the PCG64DXSM stream
+    keyed by (seed, row), evaluated on the receiver's Bloch map chunk by
+    chunk in bounded memory on the usable CPUs; see ``_monte_carlo``).
+    Every channel has a receiver map, so both average every channel.  An
+    unknown family or method raises ValueError, and Monte Carlo raises
+    RangeError naming ``n_samples``, ``seed`` or ``row`` unless it is an
+    integer, n_samples at least 1 and seed and row in [0, 2^64).
     """
-    if domain == "family":
-        if family not in FAMILY_NAMES:
-            raise ValueError(f"domain 'family' needs family in {FAMILY_NAMES}")
-    elif domain == "sphere":
-        if family is not None:
-            raise ValueError(f"family {family!r} applies only to domain 'family'")
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-
+    if family is not None and family not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {family!r}; expected None or one of {FAMILY_NAMES}")
     if method == "exact":
         return AverageResult(_exact_average(spec, family), 0.0)
     if method == "monte_carlo":
@@ -425,10 +417,8 @@ def sweep(
     """
     reports = []
     for row, spec in enumerate(specs):
-        family = spec.matched_family
         avg = avg_fidelity_numeric(
-            spec, "sphere" if family is None else "family",
-            method=method, family=family, seed=seed, row=row,
+            spec, spec.matched_family, method=method, seed=seed, row=row
         )
         reports.append(power_report(spec, avg.mean))
     return reports

@@ -46,7 +46,6 @@ from .qcore import (
     BELL_OUTCOMES,
     EXACT_ATOL,
     INPUT_ATOL,
-    PSD_ATOL,
     BellOutcome,
     PureState,
     _SQRT_HALF,
@@ -304,11 +303,12 @@ class TangleReport:
 
 def _tangles(amps: np.ndarray) -> np.ndarray:
     """3-tangles of (n, 8) amplitude rows, or of one (8,) row: the
-    hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|, capped at 1;
-    ValueError if any row exceeds 1 by more than 1e-10.  One row is
-    evaluated on scalars, a third of the cost of a one-row stack; stacked
-    complex products and magnitudes can round an ulp apart from scalar
-    ones."""
+    hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|, capped at 1.
+    tau scales as |psi|^4, and a PureState's |psi|^2 may exceed 1 by 1e-10,
+    so ValueError only if a row exceeds (1 + 1e-10)^2 by more than 1e-12,
+    which no PureState reaches.  One row is evaluated on scalars, a third
+    of the cost of a one-row stack; stacked complex products and magnitudes
+    can round an ulp apart from scalar ones."""
     p = amps.T
     d1 = p[0] ** 2 * p[7] ** 2 + p[1] ** 2 * p[6] ** 2 + p[2] ** 2 * p[5] ** 2 + p[4] ** 2 * p[3] ** 2
     d2 = (
@@ -321,7 +321,7 @@ def _tangles(amps: np.ndarray) -> np.ndarray:
     )
     d3 = p[0] * p[6] * p[5] * p[3] + p[7] * p[1] * p[2] * p[4]
     tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    if (tau > 1.0 + PSD_ATOL).any():
+    if (tau > (1.0 + INPUT_ATOL) ** 2 + EXACT_ATOL).any():
         raise ValueError(f"3-tangle {float(np.max(tau))!r} exceeds 1 beyond tolerance")
     return np.minimum(tau, 1.0)
 

@@ -38,7 +38,6 @@ from .analysis import (
     sweep,
 )
 from .channels import (
-    MATCHED_AXIS,
     NAMED_CHANNELS,
     ChannelSpec,
     GHZChannel,
@@ -304,7 +303,7 @@ def _spec_from_args(args: argparse.Namespace) -> ChannelSpec:
                 f"config file holds a {type(spec).__name__}, but --channel says {name!r}"
             )
         if named:
-            axis = MATCHED_AXIS[name.rpartition("_")[2]]
+            axis = named_channel(name, spec.a, spec.b).k
             if spec.k != axis:
                 raise UsageError(f"config file holds a ThetaChannel with k = {spec.k}, "
                                  f"but --channel {name!r} fixes k = {axis}")
@@ -422,12 +421,10 @@ def _cmd_ct(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
 
 
 # the closed-form NCF ``ncf`` prints beside the simulated one, by family, at
-# input phi; theta's form takes the dominant branch, the larger of |a|, |b|
+# input phi
 _NCF_CLOSED = {
     "ms": lambda spec, phi: ncf_ms_closed(*phi.amps, spec.d),
-    "theta": lambda spec, phi: ncf_theta_closed(
-        max(abs(spec.a), abs(spec.b)), min(abs(spec.a), abs(spec.b)), spec.k, phi
-    ),
+    "theta": lambda spec, phi: ncf_theta_closed(spec.a, spec.b, spec.k, phi),
 }
 _NCF_CLOSED["ghz"] = _NCF_CLOSED["ms"]
 
@@ -465,12 +462,7 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     if not 1 <= args.n_samples <= _MAX_SAMPLES:
         raise UsageError(f"--n-samples must lie in [1, {_MAX_SAMPLES}], got {args.n_samples}")
     mean, stderr = avg_fidelity_numeric(
-        spec,
-        args.domain,
-        method=args.method,
-        family=args.family,
-        n_samples=args.n_samples,
-        seed=config.seed,
+        spec, args.family, method=args.method, n_samples=args.n_samples, seed=config.seed
     )
     report = Report(title="averaged non-conditioned fidelity")
     report.scalars = _describe_spec(spec) + [

@@ -295,25 +295,28 @@ def _ct_certificate(amps: np.ndarray) -> _Certificate:
 # closed forms
 
 def ncf_ms_closed(k0: Amplitude, k1: Amplitude, d: float) -> float:
-    """|k0|^4 + |k1|^4 + 2|d| |k0|^2 |k1|^2: NCF through an MS channel."""
+    """|k0|^4 + |k1|^4 + 2|d| |k0|^2 |k1|^2: NCF through an MS channel.
+
+    Raises NormalizationError unless |k0|^2 + |k1|^2 is 1 within 1e-10, and
+    RangeError unless d^2 is at most 1 within 1e-10, as for any d of an
+    ``MSChannel``; NaN fails both."""
     p0 = abs(complex(k0)) ** 2
     p1 = abs(complex(k1)) ** 2
-    if abs(p0 + p1 - 1.0) > INPUT_ATOL:
+    if not abs(p0 + p1 - 1.0) <= INPUT_ATOL:
         raise NormalizationError(f"|k0|^2+|k1|^2 = {p0 + p1!r}, expected 1")
-    return p0 * p0 + p1 * p1 + 2.0 * abs(float(d)) * p0 * p1
+    v = abs(float(d))
+    if not v * v - 1.0 <= INPUT_ATOL:
+        raise RangeError(f"|d| = {v!r} exceeds 1")
+    return p0 * p0 + p1 * p1 + 2.0 * v * p0 * p1
 
 
 def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> float:
-    """a^2 + b^2 |<phi| sigma_k |phi>|^2: NCF through a theta channel.
-
-    This is the form for a dominant a-branch (a^2 >= b^2).  The simulated
-    correction always targets the dominant branch, so when b^2 > a^2 the
-    simulation matches this function called with the roles swapped.
-    """
+    """max(a^2, b^2) + min(a^2, b^2) |<phi| sigma_k |phi>|^2: NCF through a
+    theta channel, whose receiver corrects toward the dominant branch."""
     a, b = check_unit_pair(a, b, "a, b")
     phi = input_state(f)
     expectation = complex(np.vdot(phi.amps, pauli(k) @ phi.amps))
-    return a * a + b * b * abs(expectation) ** 2
+    return max(a * a, b * b) + min(a * a, b * b) * abs(expectation) ** 2
 
 
 # ---------------------------------------------------------------------------

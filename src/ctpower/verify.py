@@ -134,7 +134,7 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
     worst_exact = 0.0
     for d in np.linspace(-1.0, 1.0, 11):
         spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-        mean, _ = avg_fidelity_numeric(spec, "sphere")
+        mean, _ = avg_fidelity_numeric(spec)
         worst_exact = max(worst_exact, abs(mean - avg_fidelity_ms_analytic(float(d))))
     ok = worst_exact <= 1e-9
     detail = f"exact average over 11 d values: max deviation {worst_exact:.3e} (tol 1e-9)"
@@ -146,8 +146,7 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
         for row, d in enumerate((0.0, 0.5, -0.8)):
             spec = MSChannel(c=math.sqrt(1.0 - d * d), d=d)
             mean, stderr = avg_fidelity_numeric(
-                spec, "sphere", method="monte_carlo",
-                n_samples=MC_SAMPLES, seed=seed, row=row,
+                spec, method="monte_carlo", n_samples=MC_SAMPLES, seed=seed, row=row
             )
             err = abs(mean - avg_fidelity_ms_analytic(d))
             worst_sigma = max(worst_sigma, err / stderr)
@@ -170,7 +169,7 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
 
 def check_ghz_classical_limit() -> CheckResult:
     """Without the controller a GHZ channel is worth exactly 2/3 on average."""
-    mean, _ = avg_fidelity_numeric(GHZChannel(), "sphere")
+    mean, _ = avg_fidelity_numeric(GHZChannel())
     dev_f = abs(mean - 2.0 / 3.0)
     dev_c = abs(control_power(mean) - 1.0 / 3.0)
     return CheckResult(

@@ -18,6 +18,9 @@ package computes in closed form.
 checked against, ``monte_carlo_one_shot`` draws a whole Monte Carlo
 average at once (at ``one_shot_inputs``), as the streamed one must, and
 ``ncf_variance`` is the exact variance its standard error estimates.
+``exact_averages`` computes lambda, the averages and the variances in exact
+rational arithmetic from a spec's float amplitudes, and ``ulps`` measures
+a float's distance from such a value.
 ``random_channel`` draws one of ``verify --quick``'s random channels as a
 spec, the draws the package turns straight into amplitudes, and
 ``random_local_unitary`` one of its Haar-random rotations.  The
@@ -35,7 +38,8 @@ the fidelity of a density operator with a pure state.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -455,6 +459,61 @@ def ncf_variance(spec: ChannelSpec, family: str | None) -> float:
     mean_quad = float(np.einsum("ij,ij->", quad, second))
     var_g = t @ second @ t + np.einsum("ij,ijkl,kl->", quad, fourth, quad) - mean_quad**2
     return float(var_g) / 4.0
+
+
+# ---------------------------------------------------------------------------
+# the averages in exact rational arithmetic
+
+# lambda_i = sum_p +-w_p over the Bell weights relabelled so that the
+# dominant pair is phi+: pair p (phi+, phi-, psi+, psi-) is phi+ with the
+# Pauli I, Z, X or XZ on the receiver's half, and the sign is + where that
+# Pauli commutes with sigma_i (rows x, y, z)
+_COMMUTES = ((1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+
+
+class ExactAverages(NamedTuple):
+    """A channel's receiver map and NCF moments as exact rationals, the
+    moments keyed by family, None for the sphere."""
+
+    lam: tuple[Fraction, ...]  # the receiver map's lambda_x, y, z
+    mean: dict                 # the average NCF
+    variance: dict             # the variance of the NCF
+
+
+def exact_averages(spec: ChannelSpec) -> ExactAverages:
+    """The receiver map and the NCF's averages and variances of ``spec`` in
+    exact arithmetic, for the very floats its state holds: every float is a
+    dyadic rational, and each Bell weight is 1/2 sum_c |x_c,i +- x_c,j|^2
+    over the controller's slices, (i, j) = (00, 11) for phi+- and (01, 10)
+    for psi+-, so the weights, lambda, the averages and the variances are
+    all rationals.  Only the dominant pair is read off the spec, which
+    picks it in floats."""
+    amps = [(Fraction(z.real), Fraction(z.imag)) for z in spec.state.amps.tolist()]
+    weights = []
+    for i, j in ((0b00, 0b11), (0b01, 0b10)):
+        for sign in (1, -1):
+            w = Fraction(0)
+            for c in (0, 4):
+                (ar, ai), (br, bi) = amps[c + i], amps[c + j]
+                w += (ar + sign * br) ** 2 + (ai + sign * bi) ** 2
+            weights.append(w / 2)
+    dominant = BELL_OUTCOMES.index(spec.dominant_bell)
+    relabelled = [weights[p ^ dominant] for p in range(4)]
+    total = sum(weights)
+    lam = tuple(sum(s * w for s, w in zip(row, relabelled)) / total for row in _COMMUTES)
+    mean = {None: Fraction(1, 2) + sum(lam) / 6}
+    variance = {None: sum((lam[i] - lam[j]) ** 2 for i, j in ((0, 1), (0, 2), (1, 2))) / 90}
+    for family in FAMILY_NAMES:
+        # the circle spans the two axes other than the family's matched one
+        i, j = (n for n, axis in enumerate("xyz") if axis != MATCHED_AXIS[family])
+        mean[family] = Fraction(1, 2) + (lam[i] + lam[j]) / 4
+        variance[family] = (lam[i] - lam[j]) ** 2 / 32
+    return ExactAverages(lam, mean, variance)
+
+
+def ulps(got: float, want: Fraction, scale: float) -> float:
+    """|got - want| in units in the last place of ``scale``."""
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_power_bound_check_boundaries():
 def test_sphere_quadrature_matches_analytic_on_d_grid():
     for d in np.linspace(-1.0, 1.0, 11):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=float(d))
-        mean, stderr = avg_fidelity_numeric(spec, "sphere", method="exact")
+        mean, stderr = avg_fidelity_numeric(spec, method="exact")
         assert stderr == 0.0
         assert abs(mean - avg_fidelity_ms_analytic(float(d))) < 1e-9
 
@@ -129,7 +129,7 @@ def test_sphere_quadrature_matches_independent_oracle():
         return p0 * p0 + p1 * p1 + 2.0 * d * p0 * p1
 
     want = sphere_average_oracle(closed, order=60)
-    got, _ = avg_fidelity_numeric(spec, "sphere", method="exact")
+    got, _ = avg_fidelity_numeric(spec, method="exact")
     assert abs(got - want) < 1e-12
     assert abs(want - (2.0 / 3.0 + d / 3.0)) < 1e-12
 
@@ -137,18 +137,16 @@ def test_sphere_quadrature_matches_independent_oracle():
 def test_exact_average_of_a_flat_ncf_is_one():
     # NCF through MS{d=1} and Theta{a=1} is identically 1, so the averages
     # measure exactly the total weight of the domain's measure
-    mean, _ = avg_fidelity_numeric(MSChannel(c=0.0, d=1.0), "sphere")
+    mean, _ = avg_fidelity_numeric(MSChannel(c=0.0, d=1.0))
     assert abs(mean - 1.0) < 1e-12
-    mean, _ = avg_fidelity_numeric(
-        ThetaChannel(a=1.0, b=0.0, k="z"), "family", family="xy"
-    )
+    mean, _ = avg_fidelity_numeric(ThetaChannel(a=1.0, b=0.0, k="z"), "xy")
     assert abs(mean - 1.0) < 1e-12
 
 
 def test_matched_family_average_is_the_dominant_weight():
     for fam in FAMILY_NAMES:
         spec = ThetaChannel(a=math.sqrt(0.5), b=math.sqrt(0.5), k=MATCHED_AXIS[fam])
-        mean, _ = avg_fidelity_numeric(spec, "family", family=fam)
+        mean, _ = avg_fidelity_numeric(spec, fam)
         assert abs(mean - 0.5) < 1e-9
 
 
@@ -158,7 +156,7 @@ def test_exact_average_is_the_mean_of_the_map_over_a_design():
     # same points and the closed forms within 1e-12
     for d in (-0.8, 0.0, 0.37, 1.0):
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
-        mean, _ = avg_fidelity_numeric(spec, "sphere", method="exact")
+        mean, _ = avg_fidelity_numeric(spec, method="exact")
         assert abs(mean - np.mean(ncf_batch(spec, *design(None)))) <= 1e-15
         assert abs(mean - np.mean(walk_ncf(spec, *design(None)))) < 1e-12
         assert abs(mean - (2.0 / 3.0 + abs(d) / 3.0)) < 1e-12
@@ -169,7 +167,7 @@ def test_exact_average_is_the_mean_of_the_map_over_a_design():
             # the matched channel, flat on its circle, and a mismatched one
             for k, want in ((MATCHED_AXIS[fam], hi), (fam[0], hi + lo / 2.0)):
                 spec = ThetaChannel(a=a, b=b, k=k)
-                mean, _ = avg_fidelity_numeric(spec, "family", family=fam, method="exact")
+                mean, _ = avg_fidelity_numeric(spec, fam, method="exact")
                 assert abs(mean - np.mean(ncf_batch(spec, *design(fam)))) <= 1e-15
                 assert abs(mean - np.mean(walk_ncf(spec, *design(fam)))) < 1e-12
                 assert abs(mean - want) < 1e-12
@@ -177,16 +175,12 @@ def test_exact_average_is_the_mean_of_the_map_over_a_design():
 
 def test_domain_and_measure_validation():
     spec = GHZChannel()
-    with pytest.raises(ValueError):
-        avg_fidelity_numeric(spec, "line")
-    with pytest.raises(ValueError):
-        avg_fidelity_numeric(spec, "family")  # family name missing
-    with pytest.raises(ValueError):
-        avg_fidelity_numeric(spec, "sphere", method="guessing")
-    # a family beside the sphere is refused, not dropped: the xy mean of
-    # this channel is 0.64, its sphere mean 0.76
-    with pytest.raises(ValueError, match="'xy' applies only to domain 'family'"):
-        avg_fidelity_numeric(ThetaChannel(0.6, 0.8, "z"), "sphere", family="xy")
+    # a family that names no great circle is refused, not read as the sphere
+    for family in ("line", "sphere", "family", "arbitrary", ""):
+        with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+            avg_fidelity_numeric(spec, family)
+    with pytest.raises(ValueError, match="unknown method 'guessing'"):
+        avg_fidelity_numeric(spec, method="guessing")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,7 @@ def test_monte_carlo_tracks_analytic_for_random_d_values():
         d = float(rng.uniform(-1.0, 1.0))
         spec = MSChannel(c=math.sqrt(1 - d * d), d=d)
         mean, stderr = avg_fidelity_numeric(
-            spec, "sphere", method="monte_carlo",
-            n_samples=10**6, seed=11, row=row,
+            spec, method="monte_carlo", n_samples=10**6, seed=11, row=row,
         )
         assert stderr > 0.0
         assert abs(mean - avg_fidelity_ms_analytic(d)) < 4.0 * stderr
@@ -208,15 +201,13 @@ def test_monte_carlo_tracks_analytic_for_random_d_values():
 def test_monte_carlo_is_reproducible_and_stream_keyed():
     spec = MSChannel(c=0.6, d=0.8)
     kwargs = dict(method="monte_carlo", n_samples=40_000, seed=5, row=2)
-    a = avg_fidelity_numeric(spec, "sphere", **kwargs)
-    b = avg_fidelity_numeric(spec, "sphere", **kwargs)
+    a = avg_fidelity_numeric(spec, **kwargs)
+    b = avg_fidelity_numeric(spec, **kwargs)
     assert a == b  # bit-identical, not merely close
-    c = avg_fidelity_numeric(
-        spec, "sphere", method="monte_carlo", n_samples=40_000, seed=5, row=3
-    )
+    c = avg_fidelity_numeric(spec, method="monte_carlo", n_samples=40_000, seed=5, row=3)
     assert a.mean != c.mean
     with pytest.raises(RangeError):
-        avg_fidelity_numeric(spec, "sphere", method="monte_carlo", n_samples=0)
+        avg_fidelity_numeric(spec, method="monte_carlo", n_samples=0)
 
 
 @pytest.mark.parametrize(
@@ -237,16 +228,27 @@ def test_monte_carlo_rejects_counts_and_keys_that_are_not_whole(kwargs, message)
     # truncated and a negative one does not reach numpy's uint64
     spec = MSChannel(c=0.6, d=0.8)
     with pytest.raises(RangeError, match=f"^{message}$"):
-        avg_fidelity_numeric(spec, "sphere", method="monte_carlo", **kwargs)
+        avg_fidelity_numeric(spec, method="monte_carlo", **kwargs)
+
+
+def test_monte_carlo_keys_default_to_seed_0_and_row_0():
+    # the stream a caller gets without naming one is (0, 0), in a sweep too
+    spec = MSChannel(c=0.6, d=0.8)
+    want = avg_fidelity_numeric(spec, method="monte_carlo", n_samples=1000, seed=0, row=0)
+    assert avg_fidelity_numeric(spec, method="monte_carlo", n_samples=1000) == want
+    assert want != avg_fidelity_numeric(spec, method="monte_carlo", n_samples=1000, seed=1)
+    assert want != avg_fidelity_numeric(spec, method="monte_carlo", n_samples=1000, row=1)
+    (rep,) = sweep([spec], method="monte_carlo")
+    assert [rep] == sweep([spec], method="monte_carlo", seed=0)
 
 
 def test_monte_carlo_takes_numpy_integers_and_the_largest_key():
     spec = MSChannel(c=0.6, d=0.8)
     want = avg_fidelity_numeric(
-        spec, "sphere", method="monte_carlo", n_samples=1000, seed=2**64 - 1, row=2**64 - 1
+        spec, method="monte_carlo", n_samples=1000, seed=2**64 - 1, row=2**64 - 1
     )
     got = avg_fidelity_numeric(
-        spec, "sphere", method="monte_carlo", n_samples=np.int64(1000),
+        spec, method="monte_carlo", n_samples=np.int64(1000),
         seed=np.uint64(2**64 - 1), row=np.uint64(2**64 - 1),
     )
     assert got == want
@@ -267,8 +269,7 @@ def test_monte_carlo_on_a_generic_raw_channel():
 def test_monte_carlo_on_circle_domain():
     spec = ThetaChannel(a=math.sqrt(0.7), b=math.sqrt(0.3), k="y")
     mean, stderr = avg_fidelity_numeric(
-        spec, "family", family="xz", method="monte_carlo",
-        n_samples=200_000, seed=3,
+        spec, "xz", method="monte_carlo", n_samples=200_000, seed=3
     )
     assert abs(mean - 0.7) < max(4.0 * stderr, 1e-12)
 
@@ -279,10 +280,8 @@ SMALL_CHUNK = 7
 
 
 def mc_average(spec, family, n, seed=5, row=1):
-    domain = "sphere" if family is None else "family"
     return avg_fidelity_numeric(
-        spec, domain, family=family, method="monte_carlo",
-        n_samples=n, seed=seed, row=row,
+        spec, family, method="monte_carlo", n_samples=n, seed=seed, row=row
     )
 
 
@@ -711,15 +710,15 @@ def test_sweep_defaults_to_the_exact_average():
              ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k="x")]
     default = sweep(specs)
     assert [r.f_bar for r in sweep(specs, method="exact")] == [r.f_bar for r in default]
-    for rep, spec, domain in zip(default, specs, ("sphere", "sphere", "family")):
-        want = avg_fidelity_numeric(spec, domain, family=spec.matched_family)
+    for rep, spec, family in zip(default, specs, (None, None, "yz")):
+        want = avg_fidelity_numeric(spec, family)
         assert rep.f_bar == want.mean  # one exact average, bit for bit
     # the exact average's names before 0.14.0 are CLI spellings only
     for old in ("quadrature", "analytic"):
         with pytest.raises(ValueError, match=f"unknown method '{old}'"):
             sweep(specs, method=old)
         with pytest.raises(ValueError, match=f"unknown method '{old}'"):
-            avg_fidelity_numeric(specs[0], "sphere", method=old)
+            avg_fidelity_numeric(specs[0], method=old)
 
 
 def test_analytic_sweep_reads_the_receiver_map():
@@ -750,7 +749,7 @@ def test_analytic_sweep_reads_the_receiver_map():
     assert np.max(np.abs(result.rho3.mat - rho)) < 1e-12
     assert not result.per_outcome_equal
     for method in ("exact", "monte_carlo"):
-        avg = avg_fidelity_numeric(degenerate, "sphere", method=method, n_samples=100)
+        avg = avg_fidelity_numeric(degenerate, method=method, n_samples=100)
         assert avg == (0.5, 0.0)
     (rep,) = sweep([degenerate])
     assert rep.f_bar == 0.5

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ctpower import verify
 from ctpower.channels import (
     TANGLE_BOUND,
+    TangleReport,
     GHZChannel,
     MSChannel,
     RawChannel,
@@ -360,6 +361,27 @@ def test_tangle_local_unitary_invariance(parts, seed):
     for q in range(3):
         state = apply_gate(haar_unitary(rng), q, state)
     assert abs(three_tangle(state).tau - three_tangle(base).tau) < 1e-9
+
+
+def test_tangle_guard_admits_every_state_the_norm_check_admits():
+    # tau scales as |psi|^4: a GHZ row at |psi|^2 = 1 + 1e-10, the largest a
+    # PureState takes, stays under the guard and is capped at 1; rows past
+    # it, at |psi|^2 = 1 + 1.2e-10 (tau ~ 1 + 2.4e-10) and 1.1 (tau = 1.21),
+    # are still refused
+    ghz = np.zeros(8, dtype=complex)
+    for norm2 in (1.0 + 0.99e-10, 1.0 + 1e-10):
+        ghz[[0, 7]] = math.sqrt(norm2 / 2.0)
+        assert float(_tangles(ghz)) == 1.0
+    state = PureState(np.sqrt(1.0 + 0.99e-10) * GHZChannel().state.amps)
+    assert three_tangle(state) == TangleReport(1.0, True)
+    ghz[[0, 7]] = math.sqrt((1.0 + 1.2e-10) / 2.0)
+    with pytest.raises(ValueError, match="^3-tangle 1.00000000024.* exceeds 1 beyond tolerance$"):
+        _tangles(ghz)
+    ghz[[0, 7]] = math.sqrt(1.1 / 2.0)
+    with pytest.raises(ValueError, match="^3-tangle 1.21.* exceeds 1 beyond tolerance$"):
+        _tangles(ghz)
+    with pytest.raises(ValueError, match="exceeds 1 beyond tolerance"):
+        _tangles(np.stack([GHZChannel().state.amps, ghz]))
 
 
 def test_tangle_bound_threshold():

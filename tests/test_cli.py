@@ -85,6 +85,28 @@ def test_channel_command_reports_tangle(capsys):
     assert len(doc["rows"]) == 8
 
 
+def test_channel_command_takes_a_raw_state_at_the_edge_of_the_norm_check(capsys, tmp_path):
+    # a GHZ state with |psi|^2 = 1 + 0.99e-10 passes PureState's check, and
+    # its 3-tangle, |psi|^4 ~ 1 + 2e-10, is printed capped at 1
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 7]] = math.sqrt((1.0 + 0.99e-10) / 2.0)
+    path = tmp_path / "ghz.cfg"
+    path.write_text(channel_to_config(RawChannel(state=PureState(amps))))
+    code, out = run_cli(capsys, "channel", "raw", "--config", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scalars"]["tau"] == 1.0
+    assert doc["scalars"]["meets_tangle_bound"] is True
+    code, out = run_cli(
+        capsys, "power-sweep", "--channel", "raw", "--config", str(path), "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    (row,) = doc["rows"]
+    cells = dict(zip(doc["columns"], row))
+    assert cells["tau"] == 1.0 and cells["meets_tangle_bound"] is True
+
+
 def test_ct_command_perfect_channel(capsys):
     code, out = run_cli(
         capsys, "ct", "--channel", "ms", "--c", "0.6", "--d", "0.8",

@@ -6,7 +6,9 @@ unchanged, and generic raw states, whose sender outcomes leave different
 states.  For each, the map must be a completely positive Pauli channel,
 and the NCF it gives must equal the step-by-step branch walk of
 ``oracles.py``, summed over the sender's outcomes, pointwise, and the
-walk's mean over exact designs for the sphere and the three circles.
+walk's mean over exact designs for the sphere and the three circles;
+lambda, the exact averages and their variances must also lie within a few
+ulps of the same numbers computed in exact rational arithmetic.
 With the controller's help teleportation must be perfect, also for a raw
 copy with any unitary on its controller, whose basis the controller rule
 must find, while the W state, rotated or not, keeps its defect of 1.
@@ -25,7 +27,7 @@ import numpy as np
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctpower.analysis import FAMILY_NAMES, avg_fidelity_numeric
+from ctpower.analysis import FAMILY_NAMES, _ncf_variance, avg_fidelity_numeric
 from ctpower.channels import (
     GHZChannel,
     MSChannel,
@@ -42,7 +44,14 @@ from ctpower.protocol import (
 )
 from ctpower.qcore import PureState, make_qubit
 from ctpower.verify import check_channel_ct
-from oracles import apply_gate, design, random_local_unitary, walk_ncf
+from oracles import (
+    apply_gate,
+    design,
+    exact_averages,
+    random_local_unitary,
+    ulps,
+    walk_ncf,
+)
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -117,8 +126,7 @@ def test_receiver_map_is_a_qubit_channel_and_matches_the_branch_walk(spec, point
     assert np.max(np.abs(batch - walk_ncf(spec, k0, k1))) < 1e-12
     # the exact method is the exact average: the walk's mean over an exact design
     for family in (None,) + FAMILY_NAMES:
-        domain = "sphere" if family is None else "family"
-        exact = avg_fidelity_numeric(spec, domain, method="exact", family=family).mean
+        exact = avg_fidelity_numeric(spec, family, method="exact").mean
         assert abs(exact - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
@@ -165,6 +173,59 @@ def test_the_controller_rule_finds_a_rotated_basis(spec, seed, point):
     assert abs(run.total_probability - 1.0) <= 1e-12
     w_states = np.array([_W_STATE.amps, apply_gate(u, 0, _W_STATE).amps])
     assert np.max(np.abs(_ct_certificate(w_states).defect - 1.0)) <= 1e-12
+
+
+@st.composite
+def dyadic_channels(draw):
+    # MS and theta channels whose c or a is a multiple of 2^-10, the partner
+    # derived as the CLI derives it; raw channels of small integer parts,
+    # normalized, or with four amplitudes +-1/2 or +-i/2, exactly normalized
+    kind = draw(st.sampled_from(("ms", "theta", "raw", "halves")))
+    if kind in ("ms", "theta"):
+        x = draw(st.integers(-1024, 1024)) / 1024.0
+        y = draw(st.sampled_from((1.0, -1.0))) * math.sqrt(1.0 - x * x)
+        if kind == "ms":
+            return MSChannel(c=x, d=y)
+        return ThetaChannel(a=x, b=y, k=draw(st.sampled_from("xyz")))
+    if kind == "raw":
+        parts = draw(st.lists(st.integers(-8, 8), min_size=16, max_size=16).filter(any))
+        v = np.array(parts[:8]) + 1j * np.array(parts[8:])
+        return RawChannel(state=PureState(v / np.linalg.norm(v)))
+    amps = np.zeros(8, dtype=complex)
+    amps[draw(st.permutations(range(8)))[:4]] = draw(
+        st.lists(st.sampled_from((0.5, -0.5, 0.5j, -0.5j)), min_size=4, max_size=4)
+    )
+    return RawChannel(state=PureState(amps))
+
+
+# The largest errors measured against the exact rationals over ~27,000
+# channels (MS and theta from angles, MS with c on a log grid down to
+# 1e-12, raw channels from small integers, Gaussians, halves and MS or
+# theta states with a Haar unitary on the controller), rounded up: lambda
+# within 1.34 ulps of 1; the averages within 1.63 ulps of their value, or
+# of 1/2 below it, since 1/2 + sum lambda/6 rounds at 1/2's scale and a raw
+# channel, corrected toward phi+, can average below 1/2; the variance
+# within 0.161 ulps of 1, which near a flat channel is many of its own ulps,
+# as the differences of lambda cancel
+LAMBDA_ULPS_OF_1 = 2.0
+MEAN_ULPS = 2.0
+VARIANCE_ULPS_OF_1 = 0.25
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(dyadic_channels(), channels()))
+def test_averages_are_the_exact_rationals_within_ulps(spec):
+    exact = exact_averages(spec)
+    for got, want in zip(receiver_map(spec), exact.lam):
+        assert ulps(float(got), want, 1.0) <= LAMBDA_ULPS_OF_1, (spec, got, want)
+    for family in (None, *FAMILY_NAMES):
+        mean, stderr = avg_fidelity_numeric(spec, family)
+        assert stderr == 0.0
+        want = exact.mean[family]
+        assert ulps(mean, want, max(float(want), 0.5)) <= MEAN_ULPS, (spec, family)
+        variance = _ncf_variance(spec, family)
+        assert variance >= 0.0
+        assert ulps(variance, exact.variance[family], 1.0) <= VARIANCE_ULPS_OF_1, (spec, family)
 
 
 # ---------------------------------------------------------------------------

@@ -411,8 +411,7 @@ def test_unconditioned_teleport_matches_the_branch_walk():
             # the map's outcomes agree, and so do the walk's states
             assert result.per_outcome_equal and spread <= 1e-12
         for family in (None,) + FAMILY_NAMES:
-            domain = "sphere" if family is None else "family"
-            quad = avg_fidelity_numeric(spec, domain, family=family).mean
+            quad = avg_fidelity_numeric(spec, family).mean
             assert abs(quad - np.mean(walk_ncf(spec, *design(family)))) < 1e-12
 
 
@@ -444,7 +443,7 @@ def test_channels_whose_outcomes_leave_different_maps_have_the_summed_map():
         k0, k1 = design(None)
         walked = walk_ncf(spec, k0, k1)
         assert np.max(np.abs(ncf_batch(spec, k0, k1) - walked)) < 1e-12
-        mean = avg_fidelity_numeric(spec, "sphere").mean
+        mean = avg_fidelity_numeric(spec).mean
         assert abs(mean - np.mean(walked)) < 1e-12
         if sphere is not None:
             assert abs(mean - sphere) <= 1e-15
@@ -737,6 +736,36 @@ def test_ncf_closed_form_reference_points():
         ncf_ms_closed(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "k0, k1, d, error, message",
+    [
+        (math.nan, 1.0, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = nan, expected 1$"),
+        (1.0, math.nan, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = nan, expected 1$"),
+        (0.6, 0.6, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = 0.72, expected 1$"),
+        (1.0, 0.0, math.nan, RangeError, r"^\|d\| = nan exceeds 1$"),
+        (0.6, 0.8, 5.0, RangeError, r"^\|d\| = 5.0 exceeds 1$"),
+        (0.6, 0.8, -1.0001, RangeError, r"^\|d\| = 1.0001 exceeds 1$"),
+        (0.6, 0.8, math.inf, RangeError, r"^\|d\| = inf exceeds 1$"),
+    ],
+)
+def test_ncf_ms_closed_refuses_nan_and_d_beyond_one(k0, k1, d, error, message):
+    # a NaN compares False, so each check is written as "not within bound";
+    # at the equator d = 5 would give a "fidelity" of 3
+    with pytest.raises(error, match=message):
+        ncf_ms_closed(k0, k1, d)
+
+
+def test_ncf_ms_closed_takes_every_d_an_ms_channel_takes():
+    # c = 0 with d^2 = 1 + 8e-11 is a valid MSChannel, so its closed form
+    # must evaluate too: the same 1e-10 slack on d^2 as check_unit_pair
+    d = 1.0 + 4e-11
+    spec = MSChannel(c=0.0, d=d)
+    s = 1 / math.sqrt(2)
+    assert ncf_ms_closed(s, s, spec.d) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(RangeError):
+        ncf_ms_closed(s, s, 1.0 + 1e-9)
+
+
 def test_ncf_rho_structure_ms():
     # corrected receiver state: diag(|k0|^2, |k1|^2) with |d| k0 k1* coherence
     family = ArbitraryInput(theta=1.2, phi=0.8)
@@ -761,8 +790,7 @@ def test_ncf_matches_theta_closed_form():
             theta=rng.uniform(0, np.pi), phi=rng.uniform(0, 2 * np.pi)
         )
         sim = unconditioned_teleport(spec, family).ncf
-        hi, lo = sorted((spec.a, spec.b), key=abs, reverse=True)
-        assert abs(sim - ncf_theta_closed(hi, lo, spec.k, family)) < 1e-12
+        assert abs(sim - ncf_theta_closed(spec.a, spec.b, spec.k, family)) < 1e-12
 
 
 def test_ncf_theta_closed_is_the_a_dominant_form():
@@ -771,6 +799,23 @@ def test_ncf_theta_closed_is_the_a_dominant_form():
     k0, k1 = input_state(family).amps
     expectation = abs(np.conj(k0) * k1 + np.conj(k1) * k0) ** 2
     assert got == pytest.approx(0.7 + 0.3 * expectation, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", ["x", "y", "z"])
+def test_ncf_theta_closed_finds_the_dominant_branch(k):
+    # either amplitude may dominate: the form does not hang on their order or
+    # signs, and it is the simulated NCF of the channel either way
+    rng = np.random.default_rng(73)
+    inputs = [ArbitraryInput(t, p) for t, p in rng.uniform((0, 0), (np.pi, 2 * np.pi), (20, 2))]
+    inputs += [XZInput(0.4), XYInput(1.1), YZInput(2.5)]
+    for a, b in ((0.6, 0.8), (0.8, 0.6), (-0.6, 0.8), (0.8, -0.6)):
+        spec = ThetaChannel(a, b, k)
+        amps = np.array([input_state(f).amps for f in inputs])
+        batch = ncf_batch(spec, amps[:, 0], amps[:, 1])
+        for f, want in zip(inputs, batch):
+            got = ncf_theta_closed(a, b, k, f)
+            assert got == ncf_theta_closed(b, a, k, f)
+            assert abs(got - want) < 1e-12
 
 
 def test_matched_theta_family_is_flat_at_the_dominant_weight():

@@ -41,8 +41,8 @@ def _monte_carlo_at(monkeypatch, sigmas, offset, stderr=None, predicted=None):
         want = stderr if predicted is None else predicted
         monkeypatch.setattr(verify, "_ncf_variance", lambda spec, family: want**2 * MC_SAMPLES)
 
-    def patched(spec, domain, **kwargs):
-        mean, err = real(spec, domain, **kwargs)
+    def patched(spec, **kwargs):
+        mean, err = real(spec, **kwargs)
         if kwargs.get("method") != "monte_carlo":
             return mean, err
         err = err if stderr is None else stderr
