@@ -54,6 +54,7 @@ from .protocol import (
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
+    _ms_abs_d,
     receiver_map,
 )
 from .qcore import EXACT_ATOL
@@ -91,11 +92,9 @@ def control_power(f: float) -> float:
 
 
 def avg_fidelity_ms_analytic(d: float) -> float:
-    """Sphere-averaged NCF of an MS channel: 2/3 + |d|/3."""
-    v = float(d)
-    if not abs(v) <= 1.0 + EXACT_ATOL:  # NaN fails this too
-        raise RangeError(f"|d| = {abs(v)!r} exceeds 1")
-    return 2.0 / 3.0 + min(abs(v), 1.0) / 3.0
+    """Sphere-averaged NCF of an MS channel: 2/3 + |d|/3, for any d an
+    ``MSChannel`` takes."""
+    return 2.0 / 3.0 + min(_ms_abs_d(d), 1.0) / 3.0
 
 
 def power_bound_check(a: float) -> bool:

@@ -294,6 +294,15 @@ def _ct_certificate(amps: np.ndarray) -> _Certificate:
 # ---------------------------------------------------------------------------
 # closed forms
 
+def _ms_abs_d(d: float) -> float:
+    """|d|, or RangeError unless d^2 is at most 1 within 1e-10, as for any d
+    of an ``MSChannel``; NaN fails too."""
+    v = abs(float(d))
+    if not v * v - 1.0 <= INPUT_ATOL:
+        raise RangeError(f"|d| = {v!r} exceeds 1")
+    return v
+
+
 def ncf_ms_closed(k0: Amplitude, k1: Amplitude, d: float) -> float:
     """|k0|^4 + |k1|^4 + 2|d| |k0|^2 |k1|^2: NCF through an MS channel.
 
@@ -304,9 +313,7 @@ def ncf_ms_closed(k0: Amplitude, k1: Amplitude, d: float) -> float:
     p1 = abs(complex(k1)) ** 2
     if not abs(p0 + p1 - 1.0) <= INPUT_ATOL:
         raise NormalizationError(f"|k0|^2+|k1|^2 = {p0 + p1!r}, expected 1")
-    v = abs(float(d))
-    if not v * v - 1.0 <= INPUT_ATOL:
-        raise RangeError(f"|d| = {v!r} exceeds 1")
+    v = _ms_abs_d(d)
     return p0 * p0 + p1 * p1 + 2.0 * v * p0 * p1
 
 

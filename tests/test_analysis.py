@@ -92,6 +92,14 @@ def test_avg_fidelity_ms_analytic():
     assert avg_fidelity_ms_analytic(-0.5) == pytest.approx(5.0 / 6.0)
     with pytest.raises(RangeError):
         avg_fidelity_ms_analytic(1.5)
+    with pytest.raises(RangeError):
+        avg_fidelity_ms_analytic(1.0 + 6e-11)
+
+
+def test_avg_fidelity_ms_analytic_takes_every_d_an_ms_channel_takes():
+    d = 1.0 + 4e-11  # d^2 - 1 = 8e-11, within an MSChannel's 1e-10
+    assert MSChannel(c=0.0, d=d).d == d
+    assert avg_fidelity_ms_analytic(d) == avg_fidelity_ms_analytic(1.0)
 
 
 def test_avg_fidelity_ms_analytic_rejects_nan():
