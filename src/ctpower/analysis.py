@@ -35,7 +35,6 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +58,6 @@ from .protocol import (
 )
 from .qcore import EXACT_ATOL
 
-CLASSICAL_FIDELITY = 2.0 / 3.0
 CLASSICAL_POWER = 1.0 / 3.0
 
 MC_SAMPLES = 10**6  # per Monte Carlo average, and per point of a sweep
@@ -381,8 +379,7 @@ def avg_fidelity_numeric(
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     channel: ChannelSpec
     f_bar: float
     c_bar: float
@@ -430,8 +427,7 @@ def sweep(
 _CLAIM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MismatchRow:
+class MismatchRow(NamedTuple):
     channel_family: str
     input_family: str
     matched: bool
@@ -439,8 +435,7 @@ class MismatchRow:
     avg_power: float
 
 
-@dataclass(frozen=True)
-class MismatchReport:
+class MismatchReport(NamedTuple):
     a: float
     b: float
     rows: tuple[MismatchRow, ...]

@@ -295,8 +295,7 @@ def named_channel(name: str, a: float, b: float) -> ThetaChannel:
 # ---------------------------------------------------------------------------
 # 3-tangle
 
-@dataclass(frozen=True)
-class TangleReport:
+class TangleReport(NamedTuple):
     tau: float
     meets_bound: bool
 

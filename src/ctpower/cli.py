@@ -24,7 +24,8 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -74,22 +75,20 @@ class UsageError(Exception):
     """Bad flags or parameter values; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int
     output_format: str
     output_path: str | None
     command_line: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Uniform shape every command renders: key-value scalars plus a table."""
 
     title: str
-    scalars: list[tuple[str, object]] = field(default_factory=list)
-    columns: list[str] = field(default_factory=list)
-    rows: list[list[object]] = field(default_factory=list)
+    scalars: list[tuple[str, object]]
+    columns: list[str]
+    rows: list[list[object]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +390,29 @@ def _cmd_channel(args: argparse.Namespace, config: RunConfig) -> tuple[Report, i
     args.channel = args.family
     spec = _spec_from_args(args)
     tangle = three_tangle(spec.state)
-    report = Report(title="channel state")
-    report.scalars = _describe_spec(spec) + [
+    scalars = _describe_spec(spec) + [
         ("tau", tangle.tau),
         ("meets_tangle_bound", tangle.meets_bound),
     ]
-    report.columns = ["basis", "re", "im"]
-    for idx, amp in enumerate(spec.state.amps):
-        report.rows.append([format(idx, "03b"), amp.real, amp.imag])
-    return report, 0
+    rows = [[format(idx, "03b"), amp.real, amp.imag] for idx, amp in enumerate(spec.state.amps)]
+    return Report("channel state", scalars, ["basis", "re", "im"], rows), 0
 
 
 def _cmd_ct(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     spec = _spec_from_args(args)
     family = _input_from_args(args)
     run = controlled_teleport(spec, family)
-    report = Report(title="controlled teleportation branches")
-    report.scalars = _describe_spec(spec) + _describe_input(family) + [
+    scalars = _describe_spec(spec) + _describe_input(family) + [
         ("total_probability", run.total_probability),
         ("min_fidelity", run.min_fidelity),
     ]
-    report.columns = ["charlie_outcome", "bell_outcome", "probability", "fidelity"]
-    for b in run.branches:
-        report.rows.append(
-            [b.charlie_outcome, b.bell_outcome.value, b.probability, b.fidelity]
-        )
+    columns = ["charlie_outcome", "bell_outcome", "probability", "fidelity"]
+    rows = [
+        [b.charlie_outcome, b.bell_outcome.value, b.probability, b.fidelity]
+        for b in run.branches
+    ]
     code = 0 if run.min_fidelity >= _CT_FIDELITY_GATE else 1
-    return report, code
+    return Report("controlled teleportation branches", scalars, columns, rows), code
 
 
 # the closed-form NCF ``ncf`` prints beside the simulated one, by family, at
@@ -433,27 +428,27 @@ def _cmd_ncf(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     spec = _spec_from_args(args)
     family = _input_from_args(args)
     result = unconditioned_teleport(spec, family)
-    report = Report(title="non-conditioned teleportation")
-    report.scalars = _describe_spec(spec) + _describe_input(family) + [
+    scalars = _describe_spec(spec) + _describe_input(family) + [
         ("ncf", result.ncf),
         ("per_outcome_equal", result.per_outcome_equal),
     ]
     closed = _NCF_CLOSED.get(spec.family)
     if closed is not None:
-        report.scalars.append(("ncf_closed", closed(spec, input_state(family))))
-    report.columns = ["element", "re", "im"]
+        scalars.append(("ncf_closed", closed(spec, input_state(family))))
+    rows = []
     for r in range(2):
         for c in range(2):
             v = result.rho3.mat[r, c]
-            report.rows.append([f"{r}{c}", v.real, v.imag])
-    return report, 0
+            rows.append([f"{r}{c}", v.real, v.imag])
+    return Report("non-conditioned teleportation", scalars, ["element", "re", "im"], rows), 0
 
 
 def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     spec = _spec_from_args(args)
-    if args.domain == "family" and args.family is None:
+    domain = args.domain or ("sphere" if args.family is None else "family")
+    if domain == "family" and args.family is None:
         raise UsageError("--domain family needs --family {xz,xy,yz}")
-    if args.domain == "sphere" and args.family is not None:
+    if domain == "sphere" and args.family is not None:
         raise UsageError("--family only applies to --domain family")
     if args.n_samples is None:
         args.n_samples = MC_SAMPLES
@@ -464,22 +459,19 @@ def _cmd_avg(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     mean, stderr = avg_fidelity_numeric(
         spec, args.family, method=args.method, n_samples=args.n_samples, seed=config.seed
     )
-    report = Report(title="averaged non-conditioned fidelity")
-    report.scalars = _describe_spec(spec) + [
-        ("domain", args.domain),
-    ]
+    scalars = _describe_spec(spec) + [("domain", domain)]
     if args.family is not None:
-        report.scalars.append(("family", args.family))
-    report.scalars += [
+        scalars.append(("family", args.family))
+    scalars += [
         ("method", args.method),
         ("mean", mean),
         ("stderr", stderr),
         ("control_power", control_power(mean)),
     ]
     if args.method == "monte_carlo":
-        report.scalars.append(("n_samples", args.n_samples))
+        scalars.append(("n_samples", args.n_samples))
         _print_predicted_stderr(spec, args.family, args.n_samples)
-    return report, 0
+    return Report("averaged non-conditioned fidelity", scalars, [], []), 0
 
 
 def _print_predicted_stderr(spec: ChannelSpec, family: str | None, n: int) -> None:
@@ -523,31 +515,30 @@ def _cmd_power_sweep(args: argparse.Namespace, config: RunConfig) -> tuple[Repor
     if args.method == "monte_carlo":
         for spec in specs:
             _print_predicted_stderr(spec, spec.matched_family, MC_SAMPLES)
-    out = Report(title="control power sweep")
-    out.scalars = [("method", args.method), ("points", len(reports))]
-    out.columns = [
+    scalars = [("method", args.method), ("points", len(reports))]
+    columns = [
         "channel", "params", "f_bar", "c_bar", "tau",
         "meets_classical_bound", "meets_tangle_bound",
     ]
+    rows = []
     for r in reports:
         params = " ".join(
             f"{k}={_fmt_value(v, 17)}" for k, v in r.channel.params().items()
         )
-        out.rows.append(
+        rows.append(
             [
                 r.channel.family, params, r.f_bar, r.c_bar, r.tau,
                 r.meets_classical_bound, r.meets_tangle_bound,
             ]
         )
-    return out, 0
+    return Report("control power sweep", scalars, columns, rows), 0
 
 
 def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     if args.a2 is None:
         raise UsageError("mismatch needs --a2")
     rep = mismatch_report(*_a2_amplitudes(args.a2))
-    out = Report(title="channel/input family mismatch")
-    out.scalars = [
+    scalars = [
         ("a", rep.a),
         ("b", rep.b),
         ("a2", args.a2),
@@ -555,9 +546,8 @@ def _cmd_mismatch(args: argparse.Namespace, config: RunConfig) -> tuple[Report, 
         ("claim_power", rep.claim_power),
         ("claim_agrees", rep.claim_agrees),
     ]
-    out.columns = [f.name for f in fields(MismatchRow)]
-    out.rows = [[getattr(r, name) for name in out.columns] for r in rep.rows]
-    return out, 0
+    rows = [list(r) for r in rep.rows]
+    return Report("channel/input family mismatch", scalars, list(MismatchRow._fields), rows), 0
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
@@ -646,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("avg", parents=[channel, params, method, fmt, run],
                        help="average the NCF over a domain of inputs")
-    p.add_argument("--domain", choices=("sphere", "family"), default="sphere")
+    p.add_argument("--domain", choices=("sphere", "family"),
+                   help="default: family when --family is given, else sphere")
     p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--n-samples", type=int, dest="n_samples")
     p.set_defaults(handler=_cmd_avg)

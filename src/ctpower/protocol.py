@@ -204,8 +204,7 @@ def _kraus(amps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # protocol runs
 
-@dataclass(frozen=True)
-class CtBranch:
+class CtBranch(NamedTuple):
     charlie_outcome: str
     bell_outcome: BellOutcome
     probability: float
@@ -213,8 +212,7 @@ class CtBranch:
     fidelity: float
 
 
-@dataclass(frozen=True)
-class CtRunResult:
+class CtRunResult(NamedTuple):
     branches: tuple[CtBranch, ...]
 
     @property
@@ -226,8 +224,7 @@ class CtRunResult:
         return min(b.fidelity for b in self.branches)
 
 
-@dataclass(frozen=True)
-class NcfResult:
+class NcfResult(NamedTuple):
     rho3: DensityOperator
     ncf: float
     per_outcome_equal: bool

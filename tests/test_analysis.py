@@ -14,7 +14,6 @@ import pytest
 
 from ctpower import analysis
 from ctpower.analysis import (
-    CLASSICAL_FIDELITY,
     CLASSICAL_POWER,
     FAMILY_NAMES,
     MATCHED_AXIS,
@@ -77,7 +76,6 @@ def test_control_power_values_and_range():
     assert control_power(2.0 / 3.0) == pytest.approx(1.0 / 3.0)
     assert control_power(1.0) == 0.0
     assert control_power(0.5) == 0.5
-    assert CLASSICAL_FIDELITY == pytest.approx(2.0 / 3.0)
     assert CLASSICAL_POWER == pytest.approx(1.0 / 3.0)
     with pytest.raises(RangeError):
         control_power(1.1)
@@ -690,6 +688,12 @@ def test_power_report_fields():
     assert rep.meets_tangle_bound  # GHZ point: tau = 1
     for v in (rep.f_bar, rep.c_bar, rep.tau):
         assert 0.0 <= v <= 1.0
+    # the classical bound includes its tolerance's edge: 1 - (1 - edge) is
+    # edge to the bit
+    edge = CLASSICAL_POWER - 1e-9
+    assert power_report(rep.channel, 1.0 - edge).c_bar == edge
+    assert power_report(rep.channel, 1.0 - edge).meets_classical_bound
+    assert not power_report(rep.channel, 1.0 - math.nextafter(edge, 0.0)).meets_classical_bound
 
 
 def test_sweep_ms_d_grid_reference_values():
@@ -810,7 +814,7 @@ def test_mismatch_average_regression_constant():
             assert abs(row.avg_power - 0.25) < 1e-9
 
 
-def test_mismatch_report_structure_and_claim_flag():
+def test_mismatch_report_structure_and_claim_flag(monkeypatch):
     report = mismatch_report(math.sqrt(0.5), math.sqrt(0.5))
     assert len(report.rows) == 9
     assert sum(r.matched for r in report.rows) == 3
@@ -832,6 +836,15 @@ def test_mismatch_report_structure_and_claim_flag():
             spec = ThetaChannel(a, b, MATCHED_AXIS[row.channel_family])
             walked = np.mean(walk_ncf(spec, *design(row.input_family)))
             assert abs(row.avg_ncf - walked) <= 1e-12
+    # the best mismatched power is (1 - |a^2 - b^2|)/4, never near 1/3, so
+    # only a tolerance the size of the gap shows the flag is computed, and
+    # that it includes its edge
+    a, b = math.sqrt(0.7), math.sqrt(0.3)
+    gap = abs(mismatch_report(a, b).max_mismatched_power - CLASSICAL_POWER)
+    monkeypatch.setattr(analysis, "_CLAIM_ATOL", gap)
+    assert mismatch_report(a, b).claim_agrees is True
+    monkeypatch.setattr(analysis, "_CLAIM_ATOL", math.nextafter(gap, 0.0))
+    assert mismatch_report(a, b).claim_agrees is False
 
 
 def test_mismatch_dominance_on_a_dominant_grid():

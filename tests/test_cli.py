@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +184,17 @@ def test_avg_command_ghz_classical_value(capsys):
     assert doc["scalars"]["stderr"] == 0.0
 
 
+@pytest.mark.parametrize("family", ["xz", "xy", "yz"])
+def test_avg_family_alone_picks_its_circle(capsys, family):
+    # --domain defaults to family when --family is given; pretty output
+    # carries no command line, so the two spellings print the same bytes
+    argv = ["avg", "--channel", "theta", "--a2", "0.3", "--k", "z", "--format", "pretty"]
+    code, alone = run_cli(capsys, *argv, "--family", family)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--domain", "family", "--family", family) == (0, alone)
+    assert re.search(r"^domain +=  *family$", alone, re.M)
+
+
 def test_avg_command_caps_monte_carlo_samples(capsys):
     # rejected before any sample is drawn, like a grid beyond its cap
     for n in (0, -5, 10**9 + 1):
@@ -328,7 +338,7 @@ def test_mismatch_command_json(capsys):
     code, out = run_cli(capsys, "mismatch", "--a2", "0.5", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["columns"] == [f.name for f in fields(MismatchRow)]
+    assert doc["columns"] == list(MismatchRow._fields)
     assert len(doc["rows"]) == 9
     assert doc["rows"][0][0] == "xz"
 
@@ -616,7 +626,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["ncf", "--channel", "raw"], "raw channels need --config with an amplitude list"),
         (["ct", "--channel", "ms_xy", "--a2", "0.5", "--k", "x"],
          "--k is fixed by the named channel 'ms_xy'"),
-        (["avg", "--channel", "ghz", "--family", "xz"], "--family only applies to --domain family"),
+        (["avg", "--channel", "ghz", "--domain", "sphere", "--family", "xz"],
+         "--family only applies to --domain family"),
         (["power-sweep", "--a2-grid=0:1:0.5", "--d-grid=0:1:0.5"],
          "give either --a2-grid or --d-grid, not both"),
         (["power-sweep", "--channel", "ms", "--a2-grid=0:1:0.5"],

@@ -10,17 +10,17 @@ standard errors, 2e-3 and a sample stderr within 5% of its prediction,
 moves its means by 5 standard errors or by 3e-3, or puts its standard
 errors 6% off their prediction; and ``bound-triple-identity``, a count of
 disagreeing predicates, negates one predicate.  The defect half of
-``perfect-ct`` is broken in ``test_protocol.py``.  The std half of
-``matched-flatness`` cannot fail alone: a standard deviation never
-exceeds the largest deviation from any value, which the other half
-bounds by the same 1e-12.
+``perfect-ct`` is broken in ``test_protocol.py``.
 """
-import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from ctpower import verify
-from ctpower.analysis import MC_SAMPLES, avg_fidelity_ms_analytic
+from ctpower.analysis import FAMILY_NAMES, MATCHED_AXIS, MC_SAMPLES, avg_fidelity_ms_analytic
+from ctpower.channels import ThetaChannel
+from ctpower.protocol import INPUT_FAMILIES
 
 OFF = 1e-6
 
@@ -53,10 +53,8 @@ def _monte_carlo_at(monkeypatch, sigmas, offset, stderr=None, predicted=None):
 
 def _raise_matched(report):
     """The mismatch report with every matched row's average raised by OFF."""
-    rows = tuple(
-        dataclasses.replace(r, avg_ncf=r.avg_ncf + OFF) if r.matched else r for r in report.rows
-    )
-    return dataclasses.replace(report, rows=rows)
+    rows = tuple(r._replace(avg_ncf=r.avg_ncf + OFF) if r.matched else r for r in report.rows)
+    return report._replace(rows=rows)
 
 
 def _bump(index):
@@ -146,6 +144,27 @@ CASES = {
         "worst violation 1.000e-06",
     ),
 }
+
+
+def test_matched_flatness_reads_100_members_around_each_circle(monkeypatch):
+    # the NCF is flat on a matched circle, so only a spy sees which
+    # members the check reads: 100 evenly spaced around the whole circle
+    seen = []
+    real = verify.ncf_batch
+
+    def spy(spec, k0, k1):
+        seen.append((spec, k0, k1))
+        return real(spec, k0, k1)
+
+    monkeypatch.setattr(verify, "ncf_batch", spy)
+    assert verify.check_matched_flatness().passed
+    angles = 2.0 * np.pi * np.arange(100) / 100
+    pairs = [(fam, a2) for fam in FAMILY_NAMES for a2 in (0.3, 0.5, 0.8)]
+    assert len(seen) == len(pairs)
+    for (spec, k0, k1), (fam, a2) in zip(seen, pairs):
+        assert spec == ThetaChannel(math.sqrt(a2), math.sqrt(1.0 - a2), MATCHED_AXIS[fam])
+        want0, want1 = INPUT_FAMILIES[fam].amplitudes(angles)
+        assert np.max(np.abs(k0 - want0)) < 1e-15 and np.max(np.abs(k1 - want1)) < 1e-15
 
 
 @pytest.mark.parametrize("case", list(CASES))
