@@ -12,8 +12,8 @@ circle.
 
 Every method reads the receiver's Bloch map (``protocol.receiver_map``),
 the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
-The exact method is its exact average (``_exact_average``), which
-``mismatch_report`` reads too.  Monte Carlo evaluates the map's NCF on the
+The exact method is its exact average (``_exact_average``, which
+``mismatch_report`` and ``verify`` read).  Monte Carlo evaluates its NCF on the
 squared Bloch coordinates of inputs drawn from a PCG64DXSM generator keyed
 by (seed, row-index), so every stochastic result is bit-reproducible from
 the two.  The NCF reads only those squares, so every input is drawn in the
@@ -95,12 +95,6 @@ def avg_fidelity_ms_analytic(d: float) -> float:
     return 2.0 / 3.0 + min(_ms_abs_d(d), 1.0) / 3.0
 
 
-def power_bound_check(a: float) -> bool:
-    """True iff a^2 lies in [1/3, 2/3], where control power reaches 1/3."""
-    a2 = float(a) ** 2
-    return 1.0 / 3.0 - 1e-12 <= a2 <= 2.0 / 3.0 + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # averaging
 
@@ -163,14 +157,15 @@ def _circle_squares(family: str, u: np.ndarray, out: np.ndarray) -> list:
     return r2
 
 
-def _exact_average(spec: ChannelSpec, family: str | None) -> float:
+def _exact_average(lam: np.ndarray, family: str | None):
     """The exact average NCF over the sphere (``family`` None) or a family's
-    circle: each r_i^2 averages to 1/3 on the sphere, 1/2 on a circle axis."""
-    lam = receiver_map(spec)
+    circle of one receiver map ``lam`` (3,), or of n maps (n, 3), one per
+    row: each r_i^2 averages to 1/3 on the sphere, 1/2 on a circle axis."""
     if family is None:
-        return 0.5 + float(lam.sum()) / 6.0
+        return 0.5 + lam.sum(axis=-1) / 6.0
     cos_axis, sin_axis = _CIRCLE_AXES[family]
-    return 0.5 + float(lam[cos_axis] + lam[sin_axis]) / 4.0
+    # lam.T[i] costs one map a third of what lam[..., i] does
+    return 0.5 + (lam.T[cos_axis] + lam.T[sin_axis]) / 4.0
 
 
 def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
@@ -367,7 +362,7 @@ def avg_fidelity_numeric(
     if family is not None and family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}; expected None or one of {FAMILY_NAMES}")
     if method == "exact":
-        return AverageResult(_exact_average(spec, family), 0.0)
+        return AverageResult(float(_exact_average(receiver_map(spec), family)), 0.0)
     if method == "monte_carlo":
         n_samples = _integer(n_samples, "n_samples", 1)
         seed = _integer(seed, "seed", 0, 64)
@@ -458,19 +453,11 @@ def mismatch_report(a: float, b: float) -> MismatchReport:
     rows = []
     worst = 0.0
     for i in FAMILY_NAMES:
-        spec = ThetaChannel(a, b, MATCHED_AXIS[i])
+        lam = receiver_map(ThetaChannel(a, b, MATCHED_AXIS[i]))
         for j in FAMILY_NAMES:
-            avg = _exact_average(spec, j)
+            avg = float(_exact_average(lam, j))
             power = control_power(avg)
-            rows.append(
-                MismatchRow(
-                    channel_family=i,
-                    input_family=j,
-                    matched=i == j,
-                    avg_ncf=avg,
-                    avg_power=power,
-                )
-            )
+            rows.append(MismatchRow(i, j, i == j, avg, power))
             if i != j:
                 worst = max(worst, power)
     return MismatchReport(

@@ -26,10 +26,11 @@ Every Bell pair here is a row of ``qcore.BELL_KETS``; a theta channel's
 b-branch is |1> times the pair sigma_k leaves on the receiver's half of
 phi+.  Each formula is written once, over stacks: ``_ms_amps`` and
 ``_theta_amps`` give (n, 8) amplitudes, ``_bell_table`` the Bell amplitudes
-W[c, p] = <bell_p| <c| chan, whose weights name ``dominant_bell``,
-``_controller_basis`` the controller's bras and the pairs they name, and
-``_tangles`` the 3-tangles.  The specs, which validate their parameters
-once, and ``three_tangle`` are their one-row views.
+W[c, p] = <bell_p| <c| chan, ``_bell_weights`` its weights, which name
+``dominant_bell`` and ``protocol._lambdas`` reads, ``_controller_basis``
+the controller's bras and pairs, and ``_tangles`` the 3-tangles.  The
+specs, which validate their parameters once, and ``three_tangle`` are
+their one-row views.
 """
 from __future__ import annotations
 
@@ -75,19 +76,15 @@ def check_unit_pair(x, y, names: str) -> tuple[float, float]:
 # expectation on every member of the family's great circle
 MATCHED_AXIS = {"xz": "y", "xy": "z", "yz": "x"}
 
-# (label, basis vector, Bell pair the receiver corrects toward)
-ControllerOutcome = tuple[str, PureState, BellOutcome]
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """A member of a channel family, with the facts the protocol needs.
 
     Every subclass names its ``family``, builds its 3-qubit ``state`` once
-    per spec object, and labels its two controller outcomes; its
-    ``controller_measurement`` is one (label, basis vector, Bell pair left)
-    triple per outcome, and that pair and the sender's outcome alone fix
-    the receiver's Pauli.
+    per spec object, and labels its two controller outcomes, which
+    ``_controller_basis`` reads off the state; the Bell pair an outcome
+    leaves and the sender's outcome alone fix the receiver's Pauli.
     """
 
     family: ClassVar[str]
@@ -103,18 +100,8 @@ class ChannelSpec:
     def dominant_bell(self) -> BellOutcome:
         """The pair the receiver corrects toward when the controller abstains:
         the largest Bell weight sum_c |W[c, p]|^2 of rho_SR = tr_C chan."""
-        weights = np.sum(np.abs(_bell_table(self.state.amps)) ** 2, axis=-2)
+        weights = _bell_weights(_bell_table(self.state.amps))
         return BELL_OUTCOMES[_first_max(weights)[0]]
-
-    @cached_property
-    def controller_measurement(self) -> tuple[ControllerOutcome, ...]:
-        """The one-row view of ``_controller_basis``, its outcomes labelled
-        by ``controller_labels``."""
-        bras, pairs, _ = _controller_basis(self.state.amps[None])
-        return tuple(
-            (label, PureState(bra.conj()), BELL_OUTCOMES[pair])
-            for label, bra, pair in zip(self.controller_labels, bras[0], pairs[0])
-        )
 
 
 @dataclass(frozen=True)
@@ -233,6 +220,14 @@ def _bell_table(amps: np.ndarray) -> np.ndarray:
     return np.einsum("nck,pk->ncp", amps.reshape(-1, 2, 4), BELL_BRAS)
 
 
+def _bell_weights(table: np.ndarray) -> np.ndarray:
+    """(n, 4) Bell weights w_p = sum_c |W[c, p]|^2 of (n, 2, 4) Bell tables:
+    the diagonal of rho_SR = tr_C chan in the Bell basis.  The two terms are
+    added directly: np.sum's call costs more than the sum."""
+    weights = table.real**2 + table.imag**2
+    return weights[:, 0] + weights[:, 1]
+
+
 def _first_max(weights: np.ndarray) -> np.ndarray:
     """Last-axis argmax, ties within 1e-12 going to the earlier entry."""
     return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
@@ -259,8 +254,7 @@ def _controller_basis(amps: np.ndarray) -> ControllerBasis:
     finds that basis: |x+-> on MS, the computational one on theta.
     """
     table = _bell_table(amps)
-    weights = table.real**2 + table.imag**2
-    col = table[np.arange(len(table)), :, _first_max(weights[:, 0] + weights[:, 1])]
+    col = table[np.arange(len(table)), :, _first_max(_bell_weights(table))]
     col /= np.sqrt(np.sum(col.real**2 + col.imag**2, axis=-1, keepdims=True))
     bras = np.empty_like(table[..., :2])
     bras[:, 0] = col.conj()

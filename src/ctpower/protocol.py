@@ -19,9 +19,10 @@ W[c, p] = <bell_p| <c| chan (``channels._bell_table``).  Without the
 controller, B = W^T conj(W) is the sender-receiver state rho_SR in the Bell
 basis, and summed over the sender's outcomes the protocol is the Pauli
 channel of its Bell weights w = diag B: the receiver's Bloch map
-r -> lambda * r (``receiver_map``), lambda a fixed +-1 matrix times w, and
-NCF(r) = (1 + sum_i lambda_i r_i^2)/2, which ``ncf_batch`` and Monte Carlo
-evaluate with ``_bloch_ncf``.  This holds for every channel; B's entries
+r -> lambda * r, lambda a fixed +-1 matrix times w (``_lambdas`` over
+stacks, ``receiver_map`` per spec), and NCF(r) = (1 + sum_i lambda_i r_i^2)/2,
+which ``ncf_batch`` and Monte Carlo evaluate with ``_bloch_ncf``.  This
+holds for every channel; B's entries
 off the diagonal only make the sender's outcomes leave different states,
 which ``per_outcome_equal`` reports.  The tests pin the map to a
 step-by-step walk of the branches, summed over the outcomes.
@@ -41,7 +42,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, _bell_table, _controller_basis, check_unit_pair
+from .channels import ChannelSpec, _bell_table, _bell_weights, _controller_basis, check_unit_pair
 from .errors import DimensionError, NormalizationError, RangeError
 from .qcore import (
     BELL_BRAS,
@@ -233,11 +234,11 @@ class NcfResult(NamedTuple):
 def controlled_teleport(spec: ChannelSpec, f: InputFamily | PureState) -> CtRunResult:
     """Run the full protocol, enumerating every measurement branch.
 
-    The controller measures as ``spec.controller_measurement`` says, and
-    the receiver corrects toward the pair its outcome names.  Yields one
-    branch per (controller outcome x sender Bell outcome): the corrected
-    Kraus operator K of that branch hands the receiver K phi with
-    probability |K phi|^2, and the fidelity is taken against the input.
+    The controller measures in ``_controller_basis``, and the receiver
+    corrects toward the pair its outcome names.  Yields one branch per
+    (controller outcome x sender Bell outcome): the corrected Kraus
+    operator K of that branch hands the receiver K phi with probability
+    |K phi|^2, and the fidelity is taken against the input.
     Branches with probability at most ZERO_PROB are omitted; the recorded
     probabilities still sum to 1.
     """
@@ -345,24 +346,31 @@ _SPREAD_PER_COHERENCE = 8.0
 _BATCH_ROWS = 8192
 
 
+def _lambdas(weights: np.ndarray, dominant: np.ndarray) -> np.ndarray:
+    """(n, 3) lambda of n channels' controller-absent protocol from their
+    (n, 4) Bell weights w and the index d of the pair each corrects toward.
+
+    Correcting toward d gives, summed over the sender's outcomes, the Pauli
+    channel of w relabelled by XOR with d, whatever B's other entries:
+    lambda = _LAMBDA_SIGNS w[p ^ d] / sum w, summed elementwise over four
+    rows of n, not n short rows, nor by BLAS, whose first call grows memory.
+    """
+    relabelled = weights.T[np.arange(4)[:, None] ^ dominant, np.arange(len(weights))]
+    lam = np.sum(_LAMBDA_SIGNS.T[:, None] * relabelled[..., None], axis=0)
+    return lam / weights.sum(-1, keepdims=True)
+
+
 @functools.lru_cache(maxsize=256)
 def _bell_map(spec: ChannelSpec) -> tuple[np.ndarray, float]:
-    """lambda of the controller-absent protocol, and the largest |B_pq|,
-    p != q, of B = W^T conj(W) over the computational controller states.
-
-    Correcting toward the dominant pair d gives, summed over the sender's
-    outcomes, the Pauli channel of the Bell weights w = diag B relabelled by
-    XOR with d, whatever B's other entries: lambda = _LAMBDA_SIGNS w[p ^ d]
-    / tr B.  The outcomes' own maps differ by at most 8 max |B_pq|.  Cached
-    per spec, so a mismatch report's three circles build one map; lambda is
-    read-only because every caller shares it.
+    """``_lambdas`` of one spec at its ``dominant_bell``, and the largest
+    |B_pq|, p != q, of B = W^T conj(W), by which the outcomes' own maps
+    differ at most 8-fold.  Cached per spec, so a mismatch report's three
+    circles build one map; lambda is read-only as every caller shares it.
     """
-    table = _bell_table(spec.state.amps)[0]
-    bell = np.einsum("cp,cq->pq", table, table.conj())
-    weights = np.diagonal(bell).real
+    table = _bell_table(spec.state.amps)
+    bell = np.einsum("ncp,ncq->pq", table, table.conj())
     off = float(np.max(np.abs(bell[~np.eye(4, dtype=bool)])))
-    relabelled = weights[np.arange(4) ^ BELL_OUTCOMES.index(spec.dominant_bell)]
-    lam = np.sum(_LAMBDA_SIGNS * relabelled, axis=1) / np.sum(weights)
+    lam = _lambdas(_bell_weights(table), np.array([BELL_OUTCOMES.index(spec.dominant_bell)]))[0]
     lam.flags.writeable = False
     return lam, off
 
@@ -451,11 +459,11 @@ def unconditioned_teleport(
     """
     amps = input_state(f).amps
     lam, off = _bell_map(spec)
-    norm, x, y, z = _pauli_coords(amps[:1], amps[1:])
-    bloch = lam * np.concatenate([x, y, z]) / norm
+    norm, *coords = _pauli_coords(amps[:1], amps[1:])
+    bloch = lam * np.concatenate(coords) / norm
     rho3 = (IDENTITY + np.tensordot(bloch, _BLOCH_PAULIS, axes=1)) / 2.0
     return NcfResult(
         rho3=DensityOperator(rho3),
-        ncf=float(ncf_batch(spec, amps[:1], amps[1:])[0]),
+        ncf=float(_bloch_ncf(lam, *((r / norm) ** 2 for r in coords))[0]),
         per_outcome_equal=off <= EXACT_ATOL / _SPREAD_PER_COHERENCE,
     )

@@ -6,10 +6,10 @@ report built twice from the same seed is byte-identical.  The CLI's
 one.  Checks use fixed tolerances stated inline; nothing is loosened at
 run time.
 
-The two structural checks hold their channels as amplitude stacks, not
-as one validated spec per channel: ``perfect-ct`` draws 200 channels
-straight into the amplitudes the certificate reads, and ``three-tangle``
-evaluates the hyperdeterminant once over all its states.
+Three checks hold their channels as amplitude stacks, not one spec per
+channel: ``perfect-ct`` certifies 200 random channels, ``three-tangle``
+and ``bound-triple-identity`` read the 3-tangles, and the latter the
+receiver maps, of every state in one call.
 ``tests/oracles.py`` keeps the spec-by-spec draw the stack is pinned to.
 """
 from __future__ import annotations
@@ -25,19 +25,23 @@ from .analysis import (
     FAMILY_NAMES,
     MATCHED_AXIS,
     MC_SAMPLES,
+    _exact_average,
     _ncf_variance,
     _rng,
     avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
-    power_bound_check,
 )
 from .channels import (
+    TANGLE_BOUND,
     ChannelSpec,
     GHZChannel,
     MSChannel,
     ThetaChannel,
+    _bell_table,
+    _bell_weights,
+    _first_max,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -47,6 +51,7 @@ from .protocol import (
     ArbitraryInput,
     _check_unit,
     _ct_certificate,
+    _lambdas,
     ncf_batch,
     ncf_ms_closed,
 )
@@ -197,18 +202,24 @@ def check_matched_flatness() -> CheckResult:
 
 
 def check_bound_triple_identity() -> CheckResult:
-    """C >= 1/3, a^2 in [1/3, 2/3], and tau >= 8/9 pick the same channels."""
-    mismatches = 0
-    for a2 in np.linspace(0.0, 1.0, 201):
-        p_interval = power_bound_check(math.sqrt(a2))
-        p_power = 1.0 - max(a2, 1.0 - a2) >= 1.0 / 3.0 - 1e-12
-        p_tangle = 4.0 * a2 * (1.0 - a2) >= 8.0 / 9.0 - 1e-12
-        if not (p_interval == p_power == p_tangle):
-            mismatches += 1
+    """C >= 1/3, a^2 in [1/3, 2/3], and tau >= 8/9 pick the same channels:
+    theta channels on a 201-point a^2 grid, matched to each family, with C
+    read off their receiver maps on the matched circle."""
+    a2 = np.tile(np.linspace(0.0, 1.0, 201), 3)
+    axes = np.repeat(["xyz".index(MATCHED_AXIS[fam]) for fam in FAMILY_NAMES], 201)
+    amps = _theta_amps(np.sqrt(a2), np.sqrt(1.0 - a2), axes)
+    weights = _bell_weights(_bell_table(amps))
+    lam = _lambdas(weights, _first_max(weights)).reshape(3, 201, 3)
+    power = 1.0 - np.concatenate([_exact_average(l, fam) for l, fam in zip(lam, FAMILY_NAMES)])
+    p_interval = (1.0 / 3.0 - 1e-12 <= a2) & (a2 <= 2.0 / 3.0 + 1e-12)
+    p_power = power >= CLASSICAL_POWER - 1e-12
+    p_tangle = _tangles(amps) >= TANGLE_BOUND - 1e-12
+    mismatches = int(np.sum((p_interval != p_power) | (p_power != p_tangle)))
     return CheckResult(
         "bound-triple-identity",
         mismatches == 0,
-        f"201-point a^2 grid; {mismatches} disagreements among the three predicates",
+        f"201-point a^2 grid on 3 matched circles; {mismatches} disagreements among "
+        "the three predicates",
     )
 
 

@@ -26,10 +26,12 @@ spec, the draws the package turns straight into amplitudes, and
 ``random_local_unitary`` one of its Haar-random rotations.  The
 ``*_scalar`` functions build one channel at a time, as the constructors
 did before they became stacked formulas; the stacks, and the state of
-each spec, must reproduce them bit for bit.  ``controller_basis_scalar``
-reads one channel's controller basis off its Bell table, outcome by
-outcome, and ``charlie_kets_scalar`` and ``computational_pairs_scalar``
-are the closed forms that basis must reach on MS and theta channels.
+each spec, must reproduce them bit for bit.  ``controller_outcomes`` is
+one channel's row of the package's ``_controller_basis``, labelled, as the
+walks read it; ``controller_basis_scalar`` reads one channel's controller
+basis off its Bell table, outcome by outcome, and ``charlie_kets_scalar``
+and ``computational_pairs_scalar`` are the closed forms that basis must
+reach on MS and theta channels.
 ``theta_amps_scalar`` reaches a theta channel's b-branch by applying
 sigma_k to phi+, with the real ``PAULI_Y_REAL`` for y, where the package
 reads the pair it leaves off its Bell basis.  ``fidelity_with_pure`` is
@@ -50,6 +52,7 @@ from ctpower.channels import (
     GHZChannel,
     MSChannel,
     ThetaChannel,
+    _controller_basis,
     check_unit_pair,
 )
 from ctpower.errors import DimensionError
@@ -70,6 +73,7 @@ from ctpower.qcore import (
     PAULI_Y,
     PAULI_Z,
     ZERO_PROB,
+    BellOutcome,
     DensityOperator,
     PureState,
     bell_state,
@@ -582,6 +586,17 @@ def computational_pairs_scalar(amps: np.ndarray) -> list[int]:
     weights = np.abs(amps.reshape(2, 4) @ BELL_BRAS.T) ** 2
     best = np.argmax(weights >= weights.max(axis=1, keepdims=True) - EXACT_ATOL, axis=1)
     return best.tolist()
+
+
+def controller_outcomes(spec: ChannelSpec) -> list[tuple[str, PureState, BellOutcome]]:
+    """(label, ket, Bell pair left) of each controller outcome of one
+    channel: its row of ``_controller_basis``, the kets the conjugated bras,
+    labelled by ``controller_labels``."""
+    bras, pairs, _ = _controller_basis(spec.state.amps[None])
+    return [
+        (label, PureState(bra.conj()), BELL_OUTCOMES[pair])
+        for label, bra, pair in zip(spec.controller_labels, bras[0], pairs[0])
+    ]
 
 
 def controller_basis_scalar(amps: np.ndarray) -> tuple[np.ndarray, list[int]]:

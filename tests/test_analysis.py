@@ -21,7 +21,6 @@ from ctpower.analysis import (
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
-    power_bound_check,
     power_report,
     sweep,
 )
@@ -32,6 +31,7 @@ from ctpower.protocol import (
     ArbitraryInput,
     _pauli_coords,
     ncf_batch,
+    receiver_map,
     unconditioned_teleport,
 )
 from ctpower.qcore import PureState
@@ -103,14 +103,6 @@ def test_avg_fidelity_ms_analytic_takes_every_d_an_ms_channel_takes():
 def test_avg_fidelity_ms_analytic_rejects_nan():
     with pytest.raises(RangeError):
         avg_fidelity_ms_analytic(float("nan"))
-
-
-def test_power_bound_check_boundaries():
-    assert power_bound_check(math.sqrt(0.5))
-    assert power_bound_check(math.sqrt(1.0 / 3.0))
-    assert power_bound_check(math.sqrt(2.0 / 3.0))
-    assert not power_bound_check(math.sqrt(0.8))
-    assert not power_bound_check(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def test_monte_carlo_on_a_generic_raw_channel():
     for row, family in enumerate((None, *FAMILY_NAMES)):
         mean, stderr = mc_average(spec, family, 200_000, seed=13, row=row)
         assert stderr > 0.0
-        assert abs(mean - analysis._exact_average(spec, family)) < 4.0 * stderr
+        assert abs(mean - analysis._exact_average(receiver_map(spec), family)) < 4.0 * stderr
 
 
 def test_monte_carlo_on_circle_domain():

@@ -53,6 +53,7 @@ from ctpower.qcore import PureState, make_qubit
 from ctpower.verify import check_channel_ct
 from oracles import (
     apply_gate,
+    controller_outcomes,
     design,
     exact_averages,
     random_local_unitary,
@@ -150,7 +151,7 @@ def test_controlled_teleport_is_perfect(spec, phases, point):
     else:
         # D B^dagger on the controller, B holding the named basis vectors as
         # columns: the raw copy's |0>, |1> outcomes are the named ones
-        basis = np.column_stack([cvec.amps for _, cvec, _ in spec.controller_measurement])
+        basis = np.column_stack([cvec.amps for _, cvec, _ in controller_outcomes(spec)])
         rotation = np.diag(np.exp(1j * np.array(phases))) @ basis.conj().T
         run = controlled_teleport(RawChannel(state=apply_gate(rotation, 0, spec.state)), phi)
     assert run.min_fidelity >= 1.0 - 1e-12

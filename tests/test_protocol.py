@@ -34,6 +34,8 @@ from ctpower.channels import (
     MSChannel,
     RawChannel,
     ThetaChannel,
+    _bell_table,
+    _bell_weights,
     _ms_amps,
     channel_from_config,
     channel_to_config,
@@ -46,6 +48,7 @@ from ctpower.protocol import (
     _bell_map,
     _ct_certificate,
     _kraus,
+    _lambdas,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -72,6 +75,7 @@ from ctpower.qcore import (
 )
 from oracles import (
     apply_gate,
+    controller_outcomes,
     correction,
     design,
     equal_up_to_global_phase,
@@ -119,7 +123,7 @@ def walk_controlled(spec, f):
     phi = input_state(f)
     joint = tensor(phi, spec.state)
     branches = []
-    for label, cvec, shared in spec.controller_measurement:
+    for label, cvec, shared in controller_outcomes(spec):
         p_ctrl, after_ctrl = project_single_qubit(joint, 1, cvec)
         if after_ctrl is None:
             continue
@@ -161,7 +165,7 @@ def rotated_on_controller(spec, rng):
     """A named channel as a raw state whose computational controller basis is
     the named one: D B^dagger on the controller, with B holding the named
     basis vectors as columns and D a random diagonal phase."""
-    basis = np.column_stack([cvec.amps for _, cvec, _ in spec.controller_measurement])
+    basis = np.column_stack([cvec.amps for _, cvec, _ in controller_outcomes(spec)])
     phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
     return RawChannel(state=apply_gate(phases @ basis.conj().T, 0, spec.state))
 
@@ -470,7 +474,7 @@ def test_ct_certificate_matches_the_controlled_walk():
     assert np.max(np.abs(np.sum(cert.probability, axis=1) - 1.0)) <= 1e-12
     inputs = [random_qubit(rng) for _ in range(4)]
     for spec, prob in zip(specs, cert.probability):
-        labels = [label for label, _, _ in spec.controller_measurement]
+        labels = [label for label, _, _ in controller_outcomes(spec)]
         kept = {
             (labels[c], o)
             for c in np.flatnonzero(prob / 4.0 > ZERO_PROB)
@@ -500,7 +504,7 @@ def test_certificate_outcome_probabilities_hold_at_every_input():
         specs.append(RawChannel(state=PureState(v / np.linalg.norm(v))))
     cert = _ct_certificate(amps_of(specs))
     for spec, prob in zip(specs, cert.probability):
-        labels = [label for label, _, _ in spec.controller_measurement]
+        labels = [label for label, _, _ in controller_outcomes(spec)]
         for _ in range(4):
             per_outcome = np.zeros_like(prob)
             for label, _, p, _ in walk_controlled(spec, random_qubit(rng)):
@@ -639,7 +643,7 @@ def test_raw_pair_rule_picks_the_best_pauli_by_brute_force():
     points = list(zip(*design(None)))
     for spec in raw_pair_cases(rng):
         joints = [tensor(make_qubit(k0, k1), spec.state) for k0, k1 in points]
-        for _, cvec, pair in spec.controller_measurement:
+        for _, cvec, pair in controller_outcomes(spec):
             for outcome in BELL_OUTCOMES:
                 scores = dict.fromkeys(PAULIS, 0.0)
                 for (k0, k1), joint in zip(points, joints):
@@ -681,7 +685,7 @@ def test_ct_certificate_certifies_raw_channels():
     for spec, scale, prob, outcome_prob in zip(
         [ghz_h] + cases, scales, branch_probs, cert.probability
     ):
-        labels = [label for label, _, _ in spec.controller_measurement]
+        labels = [label for label, _, _ in controller_outcomes(spec)]
         mean_prob = np.zeros_like(prob)
         mean_weighted = np.zeros_like(prob)
         for phi, branches in tetrahedron_walks(spec):
@@ -962,6 +966,40 @@ def test_receiver_map_is_built_once_and_read_only():
     first, second = channel_from_config(text), channel_from_config(text)
     assert first == second and hash(first) == hash(second)
     assert _bell_map(second)[0] is _bell_map(first)[0]
+
+
+def test_stacked_lambdas_are_the_one_row_maps_bit_for_bit():
+    # one stack of every kind of channel: MS from c = 0 up to GHZ, theta on
+    # every axis with a^2 below, at and above 1/2 and b of either sign, and
+    # raw Gaussian, W and controller-rotated MS and theta channels, which
+    # correct toward phi+.  _lambdas over the stack is each spec's cached
+    # one-row map, and the Bell weights are diag B, bit for bit
+    rng = np.random.default_rng(163)
+    specs = [GHZChannel()]
+    for c in (0.0, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1.0):
+        specs += [MSChannel(c, math.sqrt(1.0 - c * c)), MSChannel(c, -math.sqrt(1.0 - c * c))]
+    for k in "xyz":
+        for a2 in (0.2, 0.5, 0.7):
+            a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+            specs += [ThetaChannel(a, b, k), ThetaChannel(a, -b, k)]
+    w_state = np.zeros(8, dtype=complex)
+    w_state[[0b001, 0b010, 0b100]] = 1.0 / math.sqrt(3.0)
+    raws = [PureState(w_state)]
+    for named in (MSChannel(0.6, -0.8), ThetaChannel(0.8, -0.6, "y")):
+        raws.append(apply_gate(random_local_unitary(rng), 0, named.state))
+    for _ in range(20):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        raws.append(PureState(v / np.linalg.norm(v)))
+    specs += [RawChannel(state=state) for state in raws]
+    table = _bell_table(np.array([spec.state.amps for spec in specs]))
+    weights = _bell_weights(table)
+    dominant = np.array([BELL_OUTCOMES.index(spec.dominant_bell) for spec in specs])
+    lam = _lambdas(weights, dominant)
+    assert lam.shape == (len(specs), 3)
+    for spec, t, w, row in zip(specs, table, weights, lam):
+        assert row.tobytes() == _bell_map(spec)[0].tobytes(), spec
+        bell = np.einsum("cp,cq->pq", t, t.conj())
+        assert w.tobytes() == np.diagonal(bell).real.tobytes(), spec
 
 
 def test_spread_per_coherence_is_rederived_from_the_per_outcome_oracle():

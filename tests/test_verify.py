@@ -9,8 +9,8 @@ sizes: the Monte Carlo half of ``sphere-average``, whose tolerances are 4
 standard errors, 2e-3 and a sample stderr within 5% of its prediction,
 moves its means by 5 standard errors or by 3e-3, or puts its standard
 errors 6% off their prediction; and ``bound-triple-identity``, a count of
-disagreeing predicates, negates one predicate.  The defect half of
-``perfect-ct`` is broken in ``test_protocol.py``.
+disagreeing predicates, reads 1 - tau for each channel's 3-tangle.  The
+defect half of ``perfect-ct`` is broken in ``test_protocol.py``.
 """
 import math
 
@@ -129,9 +129,9 @@ CASES = {
         "max |ncf - max(a^2,b^2)| = 1.000e-06",
     ),
     "bound-triple-identity": (
-        lambda mp: _shifted(mp, "power_bound_check", lambda ok: not ok),
+        lambda mp: _shifted(mp, "_tangles", lambda tau: 1.0 - tau),
         verify.check_bound_triple_identity,
-        "201 disagreements among the three predicates",
+        "; 237 disagreements among the three predicates",
     ),
     "max-control-power": (
         lambda mp: _shifted(mp, "control_power", lambda c: c + OFF),
@@ -165,6 +165,39 @@ def test_matched_flatness_reads_100_members_around_each_circle(monkeypatch):
         assert spec == ThetaChannel(math.sqrt(a2), math.sqrt(1.0 - a2), MATCHED_AXIS[fam])
         want0, want1 = INPUT_FAMILIES[fam].amplitudes(angles)
         assert np.max(np.abs(k0 - want0)) < 1e-15 and np.max(np.abs(k1 - want1)) < 1e-15
+
+
+def test_bound_triple_identity_reads_201_a2_values_on_each_axis_in_one_stack(monkeypatch):
+    # the three predicates agree on most of the grid whatever the channels,
+    # so only a spy sees which channels the check reads: one stack of 603
+    # theta channels, the 201-point a^2 grid on each family's matched axis,
+    # whose maps and 3-tangles it takes in one call each
+    seen = {}
+
+    def spy(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            seen.setdefault(name, []).append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, call)
+
+    for name in ("_theta_amps", "_lambdas", "_tangles"):
+        spy(name)
+    assert verify.check_bound_triple_identity().passed
+    assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(seen, 1)
+    ((a, b, axes),) = seen["_theta_amps"]
+    assert a.shape == b.shape == axes.shape == (603,)
+    grid = np.linspace(0.0, 1.0, 201)
+    for fam, a_k, b_k, axes_k in zip(FAMILY_NAMES, *(v.reshape(3, 201) for v in (a, b, axes))):
+        assert np.max(np.abs(a_k**2 - grid)) < 1e-15
+        assert np.max(np.abs(b_k**2 - (1.0 - grid))) < 1e-15
+        assert set(axes_k.tolist()) == {"xyz".index(MATCHED_AXIS[fam])}
+    ((weights, dominant),) = seen["_lambdas"]
+    assert weights.shape == (603, 4) and dominant.shape == (603,)
+    ((amps,),) = seen["_tangles"]
+    assert amps.shape == (603, 8)
 
 
 @pytest.mark.parametrize("case", list(CASES))
