@@ -13,7 +13,9 @@ circle.
 Every method reads the receiver's Bloch map (``protocol.receiver_map``),
 the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
 The exact method is its exact average (``_exact_average``, which
-``mismatch_report`` and ``verify`` read).  Monte Carlo evaluates its NCF on the
+``mismatch_report`` and ``verify`` read).  ``_average`` dispatches one
+map to a method, for ``avg_fidelity_numeric`` and for each row of the one
+stack of maps ``sweep`` builds.  Monte Carlo evaluates its NCF on the
 squared Bloch coordinates of inputs drawn from a PCG64DXSM generator keyed
 by (seed, row-index), so every stochastic result is bit-reproducible from
 the two.  The NCF reads only those squares, so every input is drawn in the
@@ -42,10 +44,13 @@ import numpy as np
 from .channels import (
     MATCHED_AXIS,
     ChannelSpec,
-    TangleReport,
     ThetaChannel,
+    _TANGLE_CUTOFF,
+    _bell_table,
+    _bell_weights,
+    _dominant,
+    _tangles,
     check_unit_pair,
-    three_tangle,
 )
 from .errors import RangeError
 from .protocol import (
@@ -53,6 +58,7 @@ from .protocol import (
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
+    _lambdas,
     _ms_abs_d,
     receiver_map,
 )
@@ -185,10 +191,10 @@ def _ncf_variance(spec: ChannelSpec, family: str | None) -> float:
 
 
 def _ncf_draws(
-    spec: ChannelSpec, family: str | None, n: int, lo: int, hi: int,
+    lam: np.ndarray, family: str | None, n: int, lo: int, hi: int,
     work: np.ndarray, seed: int, row: int,
 ):
-    """The NCF at inputs lo to hi of n random ones, chunk by chunk.
+    """The NCF of map ``lam`` at inputs lo to hi of n random ones, chunk by chunk.
 
     The Pauli channel's NCF reads only the squared Bloch coordinates, which
     every reflection in a coordinate plane keeps, so the inputs are drawn
@@ -206,7 +212,6 @@ def _ncf_draws(
     the values yielded are views of it.  The u and v draws come from two
     generators keyed by (seed, row), moved to positions lo and n + lo.
     """
-    lam = receiver_map(spec)
     draws = _uniform_chunks(_rng(seed, row, lo), hi - lo, work[0])
     if family is not None:
         for start, u in draws:
@@ -272,7 +277,7 @@ def _usable_cpus() -> int:
 
 
 def _monte_carlo(
-    spec: ChannelSpec, family: str | None, n: int, seed: int, row: int
+    lam: np.ndarray, family: str | None, n: int, seed: int, row: int
 ) -> AverageResult:
     """Mean and standard error of the ``_ncf_draws`` values.
 
@@ -296,7 +301,7 @@ def _monte_carlo(
     def run(w):
         lo, hi = edges[w] * _CHUNK_DRAWS, min(n, edges[w + 1] * _CHUNK_DRAWS)
         try:
-            draws = _ncf_draws(spec, family, n, lo, hi, work[w], seed, row)
+            draws = _ncf_draws(lam, family, n, lo, hi, work[w], seed, row)
             for i, vals in enumerate(draws, edges[w]):
                 table[i] = _chunk_moments(vals)
                 if any(error is not None for error in errors[:w]):
@@ -337,6 +342,24 @@ def _integer(value, name: str, lo: int, bits: int | None = None) -> int:
     return v
 
 
+def _average(
+    lam: np.ndarray, family: str | None, method: str, n_samples: int, seed: int, row: int
+) -> AverageResult:
+    """The average NCF of one receiver map ``lam`` (3,) by ``method``, over
+    the sphere (``family`` None) or a family's circle: the one method
+    dispatch, which ``avg_fidelity_numeric`` and ``sweep`` share."""
+    if family is not None and family not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {family!r}; expected None or one of {FAMILY_NAMES}")
+    if method == "exact":
+        return AverageResult(float(_exact_average(lam, family)), 0.0)
+    if method == "monte_carlo":
+        n_samples = _integer(n_samples, "n_samples", 1)
+        seed = _integer(seed, "seed", 0, 64)
+        row = _integer(row, "row", 0, 64)
+        return _monte_carlo(lam, family, n_samples, seed, row)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def avg_fidelity_numeric(
     spec: ChannelSpec,
     family: str | None = None,
@@ -359,16 +382,7 @@ def avg_fidelity_numeric(
     RangeError naming ``n_samples``, ``seed`` or ``row`` unless it is an
     integer, n_samples at least 1 and seed and row in [0, 2^64).
     """
-    if family is not None and family not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}; expected None or one of {FAMILY_NAMES}")
-    if method == "exact":
-        return AverageResult(float(_exact_average(receiver_map(spec), family)), 0.0)
-    if method == "monte_carlo":
-        n_samples = _integer(n_samples, "n_samples", 1)
-        seed = _integer(seed, "seed", 0, 64)
-        row = _integer(row, "row", 0, 64)
-        return _monte_carlo(spec, family, n_samples, seed, row)
-    raise ValueError(f"unknown method {method!r}")
+    return _average(receiver_map(spec), family, method, n_samples, seed, row)
 
 
 # ---------------------------------------------------------------------------
@@ -383,35 +397,27 @@ class PowerReport(NamedTuple):
     meets_tangle_bound: bool
 
 
-def power_report(spec: ChannelSpec, f_bar: float) -> PowerReport:
-    tangle: TangleReport = three_tangle(spec.state)
-    c_bar = control_power(f_bar)
-    return PowerReport(
-        channel=spec,
-        f_bar=f_bar,
-        c_bar=c_bar,
-        tau=tangle.tau,
-        meets_classical_bound=c_bar >= CLASSICAL_POWER - 1e-9,
-        meets_tangle_bound=tangle.meets_bound,
-    )
-
-
 def sweep(
     specs: Sequence[ChannelSpec], method: str = "exact", seed: int = 0
 ) -> list[PowerReport]:
     """One PowerReport per channel, in input order.
 
-    Theta channels are averaged over their matched family, everything else
-    over the full sphere, by ``method`` ("exact" or "monte_carlo").  Rows
-    are independent; Monte Carlo rows draw from streams keyed by (seed,
-    row-index) so ordering or parallelism cannot change the numbers.
+    The receiver maps and 3-tangles are read off one (n, 8) amplitude
+    stack, bit for bit what ``receiver_map`` and ``three_tangle`` give each
+    spec.  Theta channels are averaged over their matched family, everything
+    else over the full sphere, by ``method`` ("exact" or "monte_carlo").
+    Monte Carlo rows draw from streams keyed by (seed, row-index) so
+    ordering or parallelism cannot change the numbers.
     """
+    amps = np.array([spec.state.amps for spec in specs], dtype=complex).reshape(-1, 8)
+    weights = _bell_weights(_bell_table(amps))
+    lams = _lambdas(weights, _dominant(specs, weights))
     reports = []
-    for row, spec in enumerate(specs):
-        avg = avg_fidelity_numeric(
-            spec, spec.matched_family, method=method, seed=seed, row=row
-        )
-        reports.append(power_report(spec, avg.mean))
+    for row, (spec, lam, tau) in enumerate(zip(specs, lams, _tangles(amps).tolist())):
+        f_bar = _average(lam, spec.matched_family, method, MC_SAMPLES, seed, row).mean
+        c_bar = control_power(f_bar)
+        meets = (c_bar >= CLASSICAL_POWER - 1e-9, tau >= _TANGLE_CUTOFF)
+        reports.append(PowerReport(spec, f_bar, c_bar, tau, *meets))
     return reports
 
 

@@ -26,17 +26,18 @@ Every Bell pair here is a row of ``qcore.BELL_KETS``; a theta channel's
 b-branch is |1> times the pair sigma_k leaves on the receiver's half of
 phi+.  Each formula is written once, over stacks: ``_ms_amps`` and
 ``_theta_amps`` give (n, 8) amplitudes, ``_bell_table`` the Bell amplitudes
-W[c, p] = <bell_p| <c| chan, ``_bell_weights`` its weights, which name
-``dominant_bell`` and ``protocol._lambdas`` reads, ``_controller_basis``
-the controller's bras and pairs, and ``_tangles`` the 3-tangles.  The
-specs, which validate their parameters once, and ``three_tangle`` are
-their one-row views.
+W[c, p] = <bell_p| <c| chan, ``_bell_weights`` its weights, which
+``_dominant`` and ``protocol._lambdas`` read, ``_controller_basis`` the
+controller's bras and pairs, and ``_tangles`` the 3-tangles.  The specs,
+which validate their parameters once, and ``three_tangle`` are their
+one-row views.  ``_dominant`` alone states the pair the receiver corrects
+toward when the controller abstains.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,16 +45,15 @@ from .errors import DimensionError, NormalizationError
 from .qcore import (
     BELL_BRAS,
     BELL_KETS,
-    BELL_OUTCOMES,
     EXACT_ATOL,
     INPUT_ATOL,
-    BellOutcome,
     PureState,
     _SQRT_HALF,
     _const,
 )
 
 TANGLE_BOUND = 8.0 / 9.0
+_TANGLE_CUTOFF = TANGLE_BOUND - 1e-10  # a 3-tangle meets the bound from here up
 
 
 def check_unit_pair(x, y, names: str) -> tuple[float, float]:
@@ -95,13 +95,6 @@ class ChannelSpec:
     def params(self) -> dict[str, object]:
         """The family parameters a report prints, in order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-
-    @cached_property
-    def dominant_bell(self) -> BellOutcome:
-        """The pair the receiver corrects toward when the controller abstains:
-        the largest Bell weight sum_c |W[c, p]|^2 of rho_SR = tr_C chan."""
-        weights = _bell_weights(_bell_table(self.state.amps))
-        return BELL_OUTCOMES[_first_max(weights)[0]]
 
 
 @dataclass(frozen=True)
@@ -169,9 +162,6 @@ class RawChannel(ChannelSpec):
     """
 
     family: ClassVar[str] = "raw"
-    # phi+, not the largest weight, until the benchmark's raw averages stop
-    # checking phi+ closed forms (ROADMAP item 1, step 2)
-    dominant_bell: ClassVar[BellOutcome] = BellOutcome.PHI_PLUS
 
     state: PureState = field(compare=False)  # a PureState compares by identity
     amps: tuple[complex, ...] = field(init=False, repr=False)
@@ -231,6 +221,15 @@ def _bell_weights(table: np.ndarray) -> np.ndarray:
 def _first_max(weights: np.ndarray) -> np.ndarray:
     """Last-axis argmax, ties within 1e-12 going to the earlier entry."""
     return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
+
+
+def _dominant(specs: Sequence[ChannelSpec], weights: np.ndarray) -> np.ndarray:
+    """The index into BELL_OUTCOMES of the pair each spec's receiver corrects
+    toward when the controller abstains, from their (n, 4) Bell weights: the
+    largest (``_first_max``), but phi+ on a raw spec (ROADMAP item 8)."""
+    dominant = _first_max(weights)
+    dominant[[spec.family == "raw" for spec in specs]] = 0
+    return dominant
 
 
 class ControllerBasis(NamedTuple):
@@ -295,13 +294,10 @@ class TangleReport(NamedTuple):
 
 
 def _tangles(amps: np.ndarray) -> np.ndarray:
-    """3-tangles of (n, 8) amplitude rows, or of one (8,) row: the
-    hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|, capped at 1.
-    tau scales as |psi|^4, and a PureState's |psi|^2 may exceed 1 by 1e-10,
-    so ValueError only if a row exceeds (1 + 1e-10)^2 by more than 1e-12,
-    which no PureState reaches.  One row is evaluated on scalars, a third
-    of the cost of a one-row stack; stacked complex products and magnitudes
-    can round an ulp apart from scalar ones."""
+    """3-tangles of (n, 8) amplitude rows: the hyperdeterminant magnitude
+    tau = 4|d1 - 2 d2 + 4 d3|, capped at 1.  tau scales as |psi|^4, and a
+    PureState's |psi|^2 may exceed 1 by 1e-10, so ValueError only if a row
+    exceeds (1 + 1e-10)^2 by more than 1e-12, which no PureState reaches."""
     p = amps.T
     d1 = p[0] ** 2 * p[7] ** 2 + p[1] ** 2 * p[6] ** 2 + p[2] ** 2 * p[5] ** 2 + p[4] ** 2 * p[3] ** 2
     d2 = (
@@ -325,12 +321,13 @@ def three_tangle(state: PureState) -> TangleReport:
     Computed as the hyperdeterminant magnitude tau = 4|d1 - 2 d2 + 4 d3|
     over the eight amplitudes.  Known family values: c^2 for an MS state,
     4 a^2 b^2 for a theta channel, 1 for GHZ, 0 for anything with a
-    product-qubit factor.
+    product-qubit factor.  It is the one-row stack of ``_tangles``, so a
+    sweep's tau is the same float.
     """
     if state.num_qubits != 3:
         raise DimensionError(f"3-tangle needs 3 qubits, got {state.num_qubits}")
-    tau = float(_tangles(state.amps))
-    return TangleReport(tau=tau, meets_bound=tau >= TANGLE_BOUND - 1e-10)
+    tau = float(_tangles(state.amps[None])[0])
+    return TangleReport(tau=tau, meets_bound=tau >= _TANGLE_CUTOFF)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Two protocol variants share the same wiring.  The joint register is always
   that the two outcomes fix, never looking at the input.
 
 * ``unconditioned_teleport``: the controller abstains, the receiver
-  corrects toward the dominant pair, and the controller qubit is traced
-  out; the input's fidelity with the result is the non-conditioned
-  fidelity (NCF).
+  corrects toward the dominant pair (``channels._dominant``), and the
+  controller qubit is traced out; the input's fidelity with the result is
+  the non-conditioned fidelity (NCF).
 
 Both read one table per channel, its Bell amplitudes
 W[c, p] = <bell_p| <c| chan (``channels._bell_table``).  Without the
@@ -42,7 +42,9 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, _bell_table, _bell_weights, _controller_basis, check_unit_pair
+from .channels import (
+    ChannelSpec, _bell_table, _bell_weights, _controller_basis, _dominant, check_unit_pair,
+)
 from .errors import DimensionError, NormalizationError, RangeError
 from .qcore import (
     BELL_BRAS,
@@ -362,15 +364,16 @@ def _lambdas(weights: np.ndarray, dominant: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _bell_map(spec: ChannelSpec) -> tuple[np.ndarray, float]:
-    """``_lambdas`` of one spec at its ``dominant_bell``, and the largest
+    """``_lambdas`` of one spec at its ``_dominant`` pair, and the largest
     |B_pq|, p != q, of B = W^T conj(W), by which the outcomes' own maps
-    differ at most 8-fold.  Cached per spec, so a mismatch report's three
-    circles build one map; lambda is read-only as every caller shares it.
+    differ at most 8-fold, all from one Bell table.  Cached per spec, so a
+    mismatch report's three circles build one map; lambda is read-only.
     """
     table = _bell_table(spec.state.amps)
     bell = np.einsum("ncp,ncq->pq", table, table.conj())
     off = float(np.max(np.abs(bell[~np.eye(4, dtype=bool)])))
-    lam = _lambdas(_bell_weights(table), np.array([BELL_OUTCOMES.index(spec.dominant_bell)]))[0]
+    weights = _bell_weights(table)
+    lam = _lambdas(weights, _dominant([spec], weights))[0]
     lam.flags.writeable = False
     return lam, off
 

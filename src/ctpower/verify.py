@@ -7,10 +7,10 @@ one.  Checks use fixed tolerances stated inline; nothing is loosened at
 run time.
 
 Three checks hold their channels as amplitude stacks, not one spec per
-channel: ``perfect-ct`` certifies 200 random channels, ``three-tangle``
-and ``bound-triple-identity`` read the 3-tangles, and the latter the
-receiver maps, of every state in one call.
-``tests/oracles.py`` keeps the spec-by-spec draw the stack is pinned to.
+channel: ``perfect-ct`` certifies 200 random channels, drawn as arrays,
+``three-tangle`` and ``bound-triple-identity`` read the 3-tangles, and
+the latter the receiver maps, of every state in one call.
+``tests/oracles.py`` builds the specs of the same draws, the pin's oracle.
 """
 from __future__ import annotations
 
@@ -66,23 +66,16 @@ class CheckResult(NamedTuple):
 
 def _random_channels(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 8) amplitudes of n random channels: GHZ, an MS channel or a
-    theta channel on a random axis, a third each.  The parameters are drawn
-    one channel at a time, then every row is built in one step; the
-    certificate reads each channel's controller basis off its amplitudes."""
-    draws = []
-    for _ in range(n):
-        kind, angle, axis = int(rng.integers(3)), 0.0, 0  # GHZ is MS at angle 0
-        if kind > 0:
-            angle = rng.uniform(0.0, 2.0 * np.pi)
-        if kind == 2:
-            axis = int(rng.integers(3))
-        draws.append((kind, math.cos(angle), math.sin(angle), axis))
-    kinds, x, y, axes = (np.array(column) for column in zip(*draws))
-    ms, theta = kinds < 2, kinds == 2
-    amps = np.empty((n, 8), dtype=complex)
-    amps[ms] = _ms_amps(x[ms], y[ms])
-    amps[theta] = _theta_amps(x[theta], y[theta], axes[theta])
-    return amps
+    theta channel on a random axis, a third each.  Three arrays are drawn,
+    n kinds, then n angles, then n theta axes, and every row is built in
+    one step; GHZ is MS at angle 0.  The certificate reads each channel's
+    controller basis off its amplitudes."""
+    kinds = rng.integers(3, size=n)
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    axes = rng.integers(3, size=n)
+    angles[kinds == 0] = 0.0
+    x, y = np.cos(angles), np.sin(angles)
+    return np.where((kinds < 2)[:, None], _ms_amps(x, y), _theta_amps(x, y, axes))
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +196,14 @@ def check_matched_flatness() -> CheckResult:
 
 def check_bound_triple_identity() -> CheckResult:
     """C >= 1/3, a^2 in [1/3, 2/3], and tau >= 8/9 pick the same channels:
-    theta channels on a 201-point a^2 grid, matched to each family, with C
-    read off their receiver maps on the matched circle."""
-    a2 = np.tile(np.linspace(0.0, 1.0, 201), 3)
-    axes = np.repeat(["xyz".index(MATCHED_AXIS[fam]) for fam in FAMILY_NAMES], 201)
+    theta channels on a 201-point a^2 grid plus 1/3 and 2/3, where the
+    tolerances decide, on each family's matched axis, with C read off their
+    receiver maps on the matched circle."""
+    a2 = np.tile(np.append(np.linspace(0.0, 1.0, 201), [1.0 / 3.0, 2.0 / 3.0]), 3)
+    axes = np.repeat(["xyz".index(MATCHED_AXIS[fam]) for fam in FAMILY_NAMES], 203)
     amps = _theta_amps(np.sqrt(a2), np.sqrt(1.0 - a2), axes)
     weights = _bell_weights(_bell_table(amps))
-    lam = _lambdas(weights, _first_max(weights)).reshape(3, 201, 3)
+    lam = _lambdas(weights, _first_max(weights)).reshape(3, 203, 3)
     power = 1.0 - np.concatenate([_exact_average(l, fam) for l, fam in zip(lam, FAMILY_NAMES)])
     p_interval = (1.0 / 3.0 - 1e-12 <= a2) & (a2 <= 2.0 / 3.0 + 1e-12)
     p_power = power >= CLASSICAL_POWER - 1e-12
@@ -218,8 +212,8 @@ def check_bound_triple_identity() -> CheckResult:
     return CheckResult(
         "bound-triple-identity",
         mismatches == 0,
-        f"201-point a^2 grid on 3 matched circles; {mismatches} disagreements among "
-        "the three predicates",
+        f"201-point a^2 grid and its boundaries 1/3, 2/3 on 3 matched circles; "
+        f"{mismatches} disagreements among the three predicates",
     )
 
 

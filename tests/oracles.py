@@ -7,7 +7,8 @@ independently of the engine.  ``walk_unconditioned`` walks the
 controller-absent protocol with the same formulas, one sender outcome at
 a time, validating each input's joint register and its result once, and
 is the reference every controller-absent number is pinned to, for every
-channel, whether or not the outcomes leave one state.
+channel, whether or not the outcomes leave one state; it corrects toward
+``dominant_pair``, read off the oracle's own Bell weights.
 ``transfer_matrix_per_outcome`` builds the receiver's Pauli transfer
 matrix one sender outcome at a time: the engine's lambda is its diagonal,
 and ``outcome_spread``, the gap between the outcomes' matrices, is what
@@ -21,9 +22,10 @@ average at once (at ``one_shot_inputs``), as the streamed one must, and
 ``exact_averages`` computes lambda, the averages and the variances in exact
 rational arithmetic from a spec's float amplitudes, and ``ulps`` measures
 a float's distance from such a value.
-``random_channel`` draws one of ``verify --quick``'s random channels as a
-spec, the draws the package turns straight into amplitudes, and
-``random_local_unitary`` one of its Haar-random rotations.  The
+``random_channels`` draws ``verify --quick``'s random channels as specs,
+from the arrays the package turns straight into amplitudes, and
+``random_local_unitary`` one of its Haar-random rotations.
+``stack_specs`` lists one spec of every kind a stack must hold.  The
 ``*_scalar`` functions build one channel at a time, as the constructors
 did before they became stacked formulas; the stacks, and the state of
 each spec, must reproduce them bit for bit.  ``controller_outcomes`` is
@@ -51,6 +53,7 @@ from ctpower.channels import (
     ChannelSpec,
     GHZChannel,
     MSChannel,
+    RawChannel,
     ThetaChannel,
     _controller_basis,
     check_unit_pair,
@@ -233,6 +236,21 @@ def fidelity_with_pure(rho: DensityOperator, phi: PureState) -> float:
 # ---------------------------------------------------------------------------
 # the controller-absent protocol, one sender outcome at a time
 
+def dominant_pair(spec: ChannelSpec) -> BellOutcome:
+    """The pair the receiver corrects toward when the controller abstains,
+    from the oracle's own Bell weights sum_c |<bell_p| <c| chan|^2, one pair
+    at a time: the largest, ties within 1e-12 going to the earlier pair,
+    but phi+ on a raw channel."""
+    if spec.family == "raw":
+        return BellOutcome.PHI_PLUS
+    chan = spec.state.amps.reshape(2, 4)
+    weights = [
+        sum(abs(np.vdot(bell_state(p).amps, chan[c])) ** 2 for c in range(2))
+        for p in BELL_OUTCOMES
+    ]
+    return next(p for p, w in zip(BELL_OUTCOMES, weights) if w >= max(weights) - EXACT_ATOL)
+
+
 def correction(shared, outcome) -> np.ndarray:
     """The Pauli that restores the input when the sender and receiver share
     the Bell pair ``shared`` and the sender measures ``outcome``: the XOR
@@ -259,7 +277,7 @@ def walk_unconditioned(spec: ChannelSpec, f) -> tuple[np.ndarray, float]:
         p = float(np.sum(np.abs(post) ** 2))
         if p <= ZERO_PROB:
             continue
-        corrected = _gate_tensor(correction(spec.dominant_bell, outcome), 1, post / np.sqrt(p))
+        corrected = _gate_tensor(correction(dominant_pair(spec), outcome), 1, post / np.sqrt(p))
         mats.append(_trace_out(np.outer(corrected, corrected.conj()), 2, [0]))
         probs.append(p)
     mats = np.array(mats)
@@ -288,7 +306,7 @@ def transfer_matrix_per_outcome(
     spec's dominant pair), contracted on their own, then summed over the
     outcomes; ``summed`` False keeps the (4, 4, 4) stack of the outcomes'
     matrices."""
-    dominant = spec.dominant_bell if dominant is None else dominant
+    dominant = dominant_pair(spec) if dominant is None else dominant
     paulis = np.array([IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
     chan = spec.state.amps.reshape(2, 2, 2)  # (controller, sender, receiver)
     per_outcome = np.empty((len(BELL_OUTCOMES), 4, 4))
@@ -490,8 +508,8 @@ def exact_averages(spec: ChannelSpec) -> ExactAverages:
     dyadic rational, and each Bell weight is 1/2 sum_c |x_c,i +- x_c,j|^2
     over the controller's slices, (i, j) = (00, 11) for phi+- and (01, 10)
     for psi+-, so the weights, lambda, the averages and the variances are
-    all rationals.  Only the dominant pair is read off the spec, which
-    picks it in floats."""
+    all rationals.  Only the dominant pair is picked in floats, by
+    ``dominant_pair``."""
     amps = [(Fraction(z.real), Fraction(z.imag)) for z in spec.state.amps.tolist()]
     weights = []
     for i, j in ((0b00, 0b11), (0b01, 0b10)):
@@ -501,7 +519,7 @@ def exact_averages(spec: ChannelSpec) -> ExactAverages:
                 (ar, ai), (br, bi) = amps[c + i], amps[c + j]
                 w += (ar + sign * br) ** 2 + (ai + sign * bi) ** 2
             weights.append(w / 2)
-    dominant = BELL_OUTCOMES.index(spec.dominant_bell)
+    dominant = BELL_OUTCOMES.index(dominant_pair(spec))
     relabelled = [weights[p ^ dominant] for p in range(4)]
     total = sum(weights)
     lam = tuple(sum(s * w for s, w in zip(row, relabelled)) / total for row in _COMMUTES)
@@ -523,18 +541,48 @@ def ulps(got: float, want: Fraction, scale: float) -> float:
 # ---------------------------------------------------------------------------
 # the random channels of the perfect-ct check
 
-def random_channel(rng: np.random.Generator) -> ChannelSpec:
-    """GHZ, an MS channel or a theta channel on a random axis, a third
-    each, as a validated spec: the scalar draws ``verify._random_channels``
-    takes, in the same order."""
-    kind = int(rng.integers(3))
-    if kind == 0:
-        return GHZChannel()
-    alpha = rng.uniform(0.0, 2.0 * np.pi)
-    if kind == 1:
-        return MSChannel(c=math.cos(alpha), d=math.sin(alpha))
-    axis = ("x", "y", "z")[int(rng.integers(3))]
-    return ThetaChannel(a=math.cos(alpha), b=math.sin(alpha), k=axis)
+def random_channels(rng: np.random.Generator, n: int) -> list[ChannelSpec]:
+    """n channels, GHZ, an MS channel or a theta channel on a random axis, a
+    third each, as validated specs: the array draws
+    ``verify._random_channels`` takes, n kinds, then n angles, then n axes,
+    and one spec built from each row."""
+    kinds = rng.integers(3, size=n).tolist()
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    axes = rng.integers(3, size=n).tolist()
+    cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
+    specs = []
+    for kind, a, b, axis in zip(kinds, cos, sin, axes):
+        if kind == 0:
+            specs.append(GHZChannel())
+        elif kind == 1:
+            specs.append(MSChannel(c=a, d=b))
+        else:
+            specs.append(ThetaChannel(a=a, b=b, k="xyz"[axis]))
+    return specs
+
+
+def stack_specs(rng: np.random.Generator, gaussians: int = 20) -> list[ChannelSpec]:
+    """One spec of every kind a stack must hold: GHZ; MS from c = 0 up to
+    GHZ with d of either sign; theta on every axis with a^2 below, at and
+    above 1/2 and b of either sign; and raw channels, which correct toward
+    phi+: the W state, MS and theta channels with a Haar unitary on the
+    controller, and ``gaussians`` normalized complex Gaussian states."""
+    specs = [GHZChannel()]
+    for c in (0.0, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1.0):
+        specs += [MSChannel(c, math.sqrt(1.0 - c * c)), MSChannel(c, -math.sqrt(1.0 - c * c))]
+    for k in "xyz":
+        for a2 in (0.2, 0.5, 0.7):
+            a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+            specs += [ThetaChannel(a, b, k), ThetaChannel(a, -b, k)]
+    w_state = np.zeros(8, dtype=complex)
+    w_state[[0b001, 0b010, 0b100]] = 1.0 / math.sqrt(3.0)
+    raws = [PureState(w_state)]
+    for named in (MSChannel(0.6, -0.8), ThetaChannel(0.8, -0.6, "y")):
+        raws.append(apply_gate(random_local_unitary(rng), 0, named.state))
+    for _ in range(gaussians):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        raws.append(PureState(v / np.linalg.norm(v)))
+    return specs + [RawChannel(state=state) for state in raws]
 
 
 def random_local_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctpower import analysis
+from ctpower import analysis, channels, protocol
 from ctpower.analysis import (
     CLASSICAL_POWER,
     FAMILY_NAMES,
@@ -21,10 +21,16 @@ from ctpower.analysis import (
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
-    power_report,
     sweep,
 )
-from ctpower.channels import GHZChannel, MSChannel, RawChannel, ThetaChannel
+from ctpower.channels import (
+    GHZChannel,
+    MSChannel,
+    RawChannel,
+    ThetaChannel,
+    _TANGLE_CUTOFF,
+    three_tangle,
+)
 from ctpower.errors import NormalizationError, RangeError
 from ctpower.protocol import (
     INPUT_FAMILIES,
@@ -44,6 +50,7 @@ from oracles import (
     ncf_variance,
     one_shot_inputs,
     random_local_unitary,
+    stack_specs,
     stream_draws,
     walk_ncf,
     walk_unconditioned,
@@ -284,10 +291,12 @@ def mc_average(spec, family, n, seed=5, row=1):
 
 
 def ncf_values(spec, family, n, seed=5, row=1):
-    """Copies of the ``_ncf_draws`` chunks of all n inputs, computed in one
-    set of work rows from generators at the start of the (seed, row) stream."""
+    """Copies of the ``_ncf_draws`` chunks of all n inputs of the spec's
+    receiver map, computed in one set of work rows from generators at the
+    start of the (seed, row) stream."""
     work = np.empty((5, analysis._CHUNK_DRAWS))
-    return [vals.copy() for vals in analysis._ncf_draws(spec, family, n, 0, n, work, seed, row)]
+    lam = receiver_map(spec)
+    return [vals.copy() for vals in analysis._ncf_draws(lam, family, n, 0, n, work, seed, row)]
 
 
 def test_monte_carlo_stream_reads_the_one_shot_draws(monkeypatch):
@@ -673,19 +682,74 @@ def test_monte_carlo_failure_in_the_caller_stops_every_other_run(monkeypatch):
 # ---------------------------------------------------------------------------
 # power reports and sweeps
 
-def test_power_report_fields():
-    rep = power_report(MSChannel(c=1.0, d=0.0), 2.0 / 3.0)
+def test_power_report_fields(monkeypatch):
+    spec = MSChannel(c=1.0, d=0.0)
+    (rep,) = sweep([spec])
+    assert rep.channel is spec
+    assert abs(rep.f_bar - 2.0 / 3.0) < 1e-12
     assert abs(rep.c_bar - (1.0 - rep.f_bar)) < 1e-12
     assert rep.meets_classical_bound
     assert rep.meets_tangle_bound  # GHZ point: tau = 1
     for v in (rep.f_bar, rep.c_bar, rep.tau):
         assert 0.0 <= v <= 1.0
     # the classical bound includes its tolerance's edge: 1 - (1 - edge) is
-    # edge to the bit
+    # edge to the bit; so does the tangle bound
     edge = CLASSICAL_POWER - 1e-9
-    assert power_report(rep.channel, 1.0 - edge).c_bar == edge
-    assert power_report(rep.channel, 1.0 - edge).meets_classical_bound
-    assert not power_report(rep.channel, 1.0 - math.nextafter(edge, 0.0)).meets_classical_bound
+    for f_bar, meets in ((1.0 - edge, True), (1.0 - math.nextafter(edge, 0.0), False)):
+        monkeypatch.setattr(analysis, "_average", lambda *args: analysis.AverageResult(f_bar, 0.0))
+        (rep,) = sweep([spec])
+        assert rep.f_bar == f_bar
+        assert (rep.c_bar == edge) is meets
+        assert rep.meets_classical_bound is meets
+    # and the sweep's tangle bound is three_tangle's, edge included
+    for tau, meets in ((_TANGLE_CUTOFF, True), (math.nextafter(_TANGLE_CUTOFF, 0.0), False)):
+        for module in (analysis, channels):
+            monkeypatch.setattr(module, "_tangles", lambda amps: np.array([tau]))
+        (rep,) = sweep([spec])
+        assert rep.tau == tau and rep.meets_tangle_bound is meets
+        assert three_tangle(spec.state) == (tau, meets)
+
+
+def test_sweep_reads_every_point_off_one_stack_bit_for_bit():
+    # MS from c = 0 up to GHZ with d of either sign, theta on every axis with
+    # b of either sign, and raw Gaussian, W and controller-rotated channels:
+    # each row's f_bar and tau are the spec's own average and 3-tangle
+    specs = stack_specs(np.random.default_rng(173), gaussians=200)
+    reports = sweep(specs)
+    assert [rep.channel for rep in reports] == specs
+    for rep, spec in zip(reports, specs):
+        assert rep.f_bar == avg_fidelity_numeric(spec, spec.matched_family).mean, spec
+        assert rep.tau == three_tangle(spec.state).tau, spec
+        assert type(rep.f_bar) is float and type(rep.tau) is float
+    # Monte Carlo rows are the spec's own average on the row's stream
+    mixed = [specs[0], specs[-1], ThetaChannel(0.6, -0.8, "z")]
+    for row, (rep, spec) in enumerate(zip(sweep(mixed, "monte_carlo", seed=5), mixed)):
+        want = avg_fidelity_numeric(spec, spec.matched_family, "monte_carlo", seed=5, row=row)
+        assert rep.f_bar == want.mean
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_one_sweep_builds_one_bell_table_and_one_tangle_stack(monkeypatch, n):
+    # whatever the number of channels: one Bell table, one stack of maps and
+    # one of 3-tangles, and no per-spec map or 3-tangle
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("_bell_table", "_lambdas", "_tangles"):
+        spy(analysis, name)
+    spy(protocol, "_bell_map")
+    spy(channels, "three_tangle")
+    specs = stack_specs(np.random.default_rng(179))[:n]
+    assert len(sweep(specs)) == n
+    assert calls == {"_bell_table": 1, "_lambdas": 1, "_tangles": 1}
 
 
 def test_sweep_ms_d_grid_reference_values():

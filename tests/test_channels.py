@@ -20,7 +20,10 @@ from ctpower.channels import (
     RawChannel,
     ThetaChannel,
     _THETA_B,
+    _bell_table,
+    _bell_weights,
     _controller_basis,
+    _dominant,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -295,7 +298,12 @@ def test_computational_controller_names_the_pair_of_largest_weight():
                 labels, _, pairs = zip(*controller_outcomes(channel))
                 assert labels == ("0", "1")
                 assert pairs == (BellOutcome.PHI_PLUS, pair)
-        assert ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k=axis).dominant_bell == pair
+        # the receiver corrects toward the heavier b-branch's pair without the
+        # controller, and a raw copy toward phi+
+        spec = ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k=axis)
+        specs = [spec, RawChannel(state=spec.state)]
+        weights = _bell_weights(_bell_table(np.array([spec.state.amps] * 2)))
+        assert _dominant(specs, weights).tolist() == [BELL_OUTCOMES.index(pair), 0]
     # raw GHZ is an MS channel to the rule: its outcomes are |x+->, which
     # leave phi+ and phi-
     pairs = [o[2] for o in controller_outcomes(RawChannel(state=GHZChannel().state))]
@@ -370,15 +378,15 @@ def test_tangle_guard_admits_every_state_the_norm_check_admits():
     ghz = np.zeros(8, dtype=complex)
     for norm2 in (1.0 + 0.99e-10, 1.0 + 1e-10):
         ghz[[0, 7]] = math.sqrt(norm2 / 2.0)
-        assert float(_tangles(ghz)) == 1.0
+        assert _tangles(ghz[None])[0] == 1.0
     state = PureState(np.sqrt(1.0 + 0.99e-10) * GHZChannel().state.amps)
     assert three_tangle(state) == TangleReport(1.0, True)
     ghz[[0, 7]] = math.sqrt((1.0 + 1.2e-10) / 2.0)
     with pytest.raises(ValueError, match="^3-tangle 1.00000000024.* exceeds 1 beyond tolerance$"):
-        _tangles(ghz)
+        _tangles(ghz[None])
     ghz[[0, 7]] = math.sqrt(1.1 / 2.0)
     with pytest.raises(ValueError, match="^3-tangle 1.21.* exceeds 1 beyond tolerance$"):
-        _tangles(ghz)
+        _tangles(ghz[None])
     with pytest.raises(ValueError, match="exceeds 1 beyond tolerance"):
         _tangles(np.stack([GHZChannel().state.amps, ghz]))
 
@@ -411,9 +419,12 @@ def test_stacked_tangles_are_the_one_row_tangle():
     taus = _tangles(amps)
     assert taus.shape == (len(amps),)
     for row, tau in zip(amps, taus):
-        assert abs(tau - three_tangle(PureState(row)).tau) <= 1e-15
-        # one row is the scalar formula, bit for bit
-        assert three_tangle(PureState(row)).tau == min(three_tangle_scalar(row), 1.0)
+        one = three_tangle(PureState(row)).tau
+        assert abs(tau - one) <= 1e-15
+        # three_tangle is the one-row stack, bit for bit, and within 1e-15
+        # of the scalar formula
+        assert one == _tangles(row[None])[0]
+        assert abs(one - min(three_tangle_scalar(row), 1.0)) <= 1e-15
     # one row beyond 1 refuses the whole stack
     amps[62] *= 1.1  # the x-axis theta row at a^2 = 1/2, whose tangle is 1
     with pytest.raises(ValueError, match="exceeds 1"):

@@ -25,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctpower import protocol, verify
+from ctpower import channels, protocol, verify
 from ctpower.analysis import FAMILY_NAMES, _rng, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
@@ -36,6 +36,7 @@ from ctpower.channels import (
     ThetaChannel,
     _bell_table,
     _bell_weights,
+    _dominant,
     _ms_amps,
     channel_from_config,
     channel_to_config,
@@ -78,12 +79,14 @@ from oracles import (
     controller_outcomes,
     correction,
     design,
+    dominant_pair,
     equal_up_to_global_phase,
     outcome_spread,
     project_single_qubit,
     project_two_qubit,
-    random_channel,
+    random_channels,
     random_local_unitary,
+    stack_specs,
     tensor,
     transfer_matrix_per_outcome,
     walk_ncf,
@@ -543,14 +546,15 @@ def test_swapped_controller_pairs_fail_the_certificate(monkeypatch):
     for spec in faulty:
         assert controlled_teleport(spec, ArbitraryInput(1.0, 0.5)).min_fidelity < 0.9
     monkeypatch.undo()
-    # one such channel among the check's 200 fails it: channel 137's two
-    # named pairs swapped
-    patch_basis(monkeypatch, swap_pairs(137))
+    # one such channel among the check's 200 fails it: the GHZ channel at
+    # index 138 of the seed-0 draw, its two named pairs swapped
+    assert random_channels(_rng(0, 1), 200)[138] == GHZChannel()
+    patch_basis(monkeypatch, swap_pairs(138))
     result = verify.check_perfect_ct(0)
     assert not result.passed
     assert verify.format_report([result], 0, "quick").count("FAIL perfect-ct") == 1
     defect = _ct_certificate(verify._random_channels(_rng(0, 1), 200)).defect
-    assert np.flatnonzero(defect > 1e-12).tolist() == [137]
+    assert np.flatnonzero(defect > 1e-12).tolist() == [138]
 
 
 def test_certificate_identities_hold_on_every_kraus_branch(monkeypatch):
@@ -594,7 +598,7 @@ def test_random_channels_are_the_spec_oracle_arrays(seed):
     # the stream
     rng, oracle_rng = _rng(seed, 1), _rng(seed, 1)
     amps = verify._random_channels(rng, 200)
-    want = amps_of([random_channel(oracle_rng) for _ in range(200)])
+    want = amps_of(random_channels(oracle_rng, 200))
     assert amps.dtype == want.dtype and amps.shape == want.shape
     assert amps.tobytes() == want.tobytes()
     assert rng.random() == oracle_rng.random()
@@ -968,32 +972,31 @@ def test_receiver_map_is_built_once_and_read_only():
     assert _bell_map(second)[0] is _bell_map(first)[0]
 
 
+def test_a_receiver_map_reads_one_bell_table(monkeypatch):
+    # the map, its largest coherence and its dominant pair come from one
+    # table, on every kind of channel; the cache is bypassed
+    tables = []
+    real = protocol._bell_table
+    monkeypatch.setattr(protocol, "_bell_table", lambda amps: tables.append(amps) or real(amps))
+    monkeypatch.setattr(channels, "_bell_table", None)  # no second table elsewhere
+    for spec in stack_specs(np.random.default_rng(167), gaussians=2):
+        tables.clear()
+        protocol._bell_map.__wrapped__(spec)
+        assert len(tables) == 1, spec
+
+
 def test_stacked_lambdas_are_the_one_row_maps_bit_for_bit():
     # one stack of every kind of channel: MS from c = 0 up to GHZ, theta on
     # every axis with a^2 below, at and above 1/2 and b of either sign, and
     # raw Gaussian, W and controller-rotated MS and theta channels, which
-    # correct toward phi+.  _lambdas over the stack is each spec's cached
-    # one-row map, and the Bell weights are diag B, bit for bit
-    rng = np.random.default_rng(163)
-    specs = [GHZChannel()]
-    for c in (0.0, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1.0):
-        specs += [MSChannel(c, math.sqrt(1.0 - c * c)), MSChannel(c, -math.sqrt(1.0 - c * c))]
-    for k in "xyz":
-        for a2 in (0.2, 0.5, 0.7):
-            a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
-            specs += [ThetaChannel(a, b, k), ThetaChannel(a, -b, k)]
-    w_state = np.zeros(8, dtype=complex)
-    w_state[[0b001, 0b010, 0b100]] = 1.0 / math.sqrt(3.0)
-    raws = [PureState(w_state)]
-    for named in (MSChannel(0.6, -0.8), ThetaChannel(0.8, -0.6, "y")):
-        raws.append(apply_gate(random_local_unitary(rng), 0, named.state))
-    for _ in range(20):
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        raws.append(PureState(v / np.linalg.norm(v)))
-    specs += [RawChannel(state=state) for state in raws]
+    # correct toward phi+.  _lambdas over the stack, at the pairs the oracle
+    # picks on its own, is each spec's cached one-row map, and the Bell
+    # weights are diag B, bit for bit
+    specs = stack_specs(np.random.default_rng(163))
     table = _bell_table(np.array([spec.state.amps for spec in specs]))
     weights = _bell_weights(table)
-    dominant = np.array([BELL_OUTCOMES.index(spec.dominant_bell) for spec in specs])
+    dominant = np.array([BELL_OUTCOMES.index(dominant_pair(spec)) for spec in specs])
+    assert dominant.tolist() == _dominant(specs, weights).tolist()
     lam = _lambdas(weights, dominant)
     assert lam.shape == (len(specs), 3)
     for spec, t, w, row in zip(specs, table, weights, lam):

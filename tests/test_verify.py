@@ -131,7 +131,7 @@ CASES = {
     "bound-triple-identity": (
         lambda mp: _shifted(mp, "_tangles", lambda tau: 1.0 - tau),
         verify.check_bound_triple_identity,
-        "; 237 disagreements among the three predicates",
+        "; 243 disagreements among the three predicates",
     ),
     "max-control-power": (
         lambda mp: _shifted(mp, "control_power", lambda c: c + OFF),
@@ -167,11 +167,12 @@ def test_matched_flatness_reads_100_members_around_each_circle(monkeypatch):
         assert np.max(np.abs(k0 - want0)) < 1e-15 and np.max(np.abs(k1 - want1)) < 1e-15
 
 
-def test_bound_triple_identity_reads_201_a2_values_on_each_axis_in_one_stack(monkeypatch):
+def test_bound_triple_identity_reads_its_grid_and_boundaries_on_each_axis_in_one_stack(monkeypatch):
     # the three predicates agree on most of the grid whatever the channels,
-    # so only a spy sees which channels the check reads: one stack of 603
-    # theta channels, the 201-point a^2 grid on each family's matched axis,
-    # whose maps and 3-tangles it takes in one call each
+    # so only a spy sees which channels the check reads: one stack of 609
+    # theta channels, the 201-point a^2 grid and its boundaries 1/3 and 2/3
+    # on each family's matched axis, whose maps and 3-tangles it takes in
+    # one call each
     seen = {}
 
     def spy(name):
@@ -188,16 +189,29 @@ def test_bound_triple_identity_reads_201_a2_values_on_each_axis_in_one_stack(mon
     assert verify.check_bound_triple_identity().passed
     assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(seen, 1)
     ((a, b, axes),) = seen["_theta_amps"]
-    assert a.shape == b.shape == axes.shape == (603,)
-    grid = np.linspace(0.0, 1.0, 201)
-    for fam, a_k, b_k, axes_k in zip(FAMILY_NAMES, *(v.reshape(3, 201) for v in (a, b, axes))):
+    assert a.shape == b.shape == axes.shape == (609,)
+    grid = np.append(np.linspace(0.0, 1.0, 201), [1.0 / 3.0, 2.0 / 3.0])
+    for fam, a_k, b_k, axes_k in zip(FAMILY_NAMES, *(v.reshape(3, 203) for v in (a, b, axes))):
         assert np.max(np.abs(a_k**2 - grid)) < 1e-15
         assert np.max(np.abs(b_k**2 - (1.0 - grid))) < 1e-15
         assert set(axes_k.tolist()) == {"xyz".index(MATCHED_AXIS[fam])}
     ((weights, dominant),) = seen["_lambdas"]
-    assert weights.shape == (603, 4) and dominant.shape == (603,)
+    assert weights.shape == (609, 4) and dominant.shape == (609,)
     ((amps,),) = seen["_tangles"]
-    assert amps.shape == (603, 8)
+    assert amps.shape == (609, 8)
+
+
+def test_bound_triple_identity_tolerances_decide_at_the_boundaries(monkeypatch):
+    # at a^2 = 1/3, C falls 5.6e-17 short of 1/3 and tau 2.2e-16 short of
+    # 8/9: a bound moved up by its 1e-12 tolerance, which is then the bound
+    # itself to the bit, fails the check on the three a^2 = 1/3 channels
+    for name in ("CLASSICAL_POWER", "TANGLE_BOUND"):
+        bound = getattr(verify, name)
+        assert (bound + 1e-12) - 1e-12 == bound
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, bound + 1e-12)
+            result = verify.check_bound_triple_identity()
+        assert not result.passed and "; 3 disagreements" in result.detail, (name, result.detail)
 
 
 @pytest.mark.parametrize("case", list(CASES))
