@@ -10,12 +10,13 @@ for the Bloch sphere, dOmega / 4pi over all pure qubit inputs, or one of
 ``FAMILY_NAMES`` for the uniform angle along that input family's great
 circle.
 
-Every method reads the receiver's Bloch map (``protocol.receiver_map``),
-the one controller-absent engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2.
-The exact method is its exact average (``_exact_average``, which
-``mismatch_report`` and ``verify`` read).  ``_average`` dispatches one
-map to a method, for ``avg_fidelity_numeric`` and for each row of the one
-stack of maps ``sweep`` builds.  Monte Carlo evaluates its NCF on the
+Every method reads the receiver's Bloch map, the one controller-absent
+engine: NCF(r) = (1 + sum_i lambda_i r_i^2)/2, one spec's from
+``protocol.receiver_map`` and a stack's from ``protocol._maps``, which
+``sweep`` calls once.  The exact method is its exact average
+(``_exact_average``, which ``mismatch_report`` and ``verify`` read).
+``_average`` dispatches one map to a method, for ``avg_fidelity_numeric``
+and for each row of ``sweep``'s stack.  Monte Carlo evaluates its NCF on the
 squared Bloch coordinates of inputs drawn from a PCG64DXSM generator keyed
 by (seed, row-index), so every stochastic result is bit-reproducible from
 the two.  The NCF reads only those squares, so every input is drawn in the
@@ -46,9 +47,6 @@ from .channels import (
     ChannelSpec,
     ThetaChannel,
     _TANGLE_CUTOFF,
-    _bell_table,
-    _bell_weights,
-    _dominant,
     _tangles,
     check_unit_pair,
 )
@@ -58,7 +56,7 @@ from .protocol import (
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
-    _lambdas,
+    _maps,
     _ms_abs_d,
     receiver_map,
 )
@@ -410,8 +408,7 @@ def sweep(
     ordering or parallelism cannot change the numbers.
     """
     amps = np.array([spec.state.amps for spec in specs], dtype=complex).reshape(-1, 8)
-    weights = _bell_weights(_bell_table(amps))
-    lams = _lambdas(weights, _dominant(specs, weights))
+    lams = _maps(amps, [spec.family == "raw" for spec in specs])
     reports = []
     for row, (spec, lam, tau) in enumerate(zip(specs, lams, _tangles(amps).tolist())):
         f_bar = _average(lam, spec.matched_family, method, MC_SAMPLES, seed, row).mean

@@ -27,17 +27,15 @@ b-branch is |1> times the pair sigma_k leaves on the receiver's half of
 phi+.  Each formula is written once, over stacks: ``_ms_amps`` and
 ``_theta_amps`` give (n, 8) amplitudes, ``_bell_table`` the Bell amplitudes
 W[c, p] = <bell_p| <c| chan, ``_bell_weights`` its weights, which
-``_dominant`` and ``protocol._lambdas`` read, ``_controller_basis`` the
-controller's bras and pairs, and ``_tangles`` the 3-tangles.  The specs,
-which validate their parameters once, and ``three_tangle`` are their
-one-row views.  ``_dominant`` alone states the pair the receiver corrects
-toward when the controller abstains.
+``protocol._maps`` reads, ``_controller_basis`` the controller's bras and
+pairs, and ``_tangles`` the 3-tangles.  The specs, which validate their
+parameters once, and ``three_tangle`` are their one-row views.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -221,15 +219,6 @@ def _bell_weights(table: np.ndarray) -> np.ndarray:
 def _first_max(weights: np.ndarray) -> np.ndarray:
     """Last-axis argmax, ties within 1e-12 going to the earlier entry."""
     return np.argmax(weights >= weights.max(axis=-1, keepdims=True) - EXACT_ATOL, axis=-1)
-
-
-def _dominant(specs: Sequence[ChannelSpec], weights: np.ndarray) -> np.ndarray:
-    """The index into BELL_OUTCOMES of the pair each spec's receiver corrects
-    toward when the controller abstains, from their (n, 4) Bell weights: the
-    largest (``_first_max``), but phi+ on a raw spec (ROADMAP item 8)."""
-    dominant = _first_max(weights)
-    dominant[[spec.family == "raw" for spec in specs]] = 0
-    return dominant
 
 
 class ControllerBasis(NamedTuple):

@@ -10,22 +10,24 @@ Two protocol variants share the same wiring.  The joint register is always
   that the two outcomes fix, never looking at the input.
 
 * ``unconditioned_teleport``: the controller abstains, the receiver
-  corrects toward the dominant pair (``channels._dominant``), and the
-  controller qubit is traced out; the input's fidelity with the result is
-  the non-conditioned fidelity (NCF).
+  corrects toward the dominant pair, and the controller qubit is traced
+  out; the input's fidelity with the result is the non-conditioned
+  fidelity (NCF).
 
 Both read one table per channel, its Bell amplitudes
 W[c, p] = <bell_p| <c| chan (``channels._bell_table``).  Without the
 controller, B = W^T conj(W) is the sender-receiver state rho_SR in the Bell
 basis, and summed over the sender's outcomes the protocol is the Pauli
 channel of its Bell weights w = diag B: the receiver's Bloch map
-r -> lambda * r, lambda a fixed +-1 matrix times w (``_lambdas`` over
-stacks, ``receiver_map`` per spec), and NCF(r) = (1 + sum_i lambda_i r_i^2)/2,
-which ``ncf_batch`` and Monte Carlo evaluate with ``_bloch_ncf``.  This
-holds for every channel; B's entries
+r -> lambda * r, lambda a fixed +-1 matrix times w (``_lambdas``), and
+NCF(r) = (1 + sum_i lambda_i r_i^2)/2, which ``ncf_batch`` and Monte Carlo
+evaluate with ``_bloch_ncf``.  This holds for every channel; B's entries
 off the diagonal only make the sender's outcomes leave different states,
-which ``per_outcome_equal`` reports.  The tests pin the map to a
-step-by-step walk of the branches, summed over the outcomes.
+which ``per_outcome_equal`` reports.  ``_maps`` is the one reading from a
+stack of amplitudes to its maps, and states the dominant pair: the
+heaviest, but phi+ on a raw channel; ``receiver_map`` is its cached
+one-row view.  The tests pin the map to a step-by-step walk of the
+branches, summed over the outcomes.
 
 With the controller, each branch (controller outcome c, sender outcome o)
 is one corrected Kraus operator K = G <bell_o| <c| chan, which ``_kraus``
@@ -43,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelSpec, _bell_table, _bell_weights, _controller_basis, _dominant, check_unit_pair,
+    ChannelSpec, _bell_table, _bell_weights, _controller_basis, _first_max, check_unit_pair,
 )
 from .errors import DimensionError, NormalizationError, RangeError
 from .qcore import (
@@ -362,26 +364,24 @@ def _lambdas(weights: np.ndarray, dominant: np.ndarray) -> np.ndarray:
     return lam / weights.sum(-1, keepdims=True)
 
 
+def _maps(amps: np.ndarray, raw) -> np.ndarray:
+    """(n, 3) lambda of the receiver maps of (n, 8) channel amplitudes: the
+    one reading from amplitudes to maps.  Each receiver corrects toward its
+    channel's heaviest Bell pair (``_first_max``), but toward phi+ where
+    ``raw``, a bool or one per row, holds (ROADMAP item 8)."""
+    weights = _bell_weights(_bell_table(amps))
+    return _lambdas(weights, np.where(raw, 0, _first_max(weights)))
+
+
 @functools.lru_cache(maxsize=256)
-def _bell_map(spec: ChannelSpec) -> tuple[np.ndarray, float]:
-    """``_lambdas`` of one spec at its ``_dominant`` pair, and the largest
-    |B_pq|, p != q, of B = W^T conj(W), by which the outcomes' own maps
-    differ at most 8-fold, all from one Bell table.  Cached per spec, so a
-    mismatch report's three circles build one map; lambda is read-only.
-    """
-    table = _bell_table(spec.state.amps)
-    bell = np.einsum("ncp,ncq->pq", table, table.conj())
-    off = float(np.max(np.abs(bell[~np.eye(4, dtype=bool)])))
-    weights = _bell_weights(table)
-    lam = _lambdas(weights, _dominant([spec], weights))[0]
-    lam.flags.writeable = False
-    return lam, off
-
-
 def receiver_map(spec: ChannelSpec) -> np.ndarray:
     """The read-only lambda of the receiver's Bloch map r -> lambda * r when
-    the controller abstains, averaged over the sender's outcomes."""
-    return _bell_map(spec)[0]
+    the controller abstains, averaged over the sender's outcomes: ``_maps``
+    of the spec's one row, cached per spec, so a mismatch report's three
+    circles build one map."""
+    lam = _maps(spec.state.amps[None], spec.family == "raw")[0]
+    lam.flags.writeable = False
+    return lam
 
 
 def _check_unit(norm: np.ndarray, start: int, what: str, scratch=None) -> None:
@@ -457,11 +457,15 @@ def unconditioned_teleport(
     The receiver's map takes the input's Bloch vector r to its state
     averaged over the sender's outcomes, rho3 = (I + (lambda * r).sigma)/2,
     and ncf = <phi| rho3 |phi> is what ``ncf_batch`` evaluates.
-    ``per_outcome_equal`` is max |B_pq| <= 1e-12 / 8, sufficient for the
-    four sender outcomes' maps to agree within 1e-12.
+    ``per_outcome_equal`` is max |B_pq| <= 1e-12 / 8, p != q, of
+    B = W^T conj(W), sufficient for the four sender outcomes' maps to agree
+    within 1e-12.
     """
+    table = _bell_table(spec.state.amps)
+    bell = np.einsum("ncp,ncq->pq", table, table.conj())
+    off = float(np.max(np.abs(bell[~np.eye(4, dtype=bool)])))
     amps = input_state(f).amps
-    lam, off = _bell_map(spec)
+    lam = receiver_map(spec)
     norm, *coords = _pauli_coords(amps[:1], amps[1:])
     bloch = lam * np.concatenate(coords) / norm
     rho3 = (IDENTITY + np.tensordot(bloch, _BLOCH_PAULIS, axes=1)) / 2.0

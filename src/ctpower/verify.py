@@ -39,9 +39,6 @@ from .channels import (
     GHZChannel,
     MSChannel,
     ThetaChannel,
-    _bell_table,
-    _bell_weights,
-    _first_max,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -51,7 +48,7 @@ from .protocol import (
     ArbitraryInput,
     _check_unit,
     _ct_certificate,
-    _lambdas,
+    _maps,
     ncf_batch,
     ncf_ms_closed,
 )
@@ -196,14 +193,18 @@ def check_matched_flatness() -> CheckResult:
 
 def check_bound_triple_identity() -> CheckResult:
     """C >= 1/3, a^2 in [1/3, 2/3], and tau >= 8/9 pick the same channels:
-    theta channels on a 201-point a^2 grid plus 1/3 and 2/3, where the
-    tolerances decide, on each family's matched axis, with C read off their
-    receiver maps on the matched circle."""
-    a2 = np.tile(np.append(np.linspace(0.0, 1.0, 201), [1.0 / 3.0, 2.0 / 3.0]), 3)
-    axes = np.repeat(["xyz".index(MATCHED_AXIS[fam]) for fam in FAMILY_NAMES], 203)
+    theta channels on a 201-point a^2 grid plus 1/3 and 2/3 and each moved
+    outward by 5e-13 and by 2e-12, inside and outside the 1e-12 tolerances,
+    which decide there, on each family's matched axis, with C read off
+    their receiver maps on the matched circle."""
+    edges = np.array([1.0 / 3.0, 2.0 / 3.0])
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 201), edges, edges + [-5e-13, 5e-13], edges + [-2e-12, 2e-12],
+    ])
+    a2 = np.tile(grid, 3)
+    axes = np.repeat(["xyz".index(MATCHED_AXIS[fam]) for fam in FAMILY_NAMES], grid.size)
     amps = _theta_amps(np.sqrt(a2), np.sqrt(1.0 - a2), axes)
-    weights = _bell_weights(_bell_table(amps))
-    lam = _lambdas(weights, _first_max(weights)).reshape(3, 203, 3)
+    lam = _maps(amps, False).reshape(3, grid.size, 3)
     power = 1.0 - np.concatenate([_exact_average(l, fam) for l, fam in zip(lam, FAMILY_NAMES)])
     p_interval = (1.0 / 3.0 - 1e-12 <= a2) & (a2 <= 2.0 / 3.0 + 1e-12)
     p_power = power >= CLASSICAL_POWER - 1e-12
@@ -212,8 +213,9 @@ def check_bound_triple_identity() -> CheckResult:
     return CheckResult(
         "bound-triple-identity",
         mismatches == 0,
-        f"201-point a^2 grid and its boundaries 1/3, 2/3 on 3 matched circles; "
-        f"{mismatches} disagreements among the three predicates",
+        f"201-point a^2 grid, its boundaries 1/3, 2/3 and each moved outward by 5e-13 "
+        f"and 2e-12 on 3 matched circles; {mismatches} disagreements among the three "
+        f"predicates",
     )
 
 

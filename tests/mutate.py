@@ -17,9 +17,10 @@ written over its lines there, and the pytest selection given after ``--``
 (default: the whole suite) runs against that copy with ``-x``, from the
 repository root.  The unmutated copy must pass first.  A mutant is killed
 when pytest fails or runs past ten times the unmutated run plus 10 s, and
-survives when it passes.  The script prints one line a mutant and the
-survivors, and exits 1 if any survives.  It is not a test: pytest does not
-collect it.
+survives when it passes.  The script prints one line a mutant, naming
+the first test pytest's summary (``-rfE``) lists as failed or in error on
+a killed one, then the survivors, and exits 1 if any survives.  It is not
+a test: pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -113,18 +114,25 @@ def mutants(source: str, qualname: str):
         yield f"{node.lineno}:{node.col_offset}", what, head + body + tail
 
 
-def _run(workdir: Path, selection: list[str], timeout: float) -> str:
-    """"passed", "failed" or "timeout" of the selection against the copy."""
+def _run(workdir: Path, selection: list[str], timeout: float) -> tuple[str, str]:
+    """"passed", "failed" or "timeout" of the selection against the copy,
+    and the node id of the first test pytest's summary names FAILED or
+    ERROR ("" if none)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout,
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+             *selection],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+        return "timeout", ""
+    if done.returncode == 0:
+        return "passed", ""
+    killers = (line.split()[1] for line in done.stdout.splitlines()
+               if line.startswith(("FAILED ", "ERROR ")))
+    return "failed", next(killers, "")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,15 +152,15 @@ def main(argv: list[str] | None = None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         target = workdir / "src" / "ctpower" / path.relative_to(PACKAGE)
         start = time.monotonic()
-        if _run(workdir, selection, None) != "passed":
+        if _run(workdir, selection, None)[0] != "passed":
             print("the unmutated code fails the selection; nothing to measure")
             return 2
         timeout = 10.0 * (time.monotonic() - start) + 10.0
         survivors = []
         for n, (line, what, mutated) in enumerate(found):
             target.write_text(mutated, encoding="utf-8")
-            outcome = _run(workdir, selection, timeout)
-            print(f"{n:3d}  line {line:8s}  {what:16s}  {outcome}", flush=True)
+            outcome, killer = _run(workdir, selection, timeout)
+            print(f"{n:3d}  line {line:8s}  {what:16s}  {outcome}  {killer}".rstrip(), flush=True)
             if outcome == "passed":
                 survivors.append(f"line {line}: {what}")
         target.write_text(source, encoding="utf-8")

@@ -8,7 +8,8 @@ controller-absent protocol with the same formulas, one sender outcome at
 a time, validating each input's joint register and its result once, and
 is the reference every controller-absent number is pinned to, for every
 channel, whether or not the outcomes leave one state; it corrects toward
-``dominant_pair``, read off the oracle's own Bell weights.
+``dominant_pair``, read off the oracle's own Bell weights, and
+``max_coherence`` is the largest entry off the diagonal of its Bell matrix.
 ``transfer_matrix_per_outcome`` builds the receiver's Pauli transfer
 matrix one sender outcome at a time: the engine's lambda is its diagonal,
 and ``outcome_spread``, the gap between the outcomes' matrices, is what
@@ -249,6 +250,18 @@ def dominant_pair(spec: ChannelSpec) -> BellOutcome:
         for p in BELL_OUTCOMES
     ]
     return next(p for p, w in zip(BELL_OUTCOMES, weights) if w >= max(weights) - EXACT_ATOL)
+
+
+def max_coherence(spec: ChannelSpec) -> float:
+    """max |B_pq|, p != q, of the Bell matrix B_pq = sum_c <bell_p| <c| chan
+    conj(<bell_q| <c| chan), one entry at a time from the oracle's Bell
+    states: the coherence by which the sender outcomes' maps may differ."""
+    chan = spec.state.amps.reshape(2, 4)
+    amp = [[np.vdot(bell_state(p).amps, chan[c]) for p in BELL_OUTCOMES] for c in range(2)]
+    return max(
+        abs(amp[0][p] * np.conj(amp[0][q]) + amp[1][p] * np.conj(amp[1][q]))
+        for p in range(4) for q in range(4) if p != q
+    )
 
 
 def correction(shared, outcome) -> np.ndarray:

@@ -730,8 +730,8 @@ def test_sweep_reads_every_point_off_one_stack_bit_for_bit():
 
 @pytest.mark.parametrize("n", [0, 1, 37])
 def test_one_sweep_builds_one_bell_table_and_one_tangle_stack(monkeypatch, n):
-    # whatever the number of channels: one Bell table, one stack of maps and
-    # one of 3-tangles, and no per-spec map or 3-tangle
+    # whatever the number of channels: one stack of maps and one of
+    # 3-tangles, and no per-spec map or 3-tangle
     calls = {}
 
     def spy(module, name):
@@ -743,13 +743,13 @@ def test_one_sweep_builds_one_bell_table_and_one_tangle_stack(monkeypatch, n):
 
         monkeypatch.setattr(module, name, call)
 
-    for name in ("_bell_table", "_lambdas", "_tangles"):
+    for name in ("_maps", "_tangles", "receiver_map"):
         spy(analysis, name)
-    spy(protocol, "_bell_map")
+    spy(protocol, "receiver_map")
     spy(channels, "three_tangle")
     specs = stack_specs(np.random.default_rng(179))[:n]
     assert len(sweep(specs)) == n
-    assert calls == {"_bell_table": 1, "_lambdas": 1, "_tangles": 1}
+    assert calls == {"_maps": 1, "_tangles": 1}
 
 
 def test_sweep_ms_d_grid_reference_values():

@@ -23,7 +23,6 @@ from ctpower.channels import (
     _bell_table,
     _bell_weights,
     _controller_basis,
-    _dominant,
     _ms_amps,
     _tangles,
     _theta_amps,
@@ -34,7 +33,7 @@ from ctpower.channels import (
     three_tangle,
 )
 from ctpower.errors import DimensionError, NormalizationError
-from ctpower.protocol import _CORRECTIONS, _ct_certificate
+from ctpower.protocol import _CORRECTIONS, _ct_certificate, _lambdas, _maps
 from ctpower.qcore import (
     BELL_OUTCOMES,
     IDENTITY,
@@ -301,9 +300,10 @@ def test_computational_controller_names_the_pair_of_largest_weight():
         # the receiver corrects toward the heavier b-branch's pair without the
         # controller, and a raw copy toward phi+
         spec = ThetaChannel(a=math.sqrt(0.3), b=math.sqrt(0.7), k=axis)
-        specs = [spec, RawChannel(state=spec.state)]
-        weights = _bell_weights(_bell_table(np.array([spec.state.amps] * 2)))
-        assert _dominant(specs, weights).tolist() == [BELL_OUTCOMES.index(pair), 0]
+        amps = np.array([spec.state.amps] * 2)
+        weights = _bell_weights(_bell_table(amps))
+        want = _lambdas(weights, np.array([BELL_OUTCOMES.index(pair), 0]))
+        assert _maps(amps, [False, True]).tobytes() == want.tobytes()
     # raw GHZ is an MS channel to the rule: its outcomes are |x+->, which
     # leave phi+ and phi-
     pairs = [o[2] for o in controller_outcomes(RawChannel(state=GHZChannel().state))]

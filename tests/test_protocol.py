@@ -36,7 +36,6 @@ from ctpower.channels import (
     ThetaChannel,
     _bell_table,
     _bell_weights,
-    _dominant,
     _ms_amps,
     channel_from_config,
     channel_to_config,
@@ -46,10 +45,10 @@ from ctpower.protocol import (
     INPUT_FAMILIES,
     _CORRECTIONS,
     _SPREAD_PER_COHERENCE,
-    _bell_map,
     _ct_certificate,
     _kraus,
     _lambdas,
+    _maps,
     ArbitraryInput,
     XYInput,
     XZInput,
@@ -81,6 +80,7 @@ from oracles import (
     design,
     dominant_pair,
     equal_up_to_global_phase,
+    max_coherence,
     outcome_spread,
     project_single_qubit,
     project_two_qubit,
@@ -961,7 +961,6 @@ def test_receiver_map_is_built_once_and_read_only():
     lam = receiver_map(MSChannel(c=0.6, d=0.8))
     # an equal spec reuses the cached map
     assert receiver_map(MSChannel(c=0.6, d=0.8)) is lam
-    assert _bell_map(MSChannel(c=0.6, d=0.8))[0] is lam
     with pytest.raises(ValueError):
         lam[0] = 2.0
     assert np.max(np.abs(lam - [0.8, 0.8, 1.0])) < 1e-14
@@ -969,38 +968,46 @@ def test_receiver_map_is_built_once_and_read_only():
     text = channel_to_config(RawChannel(state=MSChannel(c=0.8, d=-0.6).state))
     first, second = channel_from_config(text), channel_from_config(text)
     assert first == second and hash(first) == hash(second)
-    assert _bell_map(second)[0] is _bell_map(first)[0]
+    assert receiver_map(second) is receiver_map(first)
 
 
 def test_a_receiver_map_reads_one_bell_table(monkeypatch):
-    # the map, its largest coherence and its dominant pair come from one
-    # table, on every kind of channel; the cache is bypassed
-    tables = []
-    real = protocol._bell_table
+    # a cache miss, on every kind of channel, contracts one Bell table and
+    # nothing else: the coherence B_pq is unconditioned_teleport's alone
+    tables, contractions = [], []
+    real, real_einsum = protocol._bell_table, np.einsum
     monkeypatch.setattr(protocol, "_bell_table", lambda amps: tables.append(amps) or real(amps))
     monkeypatch.setattr(channels, "_bell_table", None)  # no second table elsewhere
+    monkeypatch.setattr(
+        np, "einsum", lambda subs, *ops: contractions.append(subs) or real_einsum(subs, *ops)
+    )
     for spec in stack_specs(np.random.default_rng(167), gaussians=2):
         tables.clear()
-        protocol._bell_map.__wrapped__(spec)
-        assert len(tables) == 1, spec
+        contractions.clear()
+        lam = protocol.receiver_map.__wrapped__(spec)
+        assert len(tables) == 1 and lam.shape == (3,), spec
+        assert contractions == ["nck,pk->ncp"], spec
 
 
 def test_stacked_lambdas_are_the_one_row_maps_bit_for_bit():
     # one stack of every kind of channel: MS from c = 0 up to GHZ, theta on
     # every axis with a^2 below, at and above 1/2 and b of either sign, and
     # raw Gaussian, W and controller-rotated MS and theta channels, which
-    # correct toward phi+.  _lambdas over the stack, at the pairs the oracle
-    # picks on its own, is each spec's cached one-row map, and the Bell
-    # weights are diag B, bit for bit
+    # correct toward phi+.  _maps over the stack is each spec's cached
+    # one-row map, and _lambdas at the pairs the oracle picks on its own;
+    # the Bell weights are diag B, bit for bit
     specs = stack_specs(np.random.default_rng(163))
-    table = _bell_table(np.array([spec.state.amps for spec in specs]))
+    amps = np.array([spec.state.amps for spec in specs])
+    lam = _maps(amps, [spec.family == "raw" for spec in specs])
+    assert lam.shape == (len(specs), 3)
+    for spec, row in zip(specs, lam):
+        assert row.tobytes() == receiver_map(spec).tobytes(), spec
+        assert row.tobytes() == _maps(spec.state.amps[None], spec.family == "raw")[0].tobytes()
+    table = _bell_table(amps)
     weights = _bell_weights(table)
     dominant = np.array([BELL_OUTCOMES.index(dominant_pair(spec)) for spec in specs])
-    assert dominant.tolist() == _dominant(specs, weights).tolist()
-    lam = _lambdas(weights, dominant)
-    assert lam.shape == (len(specs), 3)
-    for spec, t, w, row in zip(specs, table, weights, lam):
-        assert row.tobytes() == _bell_map(spec)[0].tobytes(), spec
+    assert lam.tobytes() == _lambdas(weights, dominant).tobytes()
+    for spec, t, w in zip(specs, table, weights):
         bell = np.einsum("cp,cq->pq", t, t.conj())
         assert w.tobytes() == np.diagonal(bell).real.tobytes(), spec
 
@@ -1053,9 +1060,9 @@ def test_per_outcome_equal_is_no_looser_than_the_per_outcome_spread():
         for spec in mapped_channels(rng, 4):
             raw = perturbed(spec, rng, eps)
             spread = outcome_spread(raw)
-            _, off = _bell_map(raw)
-            assert spread <= _SPREAD_PER_COHERENCE * off + 1e-15
+            assert spread <= _SPREAD_PER_COHERENCE * max_coherence(raw) + 1e-15
             equal = unconditioned_teleport(raw, XZInput(0.3)).per_outcome_equal
+            assert type(equal) is bool
             if equal:
                 assert spread <= 1e-12
             flags.add(equal)

@@ -12,7 +12,9 @@ errors 6% off their prediction; and ``bound-triple-identity``, a count of
 disagreeing predicates, reads 1 - tau for each channel's 3-tangle.  The
 defect half of ``perfect-ct`` is broken in ``test_protocol.py``.
 """
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -131,7 +133,7 @@ CASES = {
     "bound-triple-identity": (
         lambda mp: _shifted(mp, "_tangles", lambda tau: 1.0 - tau),
         verify.check_bound_triple_identity,
-        "; 243 disagreements among the three predicates",
+        "; 249 disagreements among the three predicates",
     ),
     "max-control-power": (
         lambda mp: _shifted(mp, "control_power", lambda c: c + OFF),
@@ -169,10 +171,11 @@ def test_matched_flatness_reads_100_members_around_each_circle(monkeypatch):
 
 def test_bound_triple_identity_reads_its_grid_and_boundaries_on_each_axis_in_one_stack(monkeypatch):
     # the three predicates agree on most of the grid whatever the channels,
-    # so only a spy sees which channels the check reads: one stack of 609
-    # theta channels, the 201-point a^2 grid and its boundaries 1/3 and 2/3
-    # on each family's matched axis, whose maps and 3-tangles it takes in
-    # one call each
+    # so only a spy sees which channels the check reads: one stack of 621
+    # theta channels, the 201-point a^2 grid, its boundaries 1/3 and 2/3,
+    # and each boundary moved outward by 5e-13 and by 2e-12, on each
+    # family's matched axis, whose maps and 3-tangles it takes in one call
+    # each
     seen = {}
 
     def spy(name):
@@ -184,34 +187,53 @@ def test_bound_triple_identity_reads_its_grid_and_boundaries_on_each_axis_in_one
 
         monkeypatch.setattr(verify, name, call)
 
-    for name in ("_theta_amps", "_lambdas", "_tangles"):
+    for name in ("_theta_amps", "_maps", "_tangles"):
         spy(name)
     assert verify.check_bound_triple_identity().passed
     assert {name: len(calls) for name, calls in seen.items()} == dict.fromkeys(seen, 1)
     ((a, b, axes),) = seen["_theta_amps"]
-    assert a.shape == b.shape == axes.shape == (609,)
-    grid = np.append(np.linspace(0.0, 1.0, 201), [1.0 / 3.0, 2.0 / 3.0])
-    for fam, a_k, b_k, axes_k in zip(FAMILY_NAMES, *(v.reshape(3, 203) for v in (a, b, axes))):
+    assert a.shape == b.shape == axes.shape == (621,)
+    third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
+    grid = np.append(np.linspace(0.0, 1.0, 201), [
+        third, two_thirds, third - 5e-13, two_thirds + 5e-13, third - 2e-12, two_thirds + 2e-12,
+    ])
+    for fam, a_k, b_k, axes_k in zip(FAMILY_NAMES, *(v.reshape(3, 207) for v in (a, b, axes))):
         assert np.max(np.abs(a_k**2 - grid)) < 1e-15
         assert np.max(np.abs(b_k**2 - (1.0 - grid))) < 1e-15
         assert set(axes_k.tolist()) == {"xyz".index(MATCHED_AXIS[fam])}
-    ((weights, dominant),) = seen["_lambdas"]
-    assert weights.shape == (609, 4) and dominant.shape == (609,)
+    ((amps, raw),) = seen["_maps"]
+    assert amps.shape == (621, 8) and raw is False
     ((amps,),) = seen["_tangles"]
-    assert amps.shape == (609, 8)
+    assert amps.shape == (621, 8)
 
 
-def test_bound_triple_identity_tolerances_decide_at_the_boundaries(monkeypatch):
-    # at a^2 = 1/3, C falls 5.6e-17 short of 1/3 and tau 2.2e-16 short of
-    # 8/9: a bound moved up by its 1e-12 tolerance, which is then the bound
-    # itself to the bit, fails the check on the three a^2 = 1/3 channels
-    for name in ("CLASSICAL_POWER", "TANGLE_BOUND"):
-        bound = getattr(verify, name)
-        assert (bound + 1e-12) - 1e-12 == bound
-        with monkeypatch.context() as m:
-            m.setattr(verify, name, bound + 1e-12)
-            result = verify.check_bound_triple_identity()
-        assert not result.passed and "; 3 disagreements" in result.detail, (name, result.detail)
+def _with_tolerance(predicate, tolerance):
+    """``check_bound_triple_identity`` with every 1e-12 on the line that
+    assigns ``predicate`` replaced by ``tolerance``, run in ``verify``'s
+    namespace."""
+    lines = textwrap.dedent(inspect.getsource(verify.check_bound_triple_identity)).splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.lstrip().startswith(predicate + " = ")]
+    assert "1e-12" in lines[i], lines[i]
+    lines[i] = lines[i].replace("1e-12", tolerance)
+    namespace = dict(vars(verify))
+    exec(compile("\n".join(lines), verify.__file__, "exec"), namespace)
+    return namespace["check_bound_triple_identity"]()
+
+
+def test_bound_triple_identity_tolerances_decide_at_the_boundaries():
+    # a^2 = 1/3 - 5e-13 and 2/3 + 5e-13 meet all three predicates only by
+    # their 1e-12 tolerances, and 1/3 - 2e-12 and 2/3 + 2e-12 fail all
+    # three, as they would not at a tolerance of 1e-11.  At a^2 = 1/3, C
+    # falls 5.6e-17 short of 1/3 and tau 2.2e-16 short of 8/9.  So on each
+    # of the three axes, dropping the interval's tolerance splits the two
+    # 5e-13 channels off, dropping C's or tau's splits them and 1/3 off, and
+    # widening any one tenfold splits the two 2e-12 channels off
+    assert verify.check_bound_triple_identity().passed
+    for predicate, dropped in (("p_interval", 6), ("p_power", 9), ("p_tangle", 9)):
+        for tolerance, count in (("0.0", dropped), ("1e-11", 6)):
+            result = _with_tolerance(predicate, tolerance)
+            assert not result.passed, (predicate, tolerance)
+            assert f"; {count} disagreements" in result.detail, (predicate, result.detail)
 
 
 @pytest.mark.parametrize("case", list(CASES))
