@@ -3,7 +3,9 @@
 Control power is C = 1 - f: what the controller's cooperation is worth.
 A channel gives the controller real authority only when the fidelity
 achievable WITHOUT the controller stays at or below the classical limit
-2/3, i.e. when C >= 1/3.
+2/3, i.e. when C >= ``CLASSICAL_POWER`` = 1/3.  Every average here is
+read off the engine; the closed forms it is checked against are in
+``paper``.
 
 Every average runs over one domain of inputs, named by ``family``: None
 for the Bloch sphere, dOmega / 4pi over all pure qubit inputs, or one of
@@ -51,18 +53,16 @@ from .channels import (
     check_unit_pair,
 )
 from .errors import RangeError
+from .paper import CLASSICAL_POWER
 from .protocol import (
     INPUT_FAMILIES,
     ArbitraryInput,
     _bloch_ncf,
     _check_unit,
     _maps,
-    _ms_abs_d,
     receiver_map,
 )
 from .qcore import EXACT_ATOL
-
-CLASSICAL_POWER = 1.0 / 3.0
 
 MC_SAMPLES = 10**6  # per Monte Carlo average, and per point of a sweep
 
@@ -91,12 +91,6 @@ def control_power(f: float) -> float:
     if not -EXACT_ATOL <= v <= 1.0 + EXACT_ATOL:
         raise RangeError(f"fidelity {v!r} outside [0, 1]")
     return min(max(1.0 - v, 0.0), 1.0)
-
-
-def avg_fidelity_ms_analytic(d: float) -> float:
-    """Sphere-averaged NCF of an MS channel: 2/3 + |d|/3, for any d an
-    ``MSChannel`` takes."""
-    return 2.0 / 3.0 + min(_ms_abs_d(d), 1.0) / 3.0
 
 
 # ---------------------------------------------------------------------------

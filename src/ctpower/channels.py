@@ -40,6 +40,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NormalizationError
+from .paper import TANGLE_BOUND
 from .qcore import (
     BELL_BRAS,
     BELL_KETS,
@@ -50,7 +51,6 @@ from .qcore import (
     _const,
 )
 
-TANGLE_BOUND = 8.0 / 9.0
 _TANGLE_CUTOFF = TANGLE_BOUND - 1e-10  # a 3-tangle meets the bound from here up
 
 

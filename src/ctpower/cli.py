@@ -27,7 +27,9 @@ import time
 from dataclasses import fields
 from typing import NamedTuple
 
-from . import __version__
+import numpy as np
+
+from . import __version__, paper
 from .analysis import (
     FAMILY_NAMES,
     MC_SAMPLES,
@@ -53,10 +55,9 @@ from .protocol import (
     InputFamily,
     controlled_teleport,
     input_state,
-    ncf_ms_closed,
-    ncf_theta_closed,
     unconditioned_teleport,
 )
+from .qcore import pauli
 from .verify import check_channel_ct, format_report, suite
 
 SEED_ENV_VAR = "CTPOWER_SEED"
@@ -416,10 +417,10 @@ def _cmd_ct(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
 
 
 # the closed-form NCF ``ncf`` prints beside the simulated one, by family, at
-# input phi
+# input amplitudes k
 _NCF_CLOSED = {
-    "ms": lambda spec, phi: ncf_ms_closed(*phi.amps, spec.d),
-    "theta": lambda spec, phi: ncf_theta_closed(spec.a, spec.b, spec.k, phi),
+    "ms": lambda s, k: paper.ms_ncf(s.d, *k),
+    "theta": lambda s, k: paper.theta_ncf(s.a, s.b, abs(np.vdot(k, pauli(s.k) @ k)) ** 2),
 }
 _NCF_CLOSED["ghz"] = _NCF_CLOSED["ms"]
 
@@ -434,7 +435,7 @@ def _cmd_ncf(args: argparse.Namespace, config: RunConfig) -> tuple[Report, int]:
     ]
     closed = _NCF_CLOSED.get(spec.family)
     if closed is not None:
-        scalars.append(("ncf_closed", closed(spec, input_state(family))))
+        scalars.append(("ncf_closed", closed(spec, input_state(family).amps)))
     rows = []
     for r in range(2):
         for c in range(2):

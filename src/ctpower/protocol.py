@@ -27,7 +27,8 @@ which ``per_outcome_equal`` reports.  ``_maps`` is the one reading from a
 stack of amplitudes to its maps, and states the dominant pair: the
 heaviest, but phi+ on a raw channel; ``receiver_map`` is its cached
 one-row view.  The tests pin the map to a step-by-step walk of the
-branches, summed over the outcomes.
+branches, summed over the outcomes; the closed forms it is checked against
+are in ``paper``.
 
 With the controller, each branch (controller outcome c, sender outcome o)
 is one corrected Kraus operator K = G <bell_o| <c| chan, which ``_kraus``
@@ -45,7 +46,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelSpec, _bell_table, _bell_weights, _controller_basis, _first_max, check_unit_pair,
+    ChannelSpec, _bell_table, _bell_weights, _controller_basis, _first_max,
 )
 from .errors import DimensionError, NormalizationError, RangeError
 from .qcore import (
@@ -58,13 +59,11 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     ZERO_PROB,
-    Amplitude,
     BellOutcome,
     DensityOperator,
     PureState,
     _SQRT_HALF,
     make_qubit,
-    pauli,
 )
 
 _TWO_PI = 2.0 * np.pi
@@ -291,41 +290,6 @@ def _ct_certificate(amps: np.ndarray) -> _Certificate:
     kept = norm2 / 4.0 > ZERO_PROB
     defect = np.sqrt(2.0 * off / np.where(kept, norm2, 1.0)) * kept
     return _Certificate(norm2, np.max(defect, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-def _ms_abs_d(d: float) -> float:
-    """|d|, or RangeError unless d^2 is at most 1 within 1e-10, as for any d
-    of an ``MSChannel``; NaN fails too."""
-    v = abs(float(d))
-    if not v * v - 1.0 <= INPUT_ATOL:
-        raise RangeError(f"|d| = {v!r} exceeds 1")
-    return v
-
-
-def ncf_ms_closed(k0: Amplitude, k1: Amplitude, d: float) -> float:
-    """|k0|^4 + |k1|^4 + 2|d| |k0|^2 |k1|^2: NCF through an MS channel.
-
-    Raises NormalizationError unless |k0|^2 + |k1|^2 is 1 within 1e-10, and
-    RangeError unless d^2 is at most 1 within 1e-10, as for any d of an
-    ``MSChannel``; NaN fails both."""
-    p0 = abs(complex(k0)) ** 2
-    p1 = abs(complex(k1)) ** 2
-    if not abs(p0 + p1 - 1.0) <= INPUT_ATOL:
-        raise NormalizationError(f"|k0|^2+|k1|^2 = {p0 + p1!r}, expected 1")
-    v = _ms_abs_d(d)
-    return p0 * p0 + p1 * p1 + 2.0 * v * p0 * p1
-
-
-def ncf_theta_closed(a: float, b: float, k: str, f: InputFamily | PureState) -> float:
-    """max(a^2, b^2) + min(a^2, b^2) |<phi| sigma_k |phi>|^2: NCF through a
-    theta channel, whose receiver corrects toward the dominant branch."""
-    a, b = check_unit_pair(a, b, "a, b")
-    phi = input_state(f)
-    expectation = complex(np.vdot(phi.amps, pauli(k) @ phi.amps))
-    return max(a * a, b * b) + min(a * a, b * b) * abs(expectation) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Self-check suite: every headline quantitative claim, re-derived at runtime.
 
-Each check returns a CheckResult with a deterministic detail string, so a
+Each check computes its numbers with the engine and compares them with the
+closed forms of ``paper``, where the paper's claims are stated.  Each
+check returns a CheckResult with a deterministic detail string, so a
 report built twice from the same seed is byte-identical.  The CLI's
 ``verify`` command prints these; the acceptance tests assert them one by
 one.  Checks use fixed tolerances stated inline; nothing is loosened at
 run time.
 
-Three checks hold their channels as amplitude stacks, not one spec per
+Four checks hold their channels as amplitude stacks, not one spec per
 channel: ``perfect-ct`` certifies 200 random channels, drawn as arrays,
-``three-tangle`` and ``bound-triple-identity`` read the 3-tangles, and
-the latter the receiver maps, of every state in one call.
+``sphere-average`` reads the receiver maps of its 11 MS channels,
+``three-tangle`` the 3-tangles, and ``bound-triple-identity`` both, of
+every state in one call.
 ``tests/oracles.py`` builds the specs of the same draws, the pin's oracle.
 """
 from __future__ import annotations
@@ -19,22 +22,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, paper
 from .analysis import (
-    CLASSICAL_POWER,
     FAMILY_NAMES,
     MATCHED_AXIS,
     MC_SAMPLES,
     _exact_average,
     _ncf_variance,
     _rng,
-    avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
 )
 from .channels import (
-    TANGLE_BOUND,
     ChannelSpec,
     GHZChannel,
     MSChannel,
@@ -50,7 +50,6 @@ from .protocol import (
     _ct_certificate,
     _maps,
     ncf_batch,
-    ncf_ms_closed,
 )
 from .qcore import BELL_KETS
 
@@ -104,12 +103,8 @@ def check_ms_closed_form() -> CheckResult:
     phis = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
     ds = np.linspace(-1.0, 1.0, 10)
     k0, k1 = ArbitraryInput.amplitudes(thetas, phis)
-    worst = 0.0
-    for d in ds:
-        spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-        sim = ncf_batch(spec, k0, k1)
-        closed = [ncf_ms_closed(a, b, float(d)) for a, b in zip(k0, k1)]
-        worst = max(worst, float(np.max(np.abs(sim - closed))))
+    sim = [ncf_batch(MSChannel(c=math.sqrt(1.0 - d * d), d=float(d)), k0, k1) for d in ds]
+    worst = float(np.max(np.abs(np.array(sim) - paper.ms_ncf(ds[:, None], k0, k1))))
     return CheckResult(
         "ms-closed-form",
         worst <= 1e-12,
@@ -124,11 +119,9 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
     predicted sqrt(Var/n), whose own sampling spread at n = 10^6 is about
     0.1%; a row whose prediction is 0 is not compared.
     """
-    worst_exact = 0.0
-    for d in np.linspace(-1.0, 1.0, 11):
-        spec = MSChannel(c=math.sqrt(1.0 - d * d), d=float(d))
-        mean, _ = avg_fidelity_numeric(spec)
-        worst_exact = max(worst_exact, abs(mean - avg_fidelity_ms_analytic(float(d))))
+    ds = np.linspace(-1.0, 1.0, 11)
+    mean = _exact_average(_maps(_ms_amps(np.sqrt(1.0 - ds * ds), ds), False), None)
+    worst_exact = float(np.max(np.abs(mean - paper.ms_sphere_average(ds))))
     ok = worst_exact <= 1e-9
     detail = f"exact average over 11 d values: max deviation {worst_exact:.3e} (tol 1e-9)"
     if not quick:
@@ -141,7 +134,7 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
             mean, stderr = avg_fidelity_numeric(
                 spec, method="monte_carlo", n_samples=MC_SAMPLES, seed=seed, row=row
             )
-            err = abs(mean - avg_fidelity_ms_analytic(d))
+            err = abs(mean - paper.ms_sphere_average(d))
             worst_sigma = max(worst_sigma, err / stderr)
             worst_abs = max(worst_abs, err)
             want = math.sqrt(_ncf_variance(spec, None) / MC_SAMPLES)
@@ -163,8 +156,8 @@ def check_sphere_average(seed: int, quick: bool) -> CheckResult:
 def check_ghz_classical_limit() -> CheckResult:
     """Without the controller a GHZ channel is worth exactly 2/3 on average."""
     mean, _ = avg_fidelity_numeric(GHZChannel())
-    dev_f = abs(mean - 2.0 / 3.0)
-    dev_c = abs(control_power(mean) - 1.0 / 3.0)
+    dev_f = abs(mean - paper.ms_sphere_average(0.0))
+    dev_c = abs(control_power(mean) - paper.CLASSICAL_POWER)
     return CheckResult(
         "ghz-classical-limit",
         dev_f <= 1e-9 and dev_c <= 1e-9,
@@ -180,7 +173,7 @@ def check_matched_flatness() -> CheckResult:
     for fam in FAMILY_NAMES:
         for a2 in (0.3, 0.5, 0.8):
             spec = ThetaChannel(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), k=MATCHED_AXIS[fam])
-            expected = max(a2, 1.0 - a2)
+            expected = paper.matched_average(a2)
             vals = ncf_batch(spec, *INPUT_FAMILIES[fam].amplitudes(angles))
             worst_dev = max(worst_dev, float(np.max(np.abs(vals - expected))))
     return CheckResult(
@@ -207,8 +200,8 @@ def check_bound_triple_identity() -> CheckResult:
     lam = _maps(amps, False).reshape(3, grid.size, 3)
     power = 1.0 - np.concatenate([_exact_average(l, fam) for l, fam in zip(lam, FAMILY_NAMES)])
     p_interval = (1.0 / 3.0 - 1e-12 <= a2) & (a2 <= 2.0 / 3.0 + 1e-12)
-    p_power = power >= CLASSICAL_POWER - 1e-12
-    p_tangle = _tangles(amps) >= TANGLE_BOUND - 1e-12
+    p_power = power >= paper.CLASSICAL_POWER - 1e-12
+    p_tangle = _tangles(amps) >= paper.TANGLE_BOUND - 1e-12
     mismatches = int(np.sum((p_interval != p_power) | (p_power != p_tangle)))
     return CheckResult(
         "bound-triple-identity",
@@ -271,7 +264,7 @@ def check_three_tangle(seed: int) -> CheckResult:
         base,
         rotated,
     ]))
-    expected = np.concatenate([c * c, 4.0 * a2 * (1.0 - a2), [0.0]])
+    expected = np.concatenate([paper.ms_tangle(c), paper.theta_tangle(a2), [0.0]])
     worst = float(np.max(np.abs(tau[: expected.size] - expected)))
     worst_lu = float(np.max(np.abs(tau[-50:] - tau[-51])))
     ok = worst <= 1e-9 and worst_lu <= 1e-9
@@ -302,7 +295,7 @@ def check_mismatch() -> CheckResult:
         f"mismatched >= matched on a^2 in [1/2,1] grid (worst violation "
         f"{worst_violation:.3e}, tol 1e-12); at a=b the max mismatched power is "
         f"{equal.max_mismatched_power:.12g}, which {verdict} with the claimed "
-        f"classical-limit value {CLASSICAL_POWER:.12g} [computed, not assumed]",
+        f"classical-limit value {paper.CLASSICAL_POWER:.12g} [computed, not assumed]",
     )
 
 

@@ -12,12 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctpower import analysis, channels, protocol
+from ctpower import analysis, channels, paper, protocol
 from ctpower.analysis import (
     CLASSICAL_POWER,
     FAMILY_NAMES,
     MATCHED_AXIS,
-    avg_fidelity_ms_analytic,
     avg_fidelity_numeric,
     control_power,
     mismatch_report,
@@ -91,25 +90,10 @@ def test_control_power_values_and_range():
 
 
 def test_avg_fidelity_ms_analytic():
-    assert avg_fidelity_ms_analytic(0.0) == pytest.approx(2.0 / 3.0)
-    assert avg_fidelity_ms_analytic(1.0) == pytest.approx(1.0)
-    assert avg_fidelity_ms_analytic(0.5) == pytest.approx(5.0 / 6.0)
-    assert avg_fidelity_ms_analytic(-0.5) == pytest.approx(5.0 / 6.0)
-    with pytest.raises(RangeError):
-        avg_fidelity_ms_analytic(1.5)
-    with pytest.raises(RangeError):
-        avg_fidelity_ms_analytic(1.0 + 6e-11)
-
-
-def test_avg_fidelity_ms_analytic_takes_every_d_an_ms_channel_takes():
-    d = 1.0 + 4e-11  # d^2 - 1 = 8e-11, within an MSChannel's 1e-10
-    assert MSChannel(c=0.0, d=d).d == d
-    assert avg_fidelity_ms_analytic(d) == avg_fidelity_ms_analytic(1.0)
-
-
-def test_avg_fidelity_ms_analytic_rejects_nan():
-    with pytest.raises(RangeError):
-        avg_fidelity_ms_analytic(float("nan"))
+    assert paper.ms_sphere_average(0.0) == pytest.approx(2.0 / 3.0)
+    assert paper.ms_sphere_average(1.0) == pytest.approx(1.0)
+    assert paper.ms_sphere_average(0.5) == pytest.approx(5.0 / 6.0)
+    assert paper.ms_sphere_average(-0.5) == pytest.approx(5.0 / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +104,7 @@ def test_sphere_quadrature_matches_analytic_on_d_grid():
         spec = MSChannel(c=math.sqrt(1 - d * d), d=float(d))
         mean, stderr = avg_fidelity_numeric(spec, method="exact")
         assert stderr == 0.0
-        assert abs(mean - avg_fidelity_ms_analytic(float(d))) < 1e-9
+        assert abs(mean - paper.ms_sphere_average(float(d))) < 1e-9
 
 
 def test_sphere_quadrature_matches_independent_oracle():
@@ -200,7 +184,7 @@ def test_monte_carlo_tracks_analytic_for_random_d_values():
             spec, method="monte_carlo", n_samples=10**6, seed=11, row=row,
         )
         assert stderr > 0.0
-        assert abs(mean - avg_fidelity_ms_analytic(d)) < 4.0 * stderr
+        assert abs(mean - paper.ms_sphere_average(d)) < 4.0 * stderr
 
 
 def test_monte_carlo_is_reproducible_and_stream_keyed():
@@ -825,7 +809,7 @@ def test_analytic_sweep_reads_the_receiver_map():
 
 def test_ms_average_monotone_in_abs_d():
     ds = np.linspace(0.0, 1.0, 21)
-    f = [avg_fidelity_ms_analytic(d) for d in ds]
+    f = paper.ms_sphere_average(ds)
     assert all(b > a for a, b in zip(f, f[1:]))  # strictly increasing
     c = [control_power(v) for v in f]
     assert all(b < a for a, b in zip(c, c[1:]))  # strictly decreasing

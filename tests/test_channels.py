@@ -120,6 +120,10 @@ def test_check_unit_pair():
     with pytest.raises(NormalizationError) as refused:
         check_unit_pair(0.6 + 0j, 0.8, "c, d")  # complex parameters rejected
     assert str(refused.value) == "c, d must be real numbers"
+    # d^2 - 1 = 8e-11 is within the 1e-10 slack, 2e-9 is not
+    assert MSChannel(c=0.0, d=1.0 + 4e-11).d == 1.0 + 4e-11
+    with pytest.raises(NormalizationError):
+        MSChannel(c=0.0, d=1.0 + 1e-9)
 
 
 def test_check_unit_pair_rejects_non_finite_values():

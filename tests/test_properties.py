@@ -7,9 +7,9 @@ states.  For each, the map must be a completely positive Pauli channel,
 and the NCF it gives must equal the step-by-step branch walk of
 ``oracles.py``, summed over the sender's outcomes, pointwise, and the
 walk's mean over exact designs for the sphere and the three circles;
-lambda, the exact averages and their variances, and every row of the
-mismatch table, must also lie within a few ulps of the same numbers
-computed in exact rational arithmetic.
+lambda, the exact averages and their variances, every row of the
+mismatch table, and the closed forms of ``paper``, must also lie within a
+few ulps of the same numbers computed in exact rational arithmetic.
 With the controller's help teleportation must be perfect, also for a raw
 copy with any unitary on its controller, whose basis the controller rule
 must find, while the W state, rotated or not, keeps its defect of 1.
@@ -23,11 +23,13 @@ import io
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from ctpower import paper
 from ctpower.analysis import (
     FAMILY_NAMES,
     MATCHED_AXIS,
@@ -251,6 +253,38 @@ def test_mismatch_table_is_the_exact_rationals_within_ulps(x, sign):
         want = exact_averages(spec).mean[row.input_family]
         assert ulps(row.avg_ncf, want, max(float(want), 0.5)) <= MEAN_ULPS, (a, row)
         assert row.avg_power == 1.0 - row.avg_ncf, (a, row)
+
+
+# The paper's closed forms at the floats of MS and theta specs, measured
+# over 20,829 channels (c or a a multiple of 2^-10 with either sign of its
+# partner, 2,000 angles of each family, the multiples of pi/4 and points
+# 1e-15 to 3e-12 beside them, and MS with c on a log grid down to 1e-12):
+# the sphere average of MS was within 1.23 ulps of the exact mean and the
+# matched average of theta within 1.58, so both within MEAN_ULPS; the
+# 3-tangles, against Fraction arithmetic on the same floats, within 0.25
+# (c^2) and 0.72 (4 a^2 (1 - a^2)) ulps of 1
+TANGLE_ULPS_OF_1 = 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(dyadic_channels(), named_channels()).filter(lambda s: s.family != "raw"))
+def test_paper_is_the_exact_rationals_within_ulps(spec):
+    exact = exact_averages(spec)
+    # the closed forms are the best correction's: where the two Bell weights
+    # tie within 1e-12 the receiver may take the lesser pair, which flips
+    # lambda on two axes and costs their |lambda| over 6 on the sphere, over
+    # 4 on the matched circle (d within 1e-12 below 0, a^2 within 5e-13 of
+    # 1/2), so the exact mean is taken at |lambda|
+    flipped = sum(abs(v) - v for v in exact.lam)
+    if spec.family == "theta":
+        a2 = spec.a * spec.a
+        got, want = paper.matched_average(a2), exact.mean[spec.matched_family] + flipped / 4
+        tangle, exact_tangle = paper.theta_tangle(a2), 4 * Fraction(a2) * (1 - Fraction(a2))
+    else:
+        got, want = paper.ms_sphere_average(spec.d), exact.mean[None] + flipped / 6
+        tangle, exact_tangle = paper.ms_tangle(spec.c), Fraction(spec.c) ** 2
+    assert ulps(float(got), want, float(want)) <= MEAN_ULPS, (spec, got, want)
+    assert ulps(float(tangle), exact_tangle, 1.0) <= TANGLE_ULPS_OF_1, (spec, tangle)
 
 
 # ---------------------------------------------------------------------------

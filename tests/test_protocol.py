@@ -25,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctpower import channels, protocol, verify
+from ctpower import channels, paper, protocol, verify
 from ctpower.analysis import FAMILY_NAMES, _rng, avg_fidelity_numeric
 from ctpower.channels import (
     MATCHED_AXIS,
@@ -56,8 +56,6 @@ from ctpower.protocol import (
     controlled_teleport,
     input_state,
     ncf_batch,
-    ncf_ms_closed,
-    ncf_theta_closed,
     receiver_map,
     unconditioned_teleport,
 )
@@ -722,56 +720,27 @@ def test_teleport_input_dimension_check():
 # non-conditioned teleportation and closed forms
 
 def test_ncf_matches_ms_closed_form_on_grid():
+    # each input also times a global phase, which leaves its NCF but gives
+    # k0 an imaginary part
     thetas = np.linspace(0.0, np.pi, 10)
     phis = np.linspace(0.0, 2 * np.pi, 10, endpoint=False)
     for theta, phi in zip(thetas, phis):
-        family = ArbitraryInput(theta=float(theta), phi=float(phi))
-        k0, k1 = input_state(family).amps
-        for d in np.linspace(-1.0, 1.0, 9):
-            spec = MSChannel(c=math.sqrt(1 - d * d), d=float(d))
-            result = unconditioned_teleport(spec, family)
-            assert abs(result.ncf - ncf_ms_closed(k0, k1, d)) < 1e-12
-            assert result.per_outcome_equal
-            assert abs(float(result.rho3.mat.trace().real) - 1.0) < 1e-12
+        amps = input_state(ArbitraryInput(theta=float(theta), phi=float(phi))).amps
+        for k0, k1 in (amps, np.exp(0.7j) * amps):
+            for d in np.linspace(-1.0, 1.0, 9):
+                spec = MSChannel(c=math.sqrt(1 - d * d), d=float(d))
+                result = unconditioned_teleport(spec, make_qubit(k0, k1))
+                assert abs(result.ncf - paper.ms_ncf(d, k0, k1)) < 1e-12
+                assert result.per_outcome_equal
+                assert abs(float(result.rho3.mat.trace().real) - 1.0) < 1e-12
 
 
 def test_ncf_closed_form_reference_points():
-    assert ncf_ms_closed(1.0, 0.0, 0.37) == pytest.approx(1.0)
+    assert paper.ms_ncf(0.37, 1.0, 0.0) == pytest.approx(1.0)
     s = 1 / math.sqrt(2)
-    assert ncf_ms_closed(s, s, 0.0) == pytest.approx(0.5)
-    assert ncf_ms_closed(s, s, 1.0) == pytest.approx(1.0)
-    with pytest.raises(NormalizationError):
-        ncf_ms_closed(1.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "k0, k1, d, error, message",
-    [
-        (math.nan, 1.0, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = nan, expected 1$"),
-        (1.0, math.nan, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = nan, expected 1$"),
-        (0.6, 0.6, 0.5, NormalizationError, r"^\|k0\|\^2\+\|k1\|\^2 = 0.72, expected 1$"),
-        (1.0, 0.0, math.nan, RangeError, r"^\|d\| = nan exceeds 1$"),
-        (0.6, 0.8, 5.0, RangeError, r"^\|d\| = 5.0 exceeds 1$"),
-        (0.6, 0.8, -1.0001, RangeError, r"^\|d\| = 1.0001 exceeds 1$"),
-        (0.6, 0.8, math.inf, RangeError, r"^\|d\| = inf exceeds 1$"),
-    ],
-)
-def test_ncf_ms_closed_refuses_nan_and_d_beyond_one(k0, k1, d, error, message):
-    # a NaN compares False, so each check is written as "not within bound";
-    # at the equator d = 5 would give a "fidelity" of 3
-    with pytest.raises(error, match=message):
-        ncf_ms_closed(k0, k1, d)
-
-
-def test_ncf_ms_closed_takes_every_d_an_ms_channel_takes():
-    # c = 0 with d^2 = 1 + 8e-11 is a valid MSChannel, so its closed form
-    # must evaluate too: the same 1e-10 slack on d^2 as check_unit_pair
-    d = 1.0 + 4e-11
-    spec = MSChannel(c=0.0, d=d)
-    s = 1 / math.sqrt(2)
-    assert ncf_ms_closed(s, s, spec.d) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(RangeError):
-        ncf_ms_closed(s, s, 1.0 + 1e-9)
+    assert paper.ms_ncf(0.0, s, s) == pytest.approx(0.5)
+    assert paper.ms_ncf(1.0, s, s) == pytest.approx(1.0)
+    assert paper.ms_ncf(np.array([0.0, -1.0]), s, 1j * s) == pytest.approx([0.5, 1.0])
 
 
 def test_ncf_rho_structure_ms():
@@ -798,16 +767,17 @@ def test_ncf_matches_theta_closed_form():
             theta=rng.uniform(0, np.pi), phi=rng.uniform(0, 2 * np.pi)
         )
         sim = unconditioned_teleport(spec, family).ncf
-        closed = ncf_theta_closed(spec.a, spec.b, spec.k, family)
+        k = input_state(family).amps
+        e2 = abs(np.vdot(k, pauli(spec.k) @ k)) ** 2
+        closed = paper.theta_ncf(spec.a, spec.b, e2)
         assert abs(sim - closed) < 1e-12
-        assert closed == ncf_theta_closed(spec.b, spec.a, spec.k, family)
+        assert closed == paper.theta_ncf(spec.b, spec.a, e2)
 
 
 def test_ncf_theta_closed_is_the_a_dominant_form():
-    family = XYInput(phi=0.3)
-    got = ncf_theta_closed(math.sqrt(0.7), math.sqrt(0.3), "x", family)
-    k0, k1 = input_state(family).amps
-    expectation = abs(np.conj(k0) * k1 + np.conj(k1) * k0) ** 2
+    k0, k1 = input_state(XYInput(phi=0.3)).amps
+    expectation = abs(np.conj(k0) * k1 + np.conj(k1) * k0) ** 2  # <sigma_x>^2
+    got = paper.theta_ncf(math.sqrt(0.7), math.sqrt(0.3), expectation)
     assert got == pytest.approx(0.7 + 0.3 * expectation, abs=1e-12)
 
 

@@ -19,18 +19,18 @@ import textwrap
 import numpy as np
 import pytest
 
-from ctpower import verify
-from ctpower.analysis import FAMILY_NAMES, MATCHED_AXIS, MC_SAMPLES, avg_fidelity_ms_analytic
+from ctpower import paper, verify
+from ctpower.analysis import FAMILY_NAMES, MATCHED_AXIS, MC_SAMPLES
 from ctpower.channels import ThetaChannel
 from ctpower.protocol import INPUT_FAMILIES
 
 OFF = 1e-6
 
 
-def _shifted(monkeypatch, name, shift):
-    """Patch ``verify.<name>`` to return ``shift`` of what it returned."""
-    real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args, **kwargs: shift(real(*args, **kwargs)))
+def _shifted(monkeypatch, name, shift, module=verify):
+    """Patch ``module.<name>`` to return ``shift`` of what it returned."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: shift(real(*args, **kwargs)))
 
 
 def _monte_carlo_at(monkeypatch, sigmas, offset, stderr=None, predicted=None):
@@ -48,7 +48,7 @@ def _monte_carlo_at(monkeypatch, sigmas, offset, stderr=None, predicted=None):
         if kwargs.get("method") != "monte_carlo":
             return mean, err
         err = err if stderr is None else stderr
-        return avg_fidelity_ms_analytic(spec.d) + sigmas * err + offset, err
+        return paper.ms_sphere_average(spec.d) + sigmas * err + offset, err
 
     monkeypatch.setattr(verify, "avg_fidelity_numeric", patched)
 
@@ -78,12 +78,12 @@ CASES = {
         "max probability-sum defect 1.000e-06",
     ),
     "ms-closed-form": (
-        lambda mp: _shifted(mp, "ncf_ms_closed", lambda ncf: ncf + OFF),
+        lambda mp: _shifted(mp, "ms_ncf", lambda ncf: ncf + OFF, paper),
         verify.check_ms_closed_form,
         "max |simulated - closed| = 1.000e-06",
     ),
     "sphere-average exact": (
-        lambda mp: _shifted(mp, "avg_fidelity_ms_analytic", lambda f: f + OFF),
+        lambda mp: _shifted(mp, "ms_sphere_average", lambda f: f + OFF, paper),
         lambda: verify.check_sphere_average(0, quick=True),
         "exact average over 11 d values: max deviation 1.000e-06",
     ),
